@@ -56,7 +56,6 @@ import (
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
-	"topocmp/internal/hierarchy"
 	"topocmp/internal/obs"
 	"topocmp/internal/plot"
 	"topocmp/internal/stats"
@@ -79,9 +78,6 @@ func main() {
 	progressLine := flag.Bool("progress", false, "render a live one-line progress summary on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	linkSigma := flag.String("linksigma", "auto", "link-value traversal kernel: "+
-		"\"auto\" (diameter probe), \"scalar\" (one BFS per source), \"batched\" "+
-		"(force the sigma MSBFS kernel); outputs are byte-identical across modes")
 	flag.Parse()
 
 	if *quick && *full {
@@ -107,17 +103,6 @@ func main() {
 		cfg.Set.Scale = s
 	}
 	cfg.Suite.Parallelism = *workers
-	switch *linkSigma {
-	case "auto":
-		cfg.Suite.LinkSigma = hierarchy.SigmaAuto
-	case "scalar":
-		cfg.Suite.LinkSigma = hierarchy.SigmaScalar
-	case "batched":
-		cfg.Suite.LinkSigma = hierarchy.SigmaBatched
-	default:
-		fmt.Fprintf(os.Stderr, "reproduce: unknown -linksigma %q (want auto, scalar or batched)\n", *linkSigma)
-		os.Exit(2)
-	}
 	os.Exit(realMain(cfg, *workers, *cacheDir, *out,
 		obsOptions{
 			Trace:    *traceFile != "",

@@ -1,56 +1,16 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"topocmp/internal/ball"
 	"topocmp/internal/bgp"
 	"topocmp/internal/graph"
-	"topocmp/internal/metrics"
 	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 	"topocmp/internal/traceroute"
 )
-
-// TestBrandesGoldenScalarVsBitParallel pins the wave-2 betweenness reroute:
-// on ball subgraphs of every paper network family, the distortion estimate
-// must be byte-identical whether the top-roots ranking ran through the
-// scalar per-source accumulation or the bit-parallel Brandes kernel. The
-// distortion value is computed from the selected roots, so equality here
-// means the two rankings picked identical root sets on every subgraph.
-func TestBrandesGoldenScalarVsBitParallel(t *testing.T) {
-	opts := PaperSetOptions{Seed: 1, Scale: 0.12}
-	ms := BuildMeasured(opts)
-	nets := []*Network{ms.AS, ms.RL}
-	for _, name := range []string{"PLRG", "TS", "Mesh", "Tree", "Random"} {
-		nets = append(nets, BuildNetwork(name, opts))
-	}
-	k := &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
-	for _, n := range nets {
-		g := n.Graph
-		e := ball.NewEngine(g, 1)
-		r := rand.New(rand.NewSource(7))
-		for i := 0; i < 4; i++ {
-			c := int32(r.Intn(g.NumNodes()))
-			p := e.Profile(c)
-			for _, h := range []int{2, 3} {
-				sub := e.BallSubgraph(p, h)
-				if sub.NumNodes() < 3 {
-					continue
-				}
-				sc := metrics.SubgraphDistortionKernels(sub, 8, metrics.BetweennessScalar, k)
-				bp := metrics.SubgraphDistortionKernels(sub, 8, metrics.BetweennessBitParallel, k)
-				if math.Float64bits(sc) != math.Float64bits(bp) {
-					t.Errorf("%s center %d h=%d: scalar distortion %v, bit-parallel %v",
-						n.Name, c, h, sc, bp)
-				}
-			}
-		}
-	}
-}
 
 // scalarCoverageCurve is the historical bgp.CoverageCurve implementation:
 // every destination's full selected path is enumerated and its edges

@@ -41,12 +41,6 @@ type SuiteOptions struct {
 	// SkipHierarchy disables the link-value computation (the costliest
 	// stage) when only Figure 2 style metrics are needed.
 	SkipHierarchy bool
-	// LinkSigma routes the link-value sweeps' path-count traversals:
-	// hierarchy.SigmaAuto (the default) batches through the sigma-carrying
-	// MSBFS kernel behind a diameter probe, SigmaScalar/SigmaBatched force
-	// a route. Like Parallelism it never changes results (the golden tests
-	// pin the routes byte-identical), so it is excluded from CacheKey.
-	LinkSigma hierarchy.SigmaMode
 	// ToleranceFractions are the removal fractions of Figure 9; default
 	// 0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20.
 	ToleranceFractions []float64
@@ -88,10 +82,8 @@ func (o *SuiteOptions) defaults() {
 // cache. Parallelism is deliberately excluded: suite results are
 // bit-identical at every worker-pool width (the PR-1 contract, enforced by
 // TestRunSuiteParallelMatchesSequential), so a `-j N` run must hit entries
-// written by a `-j 1` run and vice versa. LinkSigma is excluded on the same
-// contract (routes are byte-identical, enforced by the sigma golden tests),
-// as are Metrics, Span and Progress — observability never changes results.
-// Every other field
+// written by a `-j 1` run and vice versa. Metrics, Span and Progress are
+// excluded too — observability never changes results. Every other field
 // appears; adding a result-affecting field to SuiteOptions must extend this
 // string (or bump cache.SchemaVersion) so stale entries are invalidated.
 func (o SuiteOptions) CacheKey() string {
@@ -245,7 +237,6 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 				MaxSources:  opts.LinkSources,
 				Rand:        rand.New(rand.NewSource(opts.Seed + 300)),
 				Parallelism: opts.Parallelism,
-				Sigma:       opts.LinkSigma,
 				Metrics:     opts.Metrics,
 			})
 		})
@@ -255,7 +246,6 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 					MaxSources:  opts.LinkSources,
 					Rand:        rand.New(rand.NewSource(opts.Seed + 400)),
 					Parallelism: opts.Parallelism,
-					Sigma:       opts.LinkSigma,
 					Metrics:     opts.Metrics,
 				})
 			})

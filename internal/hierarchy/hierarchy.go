@@ -40,45 +40,37 @@ type Options struct {
 	// Parallelism caps the source-sweep worker count; 0 uses GOMAXPROCS,
 	// 1 runs sequentially. Results are identical at every width.
 	Parallelism int
-	// Sigma selects the shortest-path-count traversal implementation.
-	// Results are byte-identical across modes on the graphs SigmaAuto
-	// batches (path counts are exact integers in float64; see the golden
-	// tests), so like Parallelism this is a performance knob, not a result
-	// parameter.
-	Sigma SigmaMode
 	// Metrics, when non-nil, counts the source sweeps performed
-	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps) and the sigma
-	// routing (hierarchy.sigma_batches / hierarchy.sigma_scalar, width
-	// gauge hierarchy.sigma_width). Never affects results.
+	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps) and the row
+	// provider chosen (hierarchy.sigma_batches / hierarchy.sigma_scalar,
+	// width gauge hierarchy.sigma_width). Never affects results.
 	Metrics *obs.Registry `json:"-"`
+
+	// force overrides the diameter probe's provider choice. Only the
+	// differential tests set it (export_test.go).
+	force provider
 }
 
-// SigmaMode picks how the sweeps obtain per-source distances and
-// shortest-path counts.
-type SigmaMode int
+// provider names where a sweep's per-source distance and path-count rows
+// come from. The rows are identical either way (path counts are exact
+// integers in float64), so the choice only changes speed.
+type provider int8
 
 const (
-	// SigmaAuto batches sources through the sigma-carrying MSBFS kernel
-	// unless the diameter probe flags a lattice-like graph, which keeps the
-	// scalar path (thin frontiers repeat mask work every level there, and
-	// lattices are the graphs whose binomial path counts could leave
-	// float64's exact-integer range).
-	SigmaAuto SigmaMode = iota
-	// SigmaScalar forces one scalar BFS per source — the historical path.
-	SigmaScalar
-	// SigmaBatched forces the batched kernel regardless of the probe.
-	SigmaBatched
+	probed         provider = iota // the diameter probe decides
+	scalarProvider                 // one scalar traversal per source
+	batchProvider                  // one sigma-carrying MSBFS per mask strip
 )
 
-// sigmaRoute resolves whether a call batches through the sigma kernel:
-// forced modes short-circuit, SigmaAuto probes the diameter with the same
-// double-sweep estimate and threshold as ball.CumProfiles.
-func (o *Options) sigmaRoute(g *graph.Graph) bool {
-	switch o.Sigma {
-	case SigmaScalar:
-		return false
-	case SigmaBatched:
-		return true
+// batched resolves the row provider for g. Low-diameter graphs batch their
+// sources through the sigma-carrying MSBFS kernel; the probe (the same
+// double-sweep estimate and threshold as ball.CumProfiles) keeps
+// lattice-like graphs on scalar traversals, where thin frontiers repeat
+// mask work every level and binomial path counts could leave float64's
+// exact-integer range.
+func (o *Options) batched(g *graph.Graph) bool {
+	if o.force != probed {
+		return o.force == batchProvider
 	}
 	ws := sweepPool.Get()
 	defer sweepPool.Put(ws)
@@ -204,15 +196,12 @@ const coverBucketShift = 5
 // two: the emission fast path tests the cursor against the chunk mask).
 const bucketChunk = 1024
 
-// edgeStream radix-partitions pair entries by edge-id bucket as they are
-// emitted, so the single-worker batched route never materializes the global
-// linear entry log or its full-size counting sort: the sweeps append each
-// entry to its bucket's chunk chain (a handful of hot sequential tails
-// instead of one random-write arena), and finalization re-sorts one
-// cache-resident bucket at a time into per-edge groups. A single worker
-// emits in canonical (u, t)-ascending order, and the bucket sort is stable
-// by edge, so each group reads back exactly the sequence the global
-// counting sort would hand edgeCover.
+// edgeStream radix-partitions one worker's pair entries by edge-id bucket as
+// they are emitted, so no sweep materializes a linear entry log or a
+// full-size counting sort: the sweeps append each entry to its bucket's
+// chunk chain (a handful of hot sequential tails instead of one random-write
+// arena), and the cover re-sorts one cache-resident bucket at a time into
+// per-edge groups.
 //
 // cur is each bucket's next write index into the data arena. Chunk 0 is a
 // reserved sentinel no bucket ever owns, so cur == 0 (empty bucket) and any
@@ -246,6 +235,19 @@ func (es *edgeStream) reset(numEdges int) {
 	}
 }
 
+// add appends p to its bucket: the emission of the policy sweeps, whose
+// per-entry cost is dominated by the product-space walk. The plain sweep
+// open-codes the same fast path.
+func (es *edgeStream) add(p pairEntry) {
+	b := p.edge >> coverBucketShift
+	if c := es.cur[b]; c&(bucketChunk-1) != 0 {
+		es.data[c] = p
+		es.cur[b] = c + 1
+		return
+	}
+	es.grow(b, p)
+}
+
 // grow opens a new tail chunk for bucket b and writes p as its first entry;
 // reused arena capacity is left dirty (cur bounds every read).
 func (es *edgeStream) grow(b uint32, p pairEntry) {
@@ -270,61 +272,69 @@ func (es *edgeStream) grow(b uint32, p pairEntry) {
 	es.cur[b] = base + 1
 }
 
+// segments appends bucket b's entries to segs as chunk slices, in emission
+// order.
+func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
+	for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
+		base := ci * bucketChunk
+		end := base + bucketChunk
+		if ci == es.tails[b] {
+			end = es.cur[b]
+		}
+		segs = append(segs, es.data[base:end])
+	}
+	return segs
+}
+
 // sweepScratch is one link-value worker's traversal workspace — BFS
-// scratch, the ancestor-sweep g-value accumulators and level buckets, and
-// the policy sweeps' per-edge fraction accumulators — leased through the
-// unified ball.Pool layer, one bundle per worker per call. The float
-// buffers rely on a zero-at-rest invariant (every sweep resets what it
-// touched), so a leased bundle behaves exactly like a fresh one.
+// scratch, the ancestor-sweep g-value accumulators and level buckets, the
+// policy sweeps' per-edge fraction accumulators and the worker's entry
+// stream — leased through the unified ball.Pool layer, one bundle per
+// worker per call. The float buffers rely on a zero-at-rest invariant
+// (every sweep resets what it touched), so a leased bundle behaves exactly
+// like a fresh one.
 type sweepScratch struct {
 	bfs     *graph.BFSScratch
 	msbfs   *graph.MSBFSScratch // sigma-batch kernel, allocated on first batched lease
-	emarks  graph.Stamp         // per-target edge dedup marks (TraversalSetSizes)
 	gval    []float64
 	touched []int32
 	buckets [][]int32
 	localW  []float64 // per-edge fraction accumulators (policy sweeps)
 	localE  []uint32  // edge ids touched in localW for the current target
-	// entries persists a worker's pair-entry capacity across leases; growing
-	// it fresh every call made append's doubling copies the single biggest
-	// cost of the link-value stage. A bundle whose entries are still being
-	// read by coverValues must not be returned to the pool until the values
-	// are computed.
-	entries []pairEntry
-	// Per-source shortest-path-DAG predecessor lists (batched route only):
-	// pred arcs of b are its neighbors one level closer to the source, in
-	// adjacency order, with their dense edge ids alongside. Built lazily —
-	// a node's adjacency is filtered the first time a target walk reaches
-	// it, memoized for the source's remaining targets via pstamp — so with
-	// sampled pair universes only the ancestors of sampled targets ever pay
-	// an adjacency scan or a (table-read) edge-id lookup.
+	// Per-source shortest-path-DAG predecessor lists: pred arcs of b are its
+	// neighbors one level closer to the source, in adjacency order, with
+	// their dense edge ids alongside. Built lazily — a node's adjacency is
+	// filtered the first time a target walk reaches it, memoized for the
+	// source's remaining targets via pstamp — so with sampled pair universes
+	// only the ancestors of sampled targets ever pay an adjacency scan or a
+	// (table-read) edge-id lookup.
 	pstamp   graph.Stamp
 	predLo   []int32 // b's pred arcs are predAdj[predLo[b]:predHi[b]]
 	predHi   []int32 // valid only where pstamp has seen b
 	predAdj  []int32 // fixed length m per source; predN is the fill cursor
 	predEdge []uint32
 	predN    int32
-	// stream is the fused per-edge entry store of the single-worker batched
-	// route, replacing the linear entry log plus coverValues' counting sort.
+	// stream is the worker's entry store. It persists its arena across
+	// leases and must not return to the pool until the cover has read it.
 	stream *edgeStream
 	// Product-space traversal buffers for policy sweeps, reused through
 	// policy.ProductCountsInto (reset via porder, so they carry their own
-	// zero-at-rest invariant).
+	// zero-at-rest invariant), and a strip's product start states.
 	pdist  []int32
 	psigma []float64
 	porder []int32
+	psrc   []int32
 }
 
 var sweepPool = ball.NewPool(func() *sweepScratch {
-	return &sweepScratch{bfs: graph.NewBFSScratch()}
+	return &sweepScratch{bfs: graph.NewBFSScratch(), stream: &edgeStream{}}
 })
 
-// The sweep and cover workspaces hold the pair-entry universe — hundreds of
-// megabytes on the bigger networks — so a few survive collections instead of
-// being refaulted in every suite run.
+// The sweep workspaces hold the entry streams — hundreds of megabytes on
+// the bigger networks — so a few survive collections instead of being
+// refaulted in every suite run.
 func init() {
 	sweepPool.Keep(2)
-	coverPool.Keep(1)
 }
 
 // grownZero returns b with length at least n; freshly grown storage is
@@ -336,10 +346,10 @@ func grownZero(b []float64, n int) []float64 {
 	return b[:n]
 }
 
-// sigmaPlan sizes the batched route: strip width from the pending sources
-// like ball.CumProfiles (never starving the pool), worker count capped at
-// the strip count, and the routing counters recorded. Returns width 0 on
-// the scalar route.
+// sigmaPlan sizes the batched provider: strip width from the pending
+// sources like ball.CumProfiles (never starving the pool), worker count
+// capped at the strip count, and the routing counters recorded. Returns
+// width 0 for the scalar provider.
 func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, strips, w int) {
 	if !batched {
 		opts.Metrics.Counter("hierarchy.sigma_scalar").Add(int64(numSources))
@@ -358,198 +368,127 @@ func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, str
 	return width, strips, workers
 }
 
-// LinkValues computes link values under shortest-path routing. Source
-// sweeps run concurrently (the graph is immutable; each worker owns its
-// leased scratch) and, on low-diameter graphs, in bit-parallel sigma
-// batches — one CSR sweep per mask strip of up to graph.MSBFSMaxWidth
-// sources instead of one scalar BFS each. The canonical entry ordering in
-// coverValues makes the result independent of scheduling, and path counts
-// are exact integers in float64 on the batched route, so the values are
-// byte-identical across worker counts and sigma modes.
-func LinkValues(g *graph.Graph, opts Options) *Result {
-	opts.defaults()
-	edges := g.Edges()
-	ix := graph.NewEdgeIndex(g)
-	sources, inQ := sampleSources(g.NumNodes(), opts)
-	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
-
-	n := g.NumNodes()
-	width, strips, workers := sigmaPlan(&opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
-	var arcIDs []uint32
-	if width > 0 {
-		arcIDs = ix.ArcIDs() // shared, read-only across workers
-	}
-	if width > 0 && workers == 1 {
-		// Fused single-worker batched route: one worker sweeps sources in
-		// ascending order, so entries can stream straight into per-edge
-		// groups (edgeStream) in canonical order — no linear entry log, no
-		// counting sort, no replay. This is the route reproduce -j 1 takes
-		// on the paper's low-diameter families.
-		ws := sweepPool.Get()
-		defer sweepPool.Put(ws)
-		ws.gval = grownZero(ws.gval, n)
-		if ws.msbfs == nil {
-			ws.msbfs = graph.NewMSBFSScratch()
-		}
-		if ws.stream == nil {
-			ws.stream = &edgeStream{}
-		}
-		es := ws.stream
-		es.reset(len(edges))
-		off, adj := g.CSR()
-		for k := 0; k < strips; k++ {
-			lo := k * width
-			hi := min(lo+width, len(sources))
-			strip := sources[lo:hi]
-			ws.msbfs.RunSigma(g, strip)
-			for j, u := range strip {
-				dist, sigma := ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j)
-				ws.beginPreds(n, len(edges))
-				fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					d := dist[t]
-					if d <= 0 || d == graph.Unreached {
-						continue
-					}
-					sweepTargetStream(u, t, int(d), fs, ws, es)
-				}
-			}
-		}
-		values := coverValuesStream(len(edges), n, es)
-		return &Result{Edges: edges, Values: values, N: len(sources), Nodes: n}
-	}
-	perWorker := make([][]pairEntry, workers)
-	perEnds := make([][]int, workers)
-	perSrc := make([][]int, workers)
-	wss := make([]*sweepScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sweepPool.Get()
-			wss[w] = ws
-			ws.gval = grownZero(ws.gval, n)
-			entries := ws.entries[:0]
-			var ends, srcIdx []int
-			// Per-target ancestor sweeps run over the pair universe in
-			// ascending target order so each source's entry block comes out
-			// (t)-sorted — coverValues' canonical-order contract. perSrc
-			// records each block's global source index for the replay.
-			sweepSource := func(u int32, si int, fs *fastSweep, dist []int32, sigma []float64, dt func(int32) int32) {
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					d := dt(t)
-					if d <= 0 || d == graph.Unreached {
-						continue
-					}
-					if fs != nil {
-						entries = sweepTargetFast(u, t, int(d), fs, ws, entries)
-					} else {
-						entries = sweepTarget(g, u, t, int(d), ix, ws, entries, dist, sigma)
-					}
-				}
-				ends = append(ends, len(entries))
-				srcIdx = append(srcIdx, si)
-			}
-			if width > 0 {
-				if ws.msbfs == nil {
-					ws.msbfs = graph.NewMSBFSScratch()
-				}
-				off, adj := g.CSR()
-				for k := w; k < strips; k += workers {
-					lo := k * width
-					hi := min(lo+width, len(sources))
-					strip := sources[lo:hi]
-					ws.msbfs.RunSigma(g, strip)
-					for j, u := range strip {
-						dist, sigma := ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j)
-						// RunSigma pre-fills the rows, so raw reads are safe —
-						// both for the target gate and the pred build.
-						ws.beginPreds(n, len(edges))
-						fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-						sweepSource(u, lo+j, fs, dist, sigma, func(t int32) int32 { return dist[t] })
-					}
-				}
-			} else {
-				for i := w; i < len(sources); i += workers {
-					u := sources[i]
-					ws.bfs.Counts(g, u)
-					dist, sigma := ws.bfs.Rows()
-					// The raw rows are stale at unreached nodes, so the
-					// target gate reads the epoch-guarded accessor; inside
-					// the ancestor DAG every node is reached.
-					sweepSource(u, i, nil, dist, sigma, ws.bfs.Dist)
-				}
-			}
-			ws.entries = entries
-			perWorker[w] = entries
-			perEnds[w] = ends
-			perSrc[w] = srcIdx
-		}(w)
-	}
-	wg.Wait()
-	values := coverValues(len(edges), n, perWorker, perEnds, perSrc)
-	for _, ws := range wss {
-		sweepPool.Put(ws)
-	}
-	return &Result{Edges: edges, Values: values, N: len(sources), Nodes: n}
+// rowProvider yields each source's exact distance and path-count rows, in
+// one of two forms picked per graph by the diameter probe. scalar runs one
+// traversal for source u and returns its rows; guard, when non-nil, is the
+// traversal whose epoch-guarded Dist must gate targets because the rows
+// are stale at unreached nodes. strip runs one mask strip on ws.msbfs,
+// whose DistRow/SigmaRow then hold the strip's rows in full.
+type rowProvider struct {
+	scalar func(ws *sweepScratch, u int32) (dist []int32, sigma []float64, guard *graph.BFSScratch)
+	strip  func(ws *sweepScratch, strip []int32)
 }
 
-// sweepTarget walks target t's shortest-path ancestor DAG from source u,
-// computing per-edge path fractions (g values) and appending pair entries.
-// Distances and path counts are passed as raw source rows — either
-// ws.bfs.Rows() after a scalar Counts traversal or a DistRow/SigmaRow pair
-// from a sigma batch; both carry identical values, so the emitted entry
-// stream is byte-identical across routes. dt is t's (caller-gated, > 0 and
-// reached) distance; inside the DAG every node is reached, so raw row reads
-// need no epoch guard. gval/touched/buckets are reused across targets (gval
-// zeroed via touched).
-func sweepTarget(g *graph.Graph, u, t int32, dt int, ix *graph.EdgeIndex,
-	ws *sweepScratch, entries []pairEntry, dist []int32, sigma []float64) []pairEntry {
+// visitFunc sweeps every target of source u into the worker's stream es.
+type visitFunc func(ws *sweepScratch, es *edgeStream, u int32,
+	dist []int32, sigma []float64, guard *graph.BFSScratch)
 
-	// Ensure bucket capacity.
-	for len(ws.buckets) <= dt {
-		ws.buckets = append(ws.buckets, nil)
+// sweep is the one link-value driver. The sorted sources are cut into
+// contiguous per-worker blocks — of single sources for the scalar provider,
+// of whole mask strips for the batched one — so every source of worker w
+// precedes every source of worker w+1, and each worker visits its sources
+// in ascending order into its own stream. The streams come back in worker
+// order, which is the canonical (u, t) order coverValuesStream relies on;
+// release returns their scratches to the pool once they have been read.
+// The graph is immutable and every worker owns its leased scratch, so the
+// workers share nothing but read-only inputs.
+func sweep(opts *Options, sources []int32, numEdges int, batched bool,
+	rp rowProvider, visit visitFunc) (streams []*edgeStream, release func()) {
+
+	width, strips, workers := sigmaPlan(opts, len(sources), opts.workers(len(sources)), batched)
+	units := len(sources)
+	if width > 0 {
+		units = strips
 	}
-	bs := ws.buckets
-	for d := 0; d <= dt; d++ {
-		bs[d] = bs[d][:0]
-	}
-	ws.gval[t] = 1
-	ws.touched = append(ws.touched[:0], t)
-	bs[dt] = append(bs[dt], t)
-	for d := dt; d >= 1; d-- {
-		for _, b := range bs[d] {
-			gb := ws.gval[b]
-			for _, a := range g.Neighbors(b) {
-				if dist[a] != int32(d-1) {
-					continue
+	wss := make([]*sweepScratch, workers)
+	streams = make([]*edgeStream, workers)
+	var wg sync.WaitGroup
+	for w := range wss {
+		ws := sweepPool.Get()
+		wss[w], streams[w] = ws, ws.stream
+		ws.stream.reset(numEdges)
+		lo, hi := w*units/workers, (w+1)*units/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if width == 0 {
+				for _, u := range sources[lo:hi] {
+					dist, sigma, guard := rp.scalar(ws, u)
+					visit(ws, ws.stream, u, dist, sigma, guard)
 				}
-				frac := gb * sigma[a] / sigma[b]
-				entries = append(entries, pairEntry{
-					edge: uint32(ix.ID(a, b)), u: u, t: t, w: frac,
-				})
-				if ws.gval[a] == 0 {
-					// First touch: schedule and track for reset.
-					ws.touched = append(ws.touched, a)
-					if d-1 >= 1 {
-						bs[d-1] = append(bs[d-1], a)
-					}
-				}
-				ws.gval[a] += frac
+				return
 			}
+			if ws.msbfs == nil {
+				ws.msbfs = graph.NewMSBFSScratch()
+			}
+			for k := lo; k < hi; k++ {
+				strip := sources[k*width : min((k+1)*width, len(sources))]
+				rp.strip(ws, strip)
+				for j, u := range strip {
+					visit(ws, ws.stream, u, ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j), nil)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return streams, func() {
+		for _, ws := range wss {
+			sweepPool.Put(ws)
 		}
 	}
-	for _, v := range ws.touched {
-		ws.gval[v] = 0
+}
+
+// sweepPlain runs the shortest-path sweep LinkValues and TraversalSetSizes
+// share: per source, every sampled target's ancestor DAG walked in
+// ascending target order over the lazy predecessor lists.
+func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {
+	n, m := g.NumNodes(), g.NumEdges()
+	off, adj := g.CSR()
+	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
+	rp := rowProvider{
+		scalar: func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
+			ws.bfs.Counts(g, u)
+			dist, sigma := ws.bfs.Rows()
+			return dist, sigma, ws.bfs
+		},
+		strip: func(ws *sweepScratch, strip []int32) { ws.msbfs.RunSigma(g, strip) },
 	}
-	return entries
+	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, guard *graph.BFSScratch) {
+		ws.gval = grownZero(ws.gval, n)
+		ws.beginPreds(n, m)
+		fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
+		for t := int32(0); t < int32(n); t++ {
+			if t == u || !inQ[t] {
+				continue
+			}
+			d := dist[t]
+			if guard != nil {
+				d = guard.Dist(t)
+			}
+			if d <= 0 || d == graph.Unreached {
+				continue
+			}
+			sweepTargetStream(u, t, int(d), fs, ws, es)
+		}
+	}
+	return sweep(opts, sources, m, opts.batched(g), rp, visit)
+}
+
+// LinkValues computes link values under shortest-path routing. Source
+// sweeps run concurrently and, on low-diameter graphs, in bit-parallel
+// sigma batches — one CSR sweep per mask strip of up to
+// graph.MSBFSMaxWidth sources instead of one scalar BFS each. The
+// worker-ordered streams make the result independent of scheduling, and
+// path counts are exact integers in float64 from either row provider, so
+// the values are byte-identical across worker counts and providers.
+func LinkValues(g *graph.Graph, opts Options) *Result {
+	opts.defaults()
+	sources, inQ := sampleSources(g.NumNodes(), opts)
+	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
+	streams, release := sweepPlain(g, &opts, sources, inQ)
+	defer release()
+	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams)
+	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
 // beginPreds resets the lazy predecessor state for a new source: one epoch
@@ -574,11 +513,11 @@ func (ws *sweepScratch) beginPreds(n, m int) {
 }
 
 // fastSweep bundles one source's immutable sweep inputs — the graph CSR,
-// the arc-id table, the source's exact distance/path-count rows (the sigma
-// batch pre-fills its rows, so every node reads Unreached or a true
-// distance; the scalar route's stale rows must not be fed here), and the
-// source's pred-arc buffers (stable for the source's lifetime, see
-// beginPreds).
+// the arc-id table, the source's distance/path-count rows, and the source's
+// pred-arc buffers (stable for the source's lifetime, see beginPreds). The
+// walk reads the rows only at the target's ancestors and their neighbours,
+// all reached by the source's traversal, so a scalar traversal's rows,
+// stale at unreached nodes, serve as well as a sigma strip's full rows.
 type fastSweep struct {
 	off, adj []int32
 	arcIDs   []uint32
@@ -617,82 +556,18 @@ func (fs *fastSweep) buildPreds(b int32, ws *sweepScratch) {
 	ws.predN = k
 }
 
-// sweepTargetFast is sweepTarget over the lazy predecessor lists: same
-// bucket walk, same g-value recurrence, same entry order (pred lists
-// preserve adjacency order) and bit-identical arithmetic (sigma[b] is
-// merely hoisted out of the arc loop), touching only the DAG arcs that
-// emit entries instead of every adjacency arc of every ancestor.
+// sweepTargetStream walks target t's shortest-path ancestor DAG from source
+// u over the lazy predecessor lists, computing per-edge path fractions (g
+// values) and emitting one pair entry per DAG arc straight into its edge's
+// bucket of es. gval/touched/buckets are reused across targets (gval zeroed
+// via touched). Pred lists preserve adjacency order, so the per-pair entry
+// order is fixed by the graph alone.
 //
 // When the pair has a unique shortest path (sigma[t] == 1), the ancestor
 // DAG is a single chain — every node on it also has path count 1, hence
 // exactly one pred — and every fraction is exactly 1*1/1 = 1, so the walk
 // degenerates to following single pred links with no g-value bookkeeping.
 // Entry order and float values are identical to the general walk's.
-func sweepTargetFast(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
-	entries []pairEntry) []pairEntry {
-
-	sigma := fs.sigma
-	if sigma[t] == 1 {
-		b := t
-		for d := dt; d >= 1; d-- {
-			if ws.pstamp.Visit(b) {
-				fs.buildPreds(b, ws)
-			}
-			lo := ws.predLo[b]
-			entries = append(entries, pairEntry{
-				edge: fs.predEdge[lo], u: u, t: t, w: 1,
-			})
-			b = fs.predAdj[lo]
-		}
-		return entries
-	}
-	for len(ws.buckets) <= dt {
-		ws.buckets = append(ws.buckets, nil)
-	}
-	bs := ws.buckets
-	for d := 0; d <= dt; d++ {
-		bs[d] = bs[d][:0]
-	}
-	ws.gval[t] = 1
-	ws.touched = append(ws.touched[:0], t)
-	bs[dt] = append(bs[dt], t)
-	for d := dt; d >= 1; d-- {
-		for _, b := range bs[d] {
-			gb := ws.gval[b]
-			sb := sigma[b]
-			if ws.pstamp.Visit(b) {
-				fs.buildPreds(b, ws)
-			}
-			lo, hi := ws.predLo[b], ws.predHi[b]
-			for i := lo; i < hi; i++ {
-				a := fs.predAdj[i]
-				frac := gb * sigma[a] / sb
-				entries = append(entries, pairEntry{
-					edge: fs.predEdge[i], u: u, t: t, w: frac,
-				})
-				if ws.gval[a] == 0 {
-					ws.touched = append(ws.touched, a)
-					if d-1 >= 1 {
-						bs[d-1] = append(bs[d-1], a)
-					}
-				}
-				ws.gval[a] += frac
-			}
-		}
-	}
-	for _, v := range ws.touched {
-		ws.gval[v] = 0
-	}
-	return entries
-}
-
-// sweepTargetStream is sweepTargetFast emitting into an edgeStream instead
-// of the linear entry log: same walk, same arithmetic, same per-pair entry
-// order — only the destination differs, each entry landing directly in its
-// edge's group. Sources (ascending) and targets (ascending per source) are
-// swept in canonical order by the single worker that uses this variant, so
-// every group accumulates exactly the sequence the counting sort would
-// hand edgeCover.
 func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 	es *edgeStream) {
 
@@ -768,7 +643,7 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 
 // sampleSources returns the pair-universe node set Q and its membership
 // mask. The set is returned in ascending node order: the sweeps emit entry
-// blocks in source order, and coverValues relies on that order being
+// blocks in source order, and coverValuesStream relies on that order being
 // ascending u to reach the canonical (edge, u, t) grouping without a sort.
 // (Which nodes are sampled depends only on the Rand stream, not the order.)
 func sampleSources(n int, opts Options) ([]int32, []bool) {
@@ -791,110 +666,37 @@ func sampleSources(n int, opts Options) ([]int32, []bool) {
 	return out, inQ
 }
 
-// coverValues groups the pair entries by edge, computes per-node traversal
-// weights W(x,e) (the average pair fraction over the pairs containing x),
-// and runs the primal-dual weighted vertex cover per edge.
+// coverValuesStream computes every edge's link value from the workers'
+// entry streams: per-node traversal weights W(x,e) (the average pair
+// fraction over the pairs containing x), then the primal-dual weighted
+// vertex cover per edge.
 //
-// The grouping is a single stable counting sort on the dense edge ids. Its
-// input-order contract makes that sufficient for the canonical (edge, u, t)
-// order the order-dependent primal-dual needs: each worker's entry list is a
-// sequence of per-source blocks, blocks are (t)-ascending inside (the sweeps
-// iterate targets in node order), the global source sequence is
-// (u)-ascending (sampleSources sorts it), perEnds[w][k] records where worker
-// w's k-th block ends, and perSrc[w][k] which global source index it holds.
-// Replaying the blocks in ascending global source order feeds the scatter an
-// (u, t)-sorted stream, and stability plus unique (edge, u, t) keys land
-// every group fully sorted, with no comparison sort anywhere. The explicit
-// perSrc map is what lets the scalar route (sources striped one at a time)
-// and the sigma route (sources striped in whole mask strips) share one
-// replay with identical output.
-func coverValues(numEdges, numNodes int, perWorker [][]pairEntry,
-	perEnds [][]int, perSrc [][]int) []float64 {
-
-	total := 0
-	numSources := 0
-	for w, es := range perWorker {
-		total += len(es)
-		numSources += len(perEnds[w])
-	}
-	ws := coverPool.Get()
-	defer coverPool.Put(ws)
-	ws.ensure(numNodes)
-	off := growInt(ws.off, numEdges+1)
-	clear(off)
-	ws.off = off
-	for _, es := range perWorker {
-		for i := range es {
-			off[es[i].edge+1]++
-		}
-	}
-	for e := 0; e < numEdges; e++ {
-		off[e+1] += off[e]
-	}
-	cur := growInt(ws.keys, numEdges)
-	ws.keys = cur
-	copy(cur, off[:numEdges])
-	sorted := growPairs(ws.sortA, total)
-	ws.sortA = sorted
-	blockW := growInt(ws.blockW, numSources)
-	ws.blockW = blockW
-	blockK := growInt(ws.blockK, numSources)
-	ws.blockK = blockK
-	for w, srcs := range perSrc {
-		for k, si := range srcs {
-			blockW[si], blockK[si] = w, k
-		}
-	}
-	for si := 0; si < numSources; si++ {
-		w, k := blockW[si], blockK[si]
-		start := 0
-		if k > 0 {
-			start = perEnds[w][k-1]
-		}
-		for _, p := range perWorker[w][start:perEnds[w][k]] {
-			sorted[cur[p.edge]] = coverEntry{u: p.u, t: p.t, w: p.w}
-			cur[p.edge]++
-		}
-	}
-	values := make([]float64, numEdges)
-	for e := 0; e < numEdges; e++ {
-		group := sorted[off[e]:off[e+1]]
-		if len(group) == 0 {
-			continue
-		}
-		values[e] = edgeCover(group, ws)
-	}
-	return values
-}
-
-// coverValuesStream is coverValues over a bucket-partitioned edgeStream:
-// one bucket at a time, its log is counting-sorted by edge (stable, so each
-// group keeps the canonical emission order) into a cache-resident buffer
-// and the groups handed to the same edgeCover. The values are byte-identical
-// to the global counting-sort path's.
-func coverValuesStream(numEdges, numNodes int, es *edgeStream) []float64 {
+// It walks one bucket at a time, reading the bucket's chunks across the
+// streams in worker order. Each stream is (u, t)-ascending and the workers'
+// source blocks ascend with worker index, so that walk is (u, t)-ascending
+// too; a stable counting sort by edge then lands every group in the
+// canonical (edge, u, t) order the order-dependent primal-dual needs, with
+// no global sort. Only one bucket's entries are ever copied.
+func coverValuesStream(numEdges, numNodes int, streams []*edgeStream) []float64 {
 	ws := coverPool.Get()
 	defer coverPool.Put(ws)
 	ws.ensure(numNodes)
 	values := make([]float64, numEdges)
 	const be = 1 << coverBucketShift
 	var cnt [be + 1]int32
-	for b := range es.heads {
-		if es.heads[b] < 0 {
+	var segs [][]pairEntry
+	for b := 0; b <= numEdges>>coverBucketShift; b++ {
+		segs = segs[:0]
+		for _, es := range streams {
+			segs = es.segments(b, segs)
+		}
+		if len(segs) == 0 {
 			continue
 		}
 		lo := uint32(b) << coverBucketShift
-		for i := range cnt {
-			cnt[i] = 0
-		}
+		cnt = [be + 1]int32{}
 		total := 0
-		for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
-			base := ci * bucketChunk
-			end := base + bucketChunk
-			if ci == es.tails[b] {
-				end = es.cur[b]
-			}
-			seg := es.data[base:end]
+		for _, seg := range segs {
 			total += len(seg)
 			for i := range seg {
 				cnt[seg[i].edge-lo+1]++
@@ -903,14 +705,9 @@ func coverValuesStream(numEdges, numNodes int, es *edgeStream) []float64 {
 		for i := 0; i < be; i++ {
 			cnt[i+1] += cnt[i]
 		}
-		sorted := growPairs(ws.sortA, total)
-		for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
-			base := ci * bucketChunk
-			end := base + bucketChunk
-			if ci == es.tails[b] {
-				end = es.cur[b]
-			}
-			seg := es.data[base:end]
+		sorted := growPairs(ws.sorted, total)
+		ws.sorted = sorted
+		for _, seg := range segs {
 			for i := range seg {
 				p := &seg[i]
 				c := p.edge - lo
@@ -918,7 +715,6 @@ func coverValuesStream(numEdges, numNodes int, es *edgeStream) []float64 {
 				cnt[c]++
 			}
 		}
-		ws.sortA = sorted
 		// cnt[c] now ends group c (the scatter advanced each slot to its
 		// successor's start).
 		start := int32(0)
@@ -949,17 +745,9 @@ type coverScratch struct {
 	coverOrder []int32
 	plists     [][]int32 // per-cover-slot partner lists (capacities persist)
 
-	// coverValues' counting-sort buffers, pooled (and kept, via Keep) so the
-	// per-suite-run transient allocations — the sorted entry universe is the
-	// largest single buffer in the pipeline — and their kernel page-fault
-	// cost happen once instead of every call.
-	sortA []coverEntry
-	keys  []int
-	off   []int
-	// Block replay map: blockW/blockK[si] locate global source si's entry
-	// block (worker, block index) for the canonical-order scatter.
-	blockW []int
-	blockK []int
+	// sorted is one bucket's entries grouped by edge, at most one
+	// 32-edge bucket's share of the entry universe.
+	sorted []coverEntry
 }
 
 var coverPool = ball.NewPool(func() *coverScratch { return &coverScratch{} })
@@ -982,16 +770,12 @@ func growI32(b []int32, n int) []int32 {
 	return b[:n]
 }
 
-func growInt(b []int, n int) []int {
-	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
+// growPairs returns b with length n, growing capacity at least twofold so
+// the cover's bucket buffer reallocates only logarithmically often as it
+// meets ever larger buckets.
 func growPairs(b []coverEntry, n int) []coverEntry {
 	if cap(b) < n {
-		return make([]coverEntry, n)
+		return make([]coverEntry, n, max(n, 2*cap(b)))
 	}
 	return b[:n]
 }
@@ -1017,14 +801,6 @@ func edgeCover(pairs []coverEntry, ws *coverScratch) float64 {
 		ws.sum[p.t] += p.w
 		ws.cnt[p.t]++
 	}
-	return edgeCoverPrepared(pairs, nodes, ws)
-}
-
-// edgeCoverPrepared is edgeCover after the accumulation pass: the caller has
-// already folded every entry into ws.sum/ws.cnt (in canonical entry order)
-// and collected the group's distinct nodes in first-touch order — either via
-// edgeCover's own pass or fused into the stream gather's chunk copy.
-func edgeCoverPrepared(pairs []coverEntry, nodes []int32, ws *coverScratch) float64 {
 	for _, v := range nodes {
 		w := ws.sum[v] / float64(ws.cnt[v])
 		ws.weight[v] = w

@@ -1,8 +1,6 @@
 package hierarchy
 
 import (
-	"sync"
-
 	"topocmp/internal/graph"
 	"topocmp/internal/policy"
 )
@@ -12,107 +10,66 @@ import (
 // does for the AS and RL graphs ("with policy routing, since paths are more
 // concentrated, the highest link values are larger").
 //
-// On the batched route the valley-free product graph is materialized once
-// as a directed CSR (policy.ProductCSR) and each mask strip runs one
-// bit-parallel sigma sweep over it — replacing both the per-source product
-// BFS and its per-edge relationship map lookups. Product path counts are
-// exact integers in float64, so the values are byte-identical to the
-// scalar route's.
+// It runs on the same driver, streams and cover as LinkValues. The
+// batched provider materializes the valley-free product graph once as a
+// directed CSR (policy.ProductCSR) and runs one bit-parallel sigma sweep
+// per mask strip over it; the scalar provider runs one product BFS per
+// source. Product path counts are exact integers in float64, so the values
+// are byte-identical from either provider.
 func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.defaults()
 	g := a.G
-	edges := g.Edges()
+	n, m := g.NumNodes(), g.NumEdges()
 	ix := graph.NewEdgeIndex(g)
-	sources, inQ := sampleSources(g.NumNodes(), opts)
+	sources, inQ := sampleSources(n, opts)
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
 
-	n := g.NumNodes()
 	ns := policy.NumStates
-	width, strips, workers := sigmaPlan(&opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
+	batched := opts.batched(g)
 	var poff, padj []int32
-	if width > 0 {
+	if batched {
 		poff, padj = a.ProductCSR()
 	}
-	perWorker := make([][]pairEntry, workers)
-	perEnds := make([][]int, workers)
-	perSrc := make([][]int, workers)
-	wss := make([]*sweepScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sweepPool.Get()
-			wss[w] = ws
-			ws.gval = grownZero(ws.gval, n*ns)
-			ws.localW = grownZero(ws.localW, len(edges))
-			entries := ws.entries[:0]
-			var ends, srcIdx []int
-			// Per-node policy distance = min over states; ascending target
-			// order keeps each source block (t)-sorted for coverValues. Both
-			// routes hand in fully initialized product rows (the scalar
-			// buffers by their Unreached-reset invariant, the kernel rows by
-			// RunSigma's pre-fill), so the state scan reads them raw.
-			sweepSource := func(u int32, si int, dist []int32, sigma []float64) {
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					pdist := graph.Unreached
-					for s := 0; s < ns; s++ {
-						if d := dist[int(t)*ns+s]; d < pdist {
-							pdist = d
-						}
-					}
-					if pdist == graph.Unreached || pdist == 0 {
-						continue
-					}
-					entries = sweepPolicyTarget(a, u, t, int(pdist), dist, sigma,
-						ix, ws, entries)
-				}
-				ends = append(ends, len(entries))
-				srcIdx = append(srcIdx, si)
+	rp := rowProvider{
+		scalar: func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
+			ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
+			return ws.pdist, ws.psigma, nil
+		},
+		strip: func(ws *sweepScratch, strip []int32) {
+			ws.psrc = ws.psrc[:0]
+			for _, u := range strip {
+				ws.psrc = append(ws.psrc, policy.ProductStart(u))
 			}
-			if width > 0 {
-				if ws.msbfs == nil {
-					ws.msbfs = graph.NewMSBFSScratch()
-				}
-				pn := n * ns
-				var psrc []int32
-				for k := w; k < strips; k += workers {
-					lo := k * width
-					hi := min(lo+width, len(sources))
-					strip := sources[lo:hi]
-					psrc = psrc[:0]
-					for _, u := range strip {
-						psrc = append(psrc, policy.ProductStart(u))
-					}
-					ws.msbfs.RunSigmaCSR(pn, poff, padj, psrc)
-					for j, u := range strip {
-						sweepSource(u, lo+j, ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j))
-					}
-				}
-			} else {
-				for i := w; i < len(sources); i += workers {
-					u := sources[i]
-					dist, sigma, order := a.ProductCountsInto(
-						ws.pdist, ws.psigma, ws.porder, u)
-					ws.pdist, ws.psigma, ws.porder = dist, sigma, order
-					sweepSource(u, i, dist, sigma)
+			ws.msbfs.RunSigmaCSR(n*ns, poff, padj, ws.psrc)
+		},
+	}
+	// Per-node policy distance = min over states. Both providers hand in
+	// fully initialized product rows (the scalar buffers by their
+	// Unreached-reset invariant, the kernel rows by RunSigma's pre-fill), so
+	// the state scan reads them raw.
+	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, _ *graph.BFSScratch) {
+		ws.gval = grownZero(ws.gval, n*ns)
+		ws.localW = grownZero(ws.localW, m)
+		for t := int32(0); t < int32(n); t++ {
+			if t == u || !inQ[t] {
+				continue
+			}
+			pdist := graph.Unreached
+			for s := 0; s < ns; s++ {
+				if d := dist[int(t)*ns+s]; d < pdist {
+					pdist = d
 				}
 			}
-			ws.entries = entries
-			perWorker[w] = entries
-			perEnds[w] = ends
-			perSrc[w] = srcIdx
-		}(w)
+			if pdist == graph.Unreached || pdist == 0 {
+				continue
+			}
+			sweepPolicyTarget(a, u, t, int(pdist), dist, sigma, ix, ws, es)
+		}
 	}
-	wg.Wait()
-	values := coverValues(len(edges), n, perWorker, perEnds, perSrc)
-	for _, ws := range wss {
-		sweepPool.Put(ws)
-	}
-	return &Result{Edges: edges, Values: values, N: len(sources), Nodes: g.NumNodes()}
+	streams, release := sweep(&opts, sources, m, batched, rp, visit)
+	defer release()
+	values := coverValuesStream(m, n, streams)
+	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
 }
 
 // sweepPolicyTarget walks the product-space shortest-path ancestor DAG of
@@ -120,10 +77,11 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 // aggregating per underlying edge (a product sweep can cross the same graph
 // edge in several states). The per-edge aggregation runs on the leased
 // scratch's dense accumulators (localW, reset through localE) instead of a
-// per-target map.
+// per-target map, and each touched edge's aggregate becomes one entry of
+// es.
 func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 	dist []int32, sigma []float64, ix *graph.EdgeIndex,
-	ws *sweepScratch, entries []pairEntry) []pairEntry {
+	ws *sweepScratch, es *edgeStream) {
 
 	g := a.G
 	ns := policy.NumStates
@@ -145,7 +103,7 @@ func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 		}
 	}
 	if totalSigma == 0 {
-		return entries
+		return
 	}
 	for s := 0; s < ns; s++ {
 		st := int(t)*ns + s
@@ -192,8 +150,7 @@ func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 		ws.gval[st] = 0
 	}
 	for _, e := range ws.localE {
-		entries = append(entries, pairEntry{edge: e, u: u, t: t, w: ws.localW[e]})
+		es.add(pairEntry{edge: e, u: u, t: t, w: ws.localW[e]})
 		ws.localW[e] = 0
 	}
-	return entries
 }

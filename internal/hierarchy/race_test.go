@@ -10,49 +10,48 @@ import (
 	"topocmp/internal/hierarchy"
 )
 
-// TestLinkValueRaceShort is the tier-2 race target for the sigma-batched
-// link-value reroute: four sweep workers lease MSBFS workspaces from the
-// shared pool and accumulate pair entries concurrently, while sibling
-// goroutines drive more LinkValues and TraversalSetSizes calls through the
-// same pool. Every parallel result must stay bit-identical to the
-// sequential scalar reference — the canonical-order cover replay is what
-// makes that deterministic, and the race detector checks the leases.
+// TestLinkValueRaceShort is the tier-2 race target for the link-value
+// driver: four sweep workers lease MSBFS workspaces and entry streams from
+// the shared pool and emit concurrently, while sibling goroutines drive
+// more LinkValues and TraversalSetSizes calls through the same pool with
+// each row provider forced. Every parallel result must stay bit-identical
+// to the sequential scalar reference — the worker-ordered bucket walk is
+// what makes that deterministic, and the race detector checks the leases.
 func TestLinkValueRaceShort(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(41)), plrg.Params{N: 900, Beta: 2.246})
-	opts := func(mode hierarchy.SigmaMode, parallel int) hierarchy.Options {
-		return hierarchy.Options{
+	opts := func(p hierarchy.Provider, parallel int) hierarchy.Options {
+		return hierarchy.Force(hierarchy.Options{
 			MaxSources:  96,
 			Rand:        rand.New(rand.NewSource(9)),
 			Parallelism: parallel,
-			Sigma:       mode,
-		}
+		}, p)
 	}
-	want := hierarchy.LinkValues(g, opts(hierarchy.SigmaScalar, 1))
-	wantTS := hierarchy.TraversalSetSizes(g, opts(hierarchy.SigmaScalar, 1))
+	want := hierarchy.LinkValues(g, opts(hierarchy.ScalarRows, 1))
+	wantTS := hierarchy.TraversalSetSizes(g, opts(hierarchy.ScalarRows, 1))
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		mode := hierarchy.SigmaBatched
+		p := hierarchy.BatchedRows
 		if w%2 == 1 {
-			mode = hierarchy.SigmaScalar
+			p = hierarchy.ScalarRows
 		}
 		wg.Add(1)
-		go func(mode hierarchy.SigmaMode) {
+		go func(p hierarchy.Provider) {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
-				got := hierarchy.LinkValues(g, opts(mode, 4))
+				got := hierarchy.LinkValues(g, opts(p, 4))
 				if !reflect.DeepEqual(got.Values, want.Values) {
-					t.Errorf("mode=%d: parallel link values differ from sequential scalar", mode)
+					t.Errorf("provider=%d: parallel link values differ from sequential scalar", p)
 					return
 				}
 			}
-		}(mode)
+		}(p)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 3; k++ {
-			got := hierarchy.TraversalSetSizes(g, opts(hierarchy.SigmaBatched, 1))
+			got := hierarchy.TraversalSetSizes(g, opts(hierarchy.BatchedRows, 4))
 			if !reflect.DeepEqual(got, wantTS) {
 				t.Error("batched traversal-set sizes differ from scalar under load")
 				return

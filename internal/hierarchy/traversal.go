@@ -12,78 +12,24 @@ import (
 // demonstrates exactly that, and the weighted vertex cover of LinkValues is
 // the fix. Exposed for completeness and for that demonstration.
 //
-// Like LinkValues, low-diameter graphs batch their sources through the
-// sigma-carrying MSBFS kernel. The per-edge counts are integer increments,
-// so they are independent of batching and of target iteration order; the
-// per-target dedup runs on stamped dense edge marks instead of a
-// per-target map allocation.
+// It runs LinkValues' sweep and counts each edge's entries. A plain
+// shortest-path DAG crosses an edge in at most one arc, and the sweep emits
+// each DAG arc once per (source, target) pair, so an edge's entry count is
+// exactly its number of distinct pairs.
 func TraversalSetSizes(g *graph.Graph, opts Options) []int {
 	opts.defaults()
-	edges := g.Edges()
-	ix := graph.NewEdgeIndex(g)
 	sources, inQ := sampleSources(g.NumNodes(), opts)
-
-	counts := make([]int, len(edges))
-	n := g.NumNodes()
-	batched := opts.sigmaRoute(g)
-	ws := sweepPool.Get()
-	defer sweepPool.Put(ws)
-	ws.gval = grownZero(ws.gval, n)
-	var entries []pairEntry
-	// countEntries bumps each edge of one (u,t) pair's entry set exactly
-	// once, deduplicating through the scratch's epoch-stamped edge marks.
-	countEntries := func() {
-		ws.emarks.Begin(len(edges))
-		for _, e := range entries {
-			if ws.emarks.Visit(int32(e.edge)) {
-				counts[e.edge]++
-			}
-		}
-	}
-	if batched {
-		if ws.msbfs == nil {
-			ws.msbfs = graph.NewMSBFSScratch()
-		}
-		arcIDs := ix.ArcIDs()
-		off, adj := g.CSR()
-		// Sequential entry point: one worker, so the plan's width is the
-		// widest strip the pending sources fill.
-		width, strips, _ := sigmaPlan(&opts, len(sources), 1, true)
-		for k := 0; k < strips; k++ {
-			lo := k * width
-			hi := min(lo+width, len(sources))
-			strip := sources[lo:hi]
-			ws.msbfs.RunSigma(g, strip)
-			for j, u := range strip {
-				dist, sigma := ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j)
-				ws.beginPreds(n, len(edges))
-				fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					dt := dist[t]
-					if dt <= 0 || dt == graph.Unreached {
-						continue
-					}
-					entries = sweepTargetFast(u, t, int(dt), fs, ws, entries[:0])
-					countEntries()
+	streams, release := sweepPlain(g, &opts, sources, inQ)
+	defer release()
+	counts := make([]int, g.NumEdges())
+	var segs [][]pairEntry
+	for _, es := range streams {
+		for b := range es.heads {
+			segs = es.segments(b, segs[:0])
+			for _, seg := range segs {
+				for i := range seg {
+					counts[seg[i].edge]++
 				}
-			}
-		}
-	} else {
-		sigmaPlan(&opts, len(sources), 1, false)
-		for _, u := range sources {
-			order := ws.bfs.Counts(g, u)
-			dist, sigma := ws.bfs.Rows()
-			// order holds exactly the reached nodes, so the raw rows are
-			// valid at every t it yields.
-			for _, t := range order {
-				if t == u || !inQ[t] {
-					continue
-				}
-				entries = sweepTarget(g, u, t, int(dist[t]), ix, ws, entries[:0], dist, sigma)
-				countEntries()
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 		cfg.MinBallSize = 3
 	}
 	raw := e.BallPointsKernels(cfg, 0, func(sub *graph.Graph, _ int, _ *rand.Rand, k *ball.Kernels) (float64, bool) {
-		d := SubgraphDistortionKernels(sub, roots, BetweennessAuto, k)
+		d := SubgraphDistortionKernels(sub, roots, k)
 		return d, d > 0
 	})
 	s := stats.Bucketize(raw, bucketRatio)
@@ -40,23 +40,22 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 	return s
 }
 
-// BetweennessMode selects the Brandes accumulation path for the center
-// election in SubgraphDistortion.
-type BetweennessMode int
+// brandesRoute names the Brandes accumulation path of the center election.
+// Both paths elect identical roots, so the route only changes speed.
+type brandesRoute int8
 
 const (
-	// BetweennessAuto probes the subgraph's diameter (cheap double BFS
-	// sweep) and routes: past the cutoff the frontiers are thin and the
-	// scalar path wins; otherwise the bit-parallel kernel batches every
-	// sampled source through one shared level sweep.
-	BetweennessAuto BetweennessMode = iota
-	// BetweennessScalar forces the per-source scalar accumulation.
-	BetweennessScalar
-	// BetweennessBitParallel forces the batched kernel.
-	BetweennessBitParallel
+	// brandesProbed probes the subgraph's diameter (cheap double BFS sweep)
+	// and routes: past the cutoff the frontiers are thin and the scalar path
+	// wins; otherwise the bit-parallel kernel batches every sampled source
+	// through one shared level sweep. The only production setting; the
+	// forced routes serve the differential tests (export_test.go).
+	brandesProbed brandesRoute = iota
+	brandesScalar
+	brandesBitParallel
 )
 
-// brandesDiameterCutoff is BetweennessAuto's routing threshold, matching
+// brandesDiameterCutoff is the probe's routing threshold, matching
 // the distance sweeps' cutoff in internal/ball: high-diameter subgraphs
 // (lattice balls) keep the scalar path.
 const brandesDiameterCutoff = 32
@@ -88,21 +87,26 @@ var standaloneKernels = ball.NewPool(func() *ball.Kernels {
 func SubgraphDistortion(sub *graph.Graph, roots int) float64 {
 	k := standaloneKernels.Get()
 	defer standaloneKernels.Put(k)
-	return SubgraphDistortionKernels(sub, roots, BetweennessAuto, k)
+	return SubgraphDistortionKernels(sub, roots, k)
 }
 
 // SubgraphDistortionKernels is SubgraphDistortion on a leased kernel
 // bundle: the betweenness election runs on k's BFS scratch or bit-parallel
-// Brandes strips per mode, and the tree arrays come from the pooled
-// distortion workspace, so the per-ball hot path is allocation-free.
-func SubgraphDistortionKernels(sub *graph.Graph, roots int, mode BetweennessMode, k *ball.Kernels) float64 {
+// Brandes strips, as the diameter probe routes, and the tree arrays come
+// from the pooled distortion workspace, so the per-ball hot path is
+// allocation-free.
+func SubgraphDistortionKernels(sub *graph.Graph, roots int, k *ball.Kernels) float64 {
+	return subgraphDistortion(sub, roots, brandesProbed, k)
+}
+
+func subgraphDistortion(sub *graph.Graph, roots int, route brandesRoute, k *ball.Kernels) float64 {
 	n := sub.NumNodes()
 	if n < 2 || sub.NumEdges() == 0 {
 		return 0
 	}
 	ws := distPool.Get()
 	defer distPool.Put(ws)
-	centers := topBetweenness(sub, roots, mode, k, ws)
+	centers := topBetweenness(sub, roots, route, k, ws)
 	// One scratch set serves every candidate root: each BFS rewrites the
 	// tree arrays in full, and the edge sweep order is fixed by the CSR.
 	ws.parent = growInts(ws.parent, n)
@@ -120,8 +124,8 @@ func SubgraphDistortionKernels(sub *graph.Graph, roots int, mode BetweennessMode
 
 // topBetweenness returns up to k nodes with the highest approximate
 // betweenness, computed by Brandes' accumulation from a sample of sources —
-// scalar per source or bit-parallel per batch, per mode.
-func topBetweenness(g *graph.Graph, k int, mode BetweennessMode, kn *ball.Kernels, ws *distScratch) []int32 {
+// scalar per source or bit-parallel per batch, per route.
+func topBetweenness(g *graph.Graph, k int, route brandesRoute, kn *ball.Kernels, ws *distScratch) []int32 {
 	n := g.NumNodes()
 	sources := n
 	const maxSources = 24
@@ -135,14 +139,14 @@ func topBetweenness(g *graph.Graph, k int, mode BetweennessMode, kn *ball.Kernel
 	}
 	r := rand.New(rand.NewSource(int64(n)*7919 + 17))
 	perm := r.Perm(n)
-	if mode == BetweennessAuto {
+	if route == brandesProbed {
 		if graph.ApproxDiameter(g, kn.BFS) > brandesDiameterCutoff {
-			mode = BetweennessScalar
+			route = brandesScalar
 		} else {
-			mode = BetweennessBitParallel
+			route = brandesBitParallel
 		}
 	}
-	if mode == BetweennessBitParallel {
+	if route == brandesBitParallel {
 		ws.sources = ws.sources[:0]
 		for si := 0; si < sources; si++ {
 			ws.sources = append(ws.sources, int32(perm[si]))

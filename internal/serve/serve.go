@@ -426,13 +426,15 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 			f.body, err = marshalBody(v)
 		}
 		f.err = err
-		close(f.done)
+		// Release the admission slot before waking the waiters: a
+		// closed-loop client's next request must find it free.
 		s.mu.Lock()
 		s.inflight--
 		if err != nil && dedup {
 			delete(s.flights, key) // let a later request retry
 		}
 		s.mu.Unlock()
+		close(f.done)
 	}()
 	s.await(w, ctx, f, "computed")
 }

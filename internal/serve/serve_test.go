@@ -310,6 +310,52 @@ func TestServeSaturation(t *testing.T) {
 	}
 }
 
+// TestServeBackToBackNoReject pins the admission slot's release order: a
+// closed-loop client that sends its next request the moment the previous
+// response arrives must never be shed, even at MaxInFlight=1, because the
+// finished computation frees its slot before it wakes its waiters. Holding
+// the server lock while the computation finishes makes the order
+// observable: no response may arrive before the slot is released.
+func TestServeBackToBackNoReject(t *testing.T) {
+	s := New(Options{Workers: 2, MaxInFlight: 1})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.serveKeyed(httptest.NewRecorder(), context.Background(), "k0", "x", noCache,
+			func(ctx context.Context, _ int) (any, error) {
+				close(started)
+				<-release
+				return &metricEntry{Network: "a"}, nil
+			})
+	}()
+	<-started
+	s.mu.Lock()
+	close(release)
+	select {
+	case <-returned:
+		t.Error("response delivered while the admission slot was still held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	<-returned
+
+	for i := 1; i <= 500; i++ {
+		w := httptest.NewRecorder()
+		s.serveKeyed(w, context.Background(), fmt.Sprintf("k%d", i), "x", noCache,
+			func(ctx context.Context, _ int) (any, error) {
+				return &metricEntry{Network: "a"}, nil
+			})
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d, want 200", i, w.Code)
+		}
+	}
+	if got := s.reg.Counter("serve.rejected").Value(); got != 0 {
+		t.Fatalf("rejected = %d, want 0", got)
+	}
+}
+
 // TestServeCancellation threads a waiter's deadline into the computation:
 // when the only waiter gives up, the compute context is canceled, the
 // waiter sees 504, and the errored flight is forgotten so a retry computes.

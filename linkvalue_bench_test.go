@@ -13,8 +13,8 @@ import (
 	"topocmp/internal/hierarchy"
 )
 
-// linkValueBenchRow is one line of BENCH_linkvalue.json: the scalar-vs-sigma
-// link-value sweep record per graph family, the machine-readable form of the
+// linkValueBenchRow is one line of BENCH_linkvalue.json: the link-value
+// sweep record per graph family, the machine-readable form of the
 // link-value table in EXPERIMENTS.md. Rewritten after every benchmark so a
 // partial -bench run still leaves a consistent file.
 type linkValueBenchRow struct {
@@ -34,8 +34,11 @@ var linkValueBench struct {
 }
 
 // benchLinkValue runs fn b.N times with alloc accounting and records the row.
+// One untimed call first grows the pooled entry streams to the graph's size,
+// so a row times a warm pass, as every suite run after the first is.
 func benchLinkValue(b *testing.B, g *graph.Graph, gname string, sources int, fn func()) {
 	b.Helper()
+	fn()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -85,9 +88,8 @@ var linkValueNetsOnce struct {
 
 // linkValueBenchNets builds the benchmark's graph families once: the
 // acceptance workload RL (reduced to its core, exactly as the suite computes
-// link values), AS, and PLRG — plus Mesh, whose diameter sends the auto
-// route to the scalar fallback, so its pair of rows documents the fallback
-// costing nothing rather than a speedup.
+// link values), AS, and PLRG — plus Mesh, whose diameter sends the probe to
+// the scalar provider, so its row times that provider.
 func linkValueBenchNets() []*core.Network {
 	linkValueNetsOnce.Do(func() {
 		opts := core.PaperSetOptions{Seed: 1, Scale: 0.12}
@@ -107,32 +109,22 @@ func linkValueBenchNets() []*core.Network {
 	return linkValueNetsOnce.nets
 }
 
-// BenchmarkLinkValues compares one full link-value pass done the scalar way
-// (one counting BFS + target sweep per source) against the sigma-carrying
-// MSBFS route (SigmaAuto: one CSR sweep per 64–256-source strip, or the
-// scalar fallback when the diameter probe rejects batching). Parallelism is
-// pinned to 1 so the ratio isolates the kernel, matching the reproduce
-// -quick -j 1 acceptance run.
+// BenchmarkLinkValues times one full link-value pass per graph family on
+// the production route: the diameter probe picks the sigma-carrying MSBFS
+// provider (one CSR sweep per 64–256-source strip) or, on Mesh, the scalar
+// provider (one counting BFS per source). Parallelism is pinned to 1,
+// matching the reproduce -quick -j 1 acceptance run.
 func BenchmarkLinkValues(b *testing.B) {
 	const numSources = 384
 	for _, n := range linkValueBenchNets() {
 		g := n.Graph
-		opts := func(mode hierarchy.SigmaMode) hierarchy.Options {
-			return hierarchy.Options{
-				MaxSources:  numSources,
-				Rand:        rand.New(rand.NewSource(7)),
-				Parallelism: 1,
-				Sigma:       mode,
-			}
-		}
-		b.Run("scalar/"+n.Name, func(b *testing.B) {
-			benchLinkValue(b, g, n.Name, numSources, func() {
-				hierarchy.LinkValues(g, opts(hierarchy.SigmaScalar))
-			})
-		})
 		b.Run("sigma/"+n.Name, func(b *testing.B) {
 			benchLinkValue(b, g, n.Name, numSources, func() {
-				hierarchy.LinkValues(g, opts(hierarchy.SigmaAuto))
+				hierarchy.LinkValues(g, hierarchy.Options{
+					MaxSources:  numSources,
+					Rand:        rand.New(rand.NewSource(7)),
+					Parallelism: 1,
+				})
 			})
 		})
 	}

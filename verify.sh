@@ -3,6 +3,7 @@
 #
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
+#   bench module: go vet + go test inside bench/ (its own module)
 #   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
@@ -18,8 +19,9 @@
 # obs.TestSamplerRaceShort), the pooled per-worker cut/flow
 # kernels (partition.TestResilienceRaceShort,
 # flow.TestSurfaceMaxFlowRaceShort), the pooled Brandes/distortion
-# workspaces (metrics.TestBrandesRaceShort), the sigma-batched
-# link-value sweeps leasing MSBFS workspaces from the shared pool
+# workspaces (metrics.TestBrandesRaceShort), the link-value driver's
+# per-worker entry streams and MSBFS workspaces leased from the shared
+# pool at P=4 with each row provider forced
 # (hierarchy.TestLinkValueRaceShort), and the serving layer's singleflight
 # dedup, sweep coalescer and admission semaphore under mixed concurrent
 # traffic at P=4 (serve.TestServeRaceShort).
@@ -39,6 +41,10 @@ go vet ./...
 echo "== tier 1: build + full test suite =="
 go build ./...
 go test ./...
+
+echo "== bench module: topobench vet + tests =="
+# bench/ is its own module, so the root go test never reaches it.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== tier 2: race detector on concurrent packages =="
 # Race instrumentation on a single core pushes the experiments package

@@ -103,6 +103,10 @@ func main() {
 		cfg.Set.Scale = s
 	}
 	cfg.Suite.Parallelism = *workers
+	if err := cfg.Suite.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		os.Exit(2)
+	}
 	os.Exit(realMain(cfg, *workers, *cacheDir, *out,
 		obsOptions{
 			Trace:    *traceFile != "",

@@ -78,6 +78,19 @@ func (o *SuiteOptions) defaults() {
 	}
 }
 
+// Validate rejects options no suite can run: a tolerance fraction outside
+// [0, 1] asks Figure 9's removal curves to delete more nodes than the graph
+// has, or fewer than none. The daemon answers such a request with 400 and
+// the CLI exits before any work starts.
+func (o SuiteOptions) Validate() error {
+	for _, f := range o.ToleranceFractions {
+		if !(f >= 0 && f <= 1) {
+			return fmt.Errorf("tolerance fraction %v outside [0, 1]", f)
+		}
+	}
+	return nil
+}
+
 // CacheKey returns a canonical description of the options for the result
 // cache. Parallelism is deliberately excluded: suite results are
 // bit-identical at every worker-pool width (the PR-1 contract, enforced by

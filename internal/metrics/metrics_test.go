@@ -402,31 +402,3 @@ func BenchmarkExpansionPLRG(b *testing.B) {
 		Expansion(g, defaultCfg(32))
 	}
 }
-
-func BenchmarkResilienceMesh(b *testing.B) {
-	g := canonical.Mesh(30, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Resilience(g, defaultCfg(4), partition.Options{})
-	}
-}
-
-// BenchmarkSurfaceMaxFlow covers both surface-flow paths: the legacy
-// sequential curve (scratch-reuse optimized, byte-identical output) and the
-// engine form with pooled per-worker kernels.
-func BenchmarkSurfaceMaxFlow(b *testing.B) {
-	g := canonical.Mesh(30, 30)
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SurfaceMaxFlowCurve(g, defaultCfg(4), 6)
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), defaultCfg(4), 6, 1)
-		}
-	})
-}

@@ -11,14 +11,15 @@
 //     from several seeds, keeping the best cut.
 //  3. Uncoarsening with Fiduccia–Mattheyses refinement (hill climbing plus
 //     negative-gain exploration with rollback to the best prefix) at each
-//     level.
+//     level, moving nodes in (gain descending, node id ascending) order
+//     off a gain-bucket queue.
 //
 // All internal iteration orders are deterministic, so a fixed Options.Rand
 // reproduces the same partition.
 //
 // The solver is allocation-free in steady state: every phase runs on a
 // Workspace whose level arena (CSR-flattened weighted graphs, matching and
-// side buffers, the FM gain heap) is grown once and recycled across calls.
+// side buffers, the FM gain buckets) is grown once and recycled across calls.
 // Resilience partitions hundreds of thousands of ball subgraphs per suite,
 // so hot paths hold a Workspace (one per worker — it is not safe for
 // concurrent use) and call CutSizeWith / BisectWith; the package-level
@@ -26,6 +27,7 @@
 package partition
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -87,8 +89,11 @@ func (l *level) fromGraph(g *graph.Graph) {
 
 // Workspace holds every buffer the multilevel pipeline needs, grown on
 // first use and recycled across calls, so steady-state bisection does not
-// allocate. A Workspace is not safe for concurrent use; give each worker
-// its own (the ball engine pools one per worker).
+// allocate. Its FM gain-bucket queue needs (2D+1)·⌈n/64⌉ bitmap words for
+// a level of n nodes, D the level's largest weighted degree, and keeps up
+// to twice the largest need it has seen.
+// A Workspace is not safe for concurrent use; give each worker its own (the
+// ball engine pools one per worker).
 type Workspace struct {
 	levels []*level
 
@@ -107,7 +112,7 @@ type Workspace struct {
 	gain    []int // FM gains
 	moved   []bool
 	history []int32
-	heap    []moveCand
+	moves   gainQueue
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -373,60 +378,103 @@ func (ws *Workspace) initialBisection(l *level, best []bool, opts *Options) {
 	}
 }
 
-// moveCand is a heap entry: a candidate node move with the gain it had when
-// pushed. Entries go stale when neighboring moves change the gain; stale
-// entries are discarded lazily on pop. Ties break on node id so refinement
-// is deterministic.
-type moveCand struct {
-	v    int32
-	gain int
+// gainQueue is FM refinement's move queue: an exact priority queue over
+// node ids keyed by (gain descending, node id ascending). Gains lie in
+// [-D, D], D the level's largest weighted degree, and each gain value owns
+// one bitmap of node ids, so a pop takes the lowest set bit of the highest
+// non-empty bucket and a gain change moves one bit between two buckets.
+// The key is strict, so the pop order depends only on which nodes are
+// queued at which gain: the lazy-heap reference in heap_test.go orders by
+// the same key and makes the same moves.
+//
+// Every pass drains the queue, so all bitmaps and counts are zero between
+// passes and reset only re-slices them.
+type gainQueue struct {
+	words   int          // bitmap words per bucket, ⌈n/64⌉
+	off     int          // gain g lives in bucket g+off
+	bits    []uint64     // bucket b's bitmap is bits[b*words : (b+1)*words]
+	buckets []gainBucket // per-bucket count and lowest-word cursor
+	top     int          // no bucket above top holds a node; -1 when empty
 }
 
-// The gain heap is a typed port of container/heap's sift algorithms (same
-// Init / Push / Pop element order, so pop order is bit-identical to the
-// historical heap.Interface implementation) without the per-operation `any`
-// boxing.
-
-func gainLess(h []moveCand, i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].v < h[j].v
+type gainBucket struct {
+	n   int32 // nodes queued at this gain
+	low int32 // no queued node lies in a word below this one
 }
 
-func gainDown(h []moveCand, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && gainLess(h, j2, j1) {
-			j = j2
-		}
-		if !gainLess(h, j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// reset prepares an empty queue for n node ids with gains in [-d, d].
+// Buffers grow to twice the need: a centre's balls arrive in increasing
+// size, and exact growth would reallocate for nearly every one.
+func (q *gainQueue) reset(n, d int) {
+	q.words = (n + 63) >> 6
+	q.off = d
+	nb := 2*d + 1
+	if need := nb * q.words; cap(q.bits) < need {
+		q.bits = make([]uint64, need, 2*need)
+	} else {
+		q.bits = q.bits[:need]
+	}
+	if cap(q.buckets) < nb {
+		q.buckets = make([]gainBucket, nb, 2*nb)
+	} else {
+		q.buckets = q.buckets[:nb]
+	}
+	q.top = -1
+}
+
+func (q *gainQueue) push(v int32, g int) {
+	b := g + q.off
+	w := v >> 6
+	q.bits[b*q.words+int(w)] |= 1 << (v & 63)
+	bk := &q.buckets[b]
+	if bk.n == 0 || w < bk.low {
+		bk.low = w
+	}
+	bk.n++
+	if b > q.top {
+		q.top = b
 	}
 }
 
-func gainUp(h []moveCand, j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !gainLess(h, j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// regain moves v from gain old to gain g, re-queueing it if it had left
+// the queue after a balance rejection.
+func (q *gainQueue) regain(v int32, old, g int) {
+	b := old + q.off
+	i := b*q.words + int(v>>6)
+	if m := uint64(1) << (v & 63); q.bits[i]&m != 0 {
+		q.bits[i] &^= m
+		q.buckets[b].n--
 	}
+	q.push(v, g)
+}
+
+// pop removes and returns the queued node with the highest gain, lowest id
+// first on ties; ok is false once the queue is empty.
+func (q *gainQueue) pop() (v int32, ok bool) {
+	for q.top >= 0 && q.buckets[q.top].n == 0 {
+		q.top--
+	}
+	if q.top < 0 {
+		return 0, false
+	}
+	bk := &q.buckets[q.top]
+	row := q.bits[q.top*q.words : (q.top+1)*q.words]
+	w := bk.low
+	for row[w] == 0 {
+		w++
+	}
+	bk.low = w
+	bk.n--
+	bit := bits.TrailingZeros64(row[w])
+	row[w] &^= 1 << bit
+	return w<<6 | int32(bit), true
 }
 
 // refine runs Fiduccia–Mattheyses passes: each pass tentatively moves every
 // node once in best-gain-first order (negative gains included, balance
 // respected), then rolls back to the prefix of moves with the smallest cut.
+// A node the balance check rejects leaves the queue until a neighbour's
+// move changes its gain.
 func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 	n := l.numNodes()
 	total := l.totalNodeW()
@@ -436,7 +484,7 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 	}
 	ws.gain = growInt(ws.gain, n)
 	ws.moved = growBool(ws.moved, n)
-	gain, moved := ws.gain, ws.moved
+	gain, moved, q := ws.gain, ws.moved, &ws.moves
 	for pass := 0; pass < opts.Refinements; pass++ {
 		weightTrue := 0
 		for v := 0; v < n; v++ {
@@ -444,9 +492,11 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				weightTrue += int(l.nodeW[v])
 			}
 		}
+		maxDeg := 0
 		for v := int32(0); v < int32(n); v++ {
-			g := 0
+			g, deg := 0, 0
 			for _, e := range l.edgesOf(v) {
+				deg += int(e.w)
 				if side[e.to] == side[v] {
 					g -= int(e.w)
 				} else {
@@ -454,28 +504,21 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				}
 			}
 			gain[v] = g
+			maxDeg = max(maxDeg, deg)
 		}
-		h := ws.heap[:0]
+		q.reset(n, maxDeg)
 		for v := int32(0); v < int32(n); v++ {
-			h = append(h, moveCand{v, gain[v]})
-		}
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			gainDown(h, i, len(h))
+			q.push(v, gain[v])
 		}
 		for i := range moved {
 			moved[i] = false
 		}
 		history := ws.history[:0]
 		cumGain, bestGain, bestPrefix := 0, 0, 0
-		for len(h) > 0 {
-			last := len(h) - 1
-			h[0], h[last] = h[last], h[0]
-			gainDown(h, 0, last)
-			c := h[last]
-			h = h[:last]
-			v := c.v
-			if moved[v] || c.gain != gain[v] {
-				continue
+		for {
+			v, ok := q.pop()
+			if !ok {
+				break
 			}
 			var newTrue int
 			if side[v] {
@@ -500,20 +543,19 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				if moved[e.to] {
 					continue
 				}
+				old := gain[e.to]
 				if side[e.to] == side[v] {
 					gain[e.to] -= 2 * int(e.w)
 				} else {
 					gain[e.to] += 2 * int(e.w)
 				}
-				h = append(h, moveCand{e.to, gain[e.to]})
-				gainUp(h, len(h)-1)
+				q.regain(e.to, old, gain[e.to])
 			}
 		}
 		// Roll back moves beyond the best prefix.
 		for i := len(history) - 1; i >= bestPrefix; i-- {
 			side[history[i]] = !side[history[i]]
 		}
-		ws.heap = h[:0]
 		ws.history = history[:0]
 		if bestGain == 0 {
 			break

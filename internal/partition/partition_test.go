@@ -182,25 +182,3 @@ func BenchmarkBisectMesh900(b *testing.B) {
 		CutSize(g, Options{Rand: rand.New(rand.NewSource(int64(i)))})
 	}
 }
-
-// BenchmarkCutSize contrasts a throwaway solver per call against a warm
-// reused workspace on the same 900-node mesh; the delta is the arena the
-// workspace keeps out of the allocator.
-func BenchmarkCutSize(b *testing.B) {
-	g := canonical.Mesh(30, 30)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			CutSize(g, Options{Rand: rand.New(rand.NewSource(1))})
-		}
-	})
-	b.Run("workspace", func(b *testing.B) {
-		ws := NewWorkspace()
-		CutSizeWith(ws, g, Options{Rand: rand.New(rand.NewSource(1))}) // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			CutSizeWith(ws, g, Options{Rand: rand.New(rand.NewSource(1))})
-		}
-	})
-}

@@ -34,9 +34,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,6 +308,10 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
 		return
 	}
+	if err := req.Suite.Validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	cfg := experiments.Config{Set: req.Set, Suite: req.Suite}
 	key := experiments.SuiteKey(cfg, req.Network)
 	s.stamp(w, key)
@@ -421,7 +428,7 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 		// granted width for their whole duration, metric runs lean on the
 		// coalescer's sweep (which holds the full budget) instead of holding
 		// tokens while they wait on it — holding here would deadlock the two.
-		v, err := compute(cctx, width)
+		v, err := computeRecover(cctx, width, label, compute)
 		if err == nil {
 			f.body, err = marshalBody(v)
 		}
@@ -439,6 +446,24 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 	s.await(w, ctx, f, "computed")
 }
 
+// errPanic marks a computation that panicked: the flight fails with 500
+// instead of taking the daemon down with it.
+var errPanic = errors.New("computation panicked")
+
+// computeRecover runs compute, turning a panic on this goroutine into an
+// errPanic error (the stack goes to the log). Panics on goroutines the
+// computation starts itself still end the process.
+func computeRecover(ctx context.Context, width int, label string,
+	compute func(ctx context.Context, width int) (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("serve: %s panicked: %v\n%s", label, p, debug.Stack())
+			v, err = nil, fmt.Errorf("%w: %v", errPanic, p)
+		}
+	}()
+	return compute(ctx, width)
+}
+
 // await serves a flight's outcome to one waiter, or gives up at the
 // request's deadline (detaching, which cancels abandoned work).
 func (s *Server) await(w http.ResponseWriter, ctx context.Context, f *flight, source string) {
@@ -446,7 +471,11 @@ func (s *Server) await(w http.ResponseWriter, ctx context.Context, f *flight, so
 	select {
 	case <-f.done:
 		if f.err != nil {
-			http.Error(w, "computation failed: "+f.err.Error(), http.StatusServiceUnavailable)
+			code := http.StatusServiceUnavailable
+			if errors.Is(f.err, errPanic) {
+				code = http.StatusInternalServerError
+			}
+			http.Error(w, "computation failed: "+f.err.Error(), code)
 			return
 		}
 		w.Header().Set("X-Topocmp-Source", source)

@@ -450,3 +450,58 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("networks = %v", nets.Networks)
 	}
 }
+
+// TestServeBadToleranceFractions pins the input check in front of
+// admission: a tolerance fraction outside [0, 1] used to reach
+// metrics.removalCurve and panic with a slice bound beyond the node count,
+// taking the daemon down. It must answer 400, and the daemon must keep
+// serving.
+func TestServeBadToleranceFractions(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SkipHierarchy":true,"ToleranceFractions":[1.5]}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SkipHierarchy":true,"ToleranceFractions":[0,-0.1]}}`,
+	} {
+		code, _, out := postJSON(t, ts.URL+"/v1/suite", []byte(body))
+		if code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400 (%s)", body, code, out)
+		}
+	}
+	if got := s.reg.Counter("serve.suite_runs").Value(); got != 0 {
+		t.Fatalf("suite runs = %d, want 0: a rejected request was admitted", got)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+}
+
+// TestServeComputePanic turns a panic in the compute goroutine into the
+// flight's error: the waiter gets 500, the admission slot and the flight
+// are released, and a retry of the same key computes afresh.
+func TestServeComputePanic(t *testing.T) {
+	s := New(Options{Workers: 1, MaxInFlight: 1})
+	w := httptest.NewRecorder()
+	s.serveKeyed(w, context.Background(), "k", "x", noCache,
+		func(ctx context.Context, _ int) (any, error) {
+			var fractions []float64
+			return fractions[3], nil
+		})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking compute: status %d, want 500 (%s)", w.Code, w.Body.String())
+	}
+	w2 := httptest.NewRecorder()
+	s.serveKeyed(w2, context.Background(), "k", "x", noCache,
+		func(ctx context.Context, _ int) (any, error) {
+			return &metricEntry{Network: "a"}, nil
+		})
+	if w2.Code != http.StatusOK {
+		t.Fatalf("retry after panic: status %d, want 200 (%s)", w2.Code, w2.Body.String())
+	}
+}

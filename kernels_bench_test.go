@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"topocmp/internal/ball"
+	"topocmp/internal/core"
+	"topocmp/internal/experiments"
 	"topocmp/internal/gen/canonical"
 	"topocmp/internal/metrics"
 	"topocmp/internal/partition"
@@ -77,15 +79,32 @@ func kernelCfg() ball.Config {
 	return ball.Config{MaxSources: 4, Rand: rand.New(rand.NewSource(1))}
 }
 
-// BenchmarkKernelResilience is the headline kernel workload: the full
-// resilience curve of a 900-node mesh (the same shape as the package-level
-// BenchmarkResilienceMesh), whose per-ball balanced bisections now run on
-// the engine's pooled workspaces.
+// BenchmarkKernelResilience is the headline kernel workload: full
+// resilience curves whose per-ball balanced bisections run on the engine's
+// pooled workspaces. mesh is a 900-node mesh from 4 centres; PLRG and AS
+// run the quick-scale networks with the suite's resilience settings (12
+// centres, balls up to 1500 nodes) on a fresh engine per iteration, so
+// each op also grows its balls.
 func BenchmarkKernelResilience(b *testing.B) {
-	g := canonical.Mesh(30, 30)
-	benchKernel(b, func() {
-		metrics.Resilience(g, kernelCfg(), partition.Options{})
+	b.Run("mesh", func(b *testing.B) {
+		g := canonical.Mesh(30, 30)
+		benchKernel(b, func() {
+			metrics.Resilience(g, kernelCfg(), partition.Options{})
+		})
 	})
+	quick := experiments.QuickConfig(1)
+	nets := []*core.Network{core.BuildNetwork("PLRG", quick.Set), core.BuildMeasured(quick.Set).AS}
+	for _, n := range nets {
+		b.Run(n.Name, func(b *testing.B) {
+			benchKernel(b, func() {
+				metrics.ResilienceWith(ball.NewEngine(n.Graph, 1), ball.Config{
+					MaxSources:  quick.Suite.Sources,
+					MaxBallSize: quick.Suite.MaxBallSize,
+					Rand:        rand.New(rand.NewSource(quick.Suite.Seed + 1)),
+				}, partition.Options{}, quick.Suite.Seed+100)
+			})
+		})
+	}
 }
 
 // BenchmarkKernelCutSize isolates one balanced bisection: a throwaway

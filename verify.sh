@@ -4,6 +4,7 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
+#   fuzz: FuzzRefineMatchesHeap for 10s
 #   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
@@ -46,6 +47,11 @@ echo "== bench module: topobench vet + tests =="
 # bench/ is its own module, so the root go test never reaches it.
 (cd bench && go vet ./... && go test ./...)
 
+echo "== fuzz: gain-bucket FM refinement against the lazy-heap reference =="
+# Random small weighted levels through refine and the historical lazy-heap
+# refinement kept in internal/partition/heap_test.go; side arrays must match.
+go test -run '^$' -fuzz '^FuzzRefineMatchesHeap$' -fuzztime 10s ./internal/partition
+
 echo "== tier 2: race detector on concurrent packages =="
 # Race instrumentation on a single core pushes the experiments package
 # (full metric suites per figure) well past go test's default 10m
@@ -83,10 +89,8 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cp BENCH_*.json "$workdir"
 bench_out="$workdir/bench.out"
-go test -run '^$' -bench 'CutSize|SurfaceMaxFlow|ResilienceMesh' \
-    -benchtime 1x ./internal/partition ./internal/metrics > "$bench_out"
-go test -run '^$' -bench 'BenchmarkMSBFS|BenchmarkWideMSBFS|BenchmarkBrandes|BenchmarkLinkValues|BenchmarkServe' \
-    -benchtime 1x . >> "$bench_out"
+go test -run '^$' -bench 'BenchmarkKernel|BenchmarkMSBFS|BenchmarkWideMSBFS|BenchmarkBrandes|BenchmarkLinkValues|BenchmarkServe' \
+    -benchtime 1x . > "$bench_out"
 # Scale benchmarks refresh BENCH_scale.json (map-vs-streamed peak memory
 # and the size-vs-time/RSS trajectory; the full-RL pipeline row is skipped
 # here to keep the smoke fast — run the full Scale suite to update it).

@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -118,13 +117,8 @@ func main() {
 		*traceFile, *cpuprofile, *memprofile))
 }
 
-// maxScale bounds the accepted -scale multiplier. The largest useful preset
-// ("1m") is 100; anything far beyond it indicates a typo (a stray exponent
-// would otherwise attempt a build with quadrillions of nodes).
-const maxScale = 1000
-
 // parseScale resolves a -scale argument: a named preset from
-// core.ScalePresets or a positive finite multiplier within sanity bounds.
+// core.ScalePresets or a multiplier core.PaperSetOptions.Validate accepts.
 func parseScale(arg string) (float64, error) {
 	if s, ok := core.ScalePresets[arg]; ok {
 		return s, nil
@@ -139,12 +133,11 @@ func parseScale(arg string) (float64, error) {
 		return 0, fmt.Errorf("invalid -scale %q: want a number > 0 or a preset (%s)",
 			arg, strings.Join(names, ", "))
 	}
-	if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-		return 0, fmt.Errorf("invalid -scale %v: must be a finite value > 0", s)
+	if s == 0 { // Validate reads 0 as "the default"; as a flag value it is a typo
+		return 0, fmt.Errorf("invalid -scale %v: must be > 0", s)
 	}
-	if s > maxScale {
-		return 0, fmt.Errorf("invalid -scale %v: exceeds the sanity bound %d "+
-			"(the largest preset, 1m, is 100)", s, maxScale)
+	if err := (core.PaperSetOptions{Scale: s}).Validate(); err != nil {
+		return 0, fmt.Errorf("invalid -scale: %w", err)
 	}
 	return s, nil
 }

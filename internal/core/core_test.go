@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -170,5 +171,24 @@ func TestRLSignatureSurvivesAliasNoise(t *testing.T) {
 	row := BuildRow(res)
 	if row.Signature.String() != "HHL" {
 		t.Fatalf("noisy RL signature = %s, want HHL", row.Signature)
+	}
+}
+
+func TestPaperSetOptionsValidate(t *testing.T) {
+	for _, o := range []PaperSetOptions{
+		{}, {Scale: 0.12}, {Scale: ScalePresets["1m"]}, {Scale: MaxScale},
+		{AliasFailure: 0.3}, {AliasFailure: 1},
+	} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v, want nil", o, err)
+		}
+	}
+	for _, o := range []PaperSetOptions{
+		{Scale: -1}, {Scale: MaxScale + 1}, {Scale: 1e6}, {Scale: math.NaN()}, {Scale: math.Inf(1)},
+		{AliasFailure: -0.1}, {AliasFailure: 1.5}, {AliasFailure: math.NaN()},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v: nil, want an error", o)
+		}
 	}
 }

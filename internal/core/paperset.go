@@ -37,6 +37,24 @@ type PaperSetOptions struct {
 	Metrics *obs.Registry `json:"-"`
 }
 
+// MaxScale bounds PaperSetOptions.Scale. The largest preset ("1m") is 100;
+// anything far beyond it indicates a typo (a stray exponent would otherwise
+// start a build with quadrillions of nodes).
+const MaxScale = 1000
+
+// Validate rejects options no network build should start from: Scale must
+// be 0 (the default) or finite in (0, MaxScale], and AliasFailure a
+// probability in [0, 1]. Callers check it before any work is admitted.
+func (o PaperSetOptions) Validate() error {
+	if o.Scale != 0 && !(o.Scale > 0 && o.Scale <= MaxScale) {
+		return fmt.Errorf("scale %v outside (0, %d] (the largest preset, 1m, is 100)", o.Scale, MaxScale)
+	}
+	if !(o.AliasFailure >= 0 && o.AliasFailure <= 1) {
+		return fmt.Errorf("alias failure %v outside [0, 1]", o.AliasFailure)
+	}
+	return nil
+}
+
 func (o *PaperSetOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1

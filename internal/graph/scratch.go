@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // bfsScratchPool backs the Graph convenience traversals (Ball,
 // Eccentricity) so their steady-state cost is the traversal itself, not
@@ -165,6 +162,10 @@ func (s *SubgraphScratch) begin(n int) {
 // duplicates); new node i corresponds to nodes[i]. The result is identical
 // to g.Subgraph(nodes) but built directly in CSR form: the only allocations
 // are the returned graph's own arrays.
+//
+// Rows come out sorted without sorting: g is symmetric, so scattering each
+// local node's in-set neighbours into their rows, visiting local ids in
+// ascending order, appends every row's entries in ascending order.
 func (s *SubgraphScratch) Induced(g *Graph, nodes []int32) *Graph {
 	s.begin(g.NumNodes())
 	for i, v := range nodes {
@@ -180,23 +181,21 @@ func (s *SubgraphScratch) Induced(g *Graph, nodes []int32) *Graph {
 				d++
 			}
 		}
-		off[i+1] = d
+		off[i+1] = off[i] + d
 	}
-	for i := 0; i < k; i++ {
-		off[i+1] += off[i]
-	}
+	// off[t] serves as row t's fill cursor, ending at row t+1's start;
+	// shifting by one afterwards restores the row starts.
 	adj := make([]int32, off[k])
 	for i, v := range nodes {
-		c := off[i]
 		for _, w := range g.Neighbors(v) {
 			if s.live.Seen(w) {
-				adj[c] = s.idx[w]
-				c++
+				t := s.idx[w]
+				adj[off[t]] = int32(i)
+				off[t]++
 			}
 		}
-		// Source adjacency is sorted by original id; the BFS-order local ids
-		// are not monotone in it, so restore the sorted-neighbor invariant.
-		slices.Sort(adj[off[i]:c])
 	}
+	copy(off[1:], off[:k])
+	off[0] = 0
 	return &Graph{off: off, adj: adj, m: int(off[k]) / 2}
 }

@@ -10,9 +10,13 @@ import (
 
 // ClusteringCoefficient computes the Watts–Strogatz clustering coefficient
 // used by Bu and Towsley: the average over nodes of degree >= 2 of the
-// fraction of neighbor pairs that are themselves linked.
+// fraction of neighbor pairs that are themselves linked. Each node marks
+// its neighbours once; a linked pair {u, w} of them is then counted from
+// u's sorted neighbour list, among the entries above u.
 func ClusteringCoefficient(g *graph.Graph) float64 {
 	n := g.NumNodes()
+	mark := markPool.Get()
+	defer markPool.Put(mark)
 	total, counted := 0.0, 0
 	for v := int32(0); v < int32(n); v++ {
 		nb := g.Neighbors(v)
@@ -20,10 +24,15 @@ func ClusteringCoefficient(g *graph.Graph) float64 {
 		if d < 2 {
 			continue
 		}
+		mark.Begin(n)
+		for _, u := range nb {
+			mark.Visit(u)
+		}
 		links := 0
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				if g.HasEdge(nb[i], nb[j]) {
+		for _, u := range nb {
+			adj := g.Neighbors(u)
+			for i := len(adj) - 1; i >= 0 && adj[i] > u; i-- {
+				if mark.Seen(adj[i]) {
 					links++
 				}
 			}
@@ -36,6 +45,9 @@ func ClusteringCoefficient(g *graph.Graph) float64 {
 	}
 	return total / float64(counted)
 }
+
+// markPool holds ClusteringCoefficient's neighbour marks.
+var markPool = ball.NewPool(func() *graph.Stamp { return &graph.Stamp{} })
 
 // ClusteringCurve computes the clustering coefficient of ball subgraphs as
 // a function of ball size, the ball-growing form of the clustering metric

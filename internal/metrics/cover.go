@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
@@ -11,13 +12,17 @@ import (
 // VertexCover returns an approximate minimum vertex cover of g: the better
 // of the maximal-matching 2-approximation and a greedy max-degree cover.
 // The size of this set is the paper's vertex-cover metric (Figure 8(a-c)).
+// Both covers are built in a pooled workspace, so the returned copy is the
+// only allocation in steady state.
 func VertexCover(g *graph.Graph) []int32 {
-	m := matchingCover(g)
-	gr := greedyCover(g)
+	ws := coverPool.Get()
+	defer coverPool.Put(ws)
+	m := ws.matchingCover(g)
+	gr := ws.greedyCover(g)
 	if len(gr) < len(m) {
-		return gr
+		return slices.Clone(gr)
 	}
-	return m
+	return slices.Clone(m)
 }
 
 // VertexCoverCurve computes the vertex-cover size of ball subgraphs as a
@@ -40,12 +45,26 @@ func VertexCoverCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	return s
 }
 
+// coverScratch is vertex cover's pooled workspace: the matching's used
+// marks, the greedy pass's uncovered-edge counts and bucket queue, and
+// both covers under construction.
+type coverScratch struct {
+	used            []bool
+	uncov           []int32
+	queue           graph.BucketQueue
+	matched, greedy []int32
+}
+
+var coverPool = ball.NewPool(func() *coverScratch { return &coverScratch{} })
+
 // matchingCover takes both endpoints of a greedily built maximal matching —
-// the classical 2-approximation.
-func matchingCover(g *graph.Graph) []int32 {
+// the classical 2-approximation. The result aliases ws until its next use.
+func (ws *coverScratch) matchingCover(g *graph.Graph) []int32 {
 	n := g.NumNodes()
-	used := make([]bool, n)
-	var cover []int32
+	ws.used = slices.Grow(ws.used[:0], n)[:n]
+	clear(ws.used)
+	used := ws.used
+	cover := ws.matched[:0]
 	for u := int32(0); u < int32(n); u++ {
 		if used[u] {
 			continue
@@ -59,100 +78,51 @@ func matchingCover(g *graph.Graph) []int32 {
 			}
 		}
 	}
+	ws.matched = cover
 	return cover
 }
 
 // greedyCover repeatedly takes the node with the most uncovered incident
-// edges, using a lazily updated max-heap. The heap is a typed port of
-// container/heap's sift order (same Init / Push / Pop element movement), so
-// the cover comes out byte-identical to the historical boxed version while
-// the hot loop stays free of per-element interface allocations.
-func greedyCover(g *graph.Graph) []int32 {
+// edges, lowest id on ties, off a bucket queue keyed by the uncovered
+// count. The historical lazy max-heap (cover_test.go) ordered by the same
+// strict key, so the cover comes out node for node the same. Taking a node
+// zeroes its count, so its neighbours' counts are the only keys that move.
+// The result aliases ws until its next use.
+func (ws *coverScratch) greedyCover(g *graph.Graph) []int32 {
 	n := g.NumNodes()
-	uncov := make([]int, n) // uncovered incident edges per node
-	inCover := make([]bool, n)
-	h := make([]coverCand, 0, n)
+	ws.uncov = growInts(ws.uncov, n)
+	uncov, q := ws.uncov, &ws.queue
+	maxDeg := 0
 	for v := int32(0); v < int32(n); v++ {
-		uncov[v] = g.Degree(v)
+		uncov[v] = int32(g.Degree(v))
+		maxDeg = max(maxDeg, int(uncov[v]))
+	}
+	q.Reset(n, 1, maxDeg)
+	for v := int32(0); v < int32(n); v++ {
 		if uncov[v] > 0 {
-			h = append(h, coverCand{v, uncov[v]})
+			q.Push(v, int(uncov[v]))
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		coverDown(h, i, len(h))
-	}
-	var cover []int32
-	for len(h) > 0 {
-		last := len(h) - 1
-		h[0], h[last] = h[last], h[0]
-		coverDown(h, 0, last)
-		c := h[last]
-		h = h[:last]
-		u := c.v
-		if inCover[u] || c.count != uncov[u] {
-			continue // stale entry
-		}
-		if uncov[u] == 0 {
+	cover := ws.greedy[:0]
+	for {
+		u, ok := q.Pop()
+		if !ok {
 			break
 		}
-		inCover[u] = true
 		cover = append(cover, u)
 		uncov[u] = 0
 		for _, v := range g.Neighbors(u) {
-			if !inCover[v] && uncov[v] > 0 {
+			if old := uncov[v]; old > 0 {
 				uncov[v]--
-				if uncov[v] > 0 {
-					h = append(h, coverCand{v, uncov[v]})
-					coverUp(h, len(h)-1)
+				q.Remove(v, int(old))
+				if old > 1 {
+					q.Push(v, int(old-1))
 				}
 			}
 		}
 	}
+	ws.greedy = cover
 	return cover
-}
-
-type coverCand struct {
-	v     int32
-	count int
-}
-
-// coverLess orders candidates by uncovered count descending, node id
-// ascending — a strict total order, so heap pops are fully deterministic.
-func coverLess(a, b coverCand) bool {
-	if a.count != b.count {
-		return a.count > b.count
-	}
-	return a.v < b.v
-}
-
-func coverUp(h []coverCand, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !coverLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func coverDown(h []coverCand, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && coverLess(h[j2], h[j1]) {
-			j = j2
-		}
-		if !coverLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }
 
 // WeightedVertexCover computes a 2-approximate minimum weighted vertex

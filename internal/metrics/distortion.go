@@ -95,7 +95,15 @@ func SubgraphDistortion(sub *graph.Graph, roots int) float64 {
 // Brandes strips, as the diameter probe routes, and the tree arrays come
 // from the pooled distortion workspace, so the per-ball hot path is
 // allocation-free.
+//
+// A tree (connected, m = n−1) is its own only spanning tree, so it answers
+// exactly 1 without an election: every candidate root's BFS tree is the
+// graph itself, each edge lies at tree distance 1, and the average is
+// count/count.
 func SubgraphDistortionKernels(sub *graph.Graph, roots int, k *ball.Kernels) float64 {
+	if n := sub.NumNodes(); n >= 2 && sub.NumEdges() == n-1 {
+		return 1
+	}
 	return subgraphDistortion(sub, roots, brandesProbed, k)
 }
 

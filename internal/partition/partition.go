@@ -27,9 +27,7 @@
 package partition
 
 import (
-	"math/bits"
 	"math/rand"
-	"slices"
 
 	"topocmp/internal/graph"
 )
@@ -102,8 +100,7 @@ type Workspace struct {
 	memberA []int32 // finest member of each coarse node
 	memberB []int32 // second member, -1 for unmatched singletons
 
-	acc    graph.Stamp // coarse-adjacency merge liveness, one epoch per coarse node
-	accPos []int32     // position of a stamped target in the open adjacency run
+	cursor []int32 // next free slot of each coarse row during contraction
 
 	visit graph.Stamp // region-growing visited marks, one epoch per seed
 	queue []int32
@@ -112,7 +109,7 @@ type Workspace struct {
 	gain    []int // FM gains
 	moved   []bool
 	history []int32
-	moves   gainQueue
+	moves   graph.BucketQueue // FM move queue keyed by gain
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -297,44 +294,71 @@ func (ws *Workspace) coarsen(fine, coarse *level, r *rand.Rand) {
 	}
 	nc := int(next)
 
-	// Contract: per coarse node, merge its members' neighbor runs with an
-	// epoch-stamped accumulator (deterministic replacement for the
-	// historical per-node map), then sort the run by target id — the same
-	// sorted, weight-summed adjacency the map build produced.
+	ws.contract(fine, coarse, nc)
+}
+
+// contract builds coarse from the matching that coarsen left in fine.cmap
+// and ws.memberA/memberB. The coarse graph is symmetric, so scattering each
+// coarse edge (cu, cv) into cv's row in ascending cu emits every row
+// already sorted by target id: row cv reserves as many slots as its
+// members' fine degrees, the fine edges of cu's members land in their
+// targets' rows while cu is visited, a repeat of cu in a row is that row's
+// last entry and merges into it, and a final pass closes the gaps left by
+// merges and matched pairs. Weights are integer sums, so every row equals
+// the historical stamp-merged, sorted run (contractSorted in
+// contract_test.go).
+func (ws *Workspace) contract(fine, coarse *level, nc int) {
 	coarse.nodeW = growInt32(coarse.nodeW, nc)
-	for i := range coarse.nodeW[:nc] {
-		coarse.nodeW[i] = 0
-	}
 	coarse.off = growInt32(coarse.off, nc+1)
-	coarse.adj = coarse.adj[:0]
-	ws.accPos = growInt32(ws.accPos, nc)
-	for cu := int32(0); cu < next; cu++ {
-		ws.acc.Begin(nc)
-		start := len(coarse.adj)
-		coarse.off[cu] = int32(start)
-		for _, u := range [2]int32{ws.memberA[cu], ws.memberB[cu]} {
-			if u < 0 {
+	ws.cursor = growInt32(ws.cursor, nc)
+	off, cursor, memberA, memberB := coarse.off, ws.cursor, ws.memberA[:nc], ws.memberB[:nc]
+	slots := int32(0)
+	for cv := range memberA {
+		off[cv] = slots
+		cursor[cv] = slots
+		a, b := memberA[cv], memberB[cv]
+		w := fine.nodeW[a]
+		slots += fine.off[a+1] - fine.off[a]
+		if b >= 0 {
+			w += fine.nodeW[b]
+			slots += fine.off[b+1] - fine.off[b]
+		}
+		coarse.nodeW[cv] = w
+	}
+	coarse.adj = growWedge(coarse.adj, int(slots))
+	adj, cmap := coarse.adj, fine.cmap
+	scatter := func(cu, u int32) {
+		for _, e := range fine.edgesOf(u) {
+			cv := cmap[e.to]
+			if cv == cu {
 				continue
 			}
-			coarse.nodeW[cu] += fine.nodeW[u]
-			for _, e := range fine.edgesOf(u) {
-				cv := cmap[e.to]
-				if cv == cu {
-					continue
-				}
-				if ws.acc.Visit(cv) {
-					ws.accPos[cv] = int32(len(coarse.adj) - start)
-					coarse.adj = append(coarse.adj, wedge{cv, e.w})
-				} else {
-					coarse.adj[start+int(ws.accPos[cv])].w += e.w
-				}
+			c := cursor[cv]
+			if c > off[cv] && adj[c-1].to == cu {
+				adj[c-1].w += e.w
+			} else {
+				adj[c] = wedge{cu, e.w}
+				cursor[cv] = c + 1
 			}
 		}
-		slices.SortFunc(coarse.adj[start:], func(a, b wedge) int {
-			return int(a.to) - int(b.to)
-		})
 	}
-	coarse.off[nc] = int32(len(coarse.adj))
+	for cu, a := range memberA {
+		scatter(int32(cu), a)
+		if b := memberB[cu]; b >= 0 {
+			scatter(int32(cu), b)
+		}
+	}
+	end := int32(0)
+	for cv := range memberA {
+		start := off[cv]
+		off[cv] = end
+		for i := start; i < cursor[cv]; i++ {
+			adj[end] = adj[i]
+			end++
+		}
+	}
+	off[nc] = end
+	coarse.adj = adj[:end]
 }
 
 // initialBisection grows a region by BFS from several random seeds and
@@ -378,98 +402,6 @@ func (ws *Workspace) initialBisection(l *level, best []bool, opts *Options) {
 	}
 }
 
-// gainQueue is FM refinement's move queue: an exact priority queue over
-// node ids keyed by (gain descending, node id ascending). Gains lie in
-// [-D, D], D the level's largest weighted degree, and each gain value owns
-// one bitmap of node ids, so a pop takes the lowest set bit of the highest
-// non-empty bucket and a gain change moves one bit between two buckets.
-// The key is strict, so the pop order depends only on which nodes are
-// queued at which gain: the lazy-heap reference in heap_test.go orders by
-// the same key and makes the same moves.
-//
-// Every pass drains the queue, so all bitmaps and counts are zero between
-// passes and reset only re-slices them.
-type gainQueue struct {
-	words   int          // bitmap words per bucket, ⌈n/64⌉
-	off     int          // gain g lives in bucket g+off
-	bits    []uint64     // bucket b's bitmap is bits[b*words : (b+1)*words]
-	buckets []gainBucket // per-bucket count and lowest-word cursor
-	top     int          // no bucket above top holds a node; -1 when empty
-}
-
-type gainBucket struct {
-	n   int32 // nodes queued at this gain
-	low int32 // no queued node lies in a word below this one
-}
-
-// reset prepares an empty queue for n node ids with gains in [-d, d].
-// Buffers grow to twice the need: a centre's balls arrive in increasing
-// size, and exact growth would reallocate for nearly every one.
-func (q *gainQueue) reset(n, d int) {
-	q.words = (n + 63) >> 6
-	q.off = d
-	nb := 2*d + 1
-	if need := nb * q.words; cap(q.bits) < need {
-		q.bits = make([]uint64, need, 2*need)
-	} else {
-		q.bits = q.bits[:need]
-	}
-	if cap(q.buckets) < nb {
-		q.buckets = make([]gainBucket, nb, 2*nb)
-	} else {
-		q.buckets = q.buckets[:nb]
-	}
-	q.top = -1
-}
-
-func (q *gainQueue) push(v int32, g int) {
-	b := g + q.off
-	w := v >> 6
-	q.bits[b*q.words+int(w)] |= 1 << (v & 63)
-	bk := &q.buckets[b]
-	if bk.n == 0 || w < bk.low {
-		bk.low = w
-	}
-	bk.n++
-	if b > q.top {
-		q.top = b
-	}
-}
-
-// regain moves v from gain old to gain g, re-queueing it if it had left
-// the queue after a balance rejection.
-func (q *gainQueue) regain(v int32, old, g int) {
-	b := old + q.off
-	i := b*q.words + int(v>>6)
-	if m := uint64(1) << (v & 63); q.bits[i]&m != 0 {
-		q.bits[i] &^= m
-		q.buckets[b].n--
-	}
-	q.push(v, g)
-}
-
-// pop removes and returns the queued node with the highest gain, lowest id
-// first on ties; ok is false once the queue is empty.
-func (q *gainQueue) pop() (v int32, ok bool) {
-	for q.top >= 0 && q.buckets[q.top].n == 0 {
-		q.top--
-	}
-	if q.top < 0 {
-		return 0, false
-	}
-	bk := &q.buckets[q.top]
-	row := q.bits[q.top*q.words : (q.top+1)*q.words]
-	w := bk.low
-	for row[w] == 0 {
-		w++
-	}
-	bk.low = w
-	bk.n--
-	bit := bits.TrailingZeros64(row[w])
-	row[w] &^= 1 << bit
-	return w<<6 | int32(bit), true
-}
-
 // refine runs Fiduccia–Mattheyses passes: each pass tentatively moves every
 // node once in best-gain-first order (negative gains included, balance
 // respected), then rolls back to the prefix of moves with the smallest cut.
@@ -506,9 +438,9 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 			gain[v] = g
 			maxDeg = max(maxDeg, deg)
 		}
-		q.reset(n, maxDeg)
+		q.Reset(n, -maxDeg, maxDeg)
 		for v := int32(0); v < int32(n); v++ {
-			q.push(v, gain[v])
+			q.Push(v, gain[v])
 		}
 		for i := range moved {
 			moved[i] = false
@@ -516,7 +448,7 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 		history := ws.history[:0]
 		cumGain, bestGain, bestPrefix := 0, 0, 0
 		for {
-			v, ok := q.pop()
+			v, ok := q.Pop()
 			if !ok {
 				break
 			}
@@ -549,7 +481,8 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				} else {
 					gain[e.to] += 2 * int(e.w)
 				}
-				q.regain(e.to, old, gain[e.to])
+				q.Remove(e.to, old) // a no-op once a balance rejection took it out
+				q.Push(e.to, gain[e.to])
 			}
 		}
 		// Roll back moves beyond the best prefix.
@@ -598,9 +531,12 @@ func growBool(buf []bool, n int) []bool {
 	return buf[:n]
 }
 
+// growWedge is growInt32 for adjacency arrays, which grow to twice the
+// need: a centre's balls arrive in increasing size, and exact growth would
+// reallocate every level's adjacency for nearly every ball.
 func growWedge(buf []wedge, n int) []wedge {
 	if cap(buf) < n {
-		return make([]wedge, n)
+		return make([]wedge, n, 2*n)
 	}
 	return buf[:n]
 }

@@ -185,6 +185,10 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
+	if err := req.Set.Validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	key := cache.Key(req.Set.CacheKey(),
 		fmt.Sprintf("servemetric:%s,src=%d,seed=%d,bin=%g", req.Metric, req.Sources, req.Seed, req.BinWidth),
 		"net:"+req.Network)

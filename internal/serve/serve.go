@@ -308,6 +308,10 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
 		return
 	}
+	if err := req.Set.Validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	if err := req.Suite.Validate(); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return

@@ -409,7 +409,8 @@ func TestServeCancellation(t *testing.T) {
 
 // TestServeBadRequests covers the request-validation surface.
 func TestServeBadRequests(t *testing.T) {
-	ts := httptest.NewServer(New(Options{Workers: 1}).Handler())
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cases := []struct {
 		path string
@@ -421,6 +422,15 @@ func TestServeBadRequests(t *testing.T) {
 		{"/v1/suite", `{`, http.StatusBadRequest},
 		{"/v1/metric", `{"Network":"Tree","Metric":"distortion"}`, http.StatusBadRequest},
 		{"/v1/metric", `{"Network":"Nope","Metric":"expansion"}`, http.StatusBadRequest},
+		// Network-set options every builder would otherwise accept: a
+		// negative scale built the minimum-size set, 1e6 a build ten
+		// thousand times the 1m preset inside the request.
+		{"/v1/suite", `{"Network":"Tree","Set":{"Scale":-1}}`, http.StatusBadRequest},
+		{"/v1/suite", `{"Network":"AS","Set":{"Scale":1e6}}`, http.StatusBadRequest},
+		{"/v1/suite", `{"Network":"RL","Set":{"AliasFailure":1.5}}`, http.StatusBadRequest},
+		{"/v1/metric", `{"Network":"Tree","Metric":"expansion","Set":{"Scale":-1}}`, http.StatusBadRequest},
+		{"/v1/metric", `{"Network":"PLRG","Metric":"eccentricity","Set":{"Scale":1e6}}`, http.StatusBadRequest},
+		{"/v1/metric", `{"Network":"AS","Metric":"expansion","Set":{"AliasFailure":-0.1}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, _, body := postJSON(t, ts.URL+c.path, []byte(c.body))
@@ -428,7 +438,21 @@ func TestServeBadRequests(t *testing.T) {
 			t.Errorf("POST %s %s: status %d, want %d (%s)", c.path, c.body, code, c.want, body)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/suite")
+	for _, name := range []string{"serve.suite_runs", "serve.metric_runs"} {
+		if got := s.reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0: a rejected request was admitted", name, got)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/suite")
 	if err != nil {
 		t.Fatal(err)
 	}

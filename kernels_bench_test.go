@@ -18,7 +18,7 @@ import (
 
 // kernelBenchRow is one line of BENCH_kernels.json, rewritten after every
 // kernel benchmark so a partial -bench run still leaves a consistent file.
-// These rows are the machine-readable form of the cut/flow kernel table in
+// These rows are the machine-readable form of the kernel tables in
 // EXPERIMENTS.md.
 type kernelBenchRow struct {
 	Name         string  `json:"name"`
@@ -140,4 +140,36 @@ func BenchmarkKernelSurfaceFlow(b *testing.B) {
 			metrics.SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), kernelCfg(), 6, 1)
 		})
 	})
+}
+
+// BenchmarkKernelBallCurves times the per-ball kernels behind the suite's
+// distortion, vertex-cover and clustering stages on paper families: each op
+// grows the quick-scale suite's balls (12 centres, up to 1500 nodes) on a
+// fresh engine, inducing every ball subgraph once, and runs the three
+// curves over them with the suite's settings.
+func BenchmarkKernelBallCurves(b *testing.B) {
+	quick := experiments.QuickConfig(1)
+	nets := []*core.Network{
+		core.BuildNetwork("Linear", quick.Set),
+		core.BuildNetwork("Mesh", quick.Set),
+		core.BuildMeasured(quick.Set).AS,
+		core.BuildNetwork("Complete", quick.Set),
+	}
+	cfg := func() ball.Config {
+		return ball.Config{
+			MaxSources:  quick.Suite.Sources,
+			MaxBallSize: quick.Suite.MaxBallSize,
+			Rand:        rand.New(rand.NewSource(quick.Suite.Seed + 1)),
+		}
+	}
+	for _, n := range nets {
+		b.Run(n.Name, func(b *testing.B) {
+			benchKernel(b, func() {
+				e := ball.NewEngine(n.Graph, 1)
+				metrics.DistortionWith(e, cfg(), 3)
+				metrics.VertexCoverCurveWith(e, cfg())
+				metrics.ClusteringCurveWith(e, cfg())
+			})
+		})
+	}
 }

@@ -4,7 +4,8 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
-#   fuzz: FuzzRefineMatchesHeap for 10s
+#   fuzz: FuzzRefineMatchesHeap for 10s; the coarsening, induced-subgraph
+#         and vertex-cover/clustering references for 5s each
 #   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
@@ -51,6 +52,15 @@ echo "== fuzz: gain-bucket FM refinement against the lazy-heap reference =="
 # Random small weighted levels through refine and the historical lazy-heap
 # refinement kept in internal/partition/heap_test.go; side arrays must match.
 go test -run '^$' -fuzz '^FuzzRefineMatchesHeap$' -fuzztime 10s ./internal/partition
+
+echo "== fuzz: per-ball kernels against their historical references =="
+# The transposed coarse contraction against stamp-merge-then-sort, the
+# transposed Induced against per-row sorting, and the bucket-queue greedy
+# cover and marked clustering coefficient against the lazy heap and the
+# HasEdge pair loop (the references live in each package's _test.go).
+go test -run '^$' -fuzz '^FuzzCoarsenMatchesSorted$' -fuzztime 5s ./internal/partition
+go test -run '^$' -fuzz '^FuzzInducedMatchesSorted$' -fuzztime 5s ./internal/graph
+go test -run '^$' -fuzz '^FuzzGreedyCoverMatchesHeap$' -fuzztime 5s ./internal/metrics
 
 echo "== tier 2: race detector on concurrent packages =="
 # Race instrumentation on a single core pushes the experiments package

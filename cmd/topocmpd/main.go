@@ -1,8 +1,8 @@
 // Command topocmpd is the long-running topology-metrics daemon: it serves
 // generator+metric queries (POST /v1/suite, POST /v1/metric) over the same
-// option vocabulary the reproduce CLI runs, with singleflight dedup,
-// cross-request sweep coalescing and bounded admission (internal/serve),
-// and mounts the live observability plane (/metrics, /debug/progress,
+// option vocabulary the reproduce CLI runs, with singleflight dedup, shared
+// per-network ball engines and bounded admission (internal/serve), and
+// mounts the live observability plane (/metrics, /debug/progress,
 // /debug/trace, /debug/pprof/) on the same listener.
 //
 //	topocmpd -addr 127.0.0.1:8080 -cache .cache -j 8
@@ -33,10 +33,8 @@ func main() {
 	workers := flag.Int("j", 0, "worker budget shared by all computations (0 = all cores)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory, shared with "+
 		"reproduce runs (empty = memory-only)")
-	maxInFlight := flag.Int("max-inflight", 2, "max concurrently computing suites; excess "+
+	maxInFlight := flag.Int("max-inflight", 2, "max concurrently computing requests; excess "+
 		"non-dedupable requests are shed with 429")
-	window := flag.Duration("window", 2*time.Millisecond, "sweep-coalescing admission window "+
-		"(0 disables coalescing)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	timeseries := flag.String("timeseries", "", "sample /metrics counters periodically and write "+
@@ -49,11 +47,6 @@ func main() {
 		Workers:     *workers,
 		MaxInFlight: *maxInFlight,
 		Deadline:    *deadline,
-	}
-	if *window == 0 {
-		opts.Window = -1 // Options treats 0 as "default"; negative disables
-	} else {
-		opts.Window = *window
 	}
 	if *cacheDir != "" {
 		store, err := cache.Open(*cacheDir)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"topocmp/internal/flow"
 	"topocmp/internal/graph"
 	"topocmp/internal/obs"
 	"topocmp/internal/partition"
@@ -27,12 +26,8 @@ import (
 // bit-identical at every parallelism, including the sequential pool of
 // width 1.
 type Engine struct {
-	g *graph.Graph
-	// parallel is the worker-pool width, atomic so a serving layer can
-	// retune a long-lived engine between (or during) requests: forEach and
-	// batchWidth read it once per call, and results are width-independent,
-	// so a concurrent change only shifts where the work runs.
-	parallel atomic.Int64
+	g        *graph.Graph
+	parallel int // worker-pool width, fixed by NewEngine
 
 	scratch *Pool[*workerScratch]
 	kernels *Pool[*Kernels]
@@ -66,23 +61,17 @@ type Engine struct {
 }
 
 // Kernels bundles one worker's reusable solver scratch: a multilevel-
-// partition workspace, a Dinic network, a BFS scratch, the bit-parallel
-// MSBFS and Brandes strips, and a spare int32 buffer. The engine pools one
-// bundle per worker and hands it to BallPointsKernels callbacks, so the
-// expensive per-ball kernels (resilience's balanced bisection, the surface
-// max-flow sweep, distortion's betweenness election) run allocation-free in
+// partition workspace, a BFS scratch and the bit-parallel Brandes strips.
+// The engine pools one bundle per worker and hands it to BallPointsKernels
+// callbacks, so the expensive per-ball kernels (resilience's balanced
+// bisection, distortion's betweenness election) run allocation-free in
 // steady state. Kernel state never influences results — workspace-backed
 // solvers are bit-identical to fresh ones — so pooling is invisible to the
 // determinism contract.
 type Kernels struct {
 	Part    *partition.Workspace
-	Flow    *flow.Network
 	BFS     *graph.BFSScratch
-	MSBFS   *graph.MSBFSScratch
 	Brandes *graph.BrandesScratch
-	// Ints is a spare reusable buffer (surface node lists and similar
-	// per-ball worksets); contents are unspecified between balls.
-	Ints []int32
 
 	eng *Engine // counter backref; nil for bundles built outside an engine
 }
@@ -128,15 +117,13 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	e := &Engine{g: g,
+	e := &Engine{g: g, parallel: parallelism,
 		profiles: map[int32]*profileEntry{}, cums: map[int32]*cumEntry{}}
-	e.parallel.Store(int64(parallelism))
 	e.scratch = NewPool(func() *workerScratch {
 		return &workerScratch{bfs: graph.NewBFSScratch(), sub: graph.NewSubgraphScratch()}
 	})
 	e.kernels = NewPool(func() *Kernels {
-		return &Kernels{Part: partition.NewWorkspace(), Flow: &flow.Network{},
-			BFS: graph.NewBFSScratch(), MSBFS: graph.NewMSBFSScratch(),
+		return &Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
 			Brandes: graph.NewBrandesScratch(), eng: e}
 	})
 	e.msbfs = NewPool(graph.NewMSBFSScratch)
@@ -180,22 +167,6 @@ func (e *Engine) SetProgress(st *obs.ProgressStage) { e.prog = st }
 
 // Graph returns the graph the engine grows balls on.
 func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Parallelism returns the worker-pool width.
-func (e *Engine) Parallelism() int { return int(e.parallel.Load()) }
-
-// SetParallelism retunes the worker-pool width of a live engine; p <= 0
-// uses runtime.NumCPU. Safe under concurrent use: the fan-out helpers read
-// the width once per call, and results are bit-identical at every width, so
-// an in-flight call simply keeps the width it started with. The serving
-// layer uses this to grant each admitted request a share of the global
-// worker budget without rebuilding the engine (and its warm caches).
-func (e *Engine) SetParallelism(p int) {
-	if p <= 0 {
-		p = runtime.NumCPU()
-	}
-	e.parallel.Store(int64(p))
-}
 
 // ApproxDiameter returns the double-sweep diameter estimate for the
 // engine's graph, computed once on first use and cached. The batched
@@ -379,7 +350,7 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		})
 		e.mDistScalar.Add(int64(len(mine)))
 	} else if len(mine) > 0 {
-		width := e.batchWidth(len(mine))
+		width := BatchWidth(len(mine), e.parallel)
 		e.mMSBFSWidth.Set(int64(width))
 		batches := (len(mine) + width - 1) / width
 		e.forEach(batches, func(b int) {
@@ -421,11 +392,6 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		out[i] = ents[i].c
 	}
 	return out
-}
-
-// batchWidth picks the wide sweep's mask width from the engine's pool size.
-func (e *Engine) batchWidth(pending int) int {
-	return BatchWidth(pending, e.Parallelism())
 }
 
 // BatchWidth picks a bit-parallel mask-strip width for pending work items
@@ -489,14 +455,13 @@ func (e *Engine) BallSubgraph(p *Profile, h int) *graph.Graph {
 // forEach runs work(i) for i in [0, n) over the worker pool. With a pool of
 // width 1 the calls run inline in index order.
 func (e *Engine) forEach(n int, work func(i int)) {
-	parallel := e.Parallelism()
-	if parallel <= 1 || n <= 1 {
+	if e.parallel <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			work(i)
 		}
 		return
 	}
-	workers := parallel
+	workers := e.parallel
 	if workers > n {
 		workers = n
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Pool is the unified leased-workspace primitive behind every scratch family
-// in the repository: BFS/subgraph traversal scratch, the cut/flow kernel
+// in the repository: BFS/subgraph traversal scratch, the per-ball kernel
 // bundles, bit-parallel MSBFS and Brandes strips, and the metric-local
 // workspaces (distortion's tree scratch, hierarchy's cover arrays). It wraps
 // sync.Pool with the lease discipline those families share — check out, use

@@ -88,44 +88,3 @@ func SurfaceMaxFlowCurve(g *graph.Graph, cfg ball.Config, flowSamples int) stats
 	s.Name = "surfacemaxflow"
 	return s
 }
-
-// SurfaceMaxFlowCurveWith is the engine form of SurfaceMaxFlowCurve: balls,
-// subgraphs and BFS passes come from the engine's shared caches, the Dinic
-// solver and surface buffer come from the pooled per-worker kernel bundle,
-// and each center samples surface targets with an RNG derived from
-// seed+centerIndex — so the series is bit-identical at every engine
-// parallelism (it intentionally differs from the legacy single-RNG
-// sequential curve, which is kept for cached-artifact compatibility).
-func SurfaceMaxFlowCurveWith(e *ball.Engine, cfg ball.Config, flowSamples int, seed int64) stats.Series {
-	if cfg.MinBallSize == 0 {
-		cfg.MinBallSize = 3
-	}
-	if flowSamples <= 0 {
-		flowSamples = 8
-	}
-	raw := e.BallPointsKernels(cfg, seed,
-		func(sub *graph.Graph, radius int, rng *rand.Rand, k *ball.Kernels) (float64, bool) {
-			k.BFS.BFS(sub, 0)
-			k.Ints = k.Ints[:0]
-			for v := int32(0); v < int32(sub.NumNodes()); v++ {
-				if int(k.BFS.Dist(v)) == radius {
-					k.Ints = append(k.Ints, v)
-				}
-			}
-			surface := k.Ints
-			if len(surface) == 0 {
-				return 0, false
-			}
-			k.Flow.Reset(sub)
-			total, samples := 0.0, 0
-			for i := 0; i < flowSamples && i < len(surface); i++ {
-				t := surface[rng.Intn(len(surface))]
-				total += float64(k.Flow.MaxFlow(0, t))
-				samples++
-			}
-			return total / float64(samples), true
-		})
-	s := stats.Bucketize(raw, bucketRatio)
-	s.Name = "surfacemaxflow"
-	return s
-}

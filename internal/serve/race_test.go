@@ -7,19 +7,19 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestServeRaceShort hammers one server with mixed concurrent traffic at
 // P=4 — the tier-2 `go test -race ./internal/serve` target. It exercises
 // every shared structure at once: the flights map (identical suite
-// requests deduping), the coalescer (overlapping metric requests from
-// distinct seeds), the shared engine caches, the weighted semaphore under
-// suite/sweep contention, and the observability plane serving mid-run.
+// requests deduping), the shared engine's caches and claim protocol
+// (overlapping metric requests from distinct seeds at P=4), the weighted
+// semaphore with metric sweeps waiting on suites that hold part of the
+// budget, and the observability plane serving mid-run.
 func TestServeRaceShort(t *testing.T) {
 	// MaxInFlight covers all 12 distinct keys at once — admission shedding
 	// has its own deterministic test; this one wants maximum overlap.
-	s := New(Options{Workers: 4, MaxInFlight: 16, Window: 5 * time.Millisecond})
+	s := New(Options{Workers: 4, MaxInFlight: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -52,7 +52,7 @@ func TestServeRaceShort(t *testing.T) {
 			}
 		}()
 	}
-	// Overlapping metric traffic through the coalescer.
+	// Overlapping metric traffic on the shared engine.
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {

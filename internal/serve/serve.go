@@ -1,7 +1,7 @@
-// Package serve is the request-coalescing serving layer behind cmd/topocmpd:
-// a long-running HTTP daemon answering generator+metric queries over the
-// same SuiteOptions/PaperSetOptions vocabulary the CLI runs. Three admission
-// mechanisms make many concurrent clients cheap:
+// Package serve is the serving layer behind cmd/topocmpd: a long-running
+// HTTP daemon answering generator+metric queries over the same
+// SuiteOptions/PaperSetOptions vocabulary the CLI runs. Three mechanisms
+// make many concurrent clients cheap:
 //
 //   - Singleflight dedup. Every request is content-addressed by the exact
 //     key the experiment pipeline caches under (experiments.SuiteKey — the
@@ -10,20 +10,19 @@
 //     serve from the in-process memo, and a disk store warmed by a CLI run
 //     satisfies daemon requests without computing anything.
 //
-//   - Cross-request sweep coalescing. Concurrent distance-metric requests
-//     against the same graph submit their BFS centers to a per-engine
-//     coalescer (see coalesce.go), which batches a short admission window's
-//     worth of submissions into one shared MSBFS strip set; the per-request
-//     metric assembly then reads the warm cum-profile cache. Level counts
-//     are order-independent integers, so coalesced responses are
-//     byte-identical to solo ones.
+//   - Shared ball engines. Distance-metric requests against the same graph
+//     run on one long-lived ball engine (see metric.go), whose cum-profile
+//     cache keeps every center's level counts across requests. Level counts
+//     are order-independent integers, so a response that reads another
+//     request's counts is byte-identical to a fresh server's.
 //
-//   - Bounded admission. At most MaxInFlight suites compute at once (excess
-//     requests that cannot dedup or hit the cache are shed with 429 +
-//     Retry-After), each granted an equal share of one weighted worker
-//     semaphore — the same no-oversubscription discipline as the pipeline's
-//     Prefetch — and each carries its request context into the suite so a
-//     hung-up client cancels work nobody is waiting for.
+//   - Bounded admission. At most MaxInFlight computations run at once
+//     (excess requests that cannot dedup or hit the cache are shed with
+//     429 + Retry-After). A suite is granted an equal share of one weighted
+//     worker semaphore and a metric request the whole of it — the same
+//     no-oversubscription discipline as the pipeline's Prefetch — and each
+//     carries its request context so a hung-up client cancels work nobody
+//     is waiting for.
 //
 // Responses are built solely from the cacheable entry forms (SuiteEntry,
 // metricEntry), never from transient state, so the computed, dedup, memo and
@@ -44,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"topocmp/internal/ball"
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
@@ -51,19 +51,17 @@ import (
 )
 
 // Options configures a Server. The zero value serves with NumCPU workers,
-// two suite slots, a 2ms coalescing window, no deadline and no disk cache.
+// two computation slots, no deadline and no disk cache.
 type Options struct {
 	// Workers is the global worker budget shared by every computation the
-	// server runs (suite stages, shared sweeps); 0 uses runtime.NumCPU.
+	// server runs (suite stages, metric sweeps); 0 uses runtime.NumCPU.
 	Workers int
-	// MaxInFlight caps concurrently *computing* suites; requests beyond it
-	// that cannot be served by dedup or the cache are shed with 429.
+	// MaxInFlight caps concurrently *computing* requests; requests beyond
+	// it that cannot be served by dedup or the cache are shed with 429.
 	// 0 means 2.
 	MaxInFlight int
-	// Window is the sweep-coalescing admission window: how long the first
-	// distance-metric request against a graph waits for peers before the
-	// shared sweep runs. 0 uses 2ms; negative disables coalescing (the
-	// engine's per-center claim protocol still dedups overlap).
+	// Deprecated: ignored. Metric requests run directly on the network's
+	// shared engine, with no admission window.
 	Window time.Duration
 	// Deadline, when positive, bounds every request that does not carry its
 	// own TimeoutSeconds. The deadline cancels waiting and, when the last
@@ -97,16 +95,6 @@ func (o *Options) maxInFlight() int {
 	return 2
 }
 
-func (o *Options) window() time.Duration {
-	if o.Window == 0 {
-		return 2 * time.Millisecond
-	}
-	if o.Window < 0 {
-		return 0
-	}
-	return o.Window
-}
-
 func (o *Options) keepStages() int {
 	if o.KeepStages > 0 {
 		return o.KeepStages
@@ -116,7 +104,7 @@ func (o *Options) keepStages() int {
 
 // sem is a weighted counting semaphore (the pipeline's no-oversubscription
 // primitive): acquire(k) blocks until k of the n tokens are free. Suite
-// runs hold their granted width, shared sweeps hold the width they fan to.
+// runs hold their granted width, metric runs the whole budget.
 type sem struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -178,8 +166,8 @@ func (f *flight) detach() {
 	}
 }
 
-// Server answers suite and metric queries with singleflight dedup, sweep
-// coalescing and bounded admission. Create one with New; it has no Close —
+// Server answers suite and metric queries with singleflight dedup, shared
+// ball engines and bounded admission. Create one with New; it has no Close —
 // the owner drains via http.Server.Shutdown and the computations it cancels.
 type Server struct {
 	opts   Options
@@ -200,20 +188,17 @@ type Server struct {
 	msets map[string]*core.MeasuredSet
 
 	engMu   sync.Mutex
-	engines map[string]*engineEntry
+	engines map[string]*ball.Engine
 
 	traceSeq atomic.Int64
 
-	cRequests         *obs.Counter
-	cDedup            *obs.Counter
-	cCacheHits        *obs.Counter
-	cSuiteRuns        *obs.Counter
-	cMetricRuns       *obs.Counter
-	cRejected         *obs.Counter
-	cCoalesceBatches  *obs.Counter
-	cCoalescedSources *obs.Counter
-	cCoalesceSwept    *obs.Counter
-	hLatency          *obs.Histogram
+	cRequests   *obs.Counter
+	cDedup      *obs.Counter
+	cCacheHits  *obs.Counter
+	cSuiteRuns  *obs.Counter
+	cMetricRuns *obs.Counter
+	cRejected   *obs.Counter
+	hLatency    *obs.Histogram
 }
 
 // New returns a server over the options. The server owns its metrics
@@ -233,18 +218,15 @@ func New(opts Options) *Server {
 		onces:   map[string]*sync.Once{},
 		nets:    map[string]*core.Network{},
 		msets:   map[string]*core.MeasuredSet{},
-		engines: map[string]*engineEntry{},
+		engines: map[string]*ball.Engine{},
 
-		cRequests:         reg.Counter("serve.requests"),
-		cDedup:            reg.Counter("serve.dedup_hits"),
-		cCacheHits:        reg.Counter("serve.cache_hits"),
-		cSuiteRuns:        reg.Counter("serve.suite_runs"),
-		cMetricRuns:       reg.Counter("serve.metric_runs"),
-		cRejected:         reg.Counter("serve.rejected"),
-		cCoalesceBatches:  reg.Counter("serve.coalesce_batches"),
-		cCoalescedSources: reg.Counter("serve.coalesced_sources"),
-		cCoalesceSwept:    reg.Counter("serve.coalesce_swept"),
-		hLatency:          reg.Histogram("serve.latency"),
+		cRequests:   reg.Counter("serve.requests"),
+		cDedup:      reg.Counter("serve.dedup_hits"),
+		cCacheHits:  reg.Counter("serve.cache_hits"),
+		cSuiteRuns:  reg.Counter("serve.suite_runs"),
+		cMetricRuns: reg.Counter("serve.metric_runs"),
+		cRejected:   reg.Counter("serve.rejected"),
+		hLatency:    reg.Histogram("serve.latency"),
 	}
 	return s
 }
@@ -259,7 +241,7 @@ func (s *Server) Progress() *obs.Progress { return s.prog }
 // (/metrics, /debug/progress, /debug/trace, /debug/pprof/) plus
 //
 //	POST /v1/suite     run (or dedup/serve) a full metric suite
-//	POST /v1/metric    run one coalescible distance metric
+//	POST /v1/metric    run one ball-growing distance metric
 //	GET  /v1/networks  list servable network names
 //	GET  /healthz      liveness probe
 func (s *Server) Handler() http.Handler {
@@ -429,9 +411,8 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 
 	go func() {
 		// Token discipline is the compute callback's: suite runs hold their
-		// granted width for their whole duration, metric runs lean on the
-		// coalescer's sweep (which holds the full budget) instead of holding
-		// tokens while they wait on it — holding here would deadlock the two.
+		// granted width for their whole duration, metric runs the whole
+		// budget for theirs.
 		v, err := computeRecover(cctx, width, label, compute)
 		if err == nil {
 			f.body, err = marshalBody(v)

@@ -180,10 +180,11 @@ func TestServeMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestServeMetricCoalesce checks the shared-sweep path: concurrent metric
-// requests with overlapping center sets are batched into shared MSBFS
-// sweeps, and every coalesced response is byte-identical to its solo run.
-func TestServeMetricCoalesce(t *testing.T) {
+// TestServeMetricSharedEngine checks the direct metric path: concurrent
+// expansion and eccentricity requests from distinct seeds share one engine
+// per network, each runs exactly once, and every response is byte-identical
+// to a fresh server's answer to that request alone.
+func TestServeMetricSharedEngine(t *testing.T) {
 	metricBody := func(seed int64, metric string) []byte {
 		b, err := json.Marshal(MetricRequest{
 			Network: "Tree", Set: quickSet(), Metric: metric, Sources: 32, Seed: seed,
@@ -194,11 +195,11 @@ func TestServeMetricCoalesce(t *testing.T) {
 		return b
 	}
 	seeds := []int64{1, 2, 3, 4}
-	// Solo references, each from a fresh coalescing-disabled server.
+	metricNames := []string{"expansion", "eccentricity"}
 	want := map[string][]byte{}
 	for _, seed := range seeds {
-		for _, m := range []string{"expansion", "eccentricity"} {
-			ts := httptest.NewServer(New(Options{Workers: 2, Window: -1}).Handler())
+		for _, m := range metricNames {
+			ts := httptest.NewServer(New(Options{Workers: 2}).Handler())
 			code, _, body := postJSON(t, ts.URL+"/v1/metric", metricBody(seed, m))
 			ts.Close()
 			if code != http.StatusOK {
@@ -208,12 +209,12 @@ func TestServeMetricCoalesce(t *testing.T) {
 		}
 	}
 
-	s := New(Options{Workers: 2, MaxInFlight: 16, Window: 25 * time.Millisecond})
+	s := New(Options{Workers: 2, MaxInFlight: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var wg sync.WaitGroup
 	for _, seed := range seeds {
-		for _, m := range []string{"expansion", "eccentricity"} {
+		for _, m := range metricNames {
 			wg.Add(1)
 			go func(seed int64, m string) {
 				defer wg.Done()
@@ -223,25 +224,14 @@ func TestServeMetricCoalesce(t *testing.T) {
 					return
 				}
 				if !bytes.Equal(body, want[fmt.Sprintf("%s/%d", m, seed)]) {
-					t.Errorf("metric %s/%d: coalesced body differs from solo", m, seed)
+					t.Errorf("metric %s/%d: body differs from a fresh server's", m, seed)
 				}
 			}(seed, m)
 		}
 	}
 	wg.Wait()
-	batches := s.reg.Counter("serve.coalesce_batches").Value()
-	submitted := s.reg.Counter("serve.coalesced_sources").Value()
-	swept := s.reg.Counter("serve.coalesce_swept").Value()
-	if batches < 1 {
-		t.Fatalf("coalesce_batches = %d, want >= 1", batches)
-	}
-	if swept > submitted {
-		t.Fatalf("swept %d > submitted %d: union grew past its inputs", swept, submitted)
-	}
-	// 8 requests of 32 centers each over a 1093-node graph must overlap;
-	// if every request swept alone, no sharing happened.
-	if batches >= 8 && swept == submitted {
-		t.Fatalf("no sharing: %d batches, swept == submitted == %d", batches, swept)
+	if got, n := s.reg.Counter("serve.metric_runs").Value(), int64(len(seeds)*len(metricNames)); got != n {
+		t.Fatalf("metric_runs = %d, want %d", got, n)
 	}
 }
 
@@ -431,6 +421,11 @@ func TestServeBadRequests(t *testing.T) {
 		{"/v1/metric", `{"Network":"Tree","Metric":"expansion","Set":{"Scale":-1}}`, http.StatusBadRequest},
 		{"/v1/metric", `{"Network":"PLRG","Metric":"eccentricity","Set":{"Scale":1e6}}`, http.StatusBadRequest},
 		{"/v1/metric", `{"Network":"AS","Metric":"expansion","Set":{"AliasFailure":-0.1}}`, http.StatusBadRequest},
+		// Bin widths the eccentricity histogram cannot honour: -1 answered
+		// the 0.1 series under a cache key of its own, and 1e-300 one point
+		// at x = -9.2e-282 because the bin index overflowed int.
+		{"/v1/metric", `{"Network":"Tree","Metric":"eccentricity","BinWidth":-1}`, http.StatusBadRequest},
+		{"/v1/metric", `{"Network":"Tree","Metric":"eccentricity","BinWidth":1e-300}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, _, body := postJSON(t, ts.URL+c.path, []byte(c.body))

@@ -125,19 +125,14 @@ func BenchmarkKernelCutSize(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelSurfaceFlow covers both surface-max-flow paths: the legacy
-// sequential curve with its reused local scratch, and the engine form with
-// pooled per-worker Dinic solvers.
+// BenchmarkKernelSurfaceFlow times the surface-max-flow curve, which
+// reuses one local subgraph scratch, BFS scratch and Dinic network across
+// every ball.
 func BenchmarkKernelSurfaceFlow(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.Run("legacy", func(b *testing.B) {
 		benchKernel(b, func() {
 			metrics.SurfaceMaxFlowCurve(g, kernelCfg(), 6)
-		})
-	})
-	b.Run("engine", func(b *testing.B) {
-		benchKernel(b, func() {
-			metrics.SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), kernelCfg(), 6, 1)
 		})
 	})
 }

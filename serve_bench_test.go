@@ -10,18 +10,17 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"topocmp/internal/core"
 	"topocmp/internal/serve"
 )
 
 // serveBenchRow is one line of BENCH_serve.json: throughput of the serving
-// layer's two perf mechanisms against their naive counterparts. One op is a
+// layer's singleflight dedup against its naive counterpart. One op is a
 // burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled on
 // the optimized row once its naive twin has run, so the committed file
-// carries the dedup and coalescing wins explicitly. Rewritten after every
-// benchmark so a partial -bench run still leaves a consistent file.
+// carries the dedup win explicitly. Rewritten after every benchmark so a
+// partial -bench run still leaves a consistent file.
 type serveBenchRow struct {
 	Name           string  `json:"name"`
 	Mode           string  `json:"mode"`
@@ -40,14 +39,11 @@ var serveBench struct {
 // serveBenchPairs maps each optimized sub-benchmark to the naive twin its
 // speedup is computed against.
 var serveBenchPairs = map[string]string{
-	"BenchmarkServe/dedup8":    "BenchmarkServe/naive8",
-	"BenchmarkServe/coalesce8": "BenchmarkServe/solo8",
+	"BenchmarkServe/dedup8": "BenchmarkServe/naive8",
 }
 
 // benchServe runs fn (one burst of requests concurrent requests) b.N times
-// with alloc accounting and records the row. fn may stop/restart the timer
-// around per-iteration server setup; the alloc figures deliberately include
-// that setup, identically on both sides of each pair.
+// with alloc accounting and records the row.
 func benchServe(b *testing.B, mode string, requests int, fn func()) {
 	b.Helper()
 	var before, after runtime.MemStats
@@ -105,8 +101,8 @@ func benchServe(b *testing.B, mode string, requests int, fn func()) {
 }
 
 // serveBenchSet is the graph under test for every serve benchmark: the
-// scaled-down Random network (~1000 nodes), heavy enough that suite and
-// sweep compute dominates HTTP plumbing.
+// scaled-down Random network (~1000 nodes), heavy enough that suite
+// compute dominates HTTP plumbing.
 func serveBenchSet() core.PaperSetOptions {
 	return core.PaperSetOptions{Seed: 3, Scale: 0.2}
 }
@@ -122,17 +118,6 @@ func serveBenchSuiteBody(b *testing.B, seed int64) []byte {
 			Sources: 8, MaxBallSize: 600, EigenRank: 8, LinkSources: 32,
 			SampleBudget: 8, SkipHierarchy: true, Seed: seed,
 		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return body
-}
-
-func serveBenchMetricBody(b *testing.B, seed int64) []byte {
-	body, err := json.Marshal(serve.MetricRequest{
-		Network: "Random", Set: serveBenchSet(),
-		Metric: "expansion", Sources: 512, Seed: seed,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -163,7 +148,7 @@ func fireBurst(b *testing.B, url string, bodies [][]byte) {
 	wg.Wait()
 }
 
-// postOnce is the setup-path request helper (warming, equality checks).
+// postOnce is the setup-path request helper (warming).
 func postOnce(b *testing.B, url string, body []byte) []byte {
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -180,24 +165,15 @@ func postOnce(b *testing.B, url string, body []byte) []byte {
 	return out
 }
 
-// BenchmarkServe measures the daemon's two coalescing layers end to end
-// over real HTTP, writing BENCH_serve.json:
-//
-//   - dedup8 vs naive8: 8 concurrent identical suite requests per op.
-//     With singleflight the burst executes one suite; with dedup disabled
-//     every request computes, serialized by the worker semaphore — the
-//     dedup row's speedup_vs_naive is the acceptance figure (>= 5x).
-//   - coalesce8 vs solo8: 8 concurrent expansion requests from distinct
-//     seeds per op. The coalescing server merges the burst into one shared
-//     MSBFS sweep over the union of their centers; the naive side executes
-//     each request in isolation (8 separate servers, one engine each — no
-//     shared claim cache, no window), which is what per-request execution
-//     without a serving layer does: 8 full sweeps over overlapping center
-//     sets. Servers are rebuilt per op so every engine starts cold; that
-//     setup runs outside the timer.
+// BenchmarkServe measures the daemon's singleflight dedup end to end over
+// real HTTP, writing BENCH_serve.json: dedup8 vs naive8 fire 8 concurrent
+// identical suite requests per op. With singleflight the burst executes one
+// suite; with dedup disabled every request computes, serialized by the
+// worker semaphore — the dedup row's speedup_vs_naive is the acceptance
+// figure (>= 5x).
 func BenchmarkServe(b *testing.B) {
-	// In-flight dedup: one long-lived server per mode, fresh suite seed per
-	// op so every burst recomputes. MaxInFlight must cover the naive burst.
+	// One long-lived server per mode, fresh suite seed per op so every
+	// burst recomputes. MaxInFlight must cover the naive burst.
 	seed := int64(1)
 	for _, m := range []struct {
 		name    string
@@ -225,70 +201,4 @@ func BenchmarkServe(b *testing.B) {
 			})
 		})
 	}
-
-	// Shared-sweep coalescing: the per-server engine caches cumulative
-	// profiles for the server's lifetime, so each op gets fresh servers
-	// (setup outside the timer) and replays the same 8-seed burst cold.
-	metricBodies := make([][]byte, 8)
-	for i := range metricBodies {
-		metricBodies[i] = serveBenchMetricBody(b, int64(i+1))
-	}
-	newMetricServer := func(window time.Duration) (*httptest.Server, func()) {
-		s := serve.New(serve.Options{MaxInFlight: 16, Window: window})
-		ts := httptest.NewServer(s.Handler())
-		// Build the network and engine before the timer restarts; a
-		// one-source probe leaves the profile cache effectively cold.
-		postOnce(b, ts.URL+"/v1/metric", serveBenchMetricBody(b, 1<<40))
-		return ts, ts.Close
-	}
-	// Coalesced responses must be byte-identical to isolated solo ones.
-	{
-		cts, cdone := newMetricServer(2 * time.Millisecond)
-		for i, body := range metricBodies {
-			sts, sdone := newMetricServer(-1)
-			got := postOnce(b, cts.URL+"/v1/metric", body)
-			want := postOnce(b, sts.URL+"/v1/metric", body)
-			sdone()
-			if !bytes.Equal(got, want) {
-				b.Fatalf("coalesced body %d differs from solo body", i)
-			}
-		}
-		cdone()
-	}
-	b.Run("coalesce8", func(b *testing.B) {
-		benchServe(b, "coalesced", 8, func() {
-			b.StopTimer()
-			ts, done := newMetricServer(2 * time.Millisecond)
-			b.StartTimer()
-			fireBurst(b, ts.URL+"/v1/metric", metricBodies)
-			b.StopTimer()
-			done()
-			b.StartTimer()
-		})
-	})
-	b.Run("solo8", func(b *testing.B) {
-		benchServe(b, "isolated", 8, func() {
-			b.StopTimer()
-			servers := make([]*httptest.Server, len(metricBodies))
-			closers := make([]func(), len(metricBodies))
-			for i := range servers {
-				servers[i], closers[i] = newMetricServer(-1)
-			}
-			b.StartTimer()
-			var wg sync.WaitGroup
-			for i, body := range metricBodies {
-				wg.Add(1)
-				go func(url string, body []byte) {
-					defer wg.Done()
-					fireBurst(b, url, [][]byte{body})
-				}(servers[i].URL+"/v1/metric", body)
-			}
-			wg.Wait()
-			b.StopTimer()
-			for _, c := range closers {
-				c()
-			}
-			b.StartTimer()
-		})
-	})
 }

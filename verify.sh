@@ -18,15 +18,14 @@
 # strips), the suite fan-out, the pipeline's DAG scheduler, the result
 # store, the observability layer's concurrent span/counter attachment
 # and background time-series sampler (obs.TestConcurrentSpansAndCounters,
-# obs.TestSamplerRaceShort), the pooled per-worker cut/flow
-# kernels (partition.TestResilienceRaceShort,
-# flow.TestSurfaceMaxFlowRaceShort), the pooled Brandes/distortion
+# obs.TestSamplerRaceShort), the pooled per-worker cut kernels
+# (partition.TestResilienceRaceShort), the pooled Brandes/distortion
 # workspaces (metrics.TestBrandesRaceShort), the link-value driver's
 # per-worker entry streams and MSBFS workspaces leased from the shared
 # pool at P=4 with each row provider forced
 # (hierarchy.TestLinkValueRaceShort), and the serving layer's singleflight
-# dedup, sweep coalescer and admission semaphore under mixed concurrent
-# traffic at P=4 (serve.TestServeRaceShort).
+# dedup, shared per-network ball engines and admission semaphore under
+# mixed concurrent traffic at P=4 (serve.TestServeRaceShort).
 set -eu
 
 echo "== tier 0: gofmt cleanliness =="

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -79,6 +80,9 @@ type genParams struct {
 }
 
 func generate(r *rand.Rand, typ string, gp genParams) (*graph.Graph, error) {
+	if err := checkCanonical(typ, gp); err != nil {
+		return nil, err
+	}
 	switch typ {
 	case "plrg":
 		return plrg.Generate(r, plrg.Params{N: gp.n, Beta: gp.beta})
@@ -115,6 +119,53 @@ func generate(r *rand.Rand, typ string, gp genParams) (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown generator %q", typ)
 	}
+}
+
+// checkCanonical rejects canonical parameters the generators would panic
+// on, and sizes the int32 CSR cannot hold: the node count and twice the
+// edge count (one adjacency entry per direction) must both stay within
+// math.MaxInt32. Sizes are computed in float64, so they cannot overflow.
+func checkCanonical(typ string, gp genParams) error {
+	var nodes, edges float64
+	switch typ {
+	case "tree":
+		if gp.k < 1 || gp.depth < 0 {
+			return fmt.Errorf("tree needs -k >= 1 and -depth >= 0, got -k %d -depth %d", gp.k, gp.depth)
+		}
+		nodes = float64(gp.depth) + 1
+		if k := float64(gp.k); k > 1 {
+			nodes = (math.Pow(k, float64(gp.depth)+1) - 1) / (k - 1)
+		}
+		edges = nodes - 1
+	case "mesh":
+		if gp.rows < 1 || gp.cols < 1 {
+			return fmt.Errorf("mesh needs -rows >= 1 and -cols >= 1, got %d x %d", gp.rows, gp.cols)
+		}
+		r, c := float64(gp.rows), float64(gp.cols)
+		nodes, edges = r*c, r*(c-1)+c*(r-1)
+	case "random", "complete", "linear":
+		if gp.n < 1 {
+			return fmt.Errorf("%s needs -n >= 1, got %d", typ, gp.n)
+		}
+		nodes = float64(gp.n)
+		switch typ {
+		case "random":
+			if !(gp.p >= 0 && gp.p <= 1) {
+				return fmt.Errorf("random needs -p in [0, 1], got %v", gp.p)
+			}
+			edges = gp.p * nodes * (nodes - 1) / 2 // expected
+		case "complete":
+			edges = nodes * (nodes - 1) / 2
+		default:
+			edges = nodes - 1
+		}
+	default:
+		return nil
+	}
+	if nodes > math.MaxInt32 || 2*edges > math.MaxInt32 {
+		return fmt.Errorf("%s with %.4g nodes and %.4g edges does not fit int32 node ids and adjacency offsets", typ, nodes, edges)
+	}
+	return nil
 }
 
 func write(g *graph.Graph, path, format, name string) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -51,8 +52,41 @@ func TestGenerateUnknownType(t *testing.T) {
 	}
 }
 
+// TestGenerateInvalidParams checks that out-of-range parameters and sizes
+// the int32 CSR cannot hold end in an error before anything is generated,
+// never in a panic or an out-of-memory crash.
 func TestGenerateInvalidParams(t *testing.T) {
-	if _, err := generate(rand.New(rand.NewSource(1)), "plrg", genParams{n: 1, beta: 2.2}); err == nil {
-		t.Fatal("expected validation error")
+	ok := genParams{n: 300, k: 3, depth: 4, rows: 10, cols: 12, p: 0.02, beta: 2.2, alpha: 0.1, wbeta: 0.4, m: 2}
+	cases := []struct {
+		typ string
+		set func(*genParams)
+	}{
+		{"plrg", func(gp *genParams) { gp.n = 1 }},
+		{"complete", func(gp *genParams) { gp.n = -1 }},
+		{"complete", func(gp *genParams) { gp.n = 0 }},
+		{"random", func(gp *genParams) { gp.n = -5 }},
+		{"linear", func(gp *genParams) { gp.n = -2 }},
+		{"tree", func(gp *genParams) { gp.k = 0 }},
+		{"tree", func(gp *genParams) { gp.depth = -1 }},
+		{"mesh", func(gp *genParams) { gp.rows = 0 }},
+		{"mesh", func(gp *genParams) { gp.cols = -3 }},
+		{"random", func(gp *genParams) { gp.p = 2 }},
+		{"random", func(gp *genParams) { gp.p = math.NaN() }},
+		// Sizes past the int32 CSR: 1.1e12 tree nodes, 2^31 - 2 tree
+		// edges, and adjacency arrays longer than math.MaxInt32.
+		{"tree", func(gp *genParams) { gp.k, gp.depth = 10, 12 }},
+		{"tree", func(gp *genParams) { gp.k, gp.depth = 2, 30 }},
+		{"tree", func(gp *genParams) { gp.k, gp.depth = 1, math.MaxInt32 }},
+		{"mesh", func(gp *genParams) { gp.rows, gp.cols = 40000, 40000 }},
+		{"complete", func(gp *genParams) { gp.n = 46342 }},
+		{"linear", func(gp *genParams) { gp.n = math.MaxInt32 }},
+		{"random", func(gp *genParams) { gp.n, gp.p = 1<<20, 0.01 }},
+	}
+	for _, c := range cases {
+		gp := ok
+		c.set(&gp)
+		if _, err := generate(rand.New(rand.NewSource(1)), c.typ, gp); err == nil {
+			t.Errorf("%s %+v: expected a validation error", c.typ, gp)
+		}
 	}
 }

@@ -13,9 +13,11 @@ package bgp
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,17 +60,14 @@ func PickVantages(g *graph.Graph, k int, r *rand.Rand) []int32 {
 	if k > n {
 		k = n
 	}
-	// Order by degree descending with random jitter among ties.
+	// Order by degree descending with random jitter among ties: a stable
+	// sort keeps the shuffled order within each degree.
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && g.Degree(order[j]) > g.Degree(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(g.Degree(b), g.Degree(a)) })
 	return order[:k]
 }
 
@@ -76,15 +75,37 @@ func PickVantages(g *graph.Graph, k int, r *rand.Rand) []int32 {
 // densely over the ASes appearing on any path; edges join path-adjacent
 // ASes. It returns the graph and the mapping orig[newID] = AS id.
 func (t *Table) ExtractGraph() (*graph.Graph, []int32) {
-	index := map[int32]int32{}
+	// AS ids below the table's hop count index a dense array (a simulated
+	// table's ids are below its AS count). A larger or negative id, possible
+	// only in a parsed table, goes to a map instead, so the array never
+	// outgrows the table.
+	hops, maxAS := 0, int32(-1)
+	for _, p := range t.Paths {
+		hops += len(p)
+		for _, as := range p {
+			maxAS = max(maxAS, as)
+		}
+	}
+	index := make([]int32, min(int(maxAS)+1, hops))
+	for i := range index {
+		index[i] = -1
+	}
+	sparse := map[int32]int32{}
 	var orig []int32
 	id := func(as int32) int32 {
-		if i, ok := index[as]; ok {
-			return i
+		if uint32(as) < uint32(len(index)) {
+			if index[as] < 0 {
+				index[as] = int32(len(orig))
+				orig = append(orig, as)
+			}
+			return index[as]
 		}
-		i := int32(len(orig))
-		index[as] = i
-		orig = append(orig, as)
+		i, ok := sparse[as]
+		if !ok {
+			i = int32(len(orig))
+			sparse[as] = i
+			orig = append(orig, as)
+		}
 		return i
 	}
 	// Path-adjacent pairs stream into the builder as ids are minted; the

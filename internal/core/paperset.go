@@ -122,7 +122,7 @@ func BuildMeasured(opts PaperSetOptions) *MeasuredSet {
 	opts.Metrics.Counter("bgp.vantages").Add(int64(len(vantages)))
 	opts.Metrics.Counter("bgp.paths_collected").Add(int64(len(table.Paths)))
 	// Renumber paths into measured ids for inference.
-	index := make(map[int32]int32, len(asOrig))
+	index := make([]int32, numAS)
 	for i, as := range asOrig {
 		index[as] = int32(i)
 	}

@@ -23,9 +23,10 @@ var (
 // freeze. It holds 8 bytes per added edge (duplicates included) against the
 // map Builder's ~50 bytes per distinct edge plus hash churn, which is what
 // makes million-node generation fit in memory. The price is the missing
-// HasEdge: generators that must test membership mid-build (BA's
-// preferential attachment, Inet, BRITE, BT, the AS-level peering of
-// internetsim) stay on Builder; everything else streams.
+// HasEdge: a loop that must avoid repeats keeps a local seen-set over the
+// pairs it can collide with (BA, BT and BRITE per round, internetsim's AS
+// peering). Two production callers remain on Builder: PLRG's
+// uniform-reconnection variant and waxman.GenerateModel.
 //
 // Graph freezes to exactly the same CSR as Builder.Graph over the same edge
 // multiset: sorted neighbor slices, self-loops and duplicates dropped.

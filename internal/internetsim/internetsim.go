@@ -19,6 +19,7 @@ package internetsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"topocmp/internal/graph"
@@ -88,7 +89,9 @@ func GenerateAS(r *rand.Rand, p ASParams) (*ASLevel, error) {
 		return nil, err
 	}
 	n := p.NumAS
-	b := graph.NewBuilder(n)
+	// Every edge below is distinct (a pick excludes the AS's earlier
+	// providers, and peering checks seen), so the edges stream as they are.
+	b := graph.NewStreamBuilder(n)
 	tier := make([]int, n)
 	type rel struct {
 		u, v int32
@@ -110,82 +113,75 @@ func GenerateAS(r *rand.Rand, p ASParams) (*ASLevel, error) {
 	}
 
 	numTransit := int(float64(n-t1) * p.Transit)
-	// custDeg tracks customer counts for preferential provider selection.
-	custDeg := make([]float64, n)
+	transitLimit := t1 + numTransit
+	// Providers are drawn proportionally to 1 + customer count among the
+	// transit-capable ASes inserted so far (tier-1 ASes start at 3
+	// customers). The weights live in a Fenwick tree; an AS's providers
+	// are zeroed while it picks, which excludes them, and reinserted
+	// afterwards with their new customer counts.
+	custDeg := make([]int64, transitLimit)
+	w := make(fenwick, transitLimit)
 	for i := 0; i < t1; i++ {
-		custDeg[i] = 3 // head start for the core
+		custDeg[i] = 3
+		w.add(i, 1+custDeg[i])
 	}
-	// pickProvider chooses among the first `limit` ASes proportionally to
-	// 1 + customer degree.
-	pickProvider := func(limit int, exclude map[int32]bool) int32 {
-		total := 0.0
-		for v := 0; v < limit; v++ {
-			if !exclude[int32(v)] && tier[v] != TierStub {
-				total += 1 + custDeg[v]
+	var picked []int32
+	pickProviders := func(v int32, k int) {
+		picked = picked[:0]
+		for i := 0; i < k; i++ {
+			total := w.total()
+			if total == 0 {
+				break
 			}
+			// The weights are integers and every partial sum is exact in a
+			// float64, so the AS whose cumulative weight first exceeds x is
+			// the first whose prefix sum exceeds floor(x). x < total, so
+			// one does.
+			x := r.Float64() * float64(total)
+			pr := w.search(int64(x))
+			w.add(pr, -(1 + custDeg[pr]))
+			picked = append(picked, int32(pr))
+			b.AddEdge(int32(pr), v)
+			rels = append(rels, rel{int32(pr), v, policy.RelCustomer})
+			custDeg[pr]++
 		}
-		if total == 0 {
-			return -1
+		for _, pr := range picked {
+			w.add(int(pr), 1+custDeg[pr])
 		}
-		x := r.Float64() * total
-		acc := 0.0
-		for v := 0; v < limit; v++ {
-			if exclude[int32(v)] || tier[v] == TierStub {
-				continue
-			}
-			acc += 1 + custDeg[v]
-			if x < acc {
-				return int32(v)
-			}
-		}
-		return -1
 	}
 
 	// Transit middle class: 1-3 providers each among earlier ASes.
-	for v := t1; v < t1+numTransit; v++ {
+	for v := t1; v < transitLimit; v++ {
 		tier[v] = TierTransit
-		k := 1 + r.Intn(3)
-		exclude := map[int32]bool{int32(v): true}
-		for i := 0; i < k; i++ {
-			pr := pickProvider(v, exclude)
-			if pr < 0 {
-				break
-			}
-			exclude[pr] = true
-			b.AddEdge(pr, int32(v))
-			rels = append(rels, rel{pr, int32(v), policy.RelCustomer})
-			custDeg[pr]++
-		}
+		pickProviders(int32(v), 1+r.Intn(3))
+		w.add(v, 1+custDeg[v])
 	}
 
 	// Stubs: bounded-Pareto provider counts, preferential selection among
 	// all transit-capable ASes.
-	transitLimit := t1 + numTransit
 	for v := transitLimit; v < n; v++ {
 		tier[v] = TierStub
-		k := rng.BoundedParetoInt(r, 1, p.MaxProviders, p.MultihomeAlpha)
-		exclude := map[int32]bool{int32(v): true}
-		for i := 0; i < k; i++ {
-			pr := pickProvider(transitLimit, exclude)
-			if pr < 0 {
-				break
-			}
-			exclude[pr] = true
-			b.AddEdge(pr, int32(v))
-			rels = append(rels, rel{pr, int32(v), policy.RelCustomer})
-			custDeg[pr]++
-		}
+		pickProviders(int32(v), rng.BoundedParetoInt(r, 1, p.MaxProviders, p.MultihomeAlpha))
 	}
 
 	// Peering among transit ASes of comparable standing (and a sprinkle of
-	// stub-stub IXP peering).
+	// stub-stub IXP peering). Its pairs lie in [t1, transitLimit], so only
+	// the customer links inside that range can collide with them.
+	seen := map[uint64]bool{}
+	pair := func(u, v int32) uint64 { return uint64(min(u, v))<<32 | uint64(max(u, v)) }
+	for _, rl := range rels {
+		if rl.u >= int32(t1) && rl.v <= int32(transitLimit) {
+			seen[pair(rl.u, rl.v)] = true
+		}
+	}
 	numPeer := int(p.PeerFactor * float64(numTransit))
 	for i := 0; i < numPeer; i++ {
 		u := int32(t1 + r.Intn(numTransit+1))
 		v := int32(t1 + r.Intn(numTransit+1))
-		if u == v || u >= int32(n) || v >= int32(n) || b.HasEdge(u, v) {
+		if u == v || u >= int32(n) || v >= int32(n) || seen[pair(u, v)] {
 			continue
 		}
+		seen[pair(u, v)] = true
 		b.AddEdge(u, v)
 		rels = append(rels, rel{u, v, policy.RelPeer})
 	}
@@ -200,6 +196,39 @@ func GenerateAS(r *rand.Rand, p ASParams) (*ASLevel, error) {
 		}
 	}
 	return &ASLevel{Graph: g, Annotated: a, Tier: tier}, nil
+}
+
+// fenwick is a binary indexed tree over int64 weights: point updates,
+// the total, and the search for the first index whose prefix sum exceeds a
+// bound, each in O(log n).
+type fenwick []int64 // 1-based: f[i-1] sums the weights in (i - i&-i, i]
+
+func (f fenwick) add(i int, d int64) {
+	for i++; i <= len(f); i += i & -i {
+		f[i-1] += d
+	}
+}
+
+func (f fenwick) total() int64 {
+	var s int64
+	for i := len(f); i > 0; i -= i & -i {
+		s += f[i-1]
+	}
+	return s
+}
+
+// search returns the smallest index whose prefix sum exceeds t, or len(f)
+// when none does.
+func (f fenwick) search(t int64) int {
+	pos := 0
+	for step := bits.Len(uint(len(f))); step > 0; step-- {
+		next := pos + 1<<(step-1)
+		if next <= len(f) && f[next-1] <= t {
+			pos = next
+			t -= f[next-1]
+		}
+	}
+	return pos
 }
 
 // MustGenerateAS is GenerateAS but panics on error.

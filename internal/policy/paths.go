@@ -1,6 +1,10 @@
 package policy
 
-import "topocmp/internal/graph"
+import (
+	"slices"
+
+	"topocmp/internal/graph"
+)
 
 // PathTree holds one shortest policy path from a source to every reachable
 // node, as a parent structure over the valley-free product space. BGP-style
@@ -26,15 +30,7 @@ func (a *Annotated) Paths(src int32) *PathTree {
 // after the first source. The filled tree is always returned; any previous
 // contents of t are overwritten.
 func (a *Annotated) PathsInto(t *PathTree, src int32) *PathTree {
-	n := a.G.NumNodes()
-	return buildPathTree(t, src, n, func(cur int32, visit func(next int32)) {
-		u, s := cur/numStates, int(cur%numStates)
-		for _, v := range a.G.Neighbors(u) {
-			if ns := transition(s, a.Rel(u, v)); ns >= 0 {
-				visit(v*numStates + int32(ns))
-			}
-		}
-	})
+	return buildPathTree(t, a.G, a.rel, src)
 }
 
 // Paths computes a router-level policy path tree from src.
@@ -44,24 +40,13 @@ func (o *RouterOverlay) Paths(src int32) *PathTree {
 
 // PathsInto is Paths recycling t's scratch; see Annotated.PathsInto.
 func (o *RouterOverlay) PathsInto(t *PathTree, src int32) *PathTree {
-	n := o.RL.NumNodes()
-	return buildPathTree(t, src, n, func(cur int32, visit func(next int32)) {
-		u, s := cur/numStates, int(cur%numStates)
-		asU := o.ASOf[u]
-		for _, v := range o.RL.Neighbors(u) {
-			ns := s
-			if asV := o.ASOf[v]; asV != asU {
-				ns = transition(s, o.AS.Rel(asU, asV))
-				if ns < 0 {
-					continue
-				}
-			}
-			visit(v*numStates + int32(ns))
-		}
-	})
+	return buildPathTree(t, o.RL, o.rel, src)
 }
 
-func buildPathTree(t *PathTree, src int32, n int, expand func(cur int32, visit func(next int32))) *PathTree {
+// buildPathTree fills t with the path tree from src over a graph whose arc
+// i crosses relationship rel[i].
+func buildPathTree(t *PathTree, g *graph.Graph, rel []Relationship, src int32) *PathTree {
+	n := g.NumNodes()
 	if t == nil || cap(t.dist) < n*numStates {
 		t = &PathTree{
 			dist:   make([]int32, n*numStates),
@@ -83,16 +68,23 @@ func buildPathTree(t *PathTree, src int32, n int, expand func(cur int32, visit f
 	start := src*numStates + stateUp
 	t.dist[start] = 0
 	queue := append(t.queue[:0], start)
+	off, adj := g.CSR()
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
+		u, s := cur/numStates, int(cur%numStates)
 		du := t.dist[cur]
-		expand(cur, func(next int32) {
+		for i := off[u]; i < off[u+1]; i++ {
+			ns := transition(s, rel[i])
+			if ns < 0 {
+				continue
+			}
+			next := adj[i]*numStates + int32(ns)
 			if t.dist[next] == graph.Unreached {
 				t.dist[next] = du + 1
 				t.parent[next] = cur
 				queue = append(queue, next)
 			}
-		})
+		}
 	}
 	t.queue = queue
 	for v := int32(0); v < int32(n); v++ {
@@ -142,8 +134,8 @@ func (t *PathTree) PathInto(buf []int32, dst int32) []int32 {
 	return rev
 }
 
-// NumProductStates returns the product-space size a VisitPathEdges stamp
-// must cover (pass it to Stamp.Begin once per tree).
+// NumProductStates returns the product-space size a VisitPathEdges or
+// NewSuffix stamp must cover (pass it to Stamp.Begin once per tree).
 func (t *PathTree) NumProductStates() int { return len(t.dist) }
 
 // VisitPathEdges enumerates the node-level hops (u, v) of the selected path
@@ -171,4 +163,24 @@ func (t *PathTree) VisitPathEdges(stamp *graph.Stamp, dst int32, visit func(u, v
 		visit(p/numStates, st/numStates)
 		st = p
 	}
+}
+
+// NewSuffix returns the part of dst's selected path that stamp has not yet
+// covered, as product states (node*NumStates+state) in forward order,
+// appended to buf[:0], and marks them covered. from is the covered state
+// the suffix hangs off, or -1 when the suffix starts at the source. The
+// selected paths form a tree in product space, so the covered prefix is
+// exactly the path an earlier destination already walked; an unreachable
+// dst yields an empty suffix.
+func (t *PathTree) NewSuffix(buf []int32, stamp *graph.Stamp, dst int32) (suffix []int32, from int32) {
+	suffix, from = buf[:0], -1
+	for st := t.best[dst]; st >= 0; st = t.parent[st] {
+		if !stamp.Visit(st) {
+			from = st
+			break
+		}
+		suffix = append(suffix, st)
+	}
+	slices.Reverse(suffix)
+	return suffix, from
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +235,45 @@ func TestPathIntoReuse(t *testing.T) {
 		for i := range got {
 			if got[i] != fresh[i] {
 				t.Fatalf("dst %d: reused path differs at %d", dst, i)
+			}
+		}
+	}
+}
+
+// TestNewSuffixMatchesPath checks the stamped suffix walk against each
+// destination's full product-state path: the suffix is the path's tail in
+// forward order, it hangs off the state just before it (or starts at the
+// source), everything before it was covered by an earlier destination, and
+// nothing in it was.
+func TestNewSuffixMatchesPath(t *testing.T) {
+	a := randomAnnotated(rand.New(rand.NewSource(17)), 60, 100)
+	n := int32(a.G.NumNodes())
+	for src := int32(0); src < n; src += 5 {
+		pt := a.Paths(src)
+		var stamp graph.Stamp
+		stamp.Begin(pt.NumProductStates())
+		covered := map[int32]bool{}
+		var suffix []int32
+		for _, dst := range rand.New(rand.NewSource(int64(src))).Perm(int(n)) {
+			var path []int32 // product states, source first
+			for st := pt.best[dst]; st >= 0; st = pt.parent[st] {
+				path = append([]int32{st}, path...)
+			}
+			var from int32
+			suffix, from = pt.NewSuffix(suffix, &stamp, int32(dst))
+			cut := len(path) - len(suffix)
+			if !slices.Equal(suffix, path[cut:]) {
+				t.Fatalf("src %d dst %d: suffix %v is not the tail of %v", src, dst, suffix, path)
+			}
+			if (cut == 0 && from != -1) || (cut > 0 && from != path[cut-1]) {
+				t.Fatalf("src %d dst %d: suffix hangs off %d, path %v", src, dst, from, path)
+			}
+			for i, st := range path {
+				if covered[st] != (i < cut) {
+					t.Fatalf("src %d dst %d: state %d covered=%v at hop %d of %d (cut %d)",
+						src, dst, st, covered[st], i, len(path), cut)
+				}
+				covered[st] = true
 			}
 		}
 	}

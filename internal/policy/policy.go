@@ -13,6 +13,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"topocmp/internal/graph"
 )
@@ -52,38 +53,59 @@ func (r Relationship) String() string {
 // Annotated is an AS-level graph whose edges carry relationships.
 type Annotated struct {
 	G *graph.Graph
-	// rel[key(u,v)] = relationship of v as seen from u.
-	rel map[uint64]Relationship
+	// rel[i] is the relationship of the neighbor on CSR arc i (adj[i]) as
+	// seen from the arc's owner: one byte per arc, read directly by the
+	// traversals that walk u's arcs.
+	rel []Relationship
 }
 
 func key(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // NewAnnotated wraps a graph with an empty annotation set.
 func NewAnnotated(g *graph.Graph) *Annotated {
-	return &Annotated{G: g, rel: make(map[uint64]Relationship, 2*g.NumEdges())}
+	return &Annotated{G: g, rel: make([]Relationship, 2*g.NumEdges())}
+}
+
+// arc returns the CSR index of arc u→v, or -1 when {u,v} is not an edge.
+func (a *Annotated) arc(u, v int32) int {
+	off, adj := a.G.CSR()
+	lo, hi := int(off[u]), int(off[u+1])
+	if i, ok := slices.BinarySearch(adj[lo:hi], v); ok {
+		return lo + i
+	}
+	return -1
+}
+
+// set annotates both arcs of edge {u,v}; annotating a non-edge is a bug in
+// the caller and panics.
+func (a *Annotated) set(u, v int32, uv, vu Relationship) {
+	i, j := a.arc(u, v), a.arc(v, u)
+	if i < 0 || j < 0 {
+		panic(fmt.Sprintf("policy: annotating non-edge (%d,%d)", u, v))
+	}
+	a.rel[i], a.rel[j] = uv, vu
 }
 
 // SetProviderCustomer marks provider → customer: provider sells transit to
 // customer.
 func (a *Annotated) SetProviderCustomer(provider, customer int32) {
-	a.rel[key(provider, customer)] = RelCustomer
-	a.rel[key(customer, provider)] = RelProvider
+	a.set(provider, customer, RelCustomer, RelProvider)
 }
 
 // SetPeer marks a peer–peer adjacency.
-func (a *Annotated) SetPeer(u, v int32) {
-	a.rel[key(u, v)] = RelPeer
-	a.rel[key(v, u)] = RelPeer
-}
+func (a *Annotated) SetPeer(u, v int32) { a.set(u, v, RelPeer, RelPeer) }
 
 // SetSibling marks a sibling–sibling adjacency.
-func (a *Annotated) SetSibling(u, v int32) {
-	a.rel[key(u, v)] = RelSibling
-	a.rel[key(v, u)] = RelSibling
-}
+func (a *Annotated) SetSibling(u, v int32) { a.set(u, v, RelSibling, RelSibling) }
 
-// Rel returns the relationship of v as seen from u (RelNone if absent).
-func (a *Annotated) Rel(u, v int32) Relationship { return a.rel[key(u, v)] }
+// Rel returns the relationship of v as seen from u: a binary search of u's
+// sorted adjacency, RelNone if {u,v} is not an edge or not annotated.
+func (a *Annotated) Rel(u, v int32) Relationship {
+	if i := a.arc(u, v); i >= 0 {
+		return a.rel[i]
+	}
+	return RelNone
+}
 
 // Validate checks that every edge of the graph is annotated consistently in
 // both directions.
@@ -139,9 +161,13 @@ func transition(state int, rel Relationship) int {
 // Dist computes policy (valley-free shortest path) distances from src via
 // BFS over the (node × state) product graph. Unreachable nodes get
 // graph.Unreached.
-func (a *Annotated) Dist(src int32) []int32 {
-	pd, _ := a.productBFS(src)
-	n := a.G.NumNodes()
+func (a *Annotated) Dist(src int32) []int32 { return productDist(a.G, a.rel, src) }
+
+// productDist is Dist over a graph whose arc i crosses relationship rel[i]:
+// each node's least distance over its product states.
+func productDist(g *graph.Graph, rel []Relationship, src int32) []int32 {
+	pd, _ := productBFS(g, rel, src)
+	n := g.NumNodes()
 	out := make([]int32, n)
 	for v := 0; v < n; v++ {
 		best := graph.Unreached
@@ -175,18 +201,18 @@ func ProductStart(src int32) int32 { return src*numStates + stateUp }
 // state (u,s) has one arc to (v, transition(s, rel(u,v))) for every
 // neighbor v whose hop is valley-free from s. Built once, it lets batched
 // kernels (graph.MSBFSScratch.RunSigmaCSR) traverse the product space
-// without the per-edge relationship map lookups ProductCountsInto pays on
-// every traversal. A BFS over this CSR from ProductStart(src) yields
-// exactly ProductCountsInto's distances and path counts.
+// without re-deriving the per-arc transitions on every traversal. A BFS
+// over this CSR from ProductStart(src) yields exactly ProductCountsInto's
+// distances and path counts.
 func (a *Annotated) ProductCSR() (off, adj []int32) {
 	n := a.G.NumNodes()
+	goff, gadj := a.G.CSR()
 	pn := n * numStates
 	off = make([]int32, pn+1)
 	for u := int32(0); u < int32(n); u++ {
-		for _, v := range a.G.Neighbors(u) {
-			rel := a.Rel(u, v)
+		for i := goff[u]; i < goff[u+1]; i++ {
 			for s := 0; s < numStates; s++ {
-				if transition(s, rel) >= 0 {
+				if transition(s, a.rel[i]) >= 0 {
 					off[int(u)*numStates+s+1]++
 				}
 			}
@@ -199,12 +225,11 @@ func (a *Annotated) ProductCSR() (off, adj []int32) {
 	cur := make([]int32, pn)
 	copy(cur, off[:pn])
 	for u := int32(0); u < int32(n); u++ {
-		for _, v := range a.G.Neighbors(u) {
-			rel := a.Rel(u, v)
+		for i := goff[u]; i < goff[u+1]; i++ {
 			for s := 0; s < numStates; s++ {
-				if ns := transition(s, rel); ns >= 0 {
+				if ns := transition(s, a.rel[i]); ns >= 0 {
 					st := int(u)*numStates + s
-					adj[cur[st]] = v*numStates + int32(ns)
+					adj[cur[st]] = gadj[i]*numStates + int32(ns)
 					cur[st]++
 				}
 			}
@@ -254,16 +279,17 @@ func (a *Annotated) ProductCountsInto(dist []int32, sigma []float64,
 	dist[start] = 0
 	sigma[start] = 1
 	order = append(order, start)
+	goff, gadj := a.G.CSR()
 	for head := 0; head < len(order); head++ {
 		cur := order[head]
 		u, s := cur/numStates, int(cur%numStates)
 		du := dist[cur]
-		for _, v := range a.G.Neighbors(u) {
-			ns := transition(s, a.Rel(u, v))
+		for i := goff[u]; i < goff[u+1]; i++ {
+			ns := transition(s, a.rel[i])
 			if ns < 0 {
 				continue
 			}
-			nxt := v*numStates + int32(ns)
+			nxt := gadj[i]*numStates + int32(ns)
 			if dist[nxt] == graph.Unreached {
 				dist[nxt] = du + 1
 				order = append(order, nxt)
@@ -276,10 +302,11 @@ func (a *Annotated) ProductCountsInto(dist []int32, sigma []float64,
 	return dist, sigma, order
 }
 
-// productBFS returns distances over the product state space, indexed
-// node*numStates+state, plus the BFS visit order of product states.
-func (a *Annotated) productBFS(src int32) ([]int32, []int32) {
-	n := a.G.NumNodes()
+// productBFS returns distances over the product state space of a graph
+// whose arc i crosses relationship rel[i], indexed node*numStates+state,
+// plus the BFS visit order of product states.
+func productBFS(g *graph.Graph, rel []Relationship, src int32) ([]int32, []int32) {
+	n := g.NumNodes()
 	dist := make([]int32, n*numStates)
 	for i := range dist {
 		dist[i] = graph.Unreached
@@ -288,16 +315,17 @@ func (a *Annotated) productBFS(src int32) ([]int32, []int32) {
 	start := src*numStates + stateUp
 	dist[start] = 0
 	order = append(order, start)
+	off, adj := g.CSR()
 	for head := 0; head < len(order); head++ {
 		cur := order[head]
 		u, s := cur/numStates, int(cur%numStates)
 		du := dist[cur]
-		for _, v := range a.G.Neighbors(u) {
-			ns := transition(s, a.Rel(u, v))
+		for i := off[u]; i < off[u+1]; i++ {
+			ns := transition(s, rel[i])
 			if ns < 0 {
 				continue
 			}
-			nxt := v*numStates + int32(ns)
+			nxt := adj[i]*numStates + int32(ns)
 			if dist[nxt] == graph.Unreached {
 				dist[nxt] = du + 1
 				order = append(order, nxt)
@@ -322,17 +350,14 @@ type Ball struct {
 // edges lying on some shortest policy path from src to a member (including
 // intermediate edges whose endpoints are reached sub-optimally on that
 // path, as in the paper's Appendix E example).
-func (a *Annotated) PolicyBall(src int32, h int) Ball {
-	pd, order := a.productBFS(src)
-	trans := func(u, v int32, s int) int { return transition(s, a.Rel(u, v)) }
-	return productBall(a.G, pd, order, trans, src, h)
-}
+func (a *Annotated) PolicyBall(src int32, h int) Ball { return productBall(a.G, a.rel, src, h) }
 
-// productBall assembles a policy ball from product-space distances: it
-// marks target product states (optimal arrivals at members), then walks the
-// shortest-path DAG backwards (decreasing distance) collecting every edge
-// on a shortest path to a target.
-func productBall(g *graph.Graph, pd []int32, order []int32, trans func(u, v int32, s int) int, src int32, h int) Ball {
+// productBall grows a policy ball over a graph whose arc i crosses
+// relationship rel[i]: it marks target product states (optimal arrivals at
+// members), then walks the shortest-path DAG backwards (decreasing
+// distance) collecting every edge on a shortest path to a target.
+func productBall(g *graph.Graph, rel []Relationship, src int32, h int) Ball {
+	pd, order := productBFS(g, rel, src)
 	n := g.NumNodes()
 	minDist := func(v int32) int32 {
 		best := graph.Unreached
@@ -361,15 +386,17 @@ func productBall(g *graph.Graph, pd []int32, order []int32, trans func(u, v int3
 	// order holds product states in nondecreasing distance; sweep it in
 	// reverse so successors are finalized before predecessors.
 	seen := map[uint64]bool{}
+	off, adj := g.CSR()
 	for i := len(order) - 1; i >= 0; i-- {
 		cur := order[i]
 		u, s := cur/numStates, int(cur%numStates)
 		du := pd[cur]
-		for _, v := range g.Neighbors(u) {
-			ns := trans(u, v, s)
+		for arc := off[u]; arc < off[u+1]; arc++ {
+			ns := transition(s, rel[arc])
 			if ns < 0 {
 				continue
 			}
+			v := adj[arc]
 			nxt := v*numStates + int32(ns)
 			if pd[nxt] == du+1 && marked[nxt] {
 				marked[cur] = true
@@ -404,7 +431,8 @@ func (b Ball) Subgraph() *graph.Graph {
 	for i, v := range b.Nodes {
 		idx[v] = int32(i)
 	}
-	gb := graph.NewBuilder(len(b.Nodes))
+	// productBall emits each edge once, so the edges stream as they are.
+	gb := graph.NewStreamBuilder(len(b.Nodes))
 	for _, e := range b.Edges {
 		iu, okU := idx[e.U]
 		iv, okV := idx[e.V]

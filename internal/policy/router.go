@@ -15,9 +15,15 @@ type RouterOverlay struct {
 	RL   *graph.Graph
 	ASOf []int32 // ASOf[router] = AS id in the annotated AS graph
 	AS   *Annotated
+	// rel[i] is the AS relationship router arc i crosses, read once from AS
+	// when the overlay is built. Intra-AS arcs carry RelSibling, whose
+	// transition keeps the valley-free state, as an intra-AS hop does.
+	rel []Relationship
 }
 
-// NewRouterOverlay validates and wraps the inputs.
+// NewRouterOverlay validates and wraps the inputs. It reads the AS
+// relationships of the router links once, so annotate the AS graph before
+// wrapping it.
 func NewRouterOverlay(rl *graph.Graph, asOf []int32, as *Annotated) (*RouterOverlay, error) {
 	if len(asOf) != rl.NumNodes() {
 		return nil, fmt.Errorf("policy: asOf has %d entries for %d routers", len(asOf), rl.NumNodes())
@@ -28,70 +34,23 @@ func NewRouterOverlay(rl *graph.Graph, asOf []int32, as *Annotated) (*RouterOver
 			return nil, fmt.Errorf("policy: router %d mapped to invalid AS %d", r, a)
 		}
 	}
-	return &RouterOverlay{RL: rl, ASOf: asOf, AS: as}, nil
+	off, adj := rl.CSR()
+	rel := make([]Relationship, len(adj))
+	for u := range asOf {
+		for i := off[u]; i < off[u+1]; i++ {
+			rel[i] = RelSibling
+			if asU, asV := asOf[u], asOf[adj[i]]; asU != asV {
+				rel[i] = as.Rel(asU, asV)
+			}
+		}
+	}
+	return &RouterOverlay{RL: rl, ASOf: asOf, AS: as, rel: rel}, nil
 }
 
 // Dist computes router-level policy distances from src: BFS over the
 // (router × valley-state) product, where intra-AS hops keep the state and
 // inter-AS hops follow the AS relationship transition.
-func (o *RouterOverlay) Dist(src int32) []int32 {
-	pd, _ := o.productBFS(src)
-	n := o.RL.NumNodes()
-	out := make([]int32, n)
-	for v := 0; v < n; v++ {
-		best := graph.Unreached
-		for s := 0; s < numStates; s++ {
-			if d := pd[v*numStates+s]; d < best {
-				best = d
-			}
-		}
-		out[v] = best
-	}
-	return out
-}
-
-func (o *RouterOverlay) productBFS(src int32) ([]int32, []int32) {
-	n := o.RL.NumNodes()
-	dist := make([]int32, n*numStates)
-	for i := range dist {
-		dist[i] = graph.Unreached
-	}
-	order := make([]int32, 0, n)
-	start := src*numStates + stateUp
-	dist[start] = 0
-	order = append(order, start)
-	for head := 0; head < len(order); head++ {
-		cur := order[head]
-		u, s := cur/numStates, int(cur%numStates)
-		du := dist[cur]
-		asU := o.ASOf[u]
-		for _, v := range o.RL.Neighbors(u) {
-			ns := s
-			if asV := o.ASOf[v]; asV != asU {
-				ns = transition(s, o.AS.Rel(asU, asV))
-				if ns < 0 {
-					continue
-				}
-			}
-			nxt := v*numStates + int32(ns)
-			if dist[nxt] == graph.Unreached {
-				dist[nxt] = du + 1
-				order = append(order, nxt)
-			}
-		}
-	}
-	return dist, order
-}
+func (o *RouterOverlay) Dist(src int32) []int32 { return productDist(o.RL, o.rel, src) }
 
 // PolicyBall grows the policy-induced router-level ball of radius h.
-func (o *RouterOverlay) PolicyBall(src int32, h int) Ball {
-	pd, order := o.productBFS(src)
-	trans := func(u, v int32, s int) int {
-		asU, asV := o.ASOf[u], o.ASOf[v]
-		if asU == asV {
-			return s
-		}
-		return transition(s, o.AS.Rel(asU, asV))
-	}
-	return productBall(o.RL, pd, order, trans, src, h)
-}
+func (o *RouterOverlay) PolicyBall(src int32, h int) Ball { return productBall(o.RL, o.rel, src, h) }

@@ -74,63 +74,74 @@ func Sweep(overlay *policy.RouterOverlay, backbone []bool, opts Options) (*graph
 
 	// Alias-resolution failures are drawn once per ground-truth router: a
 	// failed router appears as one pseudo-node per (router, entering
-	// neighbor) interface.
+	// neighbor) interface. Merged routers keep one id each in a dense array;
+	// only failed ones go through the interface map.
 	failed := make([]bool, n)
 	if opts.AliasFailure > 0 {
 		for v := range failed {
 			failed[v] = opts.Rand.Float64() < opts.AliasFailure
 		}
 	}
+	routerID := make([]int32, n)
+	for i := range routerID {
+		routerID[i] = -1
+	}
 	type ifaceKey struct{ router, from int32 }
-	index := map[ifaceKey]int32{}
+	ifaceID := map[ifaceKey]int32{}
 	var orig []int32
 	id := func(router, from int32) int32 {
-		key := ifaceKey{router, -1}
-		if failed[router] {
-			key.from = from
+		if !failed[router] {
+			if routerID[router] < 0 {
+				routerID[router] = int32(len(orig))
+				orig = append(orig, router)
+			}
+			return routerID[router]
 		}
-		if i, ok := index[key]; ok {
-			return i
+		key := ifaceKey{router, from}
+		i, ok := ifaceID[key]
+		if !ok {
+			i = int32(len(orig))
+			ifaceID[key] = i
+			orig = append(orig, router)
 		}
-		i := int32(len(orig))
-		index[key] = i
-		orig = append(orig, router)
 		return i
 	}
 
-	// Observed adjacencies stream straight into the builder; duplicates from
-	// overlapping paths are dropped at freeze, so no seen-set or edge list is
-	// held alongside the CSR.
+	// Traceroute reveals each hop's incoming interface, so a hop's
+	// pseudo-node is keyed by its predecessor, which its product state
+	// determines: stateID caches the id of every product state the current
+	// source has covered. A source's selected paths form a tree in product
+	// space, so each destination walks only the suffix no earlier
+	// destination covered; the skipped prefix hops would find existing ids
+	// and re-add existing edges, so ids are minted in the same order as a
+	// walk over every full path and the edge set is the same. Observed
+	// adjacencies stream into the builder and are deduplicated at freeze.
 	b := graph.NewStreamBuilder(0)
-	addEdge := func(u, v int32) {
-		b.EnsureNodes(len(orig))
-		b.AddEdge(u, v)
-	}
 	var pt *policy.PathTree
-	var path []int32 // reused hop buffer; pseudo-node ids depend on walk order, so paths stay forward
+	var stamp graph.Stamp
+	stateID := make([]int32, n*policy.NumStates)
+	var suffix []int32
 	for _, si := range srcIdx {
 		src := backboneIDs[si]
 		pt = overlay.PathsInto(pt, src)
+		stamp.Begin(pt.NumProductStates())
 		for _, di := range dsts {
 			dst := int32(di)
 			if dst == src {
 				continue
 			}
-			if p := pt.PathInto(path, dst); p != nil {
-				path = p
-			} else {
-				continue
-			}
-			if len(path) < 2 {
-				continue
-			}
-			// Traceroute reveals each hop's incoming interface: the hop's
-			// pseudo-node identity is keyed by its predecessor.
-			prevID := id(path[0], -1)
-			for i := 1; i < len(path); i++ {
-				curID := id(path[i], path[i-1])
-				addEdge(prevID, curID)
-				prevID = curID
+			var prev int32
+			suffix, prev = pt.NewSuffix(suffix, &stamp, dst)
+			for _, st := range suffix {
+				router := st / policy.NumStates
+				if prev < 0 { // the source itself
+					stateID[st] = id(router, -1)
+				} else {
+					stateID[st] = id(router, prev/policy.NumStates)
+					b.EnsureNodes(len(orig))
+					b.AddEdge(stateID[prev], stateID[st])
+				}
+				prev = st
 			}
 		}
 	}

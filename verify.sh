@@ -4,9 +4,10 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
-#   fuzz: FuzzRefineMatchesHeap for 10s; the coarsening, induced-subgraph
-#         and vertex-cover/clustering references for 5s each
-#   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
+#   fuzz: FuzzRefineMatchesHeap for 10s; the coarsening, induced-subgraph,
+#         vertex-cover/clustering, provider-pick and traceroute-walk
+#         references for 5s each
+#   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
 #   bench smoke: one iteration of the kernel benchmarks
@@ -61,11 +62,20 @@ go test -run '^$' -fuzz '^FuzzCoarsenMatchesSorted$' -fuzztime 5s ./internal/par
 go test -run '^$' -fuzz '^FuzzInducedMatchesSorted$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzGreedyCoverMatchesHeap$' -fuzztime 5s ./internal/metrics
 
+echo "== fuzz: measurement pipeline against its historical references =="
+# Fenwick-tree provider picks against the linear-scan GenerateAS, and the
+# suffix-only traceroute walk against the per-hop full-path Sweep (the
+# references live in each package's _test.go).
+go test -run '^$' -fuzz '^FuzzGenerateASMatchesScan$' -fuzztime 5s ./internal/internetsim
+go test -run '^$' -fuzz '^FuzzSweepMatchesPerHop$' -fuzztime 5s ./internal/traceroute
+
 echo "== tier 2: race detector on concurrent packages =="
 # Race instrumentation on a single core pushes the experiments package
 # (full metric suites per figure) well past go test's default 10m
-# per-package timeout; give the tier an explicit ceiling instead.
-go test -race -timeout 45m ./internal/core ./internal/ball ./internal/experiments \
+# per-package timeout; give the tier an explicit ceiling instead. -p 1
+# runs one package at a time: the race runs of internal/core and
+# internal/experiments each need several GB and cannot share an 8 GB host.
+go test -race -p 1 -timeout 45m ./internal/core ./internal/ball ./internal/experiments \
     ./internal/cache ./internal/obs ./internal/partition ./internal/flow \
     ./internal/metrics ./internal/hierarchy ./internal/serve
 

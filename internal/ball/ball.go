@@ -17,9 +17,6 @@ type Config struct {
 	// node. The paper samples centers for large graphs to keep computation
 	// times reasonable (its footnotes 12 and 14).
 	MaxSources int
-	// MaxRadius stops growing at this radius; 0 grows to the center's
-	// eccentricity.
-	MaxRadius int
 	// MaxBallSize skips balls larger than this (0 = unlimited); expensive
 	// per-ball metrics use it to bound their cost.
 	MaxBallSize int
@@ -47,8 +44,8 @@ type Ball struct {
 // Visit grows balls of every radius around each sampled center and invokes
 // fn once per (center, radius) with the ball's member prefix. The slice
 // passed to fn is only valid during the call. Growth around a center stops
-// once the ball covers the center's whole component, exceeds MaxBallSize,
-// or reaches MaxRadius.
+// once the ball covers the center's whole component or exceeds
+// MaxBallSize.
 func Visit(g *graph.Graph, cfg Config, fn func(b Ball)) {
 	cfg.defaults()
 	s := graph.NewBFSScratch()
@@ -56,9 +53,6 @@ func Visit(g *graph.Graph, cfg Config, fn func(b Ball)) {
 		order := s.BFS(g, src)
 		// order is sorted by distance already (BFS property).
 		maxR := int(s.Dist(order[len(order)-1]))
-		if cfg.MaxRadius > 0 && maxR > cfg.MaxRadius {
-			maxR = cfg.MaxRadius
-		}
 		idx := 0
 		for h := 1; h <= maxR; h++ {
 			for idx < len(order) && int(s.Dist(order[idx])) <= h {

@@ -22,19 +22,6 @@ func TestVisitPathBallSizes(t *testing.T) {
 	}
 }
 
-func TestVisitRespectsMaxRadius(t *testing.T) {
-	g := canonical.Linear(30)
-	maxSeen := 0
-	Visit(g, Config{MaxRadius: 3}, func(b Ball) {
-		if b.Radius > maxSeen {
-			maxSeen = b.Radius
-		}
-	})
-	if maxSeen != 3 {
-		t.Fatalf("max radius = %d, want 3", maxSeen)
-	}
-}
-
 func TestVisitRespectsMaxBallSize(t *testing.T) {
 	g := canonical.Tree(3, 5)
 	Visit(g, Config{MaxBallSize: 40}, func(b Ball) {

@@ -515,9 +515,6 @@ func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *gra
 		k := e.kernels.Get()
 		defer e.kernels.Put(k)
 		maxR := p.Eccentricity()
-		if cfg.MaxRadius > 0 && maxR > cfg.MaxRadius {
-			maxR = cfg.MaxRadius
-		}
 		var pts []stats.Point
 		for h := 1; h <= maxR; h++ {
 			sz := p.Size(h)

@@ -13,7 +13,7 @@ import (
 func engineTestGraph() *graph.Graph {
 	r := rand.New(rand.NewSource(42))
 	n := 400
-	b := graph.NewBuilder(n)
+	b := graph.NewStreamBuilder(n)
 	for i := 0; i < 3*n; i++ {
 		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 	}

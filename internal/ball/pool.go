@@ -84,11 +84,3 @@ func (p *Pool[T]) Put(x T) {
 	p.mu.Unlock()
 	p.pool.Put(x)
 }
-
-// Lease runs fn with a leased workspace and returns it afterwards, the
-// common single-scope checkout written as one call.
-func (p *Pool[T]) Lease(fn func(T)) {
-	x := p.Get()
-	defer p.Put(x)
-	fn(x)
-}

@@ -101,14 +101,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.putTime = reg.Histogram("cache.put")
 }
 
-// Dir returns the store's root directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 func (s *Store) path(key string) string {
 	// Two-level fan-out keeps directories small at full-sweep scales.
 	return filepath.Join(s.dir, key[:2], key[2:]+".gob")
@@ -116,10 +108,8 @@ func (s *Store) path(key string) string {
 
 // Has reports whether an entry exists on disk for key, without reading or
 // decoding it (a corrupt entry still reports true until a Get evicts it).
-// Existence probes are not traffic, so no hit/miss counter moves — the
-// serving layer uses Has to route saturated requests: a request whose
-// result is already on disk is served instead of shed. Always false on a
-// nil store.
+// Existence probes are not traffic, so no hit/miss counter moves. Always
+// false on a nil store.
 func (s *Store) Has(key string) bool {
 	if s == nil {
 		return false

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"topocmp/internal/hierarchy"
 	"topocmp/internal/stats"
 )
 
@@ -156,13 +155,4 @@ func Classify(res *SuiteResult) Signature {
 		Resilience: ClassifyResilience(res.Resilience),
 		Distortion: ClassifyDistortion(res.Distortion),
 	}
-}
-
-// HierarchyClass returns the §5.1 grouping of the network's link-value
-// distribution, or Loose when hierarchy was skipped.
-func HierarchyClass(res *SuiteResult) hierarchy.Class {
-	if res.LinkValues == nil {
-		return hierarchy.Loose
-	}
-	return hierarchy.Classify(res.LinkValues)
 }

@@ -70,7 +70,8 @@ func (o *PaperSetOptions) defaults() {
 // 170,555-node RL graph against the map's 170,589 — within 0.02%); "1m"
 // drives the degree-based generators to million-node instances (PLRG's base
 // of 10,000 × 100). Both lean on the streamed CSR build path: at these
-// sizes the map-backed builder's memory overhead is the binding constraint.
+// sizes a map-backed builder's memory overhead would be the binding
+// constraint.
 var ScalePresets = map[string]float64{
 	"full-rl": 3.81,
 	"1m":      100,
@@ -161,11 +162,10 @@ func BuildMeasured(opts PaperSetOptions) *MeasuredSet {
 }
 
 // GeneratedNetworkNames and CanonicalNetworkNames list the Figure 1
-// networks in their inventory (assembly) order; MeasuredNetworkNames are
-// the two products of the measurement pipeline. Together they define the
-// units the experiment pipeline can build independently.
+// networks in their inventory (assembly) order. With the two products of
+// the measurement pipeline, AS and RL, they define the units the
+// experiment pipeline can build independently.
 var (
-	MeasuredNetworkNames  = []string{"AS", "RL"}
 	GeneratedNetworkNames = []string{"PLRG", "TS", "Tiers", "Waxman"}
 	CanonicalNetworkNames = []string{"Mesh", "Random", "Tree", "Complete", "Linear"}
 )

@@ -153,16 +153,6 @@ func (r *Runner) Measured() *core.MeasuredSet {
 	return r.measured
 }
 
-// Networks returns the full Figure 1 inventory, in its fixed assembly
-// order.
-func (r *Runner) Networks() []*core.Network {
-	out := make([]*core.Network, 0, len(AllTableNames))
-	for _, name := range AllTableNames {
-		out = append(out, r.Network(name))
-	}
-	return out
-}
-
 // Network returns the named network (building it on first use), or nil.
 func (r *Runner) Network(name string) *core.Network {
 	r.onceFor("net:" + name).Do(func() {

@@ -59,23 +59,26 @@ func (r *Runner) workers() int {
 	return runtime.NumCPU()
 }
 
-// sem is a weighted counting semaphore: acquire(k) blocks until k of the n
-// tokens are free. Suite runs acquire their engine width, builds acquire 1.
-// Acquired weights never exceed the initial count, so waiters always make
-// progress.
-type sem struct {
+// Sem is a weighted counting semaphore, the pipeline's
+// no-oversubscription primitive: Acquire(k) blocks until k of the n tokens
+// are free. Suite runs acquire their engine width and builds 1, here and in
+// the serving layer, whose metric runs acquire the whole budget. Acquired
+// weights never exceed the initial count, so waiters always make progress.
+type Sem struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	avail int
 }
 
-func newSem(n int) *sem {
-	s := &sem{avail: n}
+// NewSem returns a semaphore holding n tokens.
+func NewSem(n int) *Sem {
+	s := &Sem{avail: n}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-func (s *sem) acquire(k int) {
+// Acquire takes k tokens, blocking until they are free.
+func (s *Sem) Acquire(k int) {
 	s.mu.Lock()
 	for s.avail < k {
 		s.cond.Wait()
@@ -84,7 +87,8 @@ func (s *sem) acquire(k int) {
 	s.mu.Unlock()
 }
 
-func (s *sem) release(k int) {
+// Release returns k tokens.
+func (s *Sem) Release(k int) {
 	s.mu.Lock()
 	s.avail += k
 	s.cond.Broadcast()
@@ -118,11 +122,11 @@ func (r *Runner) Prefetch() {
 	if width < 1 {
 		width = 1
 	}
-	tokens := newSem(j)
+	tokens := NewSem(j)
 	semWait := r.metrics.Histogram("pipeline.sem_wait")
 	acquire := func(k int) {
 		t0 := time.Now()
-		tokens.acquire(k)
+		tokens.Acquire(k)
 		semWait.Observe(time.Since(t0))
 	}
 	var wg sync.WaitGroup
@@ -137,28 +141,10 @@ func (r *Runner) Prefetch() {
 			bsp := sp.Start("build:" + name)
 			r.Network(name) // AS and RL share one measurement-pipeline build
 			bsp.End()
-			tokens.release(1)
+			tokens.Release(1)
 			acquire(width)
 			r.runSuite(name, width, sp)
-			tokens.release(width)
-		}(name)
-	}
-	wg.Wait()
-}
-
-// PrefetchNetworks runs only the construction stage of the DAG: every
-// Figure 1 network is built over the worker pool, no suites. Useful when
-// only the inventory is needed, and as the benchmark for the fan-out alone.
-func (r *Runner) PrefetchNetworks() {
-	tokens := newSem(r.workers())
-	var wg sync.WaitGroup
-	for _, name := range AllTableNames {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			tokens.acquire(1)
-			defer tokens.release(1)
-			r.Network(name)
+			tokens.Release(width)
 		}(name)
 	}
 	wg.Wait()

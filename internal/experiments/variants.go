@@ -74,14 +74,24 @@ func (r *Runner) Figure12() VariantPanel {
 }
 
 func (p *VariantPanel) appendNetwork(name string, g *graph.Graph, cfg Config) {
+	ccdf := stats.CCDF(g.Degrees())
+	ccdf.Name = name
+	p.CCDF = append(p.CCDF, ccdf)
+	e, res, d := basicCurves(g, cfg)
+	e.Name, res.Name, d.Name = name, name, name
+	p.Expansion = append(p.Expansion, e)
+	p.Resilience = append(p.Resilience, res)
+	p.Distortion = append(p.Distortion, d)
+}
+
+// basicCurves computes the three basic metrics — expansion, resilience,
+// distortion — on a bare graph with the suite's sampling, each from its own
+// seeded RNG. The variant panels plot them; Figure 11 classifies them.
+func basicCurves(g *graph.Graph, cfg Config) (e, res, d stats.Series) {
 	seed := cfg.Suite.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	ccdf := stats.CCDF(g.Degrees())
-	ccdf.Name = name
-	p.CCDF = append(p.CCDF, ccdf)
-
 	mkCfg := func(off int64) ball.Config {
 		return ball.Config{
 			MaxSources:  cfg.Suite.Sources,
@@ -89,17 +99,12 @@ func (p *VariantPanel) appendNetwork(name string, g *graph.Graph, cfg Config) {
 			Rand:        rand.New(rand.NewSource(seed + off)),
 		}
 	}
-	e := metrics.Expansion(g, ball.Config{MaxSources: 4 * cfg.Suite.Sources,
+	e = metrics.Expansion(g, ball.Config{MaxSources: 4 * cfg.Suite.Sources,
 		Rand: rand.New(rand.NewSource(seed))})
-	e.Name = name
-	p.Expansion = append(p.Expansion, e)
-	res := metrics.Resilience(g, mkCfg(1), partition.Options{
+	res = metrics.Resilience(g, mkCfg(1), partition.Options{
 		Rand: rand.New(rand.NewSource(seed + 100))})
-	res.Name = name
-	p.Resilience = append(p.Resilience, res)
-	d := metrics.Distortion(g, mkCfg(2), 3)
-	d.Name = name
-	p.Distortion = append(p.Distortion, d)
+	d = metrics.Distortion(g, mkCfg(2), 3)
+	return e, res, d
 }
 
 // Figure13 regenerates the "modified B-A / modified Brite" experiment of
@@ -215,22 +220,7 @@ func (r *Runner) figure11() []Figure11Row {
 
 // classifyGraph runs just the three basic metrics on a bare graph.
 func (r *Runner) classifyGraph(g *graph.Graph) core.Signature {
-	seed := r.Cfg.Suite.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mkCfg := func(off int64) ball.Config {
-		return ball.Config{
-			MaxSources:  r.Cfg.Suite.Sources,
-			MaxBallSize: r.Cfg.Suite.MaxBallSize,
-			Rand:        rand.New(rand.NewSource(seed + off)),
-		}
-	}
-	e := metrics.Expansion(g, ball.Config{MaxSources: 4 * r.Cfg.Suite.Sources,
-		Rand: rand.New(rand.NewSource(seed))})
-	res := metrics.Resilience(g, mkCfg(1), partition.Options{
-		Rand: rand.New(rand.NewSource(seed + 100))})
-	d := metrics.Distortion(g, mkCfg(2), 3)
+	e, res, d := basicCurves(g, r.Cfg)
 	return core.Signature{
 		Expansion:  core.ClassifyExpansion(e),
 		Resilience: core.ClassifyResilience(res),

@@ -36,18 +36,10 @@ type Network struct {
 	queue []int32
 }
 
-// NewNetwork builds a unit-capacity flow network from an undirected graph.
-func NewNetwork(g *graph.Graph) *Network {
-	nw := &Network{}
-	nw.Reset(g)
-	return nw
-}
-
 // Reset loads g into the network, replacing whatever graph it previously
 // held. Buffers are reused; only growth beyond the high-water mark
-// allocates. Arcs are laid out in the same order NewNetwork has always
-// produced: undirected edges in (U,V) order, each contributing the forward
-// arc to U's list and the reverse arc to V's list.
+// allocates. Arcs are laid out with undirected edges in (U,V) order, each
+// contributing the forward arc to U's list and the reverse arc to V's list.
 func (nw *Network) Reset(g *graph.Graph) {
 	n := g.NumNodes()
 	m2 := 2 * g.NumEdges()
@@ -146,11 +138,6 @@ func (nw *Network) dfs(u, t int32) int {
 		}
 	}
 	return 0
-}
-
-// EdgeDisjointPaths is a convenience wrapper building a throwaway network.
-func EdgeDisjointPaths(g *graph.Graph, s, t int32) int {
-	return NewNetwork(g).MaxFlow(s, t)
 }
 
 func grow32(buf []int32, n int) []int32 {

@@ -9,19 +9,27 @@ import (
 	"topocmp/internal/graph"
 )
 
+// edgeDisjointPaths is the max flow from s to t on a freshly loaded
+// network.
+func edgeDisjointPaths(g *graph.Graph, s, t int32) int {
+	var nw Network
+	nw.Reset(g)
+	return nw.MaxFlow(s, t)
+}
+
 func TestPathFlowIsOne(t *testing.T) {
 	g := canonical.Linear(10)
-	if f := EdgeDisjointPaths(g, 0, 9); f != 1 {
+	if f := edgeDisjointPaths(g, 0, 9); f != 1 {
 		t.Fatalf("path flow = %d, want 1", f)
 	}
 }
 
 func TestCycleFlowIsTwo(t *testing.T) {
-	b := graph.NewBuilder(6)
+	b := graph.NewStreamBuilder(6)
 	for i := 0; i < 6; i++ {
 		b.AddEdge(int32(i), int32((i+1)%6))
 	}
-	if f := EdgeDisjointPaths(b.Graph(), 0, 3); f != 2 {
+	if f := edgeDisjointPaths(b.Graph(), 0, 3); f != 2 {
 		t.Fatalf("cycle flow = %d, want 2", f)
 	}
 }
@@ -29,7 +37,7 @@ func TestCycleFlowIsTwo(t *testing.T) {
 func TestCompleteFlow(t *testing.T) {
 	g := canonical.Complete(7)
 	// K7: 6 edge-disjoint paths between any pair (degree bound).
-	if f := EdgeDisjointPaths(g, 0, 6); f != 6 {
+	if f := edgeDisjointPaths(g, 0, 6); f != 6 {
 		t.Fatalf("K7 flow = %d, want 6", f)
 	}
 }
@@ -37,33 +45,34 @@ func TestCompleteFlow(t *testing.T) {
 func TestMeshFlow(t *testing.T) {
 	g := canonical.Mesh(5, 5)
 	// Opposite corners of a grid have 2 edge-disjoint paths (corner degree).
-	if f := EdgeDisjointPaths(g, 0, 24); f != 2 {
+	if f := edgeDisjointPaths(g, 0, 24); f != 2 {
 		t.Fatalf("mesh corner flow = %d, want 2", f)
 	}
 	// Center to corner also bounded by corner degree 2.
-	if f := EdgeDisjointPaths(g, 12, 0); f != 2 {
+	if f := edgeDisjointPaths(g, 12, 0); f != 2 {
 		t.Fatalf("mesh center-corner flow = %d, want 2", f)
 	}
 }
 
 func TestDisconnectedFlowZero(t *testing.T) {
-	b := graph.NewBuilder(4)
+	b := graph.NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if f := EdgeDisjointPaths(b.Graph(), 0, 3); f != 0 {
+	if f := edgeDisjointPaths(b.Graph(), 0, 3); f != 0 {
 		t.Fatalf("disconnected flow = %d, want 0", f)
 	}
 }
 
 func TestSelfFlowZero(t *testing.T) {
-	if f := EdgeDisjointPaths(canonical.Complete(4), 2, 2); f != 0 {
+	if f := edgeDisjointPaths(canonical.Complete(4), 2, 2); f != 0 {
 		t.Fatalf("self flow = %d", f)
 	}
 }
 
 func TestNetworkReuse(t *testing.T) {
 	g := canonical.Complete(6)
-	nw := NewNetwork(g)
+	var nw Network
+	nw.Reset(g)
 	for i := 0; i < 3; i++ {
 		if f := nw.MaxFlow(0, 5); f != 5 {
 			t.Fatalf("iteration %d: flow = %d, want 5", i, f)
@@ -76,7 +85,7 @@ func TestNetworkReuse(t *testing.T) {
 func TestFlowBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder(30)
+		b := graph.NewStreamBuilder(30)
 		for i := 1; i < 30; i++ {
 			b.AddEdge(int32(i), int32(r.Intn(i)))
 		}
@@ -87,7 +96,8 @@ func TestFlowBoundsProperty(t *testing.T) {
 			}
 		}
 		g := b.Graph()
-		nw := NewNetwork(g)
+		var nw Network
+		nw.Reset(g)
 		s, tt := int32(0), int32(29)
 		fl := nw.MaxFlow(s, tt)
 		min := g.Degree(s)
@@ -110,7 +120,7 @@ func TestFlowEqualsMinCutProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 7
-		b := graph.NewBuilder(n)
+		b := graph.NewStreamBuilder(n)
 		for i := 1; i < n; i++ {
 			b.AddEdge(int32(i), int32(r.Intn(i)))
 		}
@@ -121,7 +131,7 @@ func TestFlowEqualsMinCutProperty(t *testing.T) {
 			}
 		}
 		g := b.Graph()
-		fl := EdgeDisjointPaths(g, 0, int32(n-1))
+		fl := edgeDisjointPaths(g, 0, int32(n-1))
 		// Brute force: try all edge subsets of size < fl; none may
 		// disconnect 0 from n-1 (Menger).
 		edges := g.Edges()
@@ -133,7 +143,7 @@ func TestFlowEqualsMinCutProperty(t *testing.T) {
 			if popcount(mask) >= fl {
 				continue
 			}
-			nb := graph.NewBuilder(n)
+			nb := graph.NewStreamBuilder(n)
 			for i, e := range edges {
 				if mask&(1<<i) == 0 {
 					nb.AddEdge(e.U, e.V)

@@ -16,13 +16,14 @@ func TestMaxFlowGolden(t *testing.T) {
 	mesh := canonical.Mesh(20, 20)
 	p := plrg.MustGenerate(rand.New(rand.NewSource(3)), plrg.Params{N: 600, Beta: 2.246})
 
-	if f := EdgeDisjointPaths(mesh, 0, 399); f != 2 {
+	if f := edgeDisjointPaths(mesh, 0, 399); f != 2 {
 		t.Errorf("mesh corner flow = %d, want 2", f)
 	}
-	if f := EdgeDisjointPaths(p, 0, int32(p.NumNodes()-1)); f != 1 {
+	if f := edgeDisjointPaths(p, 0, int32(p.NumNodes()-1)); f != 1 {
 		t.Errorf("plrg end-to-end flow = %d, want 1", f)
 	}
-	nw := NewNetwork(p)
+	var nw Network
+	nw.Reset(p)
 	sum := 0
 	for v := int32(1); v < 64; v++ {
 		sum += nw.MaxFlow(0, v)
@@ -33,7 +34,7 @@ func TestMaxFlowGolden(t *testing.T) {
 }
 
 // TestResetReuseMatchesFresh drives one solver through graphs of different
-// sizes via Reset and checks every value against a throwaway network, so
+// sizes via Reset and checks every value against a fresh network, so
 // recycled arcs/CSR/scratch can never leak state between graphs.
 func TestResetReuseMatchesFresh(t *testing.T) {
 	graphs := []*graph.Graph{
@@ -49,7 +50,7 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 			nw.Reset(g)
 			n := int32(g.NumNodes())
 			for _, tgt := range []int32{n - 1, n / 2, 1} {
-				want := EdgeDisjointPaths(g, 0, tgt)
+				want := edgeDisjointPaths(g, 0, tgt)
 				if got := nw.MaxFlow(0, tgt); got != want {
 					t.Fatalf("round %d graph %d target %d: reused flow %d != fresh %d",
 						round, gi, tgt, got, want)

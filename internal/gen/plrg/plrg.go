@@ -106,39 +106,30 @@ func MustGenerate(r *rand.Rand, p Params) *graph.Graph {
 // returns the largest connected component. This is also the primitive behind
 // Reconnect (Appendix D.1's "modified B-A/Brite" experiment).
 //
-// Every method except UniformRandom streams its edges into a
-// graph.StreamBuilder — they never query membership mid-build, and the
-// streamed freeze produces the identical CSR at a fraction of the map
-// builder's memory, which is what makes the million-node instances of the
+// Every method streams its edges into a graph.StreamBuilder, which holds 8
+// bytes per added edge and is what makes the million-node instances of the
 // scale axis buildable. UniformRandom rejects already-present links, so it
-// keeps the map-backed Builder for its HasEdge.
+// keeps its own seen-set of the links it has added.
 func FromDegrees(r *rand.Rand, degrees []int, method Connectivity) *graph.Graph {
-	n := len(degrees)
-	var g *graph.Graph
-	if method == UniformRandom {
-		b := graph.NewBuilder(n)
-		uniformConnect(r, b, degrees)
-		g = b.Graph()
-	} else {
-		total := 0
-		for _, d := range degrees {
-			total += d
-		}
-		b := graph.NewStreamBuilder(n)
-		b.Reserve(total / 2) // clone matching adds exactly one edge per stub pair
-		switch method {
-		case CloneMatching:
-			cloneMatch(r, b, degrees)
-		case ProportionalUnsatisfied:
-			proportionalConnect(r, b, degrees)
-		case Deterministic:
-			deterministicConnect(b, degrees)
-		default:
-			panic(fmt.Sprintf("plrg: unknown connectivity %d", method))
-		}
-		g = b.Graph()
+	total := 0
+	for _, d := range degrees {
+		total += d
 	}
-	lc, _ := g.LargestComponent()
+	b := graph.NewStreamBuilder(len(degrees))
+	b.Reserve(total / 2) // every method adds at most one edge per stub pair
+	switch method {
+	case CloneMatching:
+		cloneMatch(r, b, degrees)
+	case UniformRandom:
+		uniformConnect(r, b, degrees)
+	case ProportionalUnsatisfied:
+		proportionalConnect(r, b, degrees)
+	case Deterministic:
+		deterministicConnect(b, degrees)
+	default:
+		panic(fmt.Sprintf("plrg: unknown connectivity %d", method))
+	}
+	lc, _ := b.Graph().LargestComponent()
 	return lc
 }
 
@@ -149,7 +140,7 @@ func Reconnect(r *rand.Rand, g *graph.Graph) *graph.Graph {
 	return FromDegrees(r, g.Degrees(), CloneMatching)
 }
 
-func cloneMatch(r *rand.Rand, b graph.EdgeAdder, degrees []int) {
+func cloneMatch(r *rand.Rand, b *graph.StreamBuilder, degrees []int) {
 	total := 0
 	for _, d := range degrees {
 		total += d
@@ -168,8 +159,9 @@ func cloneMatch(r *rand.Rand, b graph.EdgeAdder, degrees []int) {
 	}
 }
 
-func uniformConnect(r *rand.Rand, b *graph.Builder, degrees []int) {
+func uniformConnect(r *rand.Rand, b *graph.StreamBuilder, degrees []int) {
 	remaining := append([]int(nil), degrees...)
+	seen := make(map[uint64]struct{}) // links added so far, as min<<32 | max
 	// Active list of nodes with unsatisfied degree.
 	active := make([]int32, 0, len(degrees))
 	for v, d := range remaining {
@@ -187,11 +179,13 @@ func uniformConnect(r *rand.Rand, b *graph.Builder, degrees []int) {
 			continue
 		}
 		u, v := active[i], active[j]
-		if b.HasEdge(u, v) {
+		key := uint64(min(u, v))<<32 | uint64(max(u, v))
+		if _, dup := seen[key]; dup {
 			failures++
 			continue
 		}
 		failures = 0
+		seen[key] = struct{}{}
 		b.AddEdge(u, v)
 		remaining[u]--
 		remaining[v]--
@@ -211,7 +205,7 @@ func uniformConnect(r *rand.Rand, b *graph.Builder, degrees []int) {
 	}
 }
 
-func proportionalConnect(r *rand.Rand, b graph.EdgeAdder, degrees []int) {
+func proportionalConnect(r *rand.Rand, b *graph.StreamBuilder, degrees []int) {
 	// Sampling proportional to unsatisfied degree is exactly what clone
 	// matching does; implement via the copy multiset but resample the
 	// second endpoint if it equals the first, which slightly reduces
@@ -249,7 +243,7 @@ func proportionalConnect(r *rand.Rand, b graph.EdgeAdder, degrees []int) {
 	}
 }
 
-func deterministicConnect(b graph.EdgeAdder, degrees []int) {
+func deterministicConnect(b *graph.StreamBuilder, degrees []int) {
 	type nd struct {
 		id  int32
 		rem int

@@ -25,7 +25,7 @@ func TestRewirePreservesDegreeSequence(t *testing.T) {
 func TestRewireExactDegreesOnDenseGraph(t *testing.T) {
 	// A dense connected graph survives rewiring intact, so degrees must
 	// match exactly.
-	b := graph.NewBuilder(40)
+	b := graph.NewStreamBuilder(40)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
 		for j := i + 1; j < 40; j++ {
@@ -70,7 +70,7 @@ func TestRewireActuallyRewires(t *testing.T) {
 }
 
 func TestRewireTinyGraphNoop(t *testing.T) {
-	b := graph.NewBuilder(2)
+	b := graph.NewStreamBuilder(2)
 	b.AddEdge(0, 1)
 	g := b.Graph()
 	rw := DegreePreservingRewire(rand.New(rand.NewSource(7)), g, 2)

@@ -174,7 +174,7 @@ func MustGenerate(r *rand.Rand, p Params) *graph.Graph {
 // always cross tiers), so the already-linked test is answered by a local
 // seen-set over tier-local indices rather than the builder — which lets the
 // whole generator stream into a graph.StreamBuilder.
-func meshTier(b graph.EdgeAdder, ids []int32, pts []geo.Point, redundancy int) {
+func meshTier(b *graph.StreamBuilder, ids []int32, pts []geo.Point, redundancy int) {
 	if len(ids) < 2 {
 		return
 	}

@@ -121,7 +121,7 @@ func GenerateModel(r *rand.Rand, p ModelParams) (*graph.Graph, error) {
 		}
 		return 0
 	}
-	b := graph.NewBuilder(p.N)
+	b := graph.NewStreamBuilder(p.N) // the i < j loop never repeats a pair
 	for i := 0; i < p.N; i++ {
 		for j := i + 1; j < p.N; j++ {
 			if r.Float64() < prob(pts[i].Dist(pts[j])) {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	// node 3 isolated
@@ -36,7 +36,7 @@ func TestWriteDOT(t *testing.T) {
 }
 
 func TestWriteDOTDefaults(t *testing.T) {
-	g := NewBuilder(2)
+	g := NewStreamBuilder(2)
 	g.AddEdge(0, 1)
 	var buf bytes.Buffer
 	if err := g.Graph().WriteDOT(&buf, "", nil); err != nil {

@@ -6,19 +6,20 @@ import (
 	"topocmp/internal/graph"
 )
 
-func ExampleBuilder() {
-	b := graph.NewBuilder(4)
+func ExampleStreamBuilder() {
+	b := graph.NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
+	b.AddEdge(0, 3) // a repeat in the other orientation is dropped
 	g := b.Graph()
 	fmt.Println(g.NumNodes(), g.NumEdges(), g.AvgDegree())
 	// Output: 4 4 2
 }
 
 func ExampleGraph_BFS() {
-	b := graph.NewBuilder(5)
+	b := graph.NewStreamBuilder(5)
 	for i := int32(0); i < 4; i++ {
 		b.AddEdge(i, i+1)
 	}
@@ -29,7 +30,7 @@ func ExampleGraph_BFS() {
 
 func ExampleGraph_Core() {
 	// A triangle with a two-hop tail: the core strips the tail.
-	b := graph.NewBuilder(5)
+	b := graph.NewStreamBuilder(5)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)

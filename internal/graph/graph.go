@@ -1,17 +1,15 @@
 // Package graph provides the undirected-graph substrate used throughout
-// topocmp: a compact immutable adjacency representation, a builder that
-// normalizes away self-loops and duplicate edges, breadth-first traversals
-// (distances, shortest-path counts, balls), component analysis, induced
-// subgraphs, core reduction, and degree statistics.
+// topocmp: a compact immutable adjacency representation, a streamed builder
+// that normalizes away self-loops and duplicate edges, breadth-first
+// traversals (distances, shortest-path counts, balls), component analysis,
+// induced subgraphs, core reduction, and degree statistics.
 //
 // Node identifiers are dense int32 values in [0, N). Graphs are immutable
 // once constructed, which makes them safe for concurrent metric computation.
 package graph
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -106,97 +104,8 @@ func (g *Graph) Degrees() []int {
 	return ds
 }
 
-// DegreeHistogram returns counts[k] = number of nodes with degree k.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
-// Builder accumulates edges for a graph of a fixed node count. Self-loops
-// and duplicate edges are silently dropped, matching the paper's handling of
-// the "superfluous links" the PLRG matching can produce.
-type Builder struct {
-	n     int
-	edges map[uint64]struct{}
-}
-
-// NewBuilder returns a builder for a graph with n nodes.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[uint64]struct{})}
-}
-
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(uint32(v))
-}
-
-// AddEdge records the undirected edge {u,v}. Self-loops are ignored.
-// It panics if either endpoint is out of range.
-func (b *Builder) AddEdge(u, v int32) {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
-	}
-	if u == v {
-		return
-	}
-	b.edges[edgeKey(u, v)] = struct{}{}
-}
-
-// HasEdge reports whether {u,v} has been added.
-func (b *Builder) HasEdge(u, v int32) bool {
-	if u == v {
-		return false
-	}
-	_, ok := b.edges[edgeKey(u, v)]
-	return ok
-}
-
-// NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
-// NumNodes returns the node count the builder was created with.
-func (b *Builder) NumNodes() int { return b.n }
-
-// Graph freezes the builder into an immutable Graph with sorted neighbor
-// slices. The builder remains usable afterwards.
-func (b *Builder) Graph() *Graph {
-	deg := make([]int32, b.n)
-	for k := range b.edges {
-		u, v := int32(k>>32), int32(uint32(k))
-		deg[u]++
-		deg[v]++
-	}
-	off := make([]int32, b.n+1)
-	for i := 0; i < b.n; i++ {
-		off[i+1] = off[i] + deg[i]
-	}
-	adj := make([]int32, off[b.n])
-	pos := make([]int32, b.n)
-	copy(pos, off[:b.n])
-	for k := range b.edges {
-		u, v := int32(k>>32), int32(uint32(k))
-		adj[pos[u]] = v
-		pos[u]++
-		adj[pos[v]] = u
-		pos[v]++
-	}
-	g := &Graph{off: off, adj: adj, m: len(b.edges)}
-	for v := int32(0); v < int32(b.n); v++ {
-		// slices.Sort (pdqsort on a concrete []int32) beats the sort.Slice
-		// closure it replaced: no interface dispatch per comparison.
-		slices.Sort(g.adj[g.off[v]:g.off[v+1]])
-	}
-	return g
-}
-
-// FromEdges constructs a graph with n nodes from an edge list. It runs on
-// the streamed builder — an edge list needs no mid-build membership
-// queries — and produces the same CSR a map Builder would.
+// FromEdges constructs a graph with n nodes from an edge list on the
+// streamed builder: self-loops and duplicate edges are dropped.
 func FromEdges(n int, edges []Edge) *Graph {
 	b := NewStreamBuilder(n)
 	b.Reserve(len(edges))

@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func pathGraph(n int) *Graph {
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < n-1; i++ {
 		b.AddEdge(int32(i), int32(i+1))
 	}
@@ -18,7 +20,7 @@ func pathGraph(n int) *Graph {
 }
 
 func cycleGraph(n int) *Graph {
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(int32(i), int32((i+1)%n))
 	}
@@ -26,7 +28,7 @@ func cycleGraph(n int) *Graph {
 }
 
 func completeGraph(n int) *Graph {
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			b.AddEdge(int32(i), int32(j))
@@ -37,7 +39,7 @@ func completeGraph(n int) *Graph {
 
 // randomGraph returns a G(n,p)-ish graph for property tests.
 func randomGraph(r *rand.Rand, n int, p float64) *Graph {
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
@@ -49,7 +51,7 @@ func randomGraph(r *rand.Rand, n int, p float64) *Graph {
 }
 
 func TestBuilderDedup(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 0) // duplicate reversed
 	b.AddEdge(0, 1) // duplicate
@@ -73,7 +75,7 @@ func TestBuilderPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic for out-of-range edge")
 		}
 	}()
-	NewBuilder(2).AddEdge(0, 5)
+	NewStreamBuilder(2).AddEdge(0, 5)
 }
 
 func TestDegreeAndAverages(t *testing.T) {
@@ -105,7 +107,7 @@ func TestBFSPath(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Graph()
@@ -154,7 +156,7 @@ func TestEccentricity(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	b := NewBuilder(7)
+	b := NewStreamBuilder(7)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(3, 4)
@@ -189,7 +191,7 @@ func TestSubgraphInduced(t *testing.T) {
 
 func TestCoreRemovesTrees(t *testing.T) {
 	// A 4-cycle with a path of two pendant nodes hanging off node 0.
-	b := NewBuilder(6)
+	b := NewStreamBuilder(6)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
@@ -267,6 +269,29 @@ func TestReadEdgeListErrors(t *testing.T) {
 	// Header declares too few nodes.
 	if _, err := ReadEdgeList(bytes.NewBufferString("# nodes 2 edges 1\n0 5\n")); err == nil {
 		t.Fatal("expected node-count error")
+	}
+}
+
+// TestReadEdgeListNodeCountBounds feeds node counts the int32 CSR cannot
+// hold. Each must fail with an error before a graph is allocated: the
+// reader's own allocations stay far below the 8 GB a 2^31-node offset
+// array would need.
+func TestReadEdgeListNodeCountBounds(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"# nodes 3000000000 edges 0\n", "node count 3000000000"},
+		{"# nodes -4 edges 0\n0 1\n", "node count -4"},
+		{"0 2147483647\n", "node id 2147483647 needs more than"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadEdgeList(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ReadEdgeList(%q) = %v, %v; want error containing %q", tc.in, g, err, tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Fatalf("ReadEdgeList(%q) allocated %d bytes", tc.in, alloc)
+		}
 	}
 }
 
@@ -374,7 +399,7 @@ func TestBallCoversComponentProperty(t *testing.T) {
 
 func BenchmarkBFS10k(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	builder := NewBuilder(10000)
+	builder := NewStreamBuilder(10000)
 	for i := 0; i < 25000; i++ {
 		builder.AddEdge(int32(r.Intn(10000)), int32(r.Intn(10000)))
 	}
@@ -387,7 +412,7 @@ func BenchmarkBFS10k(b *testing.B) {
 
 func TestKCore(t *testing.T) {
 	// Triangle with two pendant chains: 3-core empty, 2-core = triangle.
-	b := NewBuilder(7)
+	b := NewStreamBuilder(7)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)
@@ -428,7 +453,7 @@ func TestKCoreComplete(t *testing.T) {
 
 func TestCoreNumbersKnown(t *testing.T) {
 	// Triangle + pendant: triangle nodes have core 2, pendants 1.
-	b := NewBuilder(5)
+	b := NewStreamBuilder(5)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)
@@ -467,7 +492,7 @@ func TestCoreNumbersConsistentWithKCore(t *testing.T) {
 
 func TestDegreeAssortativity(t *testing.T) {
 	// A star is maximally disassortative (r = -1 for any star).
-	b := NewBuilder(6)
+	b := NewStreamBuilder(6)
 	for i := int32(1); i < 6; i++ {
 		b.AddEdge(0, i)
 	}
@@ -482,7 +507,7 @@ func TestDegreeAssortativity(t *testing.T) {
 		t.Fatalf("edgeless assortativity = %v, want 0", r)
 	}
 	// Two disjoint stars joined hub-to-hub push r upward vs a single star.
-	b2 := NewBuilder(10)
+	b2 := NewStreamBuilder(10)
 	for i := int32(1); i < 5; i++ {
 		b2.AddEdge(0, i)
 		b2.AddEdge(5, 5+i)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -29,28 +30,17 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteEdgeListFile writes the graph to path via WriteEdgeList.
-func (g *Graph) WriteEdgeListFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := g.WriteEdgeList(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines starting
 // with '#' other than the header are ignored, as are blank lines. If no
-// header is present the node count is inferred as max id + 1.
+// header is present the node count is inferred as max id + 1. A node count,
+// declared or inferred, must fit the int32 CSR: a header below 0 or above
+// math.MaxInt32 is rejected when it is read, before anything is allocated.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := -1
 	var edges []Edge
-	maxID := int32(-1)
+	maxID := -1
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -61,6 +51,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# nodes %d edges %d", &hn, &hm); err == nil {
+				if hn < 0 || hn > math.MaxInt32 {
+					return nil, fmt.Errorf("graph: line %d: node count %d outside [0, %d]", lineno, hn, math.MaxInt32)
+				}
 				n = hn
 			}
 			continue
@@ -84,18 +77,19 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		if e.V > maxID {
-			maxID = e.V
-		}
+		maxID = max(maxID, int(e.V))
 		edges = append(edges, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if n < 0 {
-		n = int(maxID + 1)
+		if maxID+1 > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: node id %d needs more than %d nodes", maxID, math.MaxInt32)
+		}
+		n = maxID + 1
 	}
-	if int(maxID) >= n {
+	if maxID >= n {
 		return nil, fmt.Errorf("graph: node id %d exceeds declared node count %d", maxID, n)
 	}
 	return FromEdges(n, edges), nil

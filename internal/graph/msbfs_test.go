@@ -9,7 +9,7 @@ import (
 // multiple components in is deliberate, the kernel must handle both.
 func msbfsTestGraph(seed int64, n, edges int) *Graph {
 	r := rand.New(rand.NewSource(seed))
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < edges; i++ {
 		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 	}

@@ -70,7 +70,7 @@ func TestRunLevelsMatchesRun(t *testing.T) {
 // the true value on small lattices.
 func TestApproxDiameter(t *testing.T) {
 	// Path of 50 nodes: diameter 49, double sweep is exact on trees.
-	b := NewBuilder(50)
+	b := NewStreamBuilder(50)
 	for i := int32(0); i < 49; i++ {
 		b.AddEdge(i, i+1)
 	}
@@ -78,7 +78,7 @@ func TestApproxDiameter(t *testing.T) {
 		t.Fatalf("path diameter %d, want 49", d)
 	}
 	// 8x8 grid: diameter 14.
-	grid := NewBuilder(64)
+	grid := NewStreamBuilder(64)
 	at := func(r, c int32) int32 { return r*8 + c }
 	for r := int32(0); r < 8; r++ {
 		for c := int32(0); c < 8; c++ {

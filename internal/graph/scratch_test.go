@@ -6,7 +6,7 @@ import (
 )
 
 func randomTestGraph(r *rand.Rand, n, m int) *Graph {
-	b := NewBuilder(n)
+	b := NewStreamBuilder(n)
 	for i := 0; i < m; i++ {
 		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 	}
@@ -96,7 +96,7 @@ func naiveInduced(g *Graph, nodes []int32) *Graph {
 	for i, v := range nodes {
 		idx[v] = int32(i)
 	}
-	b := NewBuilder(len(nodes))
+	b := NewStreamBuilder(len(nodes))
 	for _, v := range nodes {
 		for _, w := range g.Neighbors(v) {
 			if j, ok := idx[w]; ok && idx[v] < j {

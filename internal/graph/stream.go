@@ -5,31 +5,18 @@ import (
 	"slices"
 )
 
-// EdgeAdder is the minimal sink a generator streams edges into. Both
-// Builder (map-backed, answers HasEdge mid-build) and StreamBuilder
-// (append-only, dedups at freeze) implement it, so generation code that
-// never queries membership can run on either.
-type EdgeAdder interface {
-	AddEdge(u, v int32)
-}
-
-var (
-	_ EdgeAdder = (*Builder)(nil)
-	_ EdgeAdder = (*StreamBuilder)(nil)
-)
-
-// StreamBuilder accumulates edges as packed uint64 keys in an append-only
-// slice and normalizes — sort, in-place dedup, two-pass CSR fill — only at
-// freeze. It holds 8 bytes per added edge (duplicates included) against the
-// map Builder's ~50 bytes per distinct edge plus hash churn, which is what
-// makes million-node generation fit in memory. The price is the missing
-// HasEdge: a loop that must avoid repeats keeps a local seen-set over the
-// pairs it can collide with (BA, BT and BRITE per round, internetsim's AS
-// peering). Two production callers remain on Builder: PLRG's
-// uniform-reconnection variant and waxman.GenerateModel.
+// StreamBuilder is the only edge builder. It accumulates edges as packed
+// uint64 keys in an append-only slice and normalizes — sort, in-place
+// dedup, two-pass CSR fill — only at freeze. It holds 8 bytes per added
+// edge (duplicates included), against about 50 bytes per distinct edge plus
+// hash churn for a map-backed edge set, which is what makes million-node
+// generation fit in memory. The price is the missing HasEdge: a loop that
+// must avoid repeats keeps a local seen-set over the pairs it can collide
+// with (BA, BT and BRITE per round, PLRG's uniform reconnection,
+// internetsim's AS peering).
 //
-// Graph freezes to exactly the same CSR as Builder.Graph over the same edge
-// multiset: sorted neighbor slices, self-loops and duplicates dropped.
+// Graph freezes to sorted neighbor slices with self-loops and duplicates
+// dropped, whatever the order and orientation of the added edges.
 type StreamBuilder struct {
 	n    int
 	keys []uint64
@@ -73,12 +60,12 @@ func (b *StreamBuilder) AddEdge(u, v int32) {
 	b.keys = append(b.keys, edgeKey(u, v))
 }
 
-// NumNodes returns the current node count.
-func (b *StreamBuilder) NumNodes() int { return b.n }
-
-// PendingEdges returns the number of AddEdge calls buffered so far,
-// duplicates included (distinct edges are only known at freeze).
-func (b *StreamBuilder) PendingEdges() int { return len(b.keys) }
+func edgeKey(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(uint32(v))
+}
 
 // Graph freezes the builder into an immutable Graph. The key buffer is
 // sorted and dedup'd in place, then filled into CSR form in two streaming
@@ -133,9 +120,8 @@ func (b *StreamBuilder) Graph() *Graph {
 // Fingerprint returns a 64-bit FNV-1a hash over the graph's node count and
 // CSR arrays. Two graphs with equal fingerprints are byte-identical in
 // adjacency with overwhelming probability; the generator determinism tests
-// and the streamed-vs-map golden tests compare these instead of full edge
-// lists, so million-node graphs hash in one pass without materializing
-// anything.
+// and the builder golden tests compare these instead of full edge lists, so
+// million-node graphs hash in one pass without materializing anything.
 func (g *Graph) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

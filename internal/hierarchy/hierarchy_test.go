@@ -14,7 +14,7 @@ import (
 func TestAccessLinkValueIsOne(t *testing.T) {
 	// Star: every link is an access link; the paper says access links have
 	// vertex cover 1 (remove the singleton endpoint).
-	b := graph.NewBuilder(8)
+	b := graph.NewStreamBuilder(8)
 	for i := int32(1); i < 8; i++ {
 		b.AddEdge(0, i)
 	}
@@ -29,7 +29,7 @@ func TestAccessLinkValueIsOne(t *testing.T) {
 func TestBridgeValueInBarbell(t *testing.T) {
 	// Two K4s joined by a bridge: the bridge carries all 16 cross pairs;
 	// its cover removes one side (4 nodes, weight 1 each) => value ~4.
-	b := graph.NewBuilder(8)
+	b := graph.NewStreamBuilder(8)
 	for i := int32(0); i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
 			b.AddEdge(i, j)
@@ -188,7 +188,7 @@ func TestPolicyLinkValuesAllSiblingEqualsPlain(t *testing.T) {
 func TestPolicyConcentratesValues(t *testing.T) {
 	// Provider-customer chain hierarchy: with policy routing the top link
 	// values should not decrease (paths concentrate; §5.1).
-	b := graph.NewBuilder(13)
+	b := graph.NewStreamBuilder(13)
 	// A 3-level binary provider tree plus cross peer links between leaves.
 	edges := [][2]int32{
 		{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}, {2, 6},

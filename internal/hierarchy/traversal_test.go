@@ -17,7 +17,7 @@ import (
 func TestAccessLinkParadox(t *testing.T) {
 	// Two-level star: hub 0, five sub-hubs, four leaves per sub-hub (26
 	// nodes): a caricature of an ISP backbone with access links.
-	b := graph.NewBuilder(26)
+	b := graph.NewStreamBuilder(26)
 	for s := int32(1); s <= 5; s++ {
 		b.AddEdge(0, s)
 		for l := int32(0); l < 4; l++ {

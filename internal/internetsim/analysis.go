@@ -32,15 +32,3 @@ func SizeDegreeData(as *ASLevel, rl *RouterLevel) SizeDegree {
 func (sd SizeDegree) Correlation() float64 {
 	return stats.Pearson(sd.Sizes, sd.Degrees)
 }
-
-// SizeCCDF returns the complementary cumulative distribution of AS sizes —
-// heavy-tailed in the measured Internet and in our synthesis.
-func (sd SizeDegree) SizeCCDF() stats.Series {
-	xs := make([]int, len(sd.Sizes))
-	for i, s := range sd.Sizes {
-		xs[i] = int(s)
-	}
-	ccdf := stats.CCDF(xs)
-	ccdf.Name = "as-sizes"
-	return ccdf
-}

@@ -3,6 +3,8 @@ package internetsim
 import (
 	"math/rand"
 	"testing"
+
+	"topocmp/internal/stats"
 )
 
 func TestSizeDegreeCorrelation(t *testing.T) {
@@ -30,8 +32,11 @@ func TestSizeCCDFHeavyTailed(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	as := MustGenerateAS(r, ASParams{NumAS: 2000})
 	rl := MustGenerateRouters(r, as, RouterParams{})
-	sd := SizeDegreeData(as, rl)
-	ccdf := sd.SizeCCDF()
+	var sizes []int
+	for _, s := range SizeDegreeData(as, rl).Sizes {
+		sizes = append(sizes, int(s))
+	}
+	ccdf := stats.CCDF(sizes)
 	if ccdf.Len() < 5 {
 		t.Fatalf("CCDF too short: %d", ccdf.Len())
 	}

@@ -12,16 +12,16 @@ import (
 // generateASScan is the historical GenerateAS, kept as the reference for
 // the Fenwick-tree provider picks: every pick re-sums 1 + customer count
 // over all transit-capable ASes in float64 and scans for the first
-// cumulative weight above the draw, the peering loop asks the map builder
-// for membership, and the relationships go into a map keyed by directed
-// pair, later writes winning.
+// cumulative weight above the draw, the relationships go into a map keyed
+// by directed pair, later writes winning, and the peering loop asks that
+// map for membership (every added edge has a relationship).
 func generateASScan(r *rand.Rand, p ASParams) (*graph.Graph, []int, map[[2]int32]policy.Relationship, error) {
 	p.defaults()
 	if err := p.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	n := p.NumAS
-	b := graph.NewBuilder(n)
+	b := graph.NewStreamBuilder(n)
 	tier := make([]int, n)
 	rels := map[[2]int32]policy.Relationship{}
 	providerCustomer := func(pr, c int32) {
@@ -111,7 +111,7 @@ func generateASScan(r *rand.Rand, p ASParams) (*graph.Graph, []int, map[[2]int32
 	for i := 0; i < numPeer; i++ {
 		u := int32(t1 + r.Intn(numTransit+1))
 		v := int32(t1 + r.Intn(numTransit+1))
-		if u == v || u >= int32(n) || v >= int32(n) || b.HasEdge(u, v) {
+		if _, linked := rels[[2]int32{u, v}]; u == v || u >= int32(n) || v >= int32(n) || linked {
 			continue
 		}
 		b.AddEdge(u, v)

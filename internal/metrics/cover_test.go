@@ -139,7 +139,7 @@ func clusteringPairs(g *graph.Graph) float64 {
 // when ring is set, a cycle through every connected node, which adds a
 // run of degree ties.
 func coverFuzzGraph(r *rand.Rand, n int, p float64, stars int, ring bool) *graph.Graph {
-	b := graph.NewBuilder(n)
+	b := graph.NewStreamBuilder(n)
 	var live []int32
 	for v := int32(0); v < int32(n); v++ {
 		if r.Intn(8) > 0 {

@@ -174,7 +174,7 @@ func TestSubgraphDistortionDegenerate(t *testing.T) {
 
 func TestEigenvalueSpectrumStar(t *testing.T) {
 	// Star with 16 leaves: positive eigenvalues are just 4 (= sqrt(16)).
-	b := graph.NewBuilder(17)
+	b := graph.NewStreamBuilder(17)
 	for i := int32(1); i <= 16; i++ {
 		b.AddEdge(0, i)
 	}
@@ -239,7 +239,7 @@ func TestEccentricityTreeOneSided(t *testing.T) {
 // --- Vertex cover ---
 
 func TestVertexCoverStar(t *testing.T) {
-	b := graph.NewBuilder(10)
+	b := graph.NewStreamBuilder(10)
 	for i := int32(1); i < 10; i++ {
 		b.AddEdge(0, i)
 	}
@@ -301,7 +301,7 @@ func TestBiconnectedComponentsKnown(t *testing.T) {
 		{func() *graph.Graph { return canonical.Complete(6) }, 1, "complete"},
 		{func() *graph.Graph {
 			// Two triangles sharing a vertex.
-			b := graph.NewBuilder(5)
+			b := graph.NewStreamBuilder(5)
 			b.AddEdge(0, 1)
 			b.AddEdge(1, 2)
 			b.AddEdge(2, 0)
@@ -374,7 +374,7 @@ func TestClusteringCoefficientKnown(t *testing.T) {
 	}
 	// Triangle with a pendant edge: nodes of the triangle have C=1 except
 	// the one with the pendant (degree 3, 1 of 3 pairs linked).
-	b := graph.NewBuilder(4)
+	b := graph.NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)

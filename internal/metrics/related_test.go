@@ -27,7 +27,7 @@ func TestLaplacianSpectrumKnown(t *testing.T) {
 
 func TestLaplacianZeroMultiplicityEqualsComponents(t *testing.T) {
 	// The multiplicity of eigenvalue 0 equals the number of components.
-	b := graph.NewBuilder(6)
+	b := graph.NewStreamBuilder(6)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	b.AddEdge(4, 5)
@@ -45,7 +45,7 @@ func TestLaplacianZeroMultiplicityEqualsComponents(t *testing.T) {
 
 func TestEigenvalueOneMultiplicity(t *testing.T) {
 	// A star K_{1,k} has Laplacian eigenvalues {0, 1 (k-1 times), k+1}.
-	b := graph.NewBuilder(6)
+	b := graph.NewStreamBuilder(6)
 	for i := int32(1); i < 6; i++ {
 		b.AddEdge(0, i)
 	}

@@ -25,7 +25,7 @@ func pruferTree(r *rand.Rand, n int) *graph.Graph {
 		seq[i] = int32(r.Intn(n))
 		deg[seq[i]]++
 	}
-	b := graph.NewBuilder(n)
+	b := graph.NewStreamBuilder(n)
 	for _, v := range seq {
 		for u := range deg {
 			if deg[u] == 1 {
@@ -73,7 +73,7 @@ func TestDistortionTreeAnswer(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for n := 2; n <= 300; n += 1 + n/10 {
 		checkTreeAnswer(t, "Prüfer tree", pruferTree(r, n), k)
-		path, star := graph.NewBuilder(n), graph.NewBuilder(n)
+		path, star := graph.NewStreamBuilder(n), graph.NewStreamBuilder(n)
 		for v := int32(1); v < int32(n); v++ {
 			path.AddEdge(v-1, v)
 			star.AddEdge(0, v)
@@ -116,7 +116,7 @@ func TestDistortionTreeAnswer(t *testing.T) {
 // it that holds the cycle still runs the election, and agrees with the
 // forced scalar route bit for bit.
 func TestDistortionUnicyclicRunsElection(t *testing.T) {
-	b := graph.NewBuilder(16)
+	b := graph.NewStreamBuilder(16)
 	for v := int32(0); v < 15; v++ {
 		b.AddEdge(v, v+1)
 	}

@@ -53,12 +53,6 @@ func TreeLinks(g *graph.Graph, source int32, receivers []int32) int {
 	return links
 }
 
-// ScalingPoint is one sample of the multicast scaling curve.
-type ScalingPoint struct {
-	Receivers int
-	AvgLinks  float64
-}
-
 // ScalingCurve estimates E[L(m)] for receiver-set sizes m spaced
 // geometrically up to maxReceivers, averaging over trials random
 // receiver sets per size (receivers drawn uniformly, excluding the source).

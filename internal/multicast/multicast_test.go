@@ -24,7 +24,7 @@ func TestTreeLinksSingleReceiver(t *testing.T) {
 
 func TestTreeLinksSharedPrefix(t *testing.T) {
 	// Star: every receiver adds exactly one link.
-	b := graph.NewBuilder(8)
+	b := graph.NewStreamBuilder(8)
 	for i := int32(1); i < 8; i++ {
 		b.AddEdge(0, i)
 	}
@@ -39,7 +39,7 @@ func TestTreeLinksSharedPrefix(t *testing.T) {
 }
 
 func TestTreeLinksUnreachable(t *testing.T) {
-	b := graph.NewBuilder(4)
+	b := graph.NewStreamBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	if l := TreeLinks(b.Graph(), 0, []int32{1, 3}); l != 1 {
@@ -73,7 +73,7 @@ func TestChuangSirbuExponentOnExpandingGraph(t *testing.T) {
 
 func TestStarExponentIsOne(t *testing.T) {
 	// In a star every receiver adds one link: L(m) = m exactly.
-	b := graph.NewBuilder(1500)
+	b := graph.NewStreamBuilder(1500)
 	for i := int32(1); i < 1500; i++ {
 		b.AddEdge(0, i)
 	}
@@ -110,7 +110,7 @@ func TestEfficiencyBadInput(t *testing.T) {
 
 func TestStateDistributionStar(t *testing.T) {
 	// Star source at hub: each receiver adds one child at the hub.
-	b := graph.NewBuilder(8)
+	b := graph.NewStreamBuilder(8)
 	for i := int32(1); i < 8; i++ {
 		b.AddEdge(0, i)
 	}
@@ -145,7 +145,7 @@ func TestStateDistributionChain(t *testing.T) {
 
 func TestStateConcentrationHubVsChain(t *testing.T) {
 	// Wong-Katz: hub topologies concentrate forwarding state.
-	b := graph.NewBuilder(40)
+	b := graph.NewStreamBuilder(40)
 	for i := int32(1); i < 40; i++ {
 		b.AddEdge(0, i)
 	}

@@ -25,31 +25,3 @@
 // none of it influences results — the endpoints and the sampler only read
 // snapshots.
 package obs
-
-import "context"
-
-type ctxKey struct{}
-
-// With returns a context carrying the span; Start on the returned context
-// creates children of it.
-func With(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
-// Start begins a child span of the span carried by ctx and returns a
-// context carrying the child. With no span in ctx (tracing disabled) it
-// returns ctx and a nil span, on which every method is a no-op.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.Start(name)
-	return With(ctx, child), child
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -66,29 +65,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if StageTimings(nil) != nil {
 		t.Fatal("nil root produced stages")
-	}
-}
-
-func TestContextPlumbing(t *testing.T) {
-	ctx := context.Background()
-	// No span in ctx: Start is a no-op passthrough.
-	ctx2, sp := Start(ctx, "orphan")
-	if sp != nil || ctx2 != ctx {
-		t.Fatal("Start without a tracer created a span")
-	}
-
-	tr := NewTracer("root")
-	ctx = With(ctx, tr.Root())
-	ctx, a := Start(ctx, "a")
-	if a == nil || FromContext(ctx) != a {
-		t.Fatal("Start did not thread the child through the context")
-	}
-	_, b := Start(ctx, "b")
-	b.End()
-	a.End()
-	want := Shape{Name: "root", Children: []Shape{{Name: "a", Children: []Shape{{Name: "b"}}}}}
-	if got := tr.Root().Shape(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("shape = %+v, want %+v", got, want)
 	}
 }
 

@@ -74,14 +74,6 @@ func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
 	}
 }
 
-// Interval returns the sampling period (0 on nil).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // Start launches the background sampling goroutine. It takes one sample
 // immediately, then one per interval until Stop. No-op on nil.
 func (s *Sampler) Start() {

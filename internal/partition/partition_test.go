@@ -135,7 +135,7 @@ func TestCutConsistencyProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%120 + 10
 		r := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder(n)
+		b := graph.NewStreamBuilder(n)
 		for i := 0; i < 3*n; i++ {
 			u, v := int32(r.Intn(n)), int32(r.Intn(n))
 			if u != v {

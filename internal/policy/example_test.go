@@ -11,7 +11,7 @@ import (
 // them: the valley-free distance between the providers stays 2 only if they
 // peer or share an upstream; through the customer it is forbidden.
 func Example_valleyFree() {
-	b := graph.NewBuilder(3)
+	b := graph.NewStreamBuilder(3)
 	b.AddEdge(0, 2) // provider 0 - customer 2
 	b.AddEdge(1, 2) // provider 1 - customer 2
 	a := policy.NewAnnotated(b.Graph())
@@ -29,7 +29,7 @@ func Example_valleyFree() {
 func ExampleInferGao() {
 	// A provider (0) with two customers (1, 2); paths collected at the
 	// customers reveal the relationships.
-	b := graph.NewBuilder(3)
+	b := graph.NewStreamBuilder(3)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
 	g := b.Graph()

@@ -87,12 +87,12 @@ func TestPathTreePathsValidProperty(t *testing.T) {
 
 func TestRouterOverlayPaths(t *testing.T) {
 	// Two ASes: provider 0, customer 1; routers 0,1 in AS0; 2,3 in AS1.
-	asb := graph.NewBuilder(2)
+	asb := graph.NewStreamBuilder(2)
 	asb.AddEdge(0, 1)
 	asg := asb.Graph()
 	a := NewAnnotated(asg)
 	a.SetProviderCustomer(0, 1)
-	rlb := graph.NewBuilder(4)
+	rlb := graph.NewStreamBuilder(4)
 	rlb.AddEdge(0, 1)
 	rlb.AddEdge(1, 2)
 	rlb.AddEdge(2, 3)

@@ -26,7 +26,7 @@ const (
 )
 
 func figure15() *Annotated {
-	b := graph.NewBuilder(8)
+	b := graph.NewStreamBuilder(8)
 	edges := [][2]int32{
 		{nA, nB}, {nA, nC}, {nA, nH}, {nB, nE},
 		{nC, nD}, {nD, nE}, {nE, nF}, {nE, nG},
@@ -51,7 +51,7 @@ func TestAnnotatedValidate(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(2)
+	b := graph.NewStreamBuilder(2)
 	b.AddEdge(0, 1)
 	unannotated := NewAnnotated(b.Graph())
 	if err := unannotated.Validate(); err == nil {
@@ -147,7 +147,7 @@ func TestPolicyDistNeverShorterThanBFS(t *testing.T) {
 // randomAnnotated builds a connected-ish random graph with random
 // relationships for property-style tests.
 func randomAnnotated(r *rand.Rand, n, m int) *Annotated {
-	b := graph.NewBuilder(n)
+	b := graph.NewStreamBuilder(n)
 	for i := 1; i < n; i++ {
 		b.AddEdge(int32(i), int32(r.Intn(i)))
 	}
@@ -199,7 +199,7 @@ func TestPathInflationAtLeastOne(t *testing.T) {
 func TestAllSiblingsEqualsShortestPaths(t *testing.T) {
 	// With every edge sibling, policy imposes no constraint.
 	r := rand.New(rand.NewSource(4))
-	b := graph.NewBuilder(80)
+	b := graph.NewStreamBuilder(80)
 	for i := 1; i < 80; i++ {
 		b.AddEdge(int32(i), int32(r.Intn(i)))
 	}
@@ -220,7 +220,7 @@ func TestAllSiblingsEqualsShortestPaths(t *testing.T) {
 func TestGaoInferenceOnCleanHierarchy(t *testing.T) {
 	// Three-tier provider hierarchy; paths generated by valley-free
 	// routing should let Gao recover every provider-customer edge.
-	b := graph.NewBuilder(9)
+	b := graph.NewStreamBuilder(9)
 	// 0 is the core (highest degree, as Gao's top-provider heuristic
 	// assumes); 1,2,7,8 its customers; 3,4 customers of 1; 5,6 of 2.
 	prov := [][2]int32{
@@ -250,7 +250,7 @@ func TestGaoInferenceOnCleanHierarchy(t *testing.T) {
 
 func TestGaoInfersPeerWhenNoTransit(t *testing.T) {
 	// Edge (1,2) never carries transit in the paths: inferred peer.
-	b := graph.NewBuilder(3)
+	b := graph.NewStreamBuilder(3)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
 	b.AddEdge(1, 2)
@@ -263,12 +263,12 @@ func TestGaoInfersPeerWhenNoTransit(t *testing.T) {
 }
 
 func TestRouterOverlayValidation(t *testing.T) {
-	asb := graph.NewBuilder(2)
+	asb := graph.NewStreamBuilder(2)
 	asb.AddEdge(0, 1)
 	asg := asb.Graph()
 	a := NewAnnotated(asg)
 	a.SetProviderCustomer(0, 1)
-	rlb := graph.NewBuilder(4)
+	rlb := graph.NewStreamBuilder(4)
 	rlb.AddEdge(0, 1)
 	rlb.AddEdge(1, 2)
 	rlb.AddEdge(2, 3)
@@ -298,14 +298,14 @@ func TestRouterOverlayValleyBlocked(t *testing.T) {
 	// cannot reach AS 2 via AS 1->0->2? That IS allowed (up then down).
 	// Blocked case: AS1 and AS2 peer with AS0; path 1-0-2 would be
 	// peer,peer: invalid.
-	asb := graph.NewBuilder(3)
+	asb := graph.NewStreamBuilder(3)
 	asb.AddEdge(0, 1)
 	asb.AddEdge(0, 2)
 	asg := asb.Graph()
 	a := NewAnnotated(asg)
 	a.SetPeer(0, 1)
 	a.SetPeer(0, 2)
-	rlb := graph.NewBuilder(3)
+	rlb := graph.NewStreamBuilder(3)
 	rlb.AddEdge(0, 1) // AS1 router - AS0 router
 	rlb.AddEdge(1, 2) // AS0 router - AS2 router
 	rl := rlb.Graph()
@@ -320,12 +320,12 @@ func TestRouterOverlayValleyBlocked(t *testing.T) {
 }
 
 func TestRouterPolicyBall(t *testing.T) {
-	asb := graph.NewBuilder(2)
+	asb := graph.NewStreamBuilder(2)
 	asb.AddEdge(0, 1)
 	asg := asb.Graph()
 	a := NewAnnotated(asg)
 	a.SetProviderCustomer(0, 1)
-	rlb := graph.NewBuilder(5)
+	rlb := graph.NewStreamBuilder(5)
 	rlb.AddEdge(0, 1)
 	rlb.AddEdge(1, 2)
 	rlb.AddEdge(2, 3)

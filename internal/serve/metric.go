@@ -154,8 +154,8 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 func (s *Server) computeMetric(ctx context.Context, req MetricRequest) (*metricEntry, error) {
 	eng := s.engine(req.Set, req.Network)
 	w := s.opts.workers()
-	s.tokens.acquire(w)
-	defer s.tokens.release(w)
+	s.tokens.Acquire(w)
+	defer s.tokens.Release(w)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

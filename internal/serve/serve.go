@@ -73,13 +73,11 @@ type Options struct {
 	// Tracer, when non-nil, receives one span per computed request. The span
 	// tree grows with traffic, so this is a debugging aid, not a default.
 	Tracer *obs.Tracer
-	// DisableDedup turns off singleflight (every request computes) — the
-	// naive baseline BenchmarkServe measures against.
-	DisableDedup bool
-	// KeepStages bounds completed per-request progress stages retained for
-	// /debug/progress; older ones are forgotten. 0 means 64.
-	KeepStages int
 }
+
+// keepStages bounds the completed per-request progress stages retained for
+// /debug/progress; older ones are forgotten.
+const keepStages = 64
 
 func (o *Options) workers() int {
 	if o.Workers > 0 {
@@ -93,44 +91,6 @@ func (o *Options) maxInFlight() int {
 		return o.MaxInFlight
 	}
 	return 2
-}
-
-func (o *Options) keepStages() int {
-	if o.KeepStages > 0 {
-		return o.KeepStages
-	}
-	return 64
-}
-
-// sem is a weighted counting semaphore (the pipeline's no-oversubscription
-// primitive): acquire(k) blocks until k of the n tokens are free. Suite
-// runs hold their granted width, metric runs the whole budget.
-type sem struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	avail int
-}
-
-func newSem(n int) *sem {
-	s := &sem{avail: n}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *sem) acquire(k int) {
-	s.mu.Lock()
-	for s.avail < k {
-		s.cond.Wait()
-	}
-	s.avail -= k
-	s.mu.Unlock()
-}
-
-func (s *sem) release(k int) {
-	s.mu.Lock()
-	s.avail += k
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // flight is one keyed execution: the initiating request computes, every
@@ -175,7 +135,7 @@ type Server struct {
 	prog   *obs.Progress
 	tracer *obs.Tracer
 
-	tokens *sem // weighted worker budget, opts.workers() tokens
+	tokens *experiments.Sem // weighted worker budget, opts.workers() tokens
 
 	mu       sync.Mutex
 	flights  map[string]*flight
@@ -213,7 +173,7 @@ func New(opts Options) *Server {
 		reg:     reg,
 		prog:    obs.NewProgress(),
 		tracer:  opts.Tracer,
-		tokens:  newSem(opts.workers()),
+		tokens:  experiments.NewSem(opts.workers()),
 		flights: map[string]*flight{},
 		onces:   map[string]*sync.Once{},
 		nets:    map[string]*core.Network{},
@@ -314,8 +274,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			return &ent, true
 		},
 		func(cctx context.Context, width int) (any, error) {
-			s.tokens.acquire(width)
-			defer s.tokens.release(width)
+			s.tokens.Acquire(width)
+			defer s.tokens.Release(width)
 			n := s.network(cfg.Set, req.Network)
 			opts := cfg.Suite
 			opts.Parallelism = width
@@ -332,7 +292,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 
 // runSuite wraps core.RunSuiteCtx with the server's per-request
 // observability: a span under the tracer root and a live progress stage fed
-// by the suite's ball engine, pruned once KeepStages newer requests finish.
+// by the suite's ball engine, pruned once keepStages newer requests finish.
 func (s *Server) runSuite(ctx context.Context, key, network string, n *core.Network, opts core.SuiteOptions) (*core.SuiteResult, error) {
 	sp := s.tracer.Root().Start("suite:" + network)
 	defer sp.End()
@@ -360,32 +320,27 @@ func (s *Server) runSuite(ctx context.Context, key, network string, n *core.Netw
 // byte-identical.
 func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, label string,
 	cached func() (any, bool), compute func(ctx context.Context, width int) (any, error)) {
-	dedup := !s.opts.DisableDedup
-	if dedup {
-		s.mu.Lock()
-		if f := s.flights[key]; f != nil {
-			f.attach()
-			s.mu.Unlock()
-			s.cDedup.Add(1)
-			s.await(w, ctx, f, "dedup")
-			return
-		}
+	s.mu.Lock()
+	if f := s.flights[key]; f != nil {
+		f.attach()
 		s.mu.Unlock()
+		s.cDedup.Add(1)
+		s.await(w, ctx, f, "dedup")
+		return
 	}
+	s.mu.Unlock()
 	if v, ok := cached(); ok {
 		s.cCacheHits.Add(1)
 		s.respond(w, "cache", v)
 		return
 	}
 	s.mu.Lock()
-	if dedup {
-		if f := s.flights[key]; f != nil { // raced with another admitter
-			f.attach()
-			s.mu.Unlock()
-			s.cDedup.Add(1)
-			s.await(w, ctx, f, "dedup")
-			return
-		}
+	if f := s.flights[key]; f != nil { // raced with another admitter
+		f.attach()
+		s.mu.Unlock()
+		s.cDedup.Add(1)
+		s.await(w, ctx, f, "dedup")
+		return
 	}
 	if s.inflight >= s.opts.maxInFlight() {
 		s.mu.Unlock()
@@ -404,9 +359,7 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 		cctx, ccancel = context.WithTimeout(context.Background(), s.opts.Deadline)
 	}
 	f := &flight{key: key, done: make(chan struct{}), waiters: 1, cancel: ccancel}
-	if dedup {
-		s.flights[key] = f
-	}
+	s.flights[key] = f
 	s.mu.Unlock()
 
 	go func() {
@@ -422,7 +375,7 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 		// closed-loop client's next request must find it free.
 		s.mu.Lock()
 		s.inflight--
-		if err != nil && dedup {
+		if err != nil {
 			delete(s.flights, key) // let a later request retry
 		}
 		s.mu.Unlock()
@@ -528,16 +481,15 @@ func (s *Server) requestCtx(r *http.Request, timeoutSeconds float64) (context.Co
 }
 
 // retireStage records a completed per-request progress stage and forgets
-// the oldest beyond KeepStages, so a long-lived daemon's /debug/progress
+// the oldest beyond keepStages, so a long-lived daemon's /debug/progress
 // stays bounded.
 func (s *Server) retireStage(name string) {
-	keep := s.opts.keepStages()
 	s.mu.Lock()
 	s.recent = append(s.recent, name)
 	var drop []string
-	if len(s.recent) > keep {
-		drop = s.recent[:len(s.recent)-keep]
-		s.recent = append([]string(nil), s.recent[len(s.recent)-keep:]...)
+	if len(s.recent) > keepStages {
+		drop = s.recent[:len(s.recent)-keepStages]
+		s.recent = append([]string(nil), s.recent[len(s.recent)-keepStages:]...)
 	}
 	s.mu.Unlock()
 	for _, n := range drop {

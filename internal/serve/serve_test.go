@@ -114,9 +114,9 @@ func TestServeDedup(t *testing.T) {
 
 // TestServeMatchesDirect pins the byte-identity contract across every
 // serving mode: the response body equals the deterministic marshal of the
-// entry a direct core.RunSuite produces, whether the server computed it,
-// memoized it, restored it from a CLI-warmed disk cache, or ran with dedup
-// disabled.
+// entry a direct core.RunSuite produces, whether the server computed it
+// (with two workers or one), memoized it, or restored it from a CLI-warmed
+// disk cache.
 func TestServeMatchesDirect(t *testing.T) {
 	// Direct reference: what the CLI pipeline would compute and cache.
 	n := core.BuildNetwork("Tree", quickSet())
@@ -130,8 +130,8 @@ func TestServeMatchesDirect(t *testing.T) {
 	if got := soloSuiteBody(t, Options{Workers: 2}); !bytes.Equal(got, want) {
 		t.Fatalf("computed body differs from direct run")
 	}
-	if got := soloSuiteBody(t, Options{Workers: 1, DisableDedup: true}); !bytes.Equal(got, want) {
-		t.Fatalf("dedup-disabled body differs from direct run")
+	if got := soloSuiteBody(t, Options{Workers: 1}); !bytes.Equal(got, want) {
+		t.Fatalf("single-worker body differs from direct run")
 	}
 
 	// Disk-cache path: warm the store the way a CLI run would, then serve

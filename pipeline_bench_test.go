@@ -119,20 +119,3 @@ func BenchmarkPipeline(b *testing.B) {
 		recordPipelineBench(b, runtime.NumCPU(), "warm", st)
 	})
 }
-
-// BenchmarkBuildPaperNetworks isolates the construction stage: all eleven
-// table networks built over the worker pool, no metric suites.
-func BenchmarkBuildPaperNetworks(b *testing.B) {
-	for _, w := range pipelineWidths {
-		b.Run(w.name, func(b *testing.B) {
-			var st experiments.Stats
-			for i := 0; i < b.N; i++ {
-				r := experiments.NewRunner(pipeCfg())
-				r.Workers = w.workers
-				r.PrefetchNetworks()
-				st = r.Stats()
-			}
-			recordPipelineBench(b, w.workers, "none", st)
-		})
-	}
-}

@@ -112,12 +112,13 @@ func csrBytes(g *graph.Graph) int64 {
 }
 
 // buildPeak runs one build — add every edge, freeze — inside a paused-GC
-// window and returns the graph and the peak heap delta over the window.
+// window and returns the frozen product and the peak heap delta over the
+// window.
 // With the collector off the heap only grows, so sampling after the add
 // loop and after the freeze (builder and CSR both still referenced)
 // captures the high-water mark exactly, rehash churn and freeze transients
 // included, with no dependence on collector scheduling.
-func buildPeak(adds [][2]int32, mk func() (addEdge func(u, v int32), freeze func() *graph.Graph)) (*graph.Graph, int64) {
+func buildPeak[G any](adds [][2]int32, mk func() (addEdge func(u, v int32), freeze func() G)) (G, int64) {
 	prev := debug.SetGCPercent(-1)
 	runtime.GC()
 	base := heapAlloc()
@@ -137,25 +138,25 @@ func buildPeak(adds [][2]int32, mk func() (addEdge func(u, v int32), freeze func
 }
 
 // BenchmarkScaleBuild is the tentpole acceptance benchmark: a
-// million-node-shape PLRG edge stream through the map-backed Builder and
-// the streamed StreamBuilder, recording each path's paused-GC peak heap and
-// build overhead (peak minus the shared CSR). The streamed path must hold a
-// >= 4x overhead advantage (asserted by the TOPOCMP_SCALE_SMOKE=1 smoke
-// test; recorded here for EXPERIMENTS.md).
+// million-node-shape PLRG edge stream through the map-backed reference
+// (mapbuilder_test.go) and graph.StreamBuilder, recording each path's
+// paused-GC peak heap and build overhead (peak minus the shared CSR). The
+// streamed path must hold a >= 4x overhead advantage (asserted by the
+// TOPOCMP_SCALE_SMOKE=1 smoke test; recorded here for EXPERIMENTS.md).
 func BenchmarkScaleBuild(b *testing.B) {
 	adds, n := plrgEdgeStream(11, 1_000_000)
 	b.Run("map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.ResetTimer()
-			g, peak := buildPeak(adds, func() (func(u, v int32), func() *graph.Graph) {
-				mb := graph.NewBuilder(n)
-				return mb.AddEdge, mb.Graph
+			c, peak := buildPeak(adds, func() (func(u, v int32), func() mapCSR) {
+				mb := newMapBuilder(n)
+				return mb.AddEdge, mb.csr
 			})
 			b.StopTimer()
 			scaleBenchRecord(b, scaleBenchRow{
 				Name: b.Name(), Mode: "map", Nodes: n, EdgeAdds: len(adds),
-				DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
-				PeakHeapBytes: peak, CSRBytes: csrBytes(g), BuildOverheadBytes: peak - csrBytes(g),
+				DistinctEdges: c.edges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
+				PeakHeapBytes: peak, CSRBytes: c.bytes(), BuildOverheadBytes: peak - c.bytes(),
 			})
 		}
 	})

@@ -13,9 +13,10 @@ import (
 
 // TestScaleSmoke is the verify.sh scale gate (run with TOPOCMP_SCALE_SMOKE=1):
 // build a million-node PLRG through the streamed path, check the >= 4x
-// build-overhead advantage over the map builder on the identical edge
-// stream, and run one sampled expansion with confidence bounds — all within
-// an explicit time and heap budget.
+// build-overhead advantage over the map-backed reference builder
+// (mapbuilder_test.go) on the identical edge stream, and run one sampled
+// expansion with confidence bounds — all within an explicit time and heap
+// budget.
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("TOPOCMP_SCALE_SMOKE") == "" {
 		t.Skip("set TOPOCMP_SCALE_SMOKE=1 to run the million-node scale smoke")
@@ -27,19 +28,19 @@ func TestScaleSmoke(t *testing.T) {
 	start := time.Now()
 	adds, n := plrgEdgeStream(11, 1_000_000)
 
-	gm, mapPeak := buildPeak(adds, func() (func(u, v int32), func() *graph.Graph) {
-		mb := graph.NewBuilder(n)
-		return mb.AddEdge, mb.Graph
+	gm, mapPeak := buildPeak(adds, func() (func(u, v int32), func() mapCSR) {
+		mb := newMapBuilder(n)
+		return mb.AddEdge, mb.csr
 	})
 	gs, streamPeak := buildPeak(adds, func() (func(u, v int32), func() *graph.Graph) {
 		sb := graph.NewStreamBuilder(n)
 		sb.Reserve(len(adds))
 		return sb.AddEdge, sb.Graph
 	})
-	if gm.Fingerprint() != gs.Fingerprint() {
-		t.Fatalf("map and streamed builders disagree: %x vs %x", gm.Fingerprint(), gs.Fingerprint())
+	if gm.fingerprint() != gs.Fingerprint() {
+		t.Fatalf("map and streamed builders disagree: %x vs %x", gm.fingerprint(), gs.Fingerprint())
 	}
-	mapOv, streamOv := mapPeak-csrBytes(gm), streamPeak-csrBytes(gs)
+	mapOv, streamOv := mapPeak-gm.bytes(), streamPeak-csrBytes(gs)
 	if streamOv <= 0 || mapOv < 4*streamOv {
 		t.Errorf("streamed build overhead %d B vs map %d B: want >= 4x advantage", streamOv, mapOv)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // serveBenchRow is one line of BENCH_serve.json: throughput of the serving
-// layer's singleflight dedup against its naive counterpart. One op is a
-// burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled on
+// layer's singleflight dedup against a burst of distinct requests. One op
+// is a burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled on
 // the optimized row once its naive twin has run, so the committed file
 // carries the dedup win explicitly. Rewritten after every benchmark so a
 // partial -bench run still leaves a consistent file.
@@ -107,9 +107,10 @@ func serveBenchSet() core.PaperSetOptions {
 	return core.PaperSetOptions{Seed: 3, Scale: 0.2}
 }
 
-// serveBenchSuiteBody marshals the identical suite request the dedup
-// benchmarks replay; seed varies per iteration so every burst is a cold
-// cache key (the dedup under test is in-flight sharing, not memo serving).
+// serveBenchSuiteBody marshals the suite request the serve benchmarks fire;
+// the seed varies per burst (and per request in the naive arm) so every
+// burst is a cold cache key (the dedup under test is in-flight sharing, not
+// memo serving).
 func serveBenchSuiteBody(b *testing.B, seed int64) []byte {
 	body, err := json.Marshal(serve.SuiteRequest{
 		Network: "Random",
@@ -166,36 +167,33 @@ func postOnce(b *testing.B, url string, body []byte) []byte {
 }
 
 // BenchmarkServe measures the daemon's singleflight dedup end to end over
-// real HTTP, writing BENCH_serve.json: dedup8 vs naive8 fire 8 concurrent
-// identical suite requests per op. With singleflight the burst executes one
-// suite; with dedup disabled every request computes, serialized by the
-// worker semaphore — the dedup row's speedup_vs_naive is the acceptance
-// figure (>= 5x).
+// real HTTP, writing BENCH_serve.json. Each op fires 8 concurrent suite
+// requests at one warm server per arm: dedup8 sends 8 identical requests,
+// which execute one suite; naive8 sends 8 distinct suite seeds, so every
+// request computes, serialized by the worker semaphore. The dedup row's
+// speedup_vs_naive is the acceptance figure (>= 5x).
 func BenchmarkServe(b *testing.B) {
-	// One long-lived server per mode, fresh suite seed per op so every
-	// burst recomputes. MaxInFlight must cover the naive burst.
+	// Fresh suite seeds per op so every burst recomputes. MaxInFlight must
+	// cover the naive burst.
 	seed := int64(1)
 	for _, m := range []struct {
-		name    string
-		disable bool
-	}{{"dedup8", false}, {"naive8", true}} {
+		name, mode string
+		distinct   bool
+	}{{"dedup8", "singleflight", false}, {"naive8", "naive", true}} {
 		b.Run(m.name, func(b *testing.B) {
-			s := serve.New(serve.Options{MaxInFlight: 16, DisableDedup: m.disable})
+			s := serve.New(serve.Options{MaxInFlight: 16})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 			// Warm the network memo so the first op doesn't pay graph
-			// construction (both modes, identically).
+			// construction (both arms, identically).
 			postOnce(b, ts.URL+"/v1/suite", serveBenchSuiteBody(b, 1<<40))
-			mode := "singleflight"
-			if m.disable {
-				mode = "naive"
-			}
-			benchServe(b, mode, 8, func() {
-				seed++
-				body := serveBenchSuiteBody(b, seed)
+			benchServe(b, m.mode, 8, func() {
 				bodies := make([][]byte, 8)
 				for i := range bodies {
-					bodies[i] = body
+					if i == 0 || m.distinct {
+						seed++
+					}
+					bodies[i] = serveBenchSuiteBody(b, seed)
 				}
 				fireBurst(b, ts.URL+"/v1/suite", bodies)
 			})

@@ -4,7 +4,8 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
-#   fuzz: FuzzRefineMatchesHeap for 10s; the coarsening, induced-subgraph,
+#   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
+#         a sorted edge set, and the coarsening, induced-subgraph,
 #         vertex-cover/clustering, provider-pick and traceroute-walk
 #         references for 5s each
 #   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
@@ -53,6 +54,13 @@ echo "== fuzz: gain-bucket FM refinement against the lazy-heap reference =="
 # refinement kept in internal/partition/heap_test.go; side arrays must match.
 go test -run '^$' -fuzz '^FuzzRefineMatchesHeap$' -fuzztime 10s ./internal/partition
 
+echo "== fuzz: streamed edge builder against a sorted, deduplicated edge set =="
+# Raw-byte edge lists of up to 64 nodes, self-loops, repeats and both
+# orientations included, through StreamBuilder and the edge-set reference
+# in internal/graph/stream_test.go; edge count, every neighbor slice and
+# the fingerprint must match.
+go test -run '^$' -fuzz '^FuzzStreamBuilderMatchesEdgeSet$' -fuzztime 5s ./internal/graph
+
 echo "== fuzz: per-ball kernels against their historical references =="
 # The transposed coarse contraction against stamp-merge-then-sort, the
 # transposed Induced against per-row sorting, and the bucket-queue greedy
@@ -81,8 +89,9 @@ go test -race -p 1 -timeout 45m ./internal/core ./internal/ball ./internal/exper
 
 echo "== scale smoke: 1M-node streamed build + sampled expansion =="
 # Builds a million-node PLRG through the streamed CSR path, checks the
-# >= 4x build-overhead advantage over the map builder, and runs a sampled
-# expansion with confidence bounds inside an explicit time/heap budget.
+# >= 4x build-overhead advantage over the map-backed reference builder
+# (mapbuilder_test.go), and runs a sampled expansion with confidence
+# bounds inside an explicit time/heap budget.
 TOPOCMP_SCALE_SMOKE=1 go test -run '^TestScaleSmoke$' -timeout 10m .
 
 echo "== endpoint smoke: /metrics + /debug/progress serve mid-run =="

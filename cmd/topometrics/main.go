@@ -50,29 +50,32 @@ func main() {
 		}
 	}
 	fractions := []float64{0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20}
+	// Each metric grows its balls on its own sequential engine, so no ball
+	// cache outlives the metric that filled it.
+	eng := func() *ball.Engine { return ball.NewEngine(g, 1) }
 
 	compute := map[string]func() stats.Series{
 		"expansion": func() stats.Series {
-			return metrics.Expansion(g, ball.Config{MaxSources: 4 * *sources,
+			return metrics.ExpansionWith(eng(), ball.Config{MaxSources: 4 * *sources,
 				Rand: rand.New(rand.NewSource(*seed))})
 		},
 		"resilience": func() stats.Series {
-			return metrics.Resilience(g, cfg(1), partition.Options{
-				Rand: rand.New(rand.NewSource(*seed + 100))})
+			return metrics.ResilienceWith(eng(), cfg(1), partition.Options{},
+				rand.New(rand.NewSource(*seed+100)).Int63())
 		},
-		"distortion":   func() stats.Series { return metrics.Distortion(g, cfg(2), 3) },
-		"eigenvalues":  func() stats.Series { return metrics.EigenvalueSpectrum(g, 40) },
-		"eccentricity": func() stats.Series { return metrics.EccentricityDistribution(g, 4**sources, 0.1) },
-		"cover":        func() stats.Series { return metrics.VertexCoverCurve(g, cfg(3)) },
-		"biconnectivity": func() stats.Series {
-			return metrics.BiconnectivityCurve(g, cfg(4))
+		"distortion":  func() stats.Series { return metrics.DistortionWith(eng(), cfg(2), 3) },
+		"eigenvalues": func() stats.Series { return metrics.EigenvalueSpectrum(g, 40) },
+		"eccentricity": func() stats.Series {
+			return metrics.EccentricityDistributionWith(eng(), 4**sources, 0.1, rand.New(rand.NewSource(11)))
 		},
-		"attack": func() stats.Series { return metrics.AttackTolerance(g, fractions, 2**sources) },
+		"cover":          func() stats.Series { return metrics.VertexCoverCurveWith(eng(), cfg(3)) },
+		"biconnectivity": func() stats.Series { return metrics.BiconnectivityCurveWith(eng(), cfg(4)) },
+		"attack":         func() stats.Series { return metrics.AttackTolerance(g, fractions, 2**sources) },
 		"error": func() stats.Series {
 			return metrics.ErrorTolerance(g, fractions, 2**sources,
 				rand.New(rand.NewSource(*seed+200)))
 		},
-		"clustering": func() stats.Series { return metrics.ClusteringCurve(g, cfg(5)) },
+		"clustering": func() stats.Series { return metrics.ClusteringCurveWith(eng(), cfg(5)) },
 	}
 	order := []string{"expansion", "resilience", "distortion", "eigenvalues",
 		"eccentricity", "cover", "biconnectivity", "attack", "error", "clustering"}

@@ -31,7 +31,7 @@ func main() {
 		curve := multicast.ScalingCurve(n.g, 0, n.g.NumNodes()/4, 8,
 			rand.New(rand.NewSource(23)))
 		k := multicast.ChuangSirbuExponent(curve)
-		apl := metrics.AveragePathLength(n.g, 48)
+		apl, _ := metrics.AveragePathLength(n.g, 48)
 		eff, err := multicast.Efficiency(curve, apl)
 		if err != nil {
 			panic(err)

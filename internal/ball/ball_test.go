@@ -5,7 +5,52 @@ import (
 	"testing"
 
 	"topocmp/internal/gen/canonical"
+	"topocmp/internal/graph"
 )
+
+// Ball, Visit and Subgraph are the sequential ball walk the engine
+// replaced, kept as the reference its profiles are checked against.
+
+// Ball is one grown ball: the center, hop radius, and member nodes (ids in
+// the parent graph, in BFS order from the center).
+type Ball struct {
+	Center int32
+	Radius int
+	Nodes  []int32
+}
+
+// Visit grows balls of every radius around each sampled center and invokes
+// fn once per (center, radius) with the ball's member prefix. The slice
+// passed to fn is only valid during the call. Growth around a center stops
+// once the ball covers the center's whole component or exceeds
+// MaxBallSize.
+func Visit(g *graph.Graph, cfg Config, fn func(b Ball)) {
+	cfg.defaults()
+	s := graph.NewBFSScratch()
+	for _, src := range Centers(g, &cfg) {
+		order := s.BFS(g, src)
+		// order is sorted by distance already (BFS property).
+		maxR := int(s.Dist(order[len(order)-1]))
+		idx := 0
+		for h := 1; h <= maxR; h++ {
+			for idx < len(order) && int(s.Dist(order[idx])) <= h {
+				idx++
+			}
+			if cfg.MaxBallSize > 0 && idx > cfg.MaxBallSize {
+				break
+			}
+			if idx < cfg.MinBallSize {
+				continue
+			}
+			fn(Ball{Center: src, Radius: h, Nodes: order[:idx]})
+		}
+	}
+}
+
+// Subgraph extracts the induced subgraph of a ball.
+func Subgraph(g *graph.Graph, b Ball) *graph.Graph {
+	return g.Subgraph(b.Nodes)
+}
 
 func TestVisitPathBallSizes(t *testing.T) {
 	g := canonical.Linear(11)

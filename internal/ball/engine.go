@@ -3,6 +3,7 @@ package ball
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +19,10 @@ import (
 // ball-profile cache, so every metric that grows balls from the same center
 // shares one BFS pass per (graph, center) instead of recomputing it.
 // Distance-only metrics take the batched path instead: CumProfiles sweeps
-// up to 64 centers per CSR pass through the bit-parallel MSBFS kernel into
-// a coherent cum-only side cache.
+// up to graph.MSBFSMaxWidth centers per CSR pass through the bit-parallel
+// MSBFS kernel into a coherent cum-only side cache. The engine is the only
+// ball walk: every ball metric grows its balls here, a one-shot caller on a
+// throwaway engine of width 1.
 //
 // Determinism contract: results are assembled in center order and every
 // per-center RNG is derived from seed+centerIndex, so the output is
@@ -227,7 +230,8 @@ func (e *Engine) Profile(center int32) *Profile {
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		ws := e.scratch.Get()
-		ent.p = computeProfile(e.g, ws.bfs, center)
+		order := ws.bfs.BFS(e.g, center)
+		ent.p = &Profile{Center: center, Order: slices.Clone(order), Cum: cumSizes(ws.bfs, order)}
 		e.scratch.Put(ws)
 		ent.pub.Store(ent.p)
 		e.mProfiles.Add(1)
@@ -236,10 +240,9 @@ func (e *Engine) Profile(center int32) *Profile {
 	return ent.p
 }
 
-func computeProfile(g *graph.Graph, s *graph.BFSScratch, center int32) *Profile {
-	order := s.BFS(g, center)
-	own := make([]int32, len(order))
-	copy(own, order)
+// cumSizes turns a finished BFS (order and s's distances) into cumulative
+// ball sizes per radius: cum[h] = |ball(center, h)|.
+func cumSizes(s *graph.BFSScratch, order []int32) []int32 {
 	ecc := int(s.Dist(order[len(order)-1]))
 	cum := make([]int32, ecc+1)
 	for _, v := range order {
@@ -248,7 +251,7 @@ func computeProfile(g *graph.Graph, s *graph.BFSScratch, center int32) *Profile 
 	for h := 1; h <= ecc; h++ {
 		cum[h] += cum[h-1]
 	}
-	return &Profile{Center: center, Order: own, Cum: cum}
+	return cum
 }
 
 // Profiles returns the centers' profiles in center order, fanning the
@@ -286,13 +289,14 @@ func (c *CumProfile) Size(h int) int {
 }
 
 // MSBFSDiameterCutoff routes high-diameter graphs off the bit-parallel
-// distance sweeps: past this estimated diameter the per-level frontiers are
-// thin and the mask strips repeat work every level, and a scalar BFS per
-// center wins (the wave-1 benchmarks measured ~2.5x regressions on
-// lattices). The double-sweep probe is cached per engine. Exported so the
-// hierarchy sweeps route their sigma batches on the same threshold — for
-// them the cutoff also guards exactness: lattice-like graphs are the ones
-// whose binomial path counts could leave float64's exact-integer range.
+// sweeps: past this estimated diameter the per-level frontiers are thin and
+// the mask strips repeat work every level, and a scalar BFS per center wins
+// (the wave-1 benchmarks measured ~2.5x regressions on lattices). The
+// double-sweep probe is cached per engine. It is the one cutoff for every
+// bit-parallel route: the engine's distance sweeps, distortion's Brandes
+// election per ball subgraph, and the hierarchy sweeps' sigma batches — for
+// the sigma batches it also guards exactness: lattice-like graphs are the
+// ones whose binomial path counts could leave float64's exact-integer range.
 const MSBFSDiameterCutoff = 32
 
 // CumProfiles returns the centers' cum-only profiles in center order. The
@@ -340,7 +344,7 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		e.forEach(len(mine), func(j int) {
 			idx := mine[j]
 			ws := e.scratch.Get()
-			cum := cumFromBFS(e.g, ws.bfs, centers[idx])
+			cum := cumSizes(ws.bfs, ws.bfs.BFS(e.g, centers[idx]))
 			e.scratch.Put(ws)
 			ent := ents[idx]
 			ent.c = &CumProfile{Center: centers[idx], Cum: cum}
@@ -413,22 +417,6 @@ func BatchWidth(pending, parallel int) int {
 	}
 	words := (width + graph.MSBFSWordBits - 1) / graph.MSBFSWordBits
 	return words * graph.MSBFSWordBits
-}
-
-// cumFromBFS builds one center's cumulative ball sizes from a scalar BFS —
-// the per-center route for graphs the diameter probe keeps off the
-// bit-parallel sweeps. The counts are identical to the kernel's.
-func cumFromBFS(g *graph.Graph, s *graph.BFSScratch, center int32) []int32 {
-	order := s.BFS(g, center)
-	ecc := int(s.Dist(order[len(order)-1]))
-	cum := make([]int32, ecc+1)
-	for _, v := range order {
-		cum[s.Dist(v)]++
-	}
-	for h := 1; h <= ecc; h++ {
-		cum[h] += cum[h-1]
-	}
-	return cum
 }
 
 // BallSubgraph returns the induced subgraph of ball(p.Center, h), built at

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topocmp/internal/gen/canonical"
 	"topocmp/internal/graph"
 	"topocmp/internal/obs"
 	"topocmp/internal/stats"
@@ -162,4 +163,89 @@ func TestEngineInstrumentation(t *testing.T) {
 	// An uninstrumented engine takes the same calls as pure no-ops.
 	plain := NewEngine(g, 1)
 	plain.BallSubgraph(plain.Profile(5), 1)
+}
+
+// checkClosedForm compares a width-1 engine's CumProfiles and Profile sizes
+// at every center in centers, radii 0 through one past the eccentricity,
+// against want(center, h). CumProfiles runs first, so its kernel route
+// computes the rows rather than reading cached full profiles. The diameter
+// probe must have taken the route the cutoff names: the scalar BFS per
+// center past it, the bit-parallel batches otherwise.
+func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32, want func(c int32, h int) int) {
+	t.Helper()
+	e := NewEngine(g, 1)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	cums := e.CumProfiles(centers)
+	scalar := reg.Counter("ball.dist_scalar").Value() > 0
+	if wantScalar := e.ApproxDiameter() > MSBFSDiameterCutoff; scalar != wantScalar {
+		t.Fatalf("%s: diameter %d took the scalar route %t, want %t", name, e.ApproxDiameter(), scalar, wantScalar)
+	}
+	for i, c := range centers {
+		p := e.Profile(c)
+		for h := 0; h <= p.Eccentricity()+1; h++ {
+			w := want(c, h)
+			if got := p.Size(h); got != w {
+				t.Fatalf("%s center %d: Profile size at h=%d is %d, closed form %d", name, c, h, got, w)
+			}
+			if got := cums[i].Size(h); got != w {
+				t.Fatalf("%s center %d: CumProfiles size at h=%d is %d, closed form %d (scalar route %t)",
+					name, c, h, got, w, scalar)
+			}
+		}
+	}
+}
+
+// FuzzBallSizesClosedForm checks ball sizes on the canonical graphs, whose
+// balls have closed forms, at fuzzed sizes: a Mesh ball holds the cells
+// within Manhattan distance h (2h²+2h+1 while the diamond fits), a k-ary
+// Tree's root ball (k^(h+1)−1)/(k−1) nodes, and node i of Linear(n)
+// min(i,h)+min(n−1−i,h)+1 nodes. Meshes and chains reach past
+// MSBFSDiameterCutoff, so both CumProfiles routes are exercised.
+func FuzzBallSizesClosedForm(f *testing.F) {
+	f.Add(uint8(9), uint8(9), uint8(4), uint8(4), uint8(1), uint8(4), uint8(20), uint8(7))
+	f.Add(uint8(40), uint8(3), uint8(0), uint8(2), uint8(0), uint8(7), uint8(80), uint8(0))
+	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw, r0Raw, c0Raw, kRaw, depthRaw, nRaw, iRaw uint8) {
+		rows, cols := 1+int(rowsRaw)%48, 1+int(colsRaw)%48
+		r0, c0 := int(r0Raw)%rows, int(c0Raw)%cols
+		mesh := func(r0, c0, h int) int {
+			size := 0
+			for r := max(0, r0-h); r <= min(rows-1, r0+h); r++ {
+				span := h - abs(r-r0)
+				size += min(cols-1, c0+span) - max(0, c0-span) + 1
+			}
+			if r0-h >= 0 && r0+h < rows && c0-h >= 0 && c0+h < cols && size != 2*h*h+2*h+1 {
+				t.Fatalf("mesh oracle: fitted diamond of radius %d holds %d cells", h, size)
+			}
+			return size
+		}
+		checkClosedForm(t, "mesh", canonical.Mesh(rows, cols),
+			[]int32{int32(r0*cols + c0), 0, int32(rows*cols - 1)},
+			func(c int32, h int) int { return mesh(int(c)/cols, int(c)%cols, h) })
+
+		k := 2 + int(kRaw)%4
+		depth := int(depthRaw) % 7
+		checkClosedForm(t, "tree", canonical.Tree(k, depth), []int32{0},
+			func(_ int32, h int) int {
+				pow := 1
+				for d := 0; d <= min(h, depth); d++ {
+					pow *= k
+				}
+				return (pow - 1) / (k - 1)
+			})
+
+		n := 1 + int(nRaw)%120
+		i := int32(int(iRaw) % n)
+		checkClosedForm(t, "linear", canonical.Linear(n), []int32{i, 0, int32(n - 1)},
+			func(c int32, h int) int {
+				return min(int(c), h) + min(n-1-int(c), h) + 1
+			})
+	})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -192,3 +192,23 @@ func TestPaperSetOptionsValidate(t *testing.T) {
 		}
 	}
 }
+
+func TestSuiteOptionsValidate(t *testing.T) {
+	for _, o := range []SuiteOptions{
+		{}, quickOpts(), {Sources: 1, MaxBallSize: 1, EigenRank: 1, LinkSources: 1, SampleBudget: 1},
+		{ToleranceFractions: []float64{0, 0.5, 1}},
+	} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v, want nil", o, err)
+		}
+	}
+	for _, o := range []SuiteOptions{
+		{Sources: -1}, {MaxBallSize: -1}, {EigenRank: -2}, {LinkSources: -1}, {SampleBudget: -1},
+		{ToleranceFractions: []float64{1.5}}, {ToleranceFractions: []float64{0, -0.1}},
+		{ToleranceFractions: []float64{math.NaN()}},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v: nil, want an error", o)
+		}
+	}
+}

@@ -159,7 +159,7 @@ func TestMSBFSGoldenSeriesScalarVsBatched(t *testing.T) {
 				t.Errorf("%s P=%d: eccentricity StdErr length %d, want %d", n.Name, parallel, len(gotEcc.StdErr), len(gotEcc.Points))
 			}
 		}
-		if got := metrics.AveragePathLength(g, 24); got != wantAPL {
+		if got, _ := metrics.AveragePathLength(g, 24); got != wantAPL {
 			t.Errorf("%s: batched path length %v, scalar %v", n.Name, got, wantAPL)
 		}
 	}

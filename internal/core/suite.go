@@ -80,9 +80,23 @@ func (o *SuiteOptions) defaults() {
 
 // Validate rejects options no suite can run: a tolerance fraction outside
 // [0, 1] asks Figure 9's removal curves to delete more nodes than the graph
-// has, or fewer than none. The daemon answers such a request with 400 and
-// the CLI exits before any work starts.
+// has, or fewer than none, and a negative count or size silently means
+// something else (every node a center, no ball cap, every link-source
+// pair, an empty spectrum, no budget) under a cache key of its own, so
+// identical work would miss dedup and the cache. The daemon answers such a
+// request with 400 before admission.
 func (o SuiteOptions) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"sources", o.Sources}, {"max ball size", o.MaxBallSize}, {"eigen rank", o.EigenRank},
+		{"link sources", o.LinkSources}, {"sample budget", o.SampleBudget},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: want 0 (default) or positive", f.name, f.v)
+		}
+	}
 	for _, f := range o.ToleranceFractions {
 		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("tolerance fraction %v outside [0, 1]", f)
@@ -303,9 +317,11 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 		return n.Policy.PolicyBall(src, h)
 	}
 	popts := partition.Options{Rand: rand.New(rand.NewSource(opts.Seed + 100))}
-	// One workspace serves the whole sequential sweep; CutSizeWith is
-	// bit-identical to CutSize, it just skips the per-ball solver arenas.
-	pws := partition.NewWorkspace()
+	// One kernel bundle serves the whole sequential sweep: the partition
+	// workspace for the cuts, BFS and Brandes scratch for the distortion
+	// election. Workspace-backed kernels are bit-identical to fresh ones.
+	k := &ball.Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
+		Brandes: graph.NewBrandesScratch()}
 	var resRaw, distRaw []stats.Point
 	for _, src := range centers {
 		prev := 0
@@ -322,9 +338,9 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 				continue
 			}
 			sub := b.Subgraph()
-			cut := partition.CutSizeWith(pws, sub, popts)
+			cut := partition.CutSizeWith(k.Part, sub, popts)
 			resRaw = append(resRaw, stats.Point{X: float64(sub.NumNodes()), Y: float64(cut)})
-			if d := metrics.SubgraphDistortion(sub, 3); d > 0 {
+			if d := metrics.SubgraphDistortionKernels(sub, 3, k); d > 0 {
 				distRaw = append(distRaw, stats.Point{X: float64(sub.NumNodes()), Y: d})
 			}
 		}

@@ -86,7 +86,8 @@ func (p *VariantPanel) appendNetwork(name string, g *graph.Graph, cfg Config) {
 
 // basicCurves computes the three basic metrics — expansion, resilience,
 // distortion — on a bare graph with the suite's sampling, each from its own
-// seeded RNG. The variant panels plot them; Figure 11 classifies them.
+// seeded RNG on its own width-1 engine, so no ball cache outlives its
+// metric. The variant panels plot them; Figure 11 classifies them.
 func basicCurves(g *graph.Graph, cfg Config) (e, res, d stats.Series) {
 	seed := cfg.Suite.Seed
 	if seed == 0 {
@@ -99,11 +100,11 @@ func basicCurves(g *graph.Graph, cfg Config) (e, res, d stats.Series) {
 			Rand:        rand.New(rand.NewSource(seed + off)),
 		}
 	}
-	e = metrics.Expansion(g, ball.Config{MaxSources: 4 * cfg.Suite.Sources,
+	e = metrics.ExpansionWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 4 * cfg.Suite.Sources,
 		Rand: rand.New(rand.NewSource(seed))})
-	res = metrics.Resilience(g, mkCfg(1), partition.Options{
-		Rand: rand.New(rand.NewSource(seed + 100))})
-	d = metrics.Distortion(g, mkCfg(2), 3)
+	res = metrics.ResilienceWith(ball.NewEngine(g, 1), mkCfg(1), partition.Options{},
+		rand.New(rand.NewSource(seed+100)).Int63())
+	d = metrics.DistortionWith(ball.NewEngine(g, 1), mkCfg(2), 3)
 	return e, res, d
 }
 

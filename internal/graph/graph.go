@@ -321,116 +321,3 @@ func (g *Graph) RemoveNodes(drop []int32) (*Graph, []int32) {
 	}
 	return g.Subgraph(keep), keep
 }
-
-// KCore returns the maximal subgraph in which every node has degree >= k
-// (the k-core), plus the mapping orig[newID] = oldID. KCore(2) equals
-// Core().
-func (g *Graph) KCore(k int) (*Graph, []int32) {
-	n := g.NumNodes()
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	var stack []int32
-	for v := int32(0); v < int32(n); v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] < k {
-			stack = append(stack, v)
-			removed[v] = true
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Neighbors(u) {
-			if removed[v] {
-				continue
-			}
-			deg[v]--
-			if deg[v] < k {
-				removed[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	var nodes []int32
-	for v := int32(0); v < int32(n); v++ {
-		if !removed[v] {
-			nodes = append(nodes, v)
-		}
-	}
-	return g.Subgraph(nodes), nodes
-}
-
-// CoreNumbers returns each node's core number: the largest k such that the
-// node belongs to the k-core. Computed by the standard peeling order.
-func (g *Graph) CoreNumbers() []int {
-	n := g.NumNodes()
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := int32(0); v < int32(n); v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bucket sort nodes by degree for O(V+E) peeling.
-	buckets := make([][]int32, maxDeg+1)
-	for v := int32(0); v < int32(n); v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	core := make([]int, n)
-	processed := make([]bool, n)
-	cur := make([]int, n)
-	copy(cur, deg)
-	k := 0
-	for d := 0; d <= maxDeg; d++ {
-		for i := 0; i < len(buckets[d]); i++ {
-			v := buckets[d][i]
-			if processed[v] || cur[v] != d {
-				continue
-			}
-			if d > k {
-				k = d
-			}
-			core[v] = k
-			processed[v] = true
-			for _, w := range g.Neighbors(v) {
-				if !processed[w] && cur[w] > d {
-					cur[w]--
-					buckets[cur[w]] = append(buckets[cur[w]], w)
-				}
-			}
-		}
-	}
-	return core
-}
-
-// DegreeAssortativity returns the Pearson correlation of degrees across
-// edge endpoints (Newman's assortativity coefficient). Internet graphs are
-// disassortative (hubs attach to leaves, r < 0); Barabási-Albert graphs
-// are near-neutral. Returns 0 for graphs without edges or with uniform
-// degrees.
-func (g *Graph) DegreeAssortativity() float64 {
-	m := g.NumEdges()
-	if m == 0 {
-		return 0
-	}
-	// Pearson over the 2m ordered endpoint pairs.
-	var sxy, sx, sx2 float64
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		du := float64(g.Degree(u))
-		for _, v := range g.Neighbors(u) {
-			dv := float64(g.Degree(v))
-			sxy += du * dv
-			sx += du
-			sx2 += du * du
-		}
-	}
-	n2 := float64(2 * m)
-	mean := sx / n2
-	varr := sx2/n2 - mean*mean
-	if varr == 0 {
-		return 0
-	}
-	cov := sxy/n2 - mean*mean
-	return cov / varr
-}

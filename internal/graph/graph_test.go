@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -407,114 +406,5 @@ func BenchmarkBFS10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.BFS(int32(i % 10000))
-	}
-}
-
-func TestKCore(t *testing.T) {
-	// Triangle with two pendant chains: 3-core empty, 2-core = triangle.
-	b := NewStreamBuilder(7)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(0, 3)
-	b.AddEdge(3, 4)
-	b.AddEdge(2, 5)
-	b.AddEdge(5, 6)
-	g := b.Graph()
-	two, orig := g.KCore(2)
-	if two.NumNodes() != 3 || two.NumEdges() != 3 {
-		t.Fatalf("2-core = %d/%d, want 3/3", two.NumNodes(), two.NumEdges())
-	}
-	if !reflect.DeepEqual(orig, []int32{0, 1, 2}) {
-		t.Fatalf("2-core orig = %v", orig)
-	}
-	three, _ := g.KCore(3)
-	if three.NumNodes() != 0 {
-		t.Fatalf("3-core = %d nodes, want 0", three.NumNodes())
-	}
-	// KCore(2) matches Core().
-	coreG, coreOrig := g.Core()
-	if coreG.NumNodes() != two.NumNodes() || !reflect.DeepEqual(coreOrig, orig) {
-		t.Fatal("KCore(2) should equal Core()")
-	}
-}
-
-func TestKCoreComplete(t *testing.T) {
-	g := completeGraph(6)
-	five, orig := g.KCore(5)
-	if five.NumNodes() != 6 || len(orig) != 6 {
-		t.Fatalf("K6 5-core = %d nodes", five.NumNodes())
-	}
-	six, _ := g.KCore(6)
-	if six.NumNodes() != 0 {
-		t.Fatalf("K6 6-core = %d nodes, want 0", six.NumNodes())
-	}
-}
-
-func TestCoreNumbersKnown(t *testing.T) {
-	// Triangle + pendant: triangle nodes have core 2, pendants 1.
-	b := NewStreamBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(0, 3)
-	b.AddEdge(3, 4)
-	cores := b.Graph().CoreNumbers()
-	want := []int{2, 2, 2, 1, 1}
-	if !reflect.DeepEqual(cores, want) {
-		t.Fatalf("core numbers = %v, want %v", cores, want)
-	}
-}
-
-// Property: node v is in the k-core iff CoreNumbers()[v] >= k.
-func TestCoreNumbersConsistentWithKCore(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(rand.New(rand.NewSource(seed)), 40, 0.1)
-		cores := g.CoreNumbers()
-		for k := 1; k <= 4; k++ {
-			_, members := g.KCore(k)
-			inCore := map[int32]bool{}
-			for _, v := range members {
-				inCore[v] = true
-			}
-			for v := 0; v < g.NumNodes(); v++ {
-				if inCore[int32(v)] != (cores[v] >= k) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDegreeAssortativity(t *testing.T) {
-	// A star is maximally disassortative (r = -1 for any star).
-	b := NewStreamBuilder(6)
-	for i := int32(1); i < 6; i++ {
-		b.AddEdge(0, i)
-	}
-	if r := b.Graph().DegreeAssortativity(); math.Abs(r+1) > 1e-9 {
-		t.Fatalf("star assortativity = %v, want -1", r)
-	}
-	// Regular graphs have zero variance: defined as 0.
-	if r := cycleGraph(8).DegreeAssortativity(); r != 0 {
-		t.Fatalf("cycle assortativity = %v, want 0", r)
-	}
-	if r := pathGraph(1).DegreeAssortativity(); r != 0 {
-		t.Fatalf("edgeless assortativity = %v, want 0", r)
-	}
-	// Two disjoint stars joined hub-to-hub push r upward vs a single star.
-	b2 := NewStreamBuilder(10)
-	for i := int32(1); i < 5; i++ {
-		b2.AddEdge(0, i)
-		b2.AddEdge(5, 5+i)
-	}
-	b2.AddEdge(0, 5)
-	joined := b2.Graph().DegreeAssortativity()
-	if joined <= -1 || joined >= 1 {
-		t.Fatalf("joined-stars assortativity = %v out of range", joined)
 	}
 }

@@ -28,21 +28,23 @@ const MSBFSMaxWidth = MSBFSWordBits * MSBFSMaxWords
 // embarrassingly source-parallel but were paying one full adjacency scan
 // per source; a batch pays one scan per level for the whole strip, which is
 // what makes the paper-scale sweeps fast on a single core. W is chosen per
-// Run from the batch size, so narrow batches keep the one-word fast path.
+// run from the batch size, so narrow batches keep the one-word fast path.
+// Two modes share the sweep: RunLevels keeps per-level reach counts only,
+// and RunSigma keeps full distance and path-count rows.
 //
 // Like BFSScratch, visited-ness is epoch-stamped through graph.Stamp: a run
 // bumps an epoch instead of clearing the mask arrays, so starting a batch
 // costs O(sources), not O(N). The same ownership rules apply: a scratch is
 // not safe for concurrent use (give each worker its own), and every result
-// accessor (Dist, LevelCounts, Reached, Eccentricity) reads buffers owned
-// by the scratch that are valid only until the next run.
+// accessor (LevelCounts, Reached, Eccentricity, DistRow, SigmaRow) reads
+// buffers owned by the scratch that are valid only until the next run.
 type MSBFSScratch struct {
 	live     Stamp
 	words    int       // mask strip width W of the current run
 	seen     []uint64  // strided strips: word w of node v at [v*W+w]
 	frontier []uint64  // bit i set ⇔ v entered i's frontier at the current level
 	next     []uint64  // bits accumulated for the next level's frontier
-	dist     []int32   // per-source distance rows: dist[i*n+v]; empty after RunLevels
+	dist     []int32   // per-source distance rows: dist[i*n+v]; only after RunSigma
 	sigma    []float64 // per-source path-count rows: sigma[i*n+v]; only after RunSigma
 	// Node-major working buffers for the sigma sweeps (lane i of node v at
 	// [v*nsrc+i]): a sigma push touches every active lane of one arc, so
@@ -64,7 +66,7 @@ func NewMSBFSScratch() *MSBFSScratch { return &MSBFSScratch{} }
 
 // begin sizes the buffers for an n-node graph, nsrc sources (mask width
 // words) and opens a new epoch.
-func (s *MSBFSScratch) begin(n, nsrc int, withDist bool) {
+func (s *MSBFSScratch) begin(n, nsrc int) {
 	words := (nsrc + MSBFSWordBits - 1) / MSBFSWordBits
 	if s.live.Begin(n) {
 		s.cur = make([]int32, 0, n)
@@ -76,15 +78,6 @@ func (s *MSBFSScratch) begin(n, nsrc int, withDist bool) {
 		s.next = make([]uint64, need)
 	}
 	s.words = words
-	if withDist {
-		if need := nsrc * n; cap(s.dist) < need {
-			s.dist = make([]int32, need)
-		} else {
-			s.dist = s.dist[:need]
-		}
-	} else {
-		s.dist = s.dist[:0]
-	}
 	for len(s.counts) < nsrc {
 		s.counts = append(s.counts, nil)
 	}
@@ -107,28 +100,16 @@ func (s *MSBFSScratch) touch(v int32) {
 	}
 }
 
-// Run traverses g from all sources at once (1 to MSBFSMaxWidth of them; it
-// panics otherwise). Afterwards Dist(i, v) is sources[i]'s hop distance to
-// v and LevelCounts(i) its per-level reach counts, both valid until the
-// next run. Distances are exactly those of a scalar BFS per source.
-func (s *MSBFSScratch) Run(g *Graph, sources []int32) {
-	s.run(g, sources, true)
-}
-
-// RunLevels is Run without the per-source distance rows: only the level
-// counts (LevelCounts, Reached, Eccentricity) are filled, so wide batches
-// skip the nsrc×n distance matrix entirely. Dist must not be called after
-// RunLevels. The level counts are identical to Run's.
+// RunLevels traverses g from all sources at once (1 to MSBFSMaxWidth of
+// them; it panics otherwise). Afterwards LevelCounts(i), Reached(i) and
+// Eccentricity(i) describe sources[i]'s traversal until the next run; no
+// distance rows are kept, so wide batches never touch an nsrc×n matrix.
+// The counts are exactly those of a scalar BFS per source.
 func (s *MSBFSScratch) RunLevels(g *Graph, sources []int32) {
-	s.run(g, sources, false)
-}
-
-func (s *MSBFSScratch) run(g *Graph, sources []int32, withDist bool) {
 	if len(sources) == 0 || len(sources) > MSBFSMaxWidth {
 		panic(fmt.Sprintf("graph: MSBFS batch of %d sources, want 1..%d", len(sources), MSBFSMaxWidth))
 	}
-	n := g.NumNodes()
-	s.begin(n, len(sources), withDist)
+	s.begin(g.NumNodes(), len(sources))
 	s.sigmaOK = false
 	W := s.words
 	for i, src := range sources {
@@ -147,27 +128,23 @@ func (s *MSBFSScratch) run(g *Graph, sources []int32, withDist bool) {
 		}
 		s.seen[base+word] |= bit
 		s.frontier[base+word] |= bit
-		if withDist {
-			s.dist[i*n+int(src)] = 0
-		}
 		s.counts[i] = append(s.counts[i], 1)
 	}
 	if W == 1 {
-		s.sweepOne(g, withDist)
+		s.sweepOne(g)
 	} else {
-		s.sweepWide(g, withDist)
+		s.sweepWide(g)
 	}
 }
 
-// RunSigma traverses g from all sources at once like Run, additionally
+// RunSigma traverses g from all sources at once like RunLevels, additionally
 // propagating per-source shortest-path counts (Brandes' sigma) alongside the
 // seen/frontier/next bitmasks: one CSR sweep per level replaces up to
 // MSBFSMaxWidth scalar BFSScratch.Counts traversals. Afterwards DistRow(i)
-// and SigmaRow(i) return sources[i]'s full distance and path-count rows —
-// unlike Run, the rows are pre-filled (Unreached / 0), so they are valid at
-// every node, reached or not. Level counts are not maintained (the rows
-// subsume them); LevelCounts/Eccentricity/Reached panic until the next
-// Run/RunLevels.
+// and SigmaRow(i) return sources[i]'s full distance and path-count rows,
+// pre-filled (Unreached / 0) so they are valid at every node, reached or
+// not. Level counts are not maintained (the rows subsume them);
+// LevelCounts/Eccentricity/Reached panic until the next RunLevels.
 //
 // Sigma values are exact: path counts are integers accumulated in float64,
 // and integer sums below 2^53 are associative, so each count equals the
@@ -194,9 +171,14 @@ func (s *MSBFSScratch) runSigma(n int, off, adj []int32, sources []int32) {
 	if len(sources) == 0 || len(sources) > MSBFSMaxWidth {
 		panic(fmt.Sprintf("graph: MSBFS sigma batch of %d sources, want 1..%d", len(sources), MSBFSMaxWidth))
 	}
-	s.begin(n, len(sources), true)
+	s.begin(n, len(sources))
 	nsrc := len(sources)
 	need := nsrc * n
+	if cap(s.dist) < need {
+		s.dist = make([]int32, need)
+	} else {
+		s.dist = s.dist[:need]
+	}
 	if cap(s.sigma) < need {
 		s.sigma = make([]float64, need)
 	} else {
@@ -214,8 +196,8 @@ func (s *MSBFSScratch) runSigma(n int, off, adj []int32, sources []int32) {
 		s.distT = s.distT[:need]
 	}
 	// Pre-fill the working distances so the transposed rows are valid at
-	// every node without the seen-mask guard Dist applies; one memset per
-	// batch is noise next to the traversals the batch replaces.
+	// every node without a seen-mask guard; one memset per batch is noise
+	// next to the traversals the batch replaces.
 	for i := range s.distT {
 		s.distT[i] = Unreached
 	}
@@ -271,8 +253,7 @@ func (s *MSBFSScratch) transposeSigma(n, nsrc int) {
 
 // sweepOne is the single-word level sweep (batches of up to 64 sources),
 // kept free of the per-word strip loops.
-func (s *MSBFSScratch) sweepOne(g *Graph, withDist bool) {
-	n := s.n
+func (s *MSBFSScratch) sweepOne(g *Graph) {
 	for level := int32(1); len(s.cur) > 0; level++ {
 		s.nxt = s.nxt[:0]
 		for _, u := range s.cur {
@@ -297,12 +278,8 @@ func (s *MSBFSScratch) sweepOne(g *Graph, withDist bool) {
 			s.next[v] = 0
 			s.seen[v] |= fresh
 			s.frontier[v] = fresh
-			row := int(v)
 			for m := fresh; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if withDist {
-					s.dist[i*n+row] = level
-				}
 				// A source's frontier drains monotonically, so its count
 				// row is contiguous: level == len(row) on first touch.
 				if len(s.counts[i]) <= int(level) {
@@ -317,8 +294,8 @@ func (s *MSBFSScratch) sweepOne(g *Graph, withDist bool) {
 
 // sweepWide is the multi-word level sweep: identical traversal with W-word
 // mask strips per node.
-func (s *MSBFSScratch) sweepWide(g *Graph, withDist bool) {
-	n, W := s.n, s.words
+func (s *MSBFSScratch) sweepWide(g *Graph) {
+	W := s.words
 	for level := int32(1); len(s.cur) > 0; level++ {
 		s.nxt = s.nxt[:0]
 		for _, u := range s.cur {
@@ -341,7 +318,6 @@ func (s *MSBFSScratch) sweepWide(g *Graph, withDist bool) {
 		}
 		for _, v := range s.nxt {
 			vb := int(v) * W
-			row := int(v)
 			for w := 0; w < W; w++ {
 				fresh := s.next[vb+w]
 				s.next[vb+w] = 0
@@ -350,9 +326,6 @@ func (s *MSBFSScratch) sweepWide(g *Graph, withDist bool) {
 				hi := w * MSBFSWordBits
 				for m := fresh; m != 0; m &= m - 1 {
 					i := hi + bits.TrailingZeros64(m)
-					if withDist {
-						s.dist[i*n+row] = level
-					}
 					if len(s.counts[i]) <= int(level) {
 						s.counts[i] = append(s.counts[i], 0)
 					}
@@ -461,9 +434,8 @@ func (s *MSBFSScratch) sweepWideSigma(off, adj []int32) {
 }
 
 // DistRow returns sources[i]'s full distance row after RunSigma: row[v] is
-// the hop distance or Unreached. Unlike Dist, no seen-mask guard is needed —
-// RunSigma pre-fills the rows. Owned by the scratch until the next run;
-// panics after Run/RunLevels.
+// the hop distance or Unreached (RunSigma pre-fills the rows). Owned by the
+// scratch until the next run; panics after RunLevels.
 func (s *MSBFSScratch) DistRow(i int) []int32 {
 	if !s.sigmaOK {
 		panic("graph: DistRow called without a preceding RunSigma")
@@ -473,7 +445,7 @@ func (s *MSBFSScratch) DistRow(i int) []int32 {
 
 // SigmaRow returns sources[i]'s shortest-path-count row after RunSigma:
 // row[v] counts the shortest paths from sources[i] to v (0 when unreached).
-// Owned by the scratch until the next run; panics after Run/RunLevels.
+// Owned by the scratch until the next run; panics after RunLevels.
 func (s *MSBFSScratch) SigmaRow(i int) []float64 {
 	if !s.sigmaOK {
 		panic("graph: SigmaRow called without a preceding RunSigma")
@@ -484,24 +456,10 @@ func (s *MSBFSScratch) SigmaRow(i int) []float64 {
 // NumSources returns the batch width of the last run.
 func (s *MSBFSScratch) NumSources() int { return s.nsrc }
 
-// Dist returns v's hop distance from sources[i] in the last Run, or
-// Unreached for nodes in other components. Only valid after Run (not
-// RunLevels, which skips the distance rows).
-func (s *MSBFSScratch) Dist(i int, v int32) int32 {
-	if !s.live.Seen(v) {
-		return Unreached
-	}
-	word, bit := i/MSBFSWordBits, uint64(1)<<uint(i%MSBFSWordBits)
-	if s.seen[int(v)*s.words+word]&bit == 0 {
-		return Unreached
-	}
-	return s.dist[i*s.n+int(v)]
-}
-
 // LevelCounts returns sources[i]'s per-level reach counts: counts[h] nodes
 // sit at distance exactly h, and len(counts) is the source's eccentricity
 // plus one. The slice is owned by the scratch and valid until the next run.
-// Valid after Run/RunLevels only: the sigma kernel's consumers read full
+// Valid after RunLevels only: the sigma kernel's consumers read full
 // distance rows instead, so RunSigma skips the per-discovery count
 // bookkeeping and these accessors panic.
 func (s *MSBFSScratch) LevelCounts(i int) []int32 {
@@ -510,14 +468,14 @@ func (s *MSBFSScratch) LevelCounts(i int) []int32 {
 }
 
 // Eccentricity returns sources[i]'s hop radius within its component.
-// Valid after Run/RunLevels only (see LevelCounts).
+// Valid after RunLevels only (see LevelCounts).
 func (s *MSBFSScratch) Eccentricity(i int) int {
 	s.checkCounts()
 	return len(s.counts[i]) - 1
 }
 
 // Reached returns how many nodes sources[i] reached, including itself.
-// Valid after Run/RunLevels only (see LevelCounts).
+// Valid after RunLevels only (see LevelCounts).
 func (s *MSBFSScratch) Reached(i int) int {
 	s.checkCounts()
 	total := 0
@@ -529,7 +487,7 @@ func (s *MSBFSScratch) Reached(i int) int {
 
 func (s *MSBFSScratch) checkCounts() {
 	if s.sigmaOK {
-		panic("graph: level counts are not maintained by RunSigma; use Run or RunLevels")
+		panic("graph: level counts are not maintained by RunSigma; use RunLevels")
 	}
 }
 

@@ -25,10 +25,6 @@ func checkSigmaMatchesScalar(t *testing.T, g *Graph, s *MSBFSScratch, sources []
 			if got, want := srow[v], sc.Sigma(v); got != want {
 				t.Fatalf("source %d (%d): sigma[%d] = %v, want %v", i, src, v, got, want)
 			}
-			// The guarded accessor must agree with the raw row.
-			if got := s.Dist(i, v); got != drow[v] {
-				t.Fatalf("source %d (%d): Dist(%d) = %d, row says %d", i, src, v, got, drow[v])
-			}
 		}
 	}
 }
@@ -63,10 +59,10 @@ func TestRunSigmaDuplicateSources(t *testing.T) {
 func TestRunSigmaAfterRunAndBack(t *testing.T) {
 	g := msbfsTestGraph(19, 150, 400)
 	s := NewMSBFSScratch()
-	// Interleave plain runs and sigma runs on one scratch: the epoch reset
+	// Interleave level runs and sigma runs on one scratch: the epoch reset
 	// and the pre-filled rows must not leak state between modes.
 	checkSigmaMatchesScalar(t, g, s, []int32{0, 3, 9})
-	s.Run(g, []int32{1, 2})
+	s.RunLevels(g, []int32{1, 2})
 	checkSigmaMatchesScalar(t, g, s, []int32{4, 4, 7, 0})
 	s.RunLevels(g, []int32{5})
 	checkSigmaMatchesScalar(t, g, s, []int32{8})
@@ -75,10 +71,10 @@ func TestRunSigmaAfterRunAndBack(t *testing.T) {
 func TestSigmaRowPanicsWithoutRunSigma(t *testing.T) {
 	g := msbfsTestGraph(23, 40, 80)
 	s := NewMSBFSScratch()
-	s.Run(g, []int32{0})
+	s.RunLevels(g, []int32{0})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SigmaRow after Run did not panic")
+			t.Fatal("SigmaRow after RunLevels did not panic")
 		}
 	}()
 	s.SigmaRow(0)

@@ -37,34 +37,6 @@ func TestWideMSBFSWidthReuse(t *testing.T) {
 	}
 }
 
-// TestRunLevelsMatchesRun pins the counts-only mode to the full run's level
-// counts at one- and multi-word widths.
-func TestRunLevelsMatchesRun(t *testing.T) {
-	g := msbfsTestGraph(37, 400, 900)
-	full, lean := NewMSBFSScratch(), NewMSBFSScratch()
-	r := rand.New(rand.NewSource(41))
-	for _, width := range []int{1, 48, 64, 96, 192, 256} {
-		sources := make([]int32, width)
-		for i := range sources {
-			sources[i] = int32(r.Intn(g.NumNodes()))
-		}
-		full.Run(g, sources)
-		lean.RunLevels(g, sources)
-		for i := range sources {
-			want, got := full.LevelCounts(i), lean.LevelCounts(i)
-			if len(want) != len(got) {
-				t.Fatalf("width %d source %d: %d levels, want %d", width, i, len(got), len(want))
-			}
-			for h := range want {
-				if want[h] != got[h] {
-					t.Fatalf("width %d source %d level %d: count %d, want %d",
-						width, i, h, got[h], want[h])
-				}
-			}
-		}
-	}
-}
-
 // TestApproxDiameter checks the double-sweep estimate on shapes with known
 // diameters: exact on paths (trees), and a valid lower bound that reaches
 // the true value on small lattices.

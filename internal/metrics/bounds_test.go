@@ -88,19 +88,28 @@ func TestEccentricityBoundsShrinkWithBudget(t *testing.T) {
 }
 
 // TestAveragePathLengthBounds checks the per-source path-length estimator:
-// the point estimate must be untouched by the bound computation, bounds
-// must shrink with budget, and full enumeration must be exactly zero-width.
+// the full-enumeration point estimate must be total distance over total
+// pairs of a scalar BFS from every node, bounds must shrink with budget,
+// and full enumeration must be exactly zero-width.
 func TestAveragePathLengthBounds(t *testing.T) {
 	g := boundsTestGraph(t)
-	apl, seFull := AveragePathLengthBounds(g, 0)
+	apl, seFull := AveragePathLength(g, 0)
 	if seFull != 0 {
 		t.Errorf("full enumeration: want stderr exactly 0, got %v", seFull)
 	}
-	if legacy := AveragePathLength(g, 0); legacy != apl {
-		t.Errorf("AveragePathLength %v != AveragePathLengthBounds %v", legacy, apl)
+	totalDist, totalPairs := 0.0, 0.0
+	for src := int32(0); src < int32(g.NumNodes()); src++ {
+		dist, order := g.BFS(src)
+		for _, v := range order[1:] {
+			totalDist += float64(dist[v])
+		}
+		totalPairs += float64(len(order) - 1)
 	}
-	_, seSmall := AveragePathLengthBounds(g, 12)
-	_, seLarge := AveragePathLengthBounds(g, g.NumNodes()/2)
+	if want := totalDist / totalPairs; apl != want {
+		t.Errorf("AveragePathLength %v, scalar BFS over all pairs %v", apl, want)
+	}
+	_, seSmall := AveragePathLength(g, 12)
+	_, seLarge := AveragePathLength(g, g.NumNodes()/2)
 	if seSmall == 0 {
 		t.Error("sampled run reported a zero-width bound")
 	}

@@ -25,14 +25,10 @@ func VertexCover(g *graph.Graph) []int32 {
 	return slices.Clone(m)
 }
 
-// VertexCoverCurve computes the vertex-cover size of ball subgraphs as a
-// function of ball size, the ball-growing form used in Figure 8(a-c).
-func VertexCoverCurve(g *graph.Graph, cfg ball.Config) stats.Series {
-	return VertexCoverCurveWith(ball.NewEngine(g, 1), cfg)
-}
-
-// VertexCoverCurveWith is VertexCoverCurve over an engine: balls grow on
-// the worker pool and their subgraphs come from the shared ball cache.
+// VertexCoverCurveWith computes the vertex-cover size of ball subgraphs as
+// a function of ball size, the ball-growing form used in Figure 8(a-c).
+// Balls grow on the engine's worker pool and their subgraphs come from the
+// shared ball cache.
 func VertexCoverCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2
@@ -123,42 +119,4 @@ func (ws *coverScratch) greedyCover(g *graph.Graph) []int32 {
 	}
 	ws.greedy = cover
 	return cover
-}
-
-// WeightedVertexCover computes a 2-approximate minimum weighted vertex
-// cover of the pair graph given as edges over nodes with weights, using the
-// local-ratio (primal-dual) rule: for each uncovered pair, pay the smaller
-// residual weight on both endpoints; a node whose residual hits zero joins
-// the cover. It returns the total original weight of the cover. This is the
-// subroutine behind the paper's link values (§5).
-func WeightedVertexCover(pairs [][2]int32, weight map[int32]float64) float64 {
-	residual := make(map[int32]float64, len(weight))
-	for v, w := range weight {
-		residual[v] = w
-	}
-	inCover := make(map[int32]bool)
-	for _, p := range pairs {
-		u, v := p[0], p[1]
-		if inCover[u] || inCover[v] {
-			continue
-		}
-		ru, rv := residual[u], residual[v]
-		m := ru
-		if rv < m {
-			m = rv
-		}
-		residual[u] = ru - m
-		residual[v] = rv - m
-		if residual[u] <= 1e-12 {
-			inCover[u] = true
-		}
-		if residual[v] <= 1e-12 && v != u {
-			inCover[v] = true
-		}
-	}
-	total := 0.0
-	for v := range inCover {
-		total += weight[v]
-	}
-	return total
 }

@@ -8,22 +8,15 @@ import (
 	"topocmp/internal/stats"
 )
 
-// Distortion computes D(n): for the subgraph inside an n-node ball, the
-// average distance on a spanning tree T between the endpoints of each graph
-// edge, minimized over candidate trees (§3.2.1). Following the paper's
-// heuristic (footnote 14), the ball's "center" is the node the most
-// shortest-path pairs traverse; the BFS tree rooted there (and at a few
-// runner-up candidates — "our own heuristics") provides the spanning trees.
-func Distortion(g *graph.Graph, cfg ball.Config, roots int) stats.Series {
-	if roots <= 0 {
-		roots = 3
-	}
-	return DistortionWith(ball.NewEngine(g, 1), cfg, roots)
-}
-
-// DistortionWith is Distortion over an engine: balls grow on the worker
-// pool, their subgraphs come from the shared ball cache, and the center
-// election runs on the engine's leased kernel bundles.
+// DistortionWith computes D(n) on the engine's graph: for the subgraph
+// inside an n-node ball, the average distance on a spanning tree T between
+// the endpoints of each graph edge, minimized over candidate trees
+// (§3.2.1). Following the paper's heuristic (footnote 14), the ball's
+// "center" is the node the most shortest-path pairs traverse; the BFS tree
+// rooted there (and at the next roots−1 candidates — "our own heuristics";
+// roots <= 0 means 3) provides the spanning trees. Balls grow on the
+// engine's worker pool, their subgraphs come from the shared ball cache,
+// and the center election runs on the engine's leased kernel bundles.
 func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 	if roots <= 0 {
 		roots = 3
@@ -46,19 +39,15 @@ type brandesRoute int8
 
 const (
 	// brandesProbed probes the subgraph's diameter (cheap double BFS sweep)
-	// and routes: past the cutoff the frontiers are thin and the scalar path
-	// wins; otherwise the bit-parallel kernel batches every sampled source
-	// through one shared level sweep. The only production setting; the
-	// forced routes serve the differential tests (export_test.go).
+	// and routes on ball.MSBFSDiameterCutoff: past it the frontiers are thin
+	// and the scalar path wins; otherwise the bit-parallel kernel batches
+	// every sampled source through one shared level sweep. The only
+	// production setting; the forced routes serve the differential tests
+	// (export_test.go).
 	brandesProbed brandesRoute = iota
 	brandesScalar
 	brandesBitParallel
 )
-
-// brandesDiameterCutoff is the probe's routing threshold, matching
-// the distance sweeps' cutoff in internal/ball: high-diameter subgraphs
-// (lattice balls) keep the scalar path.
-const brandesDiameterCutoff = 32
 
 // distScratch is the distortion workspace family — the spanning-tree arrays
 // and the betweenness accumulators — leased per subgraph through the
@@ -73,28 +62,14 @@ type distScratch struct {
 
 var distPool = ball.NewPool(func() *distScratch { return &distScratch{} })
 
-// standaloneKernels serves the entry points that run without an engine
-// lease (direct SubgraphDistortion calls): the same bundle shape, pooled
-// through the same layer, minus the engine's counters.
-var standaloneKernels = ball.NewPool(func() *ball.Kernels {
-	return &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
-})
-
-// SubgraphDistortion returns the distortion estimate for one connected
-// graph: the minimum, over BFS trees rooted at the top `roots` betweenness
-// candidates, of the average tree distance between edge endpoints. Returns
-// 0 for graphs with no edges.
-func SubgraphDistortion(sub *graph.Graph, roots int) float64 {
-	k := standaloneKernels.Get()
-	defer standaloneKernels.Put(k)
-	return SubgraphDistortionKernels(sub, roots, k)
-}
-
-// SubgraphDistortionKernels is SubgraphDistortion on a leased kernel
-// bundle: the betweenness election runs on k's BFS scratch or bit-parallel
-// Brandes strips, as the diameter probe routes, and the tree arrays come
-// from the pooled distortion workspace, so the per-ball hot path is
-// allocation-free.
+// SubgraphDistortionKernels returns the distortion estimate for one
+// connected graph: the minimum, over BFS trees rooted at the top `roots`
+// betweenness candidates, of the average tree distance between edge
+// endpoints; 0 for graphs with no edges. The betweenness election runs on
+// k's BFS scratch or bit-parallel Brandes strips, as the diameter probe
+// routes, and the tree arrays come from the pooled distortion workspace, so
+// the per-ball hot path is allocation-free. k needs only BFS and Brandes;
+// a bundle built outside an engine records no counters.
 //
 // A tree (connected, m = n−1) is its own only spanning tree, so it answers
 // exactly 1 without an election: every candidate root's BFS tree is the
@@ -148,7 +123,7 @@ func topBetweenness(g *graph.Graph, k int, route brandesRoute, kn *ball.Kernels,
 	r := rand.New(rand.NewSource(int64(n)*7919 + 17))
 	perm := r.Perm(n)
 	if route == brandesProbed {
-		if graph.ApproxDiameter(g, kn.BFS) > brandesDiameterCutoff {
+		if graph.ApproxDiameter(g, kn.BFS) > ball.MSBFSDiameterCutoff {
 			route = brandesScalar
 		} else {
 			route = brandesBitParallel

@@ -4,25 +4,18 @@ import (
 	"math/rand"
 
 	"topocmp/internal/ball"
-	"topocmp/internal/graph"
 	"topocmp/internal/stats"
 )
 
-// EccentricityDistribution computes the node-diameter distribution of
-// Figure 7(d-f): the histogram of node eccentricities normalized by the
-// mean eccentricity, binned at binWidth (the paper uses ~0.1), with Y the
-// fraction of sampled nodes per bin. maxSamples bounds the number of BFS
-// runs (0 = all nodes).
-func EccentricityDistribution(g *graph.Graph, maxSamples int, binWidth float64) stats.Series {
-	return EccentricityDistributionWith(ball.NewEngine(g, 1), maxSamples, binWidth,
-		rand.New(rand.NewSource(11)))
-}
-
-// EccentricityDistributionWith is EccentricityDistribution over an engine,
-// with rng driving the node sampling. Eccentricities only need distances,
-// so sampling runs through the engine's bit-parallel distance kernel and
-// its cum-profile cache: when rng matches the expansion metric's center
-// sampling the two metrics share one batched kernel pass per 64 centers.
+// EccentricityDistributionWith computes the node-diameter distribution of
+// Figure 7(d-f) on the engine's graph: the histogram of node eccentricities
+// normalized by the mean eccentricity, binned at binWidth (the paper uses
+// ~0.1), with Y the fraction of sampled nodes per bin. maxSamples bounds
+// the number of sampled nodes (0 = all nodes) and rng drives the sampling.
+// Eccentricities only need distances, so sampling runs through the
+// engine's bit-parallel distance kernel and its cum-profile cache: when rng
+// matches the expansion metric's center sampling the two metrics share one
+// batched kernel pass.
 func EccentricityDistributionWith(e *ball.Engine, maxSamples int, binWidth float64, rng *rand.Rand) stats.Series {
 	out := stats.Series{Name: "eccentricity"}
 	g := e.Graph()

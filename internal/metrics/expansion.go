@@ -8,23 +8,17 @@ package metrics
 
 import (
 	"topocmp/internal/ball"
-	"topocmp/internal/graph"
 	"topocmp/internal/stats"
 )
 
-// Expansion computes E(h): the average fraction of the graph's nodes that
-// fall within a ball of radius h, averaged over (sampled) centers. This is
-// the reachability-style metric of Phillips et al. normalized by graph size
-// so that differently sized graphs are comparable (§3.2.1).
-func Expansion(g *graph.Graph, cfg ball.Config) stats.Series {
-	return ExpansionWith(ball.NewEngine(g, 1), cfg)
-}
-
-// ExpansionWith is Expansion over an engine: expansion only needs ball
-// sizes, so the per-center passes run through the engine's bit-parallel
-// distance kernel (up to 64 centers per CSR sweep) and land in its cum
-// profile cache, where metrics sampling the same centers reuse them.
-// Cached full profiles satisfy the request directly; the series is
+// ExpansionWith computes E(h) on the engine's graph: the average fraction
+// of the graph's nodes that fall within a ball of radius h, averaged over
+// (sampled) centers. This is the reachability-style metric of Phillips et
+// al. normalized by graph size so that differently sized graphs are
+// comparable (§3.2.1). Expansion only needs ball sizes, so the per-center
+// passes run through the engine's bit-parallel distance kernel and land in
+// its cum profile cache, where metrics sampling the same centers reuse
+// them. Cached full profiles satisfy the request directly; the series is
 // byte-identical to the scalar per-center path.
 func ExpansionWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	g := e.Graph()

@@ -17,22 +17,15 @@ import (
 // for the ablation benches.
 
 // BallPathLengthCurve computes the average pairwise shortest-path length of
-// ball subgraphs as a function of ball size.
+// ball subgraphs as a function of ball size. Balls grow on a width-1
+// engine.
 func BallPathLengthCurve(g *graph.Graph, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3
 	}
-	var raw []stats.Point
-	ball.Visit(g, cfg, func(b ball.Ball) {
-		sub := ball.Subgraph(g, b)
-		sources := sub.NumNodes()
-		if sources > 24 {
-			sources = 24
-		}
-		raw = append(raw, stats.Point{
-			X: float64(sub.NumNodes()),
-			Y: AveragePathLength(sub, sources),
-		})
+	raw := ball.NewEngine(g, 1).BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+		apl, _ := AveragePathLength(sub, min(sub.NumNodes(), 24))
+		return apl, true
 	})
 	s := stats.Bucketize(raw, bucketRatio)
 	s.Name = "ballpathlength"
@@ -41,10 +34,11 @@ func BallPathLengthCurve(g *graph.Graph, cfg ball.Config) stats.Series {
 
 // SurfaceMaxFlowCurve computes the expected unit-capacity max flow from a
 // ball's center to nodes on its surface (nodes at exactly the ball radius),
-// as a function of ball size. One subgraph scratch, BFS scratch and Dinic
-// network are reused across every ball, so the sweep allocates only the
-// per-ball subgraphs themselves; the sampling RNG sequence is unchanged, so
-// the series is byte-identical to the historical implementation.
+// as a function of ball size. Balls grow on a width-1 engine, which visits
+// them in (center, radius) order on one goroutine, so a single flow RNG
+// (seed 29) samples the surface nodes of every ball in that order. The
+// surface BFS runs on the engine's kernel bundle and one Dinic network is
+// reset per ball.
 func SurfaceMaxFlowCurve(g *graph.Graph, cfg ball.Config, flowSamples int) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3
@@ -53,37 +47,31 @@ func SurfaceMaxFlowCurve(g *graph.Graph, cfg ball.Config, flowSamples int) stats
 		flowSamples = 8
 	}
 	r := rand.New(rand.NewSource(29))
-	subScratch := graph.NewSubgraphScratch()
-	bfs := graph.NewBFSScratch()
 	var nw flow.Network
 	var surface []int32
-	var raw []stats.Point
-	ball.Visit(g, cfg, func(b ball.Ball) {
-		sub := subScratch.Induced(g, b.Nodes)
-		// The center is node 0 of the subgraph (BFS order); surface nodes
-		// are those at distance Radius.
-		bfs.BFS(sub, 0)
-		surface = surface[:0]
-		for v := int32(0); v < int32(sub.NumNodes()); v++ {
-			if int(bfs.Dist(v)) == b.Radius {
-				surface = append(surface, v)
+	raw := ball.NewEngine(g, 1).BallPointsKernels(cfg, 0,
+		func(sub *graph.Graph, radius int, _ *rand.Rand, k *ball.Kernels) (float64, bool) {
+			// The center is node 0 of the subgraph (BFS order); surface
+			// nodes are those at distance radius.
+			k.BFS.BFS(sub, 0)
+			surface = surface[:0]
+			for v := int32(0); v < int32(sub.NumNodes()); v++ {
+				if int(k.BFS.Dist(v)) == radius {
+					surface = append(surface, v)
+				}
 			}
-		}
-		if len(surface) == 0 {
-			return
-		}
-		nw.Reset(sub)
-		total, samples := 0.0, 0
-		for i := 0; i < flowSamples && i < len(surface); i++ {
-			t := surface[r.Intn(len(surface))]
-			total += float64(nw.MaxFlow(0, t))
-			samples++
-		}
-		raw = append(raw, stats.Point{
-			X: float64(sub.NumNodes()),
-			Y: total / float64(samples),
+			if len(surface) == 0 {
+				return 0, false
+			}
+			nw.Reset(sub)
+			total, samples := 0.0, 0
+			for i := 0; i < flowSamples && i < len(surface); i++ {
+				t := surface[r.Intn(len(surface))]
+				total += float64(nw.MaxFlow(0, t))
+				samples++
+			}
+			return total / float64(samples), true
 		})
-	})
 	s := stats.Bucketize(raw, bucketRatio)
 	s.Name = "surfacemaxflow"
 	return s

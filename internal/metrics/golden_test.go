@@ -57,9 +57,9 @@ func sameSeries(t *testing.T, name string, got stats.Series, want []stats.Point)
 // rewrite: centers, per-center seed derivation, workspace-backed cuts and
 // bucketization all have to match the historical pipeline exactly.
 func TestResilienceSeriesGolden(t *testing.T) {
-	s := Resilience(goldenPLRG(),
+	s := ResilienceWith(ball.NewEngine(goldenPLRG(), 1),
 		ball.Config{MaxSources: 6, MaxBallSize: 400, Rand: rand.New(rand.NewSource(2))},
-		partition.Options{})
+		partition.Options{}, 1)
 	sameSeries(t, "resilience", s, []stats.Point{
 		{X: 2, Y: 1}, {X: 3, Y: 1}, {X: 4, Y: 2}, {X: 6, Y: 3}, {X: 7.5, Y: 3},
 		{X: 17, Y: 8.5}, {X: 24, Y: 11}, {X: 39, Y: 7}, {X: 42, Y: 6.5},

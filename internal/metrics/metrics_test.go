@@ -16,11 +16,17 @@ func defaultCfg(sources int) ball.Config {
 	return ball.Config{MaxSources: sources, Rand: rand.New(rand.NewSource(1))}
 }
 
+// newKernels returns a kernel bundle built outside an engine, enough for
+// SubgraphDistortionKernels.
+func newKernels() *ball.Kernels {
+	return &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
+}
+
 // --- Expansion ---
 
 func TestExpansionPath(t *testing.T) {
 	g := canonical.Linear(10)
-	s := Expansion(g, ball.Config{})
+	s := ExpansionWith(ball.NewEngine(g, 1), ball.Config{})
 	// E(0) = 1/10; E at eccentricity = 1.
 	if math.Abs(s.Points[0].Y-0.1) > 1e-9 {
 		t.Fatalf("E(0) = %v, want 0.1", s.Points[0].Y)
@@ -33,7 +39,7 @@ func TestExpansionPath(t *testing.T) {
 
 func TestExpansionMonotone(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := Expansion(g, ball.Config{})
+	s := ExpansionWith(ball.NewEngine(g, 1), ball.Config{})
 	for i := 1; i < s.Len(); i++ {
 		if s.Points[i].Y < s.Points[i-1].Y-1e-12 {
 			t.Fatalf("expansion not monotone at %d", i)
@@ -44,8 +50,8 @@ func TestExpansionMonotone(t *testing.T) {
 func TestExpansionTreeFasterThanMesh(t *testing.T) {
 	tree := canonical.Tree(3, 6)   // 1093 nodes
 	mesh := canonical.Mesh(33, 33) // 1089 nodes
-	st := Expansion(tree, defaultCfg(50))
-	sm := Expansion(mesh, defaultCfg(50))
+	st := ExpansionWith(ball.NewEngine(tree, 1), defaultCfg(50))
+	sm := ExpansionWith(ball.NewEngine(mesh, 1), defaultCfg(50))
 	// The forms differ — exponential vs quadratic — which shows at radius
 	// ~10: the tree (diameter 12) has nearly saturated while the mesh
 	// (diameter 64) has only reached ~2h^2/N of its nodes.
@@ -55,7 +61,7 @@ func TestExpansionTreeFasterThanMesh(t *testing.T) {
 }
 
 func TestExpansionEmptyGraph(t *testing.T) {
-	if s := Expansion(canonical.Linear(0), ball.Config{}); s.Len() != 0 {
+	if s := ExpansionWith(ball.NewEngine(canonical.Linear(0), 1), ball.Config{}); s.Len() != 0 {
 		t.Fatal("empty graph should give empty series")
 	}
 }
@@ -64,7 +70,7 @@ func TestExpansionEmptyGraph(t *testing.T) {
 
 func TestResilienceTreeLow(t *testing.T) {
 	g := canonical.Tree(3, 6)
-	s := Resilience(g, defaultCfg(12), partition.Options{})
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(12), partition.Options{}, 1)
 	// Tiny balls around internal nodes are stars, whose balanced cut is
 	// necessarily ~n/2; and a complete k-ary tree needs ~log n cuts for a
 	// balanced split. The tree's signature is therefore *flat, low*
@@ -83,7 +89,7 @@ func TestResilienceTreeLow(t *testing.T) {
 func TestResilienceRandomGrows(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := canonical.Random(r, 1200, 0.004) // avg degree ~4.8
-	s := Resilience(g, defaultCfg(10), partition.Options{})
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(10), partition.Options{}, 1)
 	if s.Len() < 3 {
 		t.Fatalf("too few resilience points: %d", s.Len())
 	}
@@ -103,9 +109,9 @@ func TestResilienceOrdering(t *testing.T) {
 	tree := canonical.Tree(2, 9)
 	mesh := canonical.Mesh(32, 32)
 	random := canonical.Random(r, 1100, 0.004)
-	st := Resilience(tree, defaultCfg(8), partition.Options{})
-	sm := Resilience(mesh, defaultCfg(8), partition.Options{})
-	sr := Resilience(random, defaultCfg(8), partition.Options{})
+	st := ResilienceWith(ball.NewEngine(tree, 1), defaultCfg(8), partition.Options{}, 1)
+	sm := ResilienceWith(ball.NewEngine(mesh, 1), defaultCfg(8), partition.Options{}, 1)
+	sr := ResilienceWith(ball.NewEngine(random, 1), defaultCfg(8), partition.Options{}, 1)
 	size := 400.0
 	if !(st.YAt(size) < sm.YAt(size) && sm.YAt(size) < sr.YAt(size)) {
 		t.Fatalf("ordering violated: tree=%v mesh=%v random=%v",
@@ -117,7 +123,7 @@ func TestResilienceOrdering(t *testing.T) {
 
 func TestDistortionTreeIsOne(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := Distortion(g, defaultCfg(10), 3)
+	s := DistortionWith(ball.NewEngine(g, 1), defaultCfg(10), 3)
 	for _, p := range s.Points {
 		if math.Abs(p.Y-1) > 1e-9 {
 			t.Fatalf("tree distortion = %v at size %v, want 1", p.Y, p.X)
@@ -127,7 +133,7 @@ func TestDistortionTreeIsOne(t *testing.T) {
 
 func TestDistortionCompleteIsTwoish(t *testing.T) {
 	g := canonical.Complete(30)
-	d := SubgraphDistortion(g, 3)
+	d := SubgraphDistortionKernels(g, 3, newKernels())
 	// Star spanning tree: center edges distance 1 (29 edges), other pairs 2.
 	if d < 1.5 || d > 2.05 {
 		t.Fatalf("complete-graph distortion = %v, want ~1.93", d)
@@ -136,7 +142,7 @@ func TestDistortionCompleteIsTwoish(t *testing.T) {
 
 func TestDistortionMeshGrows(t *testing.T) {
 	mesh := canonical.Mesh(25, 25)
-	s := Distortion(mesh, defaultCfg(8), 3)
+	s := DistortionWith(ball.NewEngine(mesh, 1), defaultCfg(8), 3)
 	if s.Len() < 3 {
 		t.Fatalf("too few points: %d", s.Len())
 	}
@@ -152,8 +158,8 @@ func TestDistortionMeshGrows(t *testing.T) {
 func TestDistortionPLRGLowerThanMesh(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(4)), plrg.Params{N: 1500, Beta: 2.2})
 	mesh := canonical.Mesh(30, 30)
-	sg := Distortion(g, defaultCfg(8), 3)
-	sm := Distortion(mesh, defaultCfg(8), 3)
+	sg := DistortionWith(ball.NewEngine(g, 1), defaultCfg(8), 3)
+	sm := DistortionWith(ball.NewEngine(mesh, 1), defaultCfg(8), 3)
 	size := 500.0
 	if sg.YAt(size) >= sm.YAt(size) {
 		t.Fatalf("PLRG distortion %v should be below mesh %v at size %v",
@@ -162,10 +168,10 @@ func TestDistortionPLRGLowerThanMesh(t *testing.T) {
 }
 
 func TestSubgraphDistortionDegenerate(t *testing.T) {
-	if d := SubgraphDistortion(canonical.Linear(1), 3); d != 0 {
+	if d := SubgraphDistortionKernels(canonical.Linear(1), 3, newKernels()); d != 0 {
 		t.Fatalf("single node distortion = %v", d)
 	}
-	if d := SubgraphDistortion(canonical.Linear(2), 3); math.Abs(d-1) > 1e-9 {
+	if d := SubgraphDistortionKernels(canonical.Linear(2), 3, newKernels()); math.Abs(d-1) > 1e-9 {
 		t.Fatalf("K2 distortion = %v, want 1", d)
 	}
 }
@@ -206,7 +212,7 @@ func TestEigenvalueSpectrumLargeUsesLanczos(t *testing.T) {
 
 func TestEccentricityDistribution(t *testing.T) {
 	g := canonical.Mesh(12, 12)
-	s := EccentricityDistribution(g, 0, 0.1)
+	s := EccentricityDistributionWith(ball.NewEngine(g, 1), 0, 0.1, rand.New(rand.NewSource(11)))
 	sum := 0.0
 	for _, p := range s.Points {
 		sum += p.Y
@@ -223,7 +229,7 @@ func TestEccentricityTreeOneSided(t *testing.T) {
 	// Paper footnote 23: the tree's diameter distribution is one-sided —
 	// most nodes (the leaves) sit at maximum eccentricity.
 	g := canonical.Tree(3, 6)
-	s := EccentricityDistribution(g, 200, 0.1)
+	s := EccentricityDistributionWith(ball.NewEngine(g, 1), 200, 0.1, rand.New(rand.NewSource(11)))
 	// Mass above the mean should dominate.
 	above := 0.0
 	for _, p := range s.Points {
@@ -269,26 +275,6 @@ func TestVertexCoverValid(t *testing.T) {
 	}
 }
 
-func TestWeightedVertexCoverAccessLink(t *testing.T) {
-	// All pairs share node 0 with weight 1; cover = {0}, value 1 — the
-	// paper's access-link example.
-	pairs := [][2]int32{{0, 1}, {0, 2}, {0, 3}}
-	w := map[int32]float64{0: 1, 1: 5, 2: 5, 3: 5}
-	if v := WeightedVertexCover(pairs, w); math.Abs(v-1) > 1e-9 {
-		t.Fatalf("access-link cover value = %v, want 1", v)
-	}
-}
-
-func TestWeightedVertexCoverIsCover(t *testing.T) {
-	pairs := [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
-	w := map[int32]float64{0: 1, 1: 2, 2: 1, 3: 2}
-	v := WeightedVertexCover(pairs, w)
-	// Optimal picks nodes 0 and 2 (value 2); the 2-approx pays at most 4.
-	if v < 2-1e-9 || v > 4+1e-9 {
-		t.Fatalf("cycle cover value = %v, want in [2,4]", v)
-	}
-}
-
 // --- Biconnectivity ---
 
 func TestBiconnectedComponentsKnown(t *testing.T) {
@@ -322,7 +308,7 @@ func TestBiconnectedComponentsKnown(t *testing.T) {
 
 func TestBiconnectivityCurveTreeEqualsEdges(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := BiconnectivityCurve(g, defaultCfg(10))
+	s := BiconnectivityCurveWith(ball.NewEngine(g, 1), defaultCfg(10))
 	// In a tree every edge is its own biconnected component: count = n-1.
 	for _, p := range s.Points {
 		if math.Abs(p.Y-(p.X-1)) > p.X*0.2+2 {
@@ -351,14 +337,14 @@ func TestAttackToleranceHeavyTailPeaks(t *testing.T) {
 
 func TestAveragePathLength(t *testing.T) {
 	g := canonical.Complete(20)
-	if apl := AveragePathLength(g, 0); math.Abs(apl-1) > 1e-9 {
+	if apl, _ := AveragePathLength(g, 0); math.Abs(apl-1) > 1e-9 {
 		t.Fatalf("complete APL = %v, want 1", apl)
 	}
 	p := canonical.Linear(3) // distances 1,1,2 -> mean 4/3
-	if apl := AveragePathLength(p, 0); math.Abs(apl-4.0/3) > 1e-9 {
+	if apl, _ := AveragePathLength(p, 0); math.Abs(apl-4.0/3) > 1e-9 {
 		t.Fatalf("path APL = %v, want 4/3", apl)
 	}
-	if apl := AveragePathLength(canonical.Linear(1), 0); apl != 0 {
+	if apl, _ := AveragePathLength(canonical.Linear(1), 0); apl != 0 {
 		t.Fatalf("singleton APL = %v", apl)
 	}
 }
@@ -387,7 +373,7 @@ func TestClusteringCoefficientKnown(t *testing.T) {
 
 func TestClusteringCurveMeshZero(t *testing.T) {
 	// Grid has no triangles.
-	s := ClusteringCurve(canonical.Mesh(12, 12), defaultCfg(10))
+	s := ClusteringCurveWith(ball.NewEngine(canonical.Mesh(12, 12), 1), defaultCfg(10))
 	for _, p := range s.Points {
 		if p.Y != 0 {
 			t.Fatalf("mesh clustering %v at size %v, want 0", p.Y, p.X)
@@ -399,6 +385,6 @@ func BenchmarkExpansionPLRG(b *testing.B) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(9)), plrg.Params{N: 5000, Beta: 2.2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Expansion(g, defaultCfg(32))
+		ExpansionWith(ball.NewEngine(g, 1), defaultCfg(32))
 	}
 }

@@ -8,15 +8,17 @@ import (
 
 	"topocmp/internal/ball"
 	"topocmp/internal/gen/canonical"
+	"topocmp/internal/graph"
 	"topocmp/internal/metrics"
 )
 
 // TestBrandesRaceShort is the tier-2 race target for the betweenness
 // reroute: a four-worker ball engine drives the distortion metric (whose
 // top-roots ranking runs through the pooled Brandes kernels) concurrently
-// with direct standalone SubgraphDistortion calls leasing from the shared
-// workspace pools. The parallel series must stay bit-identical to the
-// sequential engine, and the standalone values bit-identical to each other.
+// with direct SubgraphDistortionKernels calls, each goroutine on its own
+// kernel bundle but all leasing from the shared distortion workspace pool.
+// The parallel series must stay bit-identical to the sequential engine, and
+// the direct values bit-identical to each other.
 func TestBrandesRaceShort(t *testing.T) {
 	g := canonical.Random(rand.New(rand.NewSource(31)), 300, 0.025)
 	cfg := func() ball.Config {
@@ -27,7 +29,10 @@ func TestBrandesRaceShort(t *testing.T) {
 		t.Fatal("empty distortion series")
 	}
 	sub := canonical.Random(rand.New(rand.NewSource(12)), 90, 0.08)
-	wantSub := metrics.SubgraphDistortion(sub, 6)
+	newKernels := func() *ball.Kernels {
+		return &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
+	}
+	wantSub := metrics.SubgraphDistortionKernels(sub, 6, newKernels())
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -51,9 +56,10 @@ func TestBrandesRaceShort(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			kn := newKernels()
 			for k := 0; k < 8; k++ {
-				if got := metrics.SubgraphDistortion(sub, 6); math.Float64bits(got) != math.Float64bits(wantSub) {
-					t.Errorf("standalone distortion %v != %v", got, wantSub)
+				if got := metrics.SubgraphDistortionKernels(sub, 6, kn); math.Float64bits(got) != math.Float64bits(wantSub) {
+					t.Errorf("direct distortion %v != %v", got, wantSub)
 					return
 				}
 			}

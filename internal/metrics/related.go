@@ -5,51 +5,12 @@ import (
 	"math/rand"
 
 	"topocmp/internal/graph"
-	"topocmp/internal/linalg"
 	"topocmp/internal/stats"
 )
 
 // This file implements the related-work metrics the paper discusses in §2:
-// the Laplacian spectrum analysis of Vukadinovic et al. (whose multiplicity
-// of eigenvalue 1 separates AS graphs from grids and random trees — a
-// *local* property, per the paper's reading), and the small-world
-// comparison of Watts and Strogatz.
-
-// LaplacianSpectrum returns all eigenvalues of the graph Laplacian
-// L = D - A in descending order, computed densely; intended for graphs up
-// to a few hundred nodes (subsample or use balls for larger ones).
-func LaplacianSpectrum(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	for v := int32(0); v < int32(n); v++ {
-		a[v][v] = float64(g.Degree(v))
-	}
-	for _, e := range g.Edges() {
-		a[e.U][e.V] = -1
-		a[e.V][e.U] = -1
-	}
-	return linalg.JacobiEigenvalues(a)
-}
-
-// EigenvalueOneMultiplicity returns the (approximate) multiplicity of
-// eigenvalue 1 in the Laplacian spectrum, Vukadinovic et al.'s
-// discriminator: it counts pendant structure (degree-1 nodes and their
-// attachments), high in AS-like graphs and zero in grids.
-func EigenvalueOneMultiplicity(g *graph.Graph, tol float64) int {
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	count := 0
-	for _, ev := range LaplacianSpectrum(g) {
-		if math.Abs(ev-1) <= tol {
-			count++
-		}
-	}
-	return count
-}
+// the small-world comparison of Watts and Strogatz and the Faloutsos et al.
+// hop-plot.
 
 // SmallWorld holds the Watts–Strogatz comparison of a graph against a
 // same-size, same-degree random baseline.
@@ -67,10 +28,8 @@ type SmallWorld struct {
 func SmallWorldness(g *graph.Graph, pathSamples int) SmallWorld {
 	n := float64(g.NumNodes())
 	k := g.AvgDegree()
-	sw := SmallWorld{
-		Clustering: ClusteringCoefficient(g),
-		PathLength: AveragePathLength(g, pathSamples),
-	}
+	sw := SmallWorld{Clustering: ClusteringCoefficient(g)}
+	sw.PathLength, _ = AveragePathLength(g, pathSamples)
 	if n > 1 && k > 1 {
 		sw.RandomClustering = k / n
 		sw.RandomPathLength = math.Log(n) / math.Log(k)
@@ -117,7 +76,7 @@ func HopPlot(g *graph.Graph, maxSources int, r *rand.Rand) stats.Series {
 		for i := range batch {
 			batch[i] = int32(perm[lo+i])
 		}
-		ms.Run(g, batch)
+		ms.RunLevels(g, batch)
 		for i := range batch {
 			levels := ms.LevelCounts(i)
 			cum := make([]float64, len(levels))

@@ -9,30 +9,18 @@ import (
 	"topocmp/internal/stats"
 )
 
-// Resilience computes R(n): the average minimum cut-set size of a balanced
-// bipartition of the subgraph inside an n-node ball (§3.2.1). The metric is
-// keyed by ball *size*, not radius, to factor out expansion differences.
-// Raw (size, cut) samples are averaged into geometric buckets.
+// ResilienceWith computes R(n) on the engine's graph: the average minimum
+// cut-set size of a balanced bipartition of the subgraph inside an n-node
+// ball (§3.2.1). The metric is keyed by ball *size*, not radius, to factor
+// out expansion differences. Raw (size, cut) samples are averaged into
+// geometric buckets.
 //
-// Seed-derivation contract: popts.Rand, when set, is consulted exactly once
-// — a single Int63 draw supplies the engine seed — and never again; every
-// per-ball RNG is derived from that seed downstream. A nil popts.Rand means
-// the fixed seed 1. The field is cleared before the work starts so no code
-// below this wrapper can observe (or advance) the caller's RNG.
-func Resilience(g *graph.Graph, cfg ball.Config, popts partition.Options) stats.Series {
-	seed := int64(1)
-	if popts.Rand != nil {
-		seed = popts.Rand.Int63()
-		popts.Rand = nil
-	}
-	return ResilienceWith(ball.NewEngine(g, 1), cfg, popts, seed)
-}
-
-// ResilienceWith is Resilience over an engine. Each center partitions its
-// balls with an RNG derived from seed+centerIndex (popts.Rand is ignored),
-// which keeps the series bit-identical at every engine parallelism. Cut
-// computations run on the engine's pooled per-worker partition workspaces,
-// so steady-state partitioning does not allocate.
+// Each center partitions its balls with an RNG derived from
+// seed+centerIndex (popts.Rand is ignored), which keeps the series
+// bit-identical at every engine parallelism. Callers that hold a seeded
+// RNG rather than a seed draw it once, rand.New(src).Int63(), and pass the
+// result. Cut computations run on the engine's pooled per-worker partition
+// workspaces, so steady-state partitioning does not allocate.
 func ResilienceWith(e *ball.Engine, cfg ball.Config, popts partition.Options, seed int64) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2

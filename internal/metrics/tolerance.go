@@ -58,31 +58,23 @@ func removalCurve(g *graph.Graph, order []int32, fractions []float64, pathSample
 		k := int(f * float64(n))
 		sub, _ := g.RemoveNodes(order[:k])
 		lc, _ := sub.LargestComponent()
-		apl, se := AveragePathLengthBounds(lc, pathSamples)
+		apl, se := AveragePathLength(lc, pathSamples)
 		s.AddWithErr(f, apl, se)
 	}
 	return s
 }
 
 // AveragePathLength estimates the mean pairwise shortest-path length of a
-// connected graph from up to maxSources source nodes (0 = all). The sources
+// connected graph from up to maxSources source nodes (0 = all): total
+// distance over total pairs, not the mean of per-source means. The sources
 // sweep through the bit-parallel MSBFS kernel, 64 per CSR pass, and the
 // per-source sums come off its level counts; every partial sum is an exact
-// integer in float64, so the result is identical to the scalar per-source
-// BFS it replaced.
-func AveragePathLength(g *graph.Graph, maxSources int) float64 {
-	apl, _ := AveragePathLengthBounds(g, maxSources)
-	return apl
-}
-
-// AveragePathLengthBounds is AveragePathLength plus a standard-error bound
-// on the estimate: the finite-population-corrected standard error of the
-// per-source mean path lengths, treating the sampled sources as a draw
-// without replacement from the n nodes. When every node serves as a source
-// the bound is exactly zero. The point estimate itself is byte-identical to
-// the historic AveragePathLength (total distance over total pairs, not the
-// mean of per-source means).
-func AveragePathLengthBounds(g *graph.Graph, maxSources int) (apl, stderr float64) {
+// integer in float64, so the result is identical to a scalar per-source
+// BFS. stderr bounds the estimate: the finite-population-corrected standard
+// error of the per-source mean path lengths, treating the sampled sources
+// as a draw without replacement from the n nodes, exactly zero when every
+// node serves as a source.
+func AveragePathLength(g *graph.Graph, maxSources int) (apl, stderr float64) {
 	n := g.NumNodes()
 	if n < 2 {
 		return 0, 0
@@ -105,7 +97,7 @@ func AveragePathLengthBounds(g *graph.Graph, maxSources int) (apl, stderr float6
 		for i := range batch {
 			batch[i] = int32(perm[lo+i])
 		}
-		ms.Run(g, batch)
+		ms.RunLevels(g, batch)
 		for i := range batch {
 			srcDist, srcPairs := 0.0, -1.0 // the source itself is not a pair
 			for h, cnt := range ms.LevelCounts(i) {

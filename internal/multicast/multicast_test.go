@@ -87,7 +87,7 @@ func TestStarExponentIsOne(t *testing.T) {
 func TestEfficiencyBelowOneAndFalling(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(6)), plrg.Params{N: 2000, Beta: 2.2})
 	curve := ScalingCurve(g, 0, 400, 6, rand.New(rand.NewSource(7)))
-	apl := metrics.AveragePathLength(g, 32)
+	apl, _ := metrics.AveragePathLength(g, 32)
 	eff, err := Efficiency(curve, apl)
 	if err != nil {
 		t.Fatal(err)

@@ -473,8 +473,8 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeBadToleranceFractions pins the input check in front of
 // admission: a tolerance fraction outside [0, 1] used to reach
 // metrics.removalCurve and panic with a slice bound beyond the node count,
-// taking the daemon down. It must answer 400, and the daemon must keep
-// serving.
+// taking the daemon down, and a negative count or size ran under a cache
+// key of its own. Each must answer 400, and the daemon must keep serving.
 func TestServeBadToleranceFractions(t *testing.T) {
 	s := New(Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -482,6 +482,11 @@ func TestServeBadToleranceFractions(t *testing.T) {
 	for _, body := range []string{
 		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SkipHierarchy":true,"ToleranceFractions":[1.5]}}`,
 		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SkipHierarchy":true,"ToleranceFractions":[0,-0.1]}}`,
+		`{"Network":"Mesh","Suite":{"Sources":-1,"EigenRank":5,"SkipHierarchy":true}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"MaxBallSize":-1,"EigenRank":5,"SkipHierarchy":true}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"LinkSources":-1,"SkipHierarchy":true}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":-1,"SkipHierarchy":true}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SampleBudget":-1,"SkipHierarchy":true}}`,
 	} {
 		code, _, out := postJSON(t, ts.URL+"/v1/suite", []byte(body))
 		if code != http.StatusBadRequest {

@@ -89,7 +89,7 @@ func BenchmarkKernelResilience(b *testing.B) {
 	b.Run("mesh", func(b *testing.B) {
 		g := canonical.Mesh(30, 30)
 		benchKernel(b, func() {
-			metrics.Resilience(g, kernelCfg(), partition.Options{})
+			metrics.ResilienceWith(ball.NewEngine(g, 1), kernelCfg(), partition.Options{}, 1)
 		})
 	})
 	quick := experiments.QuickConfig(1)
@@ -125,9 +125,9 @@ func BenchmarkKernelCutSize(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelSurfaceFlow times the surface-max-flow curve, which
-// reuses one local subgraph scratch, BFS scratch and Dinic network across
-// every ball.
+// BenchmarkKernelSurfaceFlow times the surface-max-flow curve, which grows
+// its balls on a width-1 engine and reuses one Dinic network across every
+// ball.
 func BenchmarkKernelSurfaceFlow(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.Run("legacy", func(b *testing.B) {

@@ -102,7 +102,8 @@ func msbfsBenchNets() []*core.Network {
 // BenchmarkMSBFS compares one full 64-source distance sweep done the scalar
 // way (64 reusable-scratch BFS passes, the pre-kernel hot path of the
 // expansion/eccentricity/path-length metrics) against one bit-parallel
-// MSBFS batch over the same sources.
+// MSBFS batch over the same sources in the level-counts mode those metrics
+// read.
 func BenchmarkMSBFS(b *testing.B) {
 	for _, n := range msbfsBenchNets() {
 		g := n.Graph
@@ -123,7 +124,7 @@ func BenchmarkMSBFS(b *testing.B) {
 		b.Run("batched/"+n.Name, func(b *testing.B) {
 			ms := graph.NewMSBFSScratch()
 			benchMSBFS(b, g, n.Name, len(sources), func() {
-				ms.Run(g, sources)
+				ms.RunLevels(g, sources)
 			})
 		})
 	}

@@ -5,9 +5,10 @@
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
 #   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
-#         a sorted edge set, and the coarsening, induced-subgraph,
-#         vertex-cover/clustering, provider-pick and traceroute-walk
-#         references for 5s each
+#         a sorted edge set, the MSBFS level and sigma sweeps against
+#         scalar BFS, ball sizes against closed forms, and the coarsening,
+#         induced-subgraph, vertex-cover/clustering, provider-pick and
+#         traceroute-walk references for 5s each
 #   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
@@ -60,6 +61,15 @@ echo "== fuzz: streamed edge builder against a sorted, deduplicated edge set =="
 # in internal/graph/stream_test.go; edge count, every neighbor slice and
 # the fingerprint must match.
 go test -run '^$' -fuzz '^FuzzStreamBuilderMatchesEdgeSet$' -fuzztime 5s ./internal/graph
+
+echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =="
+# Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
+# scratch: RunLevels against Graph.BFS, RunSigma against Graph.BFSCounts,
+# RunSigmaCSR against a scalar directed BFS. Then width-1 engine ball sizes
+# on Mesh, Tree and Linear at fuzzed sizes, on both sides of the diameter
+# cutoff, against their closed forms.
+go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
+go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
 
 echo "== fuzz: per-ball kernels against their historical references =="
 # The transposed coarse contraction against stamp-merge-then-sort, the

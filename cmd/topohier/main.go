@@ -32,6 +32,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkSizes(*sources, *top); err != nil {
+		fmt.Fprintln(os.Stderr, "topohier:", err)
+		os.Exit(1)
+	}
 	g, err := load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "topohier:", err)
@@ -81,6 +85,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkSizes rejects a negative -sources or -top: a negative pair-universe
+// size would otherwise sweep every pair, and a negative link count would
+// slice out of range.
+func checkSizes(sources, top int) error {
+	if sources < 0 {
+		return fmt.Errorf("-sources must be >= 0 (0 = all nodes), got %d", sources)
+	}
+	if top < 0 {
+		return fmt.Errorf("-top must be >= 0, got %d", top)
+	}
+	return nil
 }
 
 func load(path string) (*graph.Graph, error) {

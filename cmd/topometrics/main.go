@@ -34,6 +34,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkSizes(*sources, *maxBall); err != nil {
+		fmt.Fprintln(os.Stderr, "topometrics:", err)
+		os.Exit(1)
+	}
 	g, err := load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "topometrics:", err)
@@ -113,6 +117,18 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkSizes rejects a negative -sources or -maxball, which the ball
+// engine would otherwise read as "every node a centre" and "no size cap".
+func checkSizes(sources, maxBall int) error {
+	if sources < 0 {
+		return fmt.Errorf("-sources must be >= 0 (0 = every node a centre), got %d", sources)
+	}
+	if maxBall < 0 {
+		return fmt.Errorf("-maxball must be >= 0 (0 = no cap), got %d", maxBall)
+	}
+	return nil
 }
 
 func load(path string) (*graph.Graph, error) {

@@ -69,7 +69,7 @@ func bruteLinkValues(g *graph.Graph, opts Options) *Result {
 		for ; hi < len(entries) && entries[hi].edge == entries[lo].edge; hi++ {
 			group = append(group, coverEntry{u: entries[hi].u, t: entries[hi].t, w: entries[hi].w})
 		}
-		values[entries[lo].edge] = edgeCover(group, ws)
+		values[entries[lo].edge] = edgeCover(group, ws, false)
 		lo = hi
 	}
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources)}
@@ -157,4 +157,87 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLinkValuesMatchesBrute checks the sweep over unordered pairs on
+// raw-byte graphs of up to 48 nodes, over a sampled or the full pair
+// universe:
+//   - the half stream holds exactly the brute enumeration's (edge, u, t)
+//     entries with u < t, each fraction within 1e-12 relative of brute's
+//     sigma_u(a)·sigma_t(b)/sigma_u(t);
+//   - LinkValues equals, bit for bit, the ordered cover over the half
+//     stream with every entry mirrored as (edge, t, u);
+//   - TraversalSetSizes equals the brute count exactly;
+//   - both row providers at P = 1 and P = 3 give bit-identical values.
+//
+// Covers are not compared with brute's directly: brute computes fractions
+// another way, and a near-tie in the primal-dual step could then break
+// differently.
+func FuzzLinkValuesMatchesBrute(f *testing.F) {
+	f.Add(uint8(9), uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8})
+	f.Add(uint8(12), uint8(6), []byte{0, 1, 0, 2, 1, 3, 2, 3, 3, 4, 4, 5, 5, 6, 4, 7, 7, 6, 8, 9, 9, 10})
+	f.Fuzz(func(t *testing.T, nRaw, budgetRaw uint8, data []byte) {
+		n := 1 + int(nRaw)%48
+		b := graph.NewStreamBuilder(n)
+		for i := 0; i+1 < len(data); i += 2 {
+			b.AddEdge(int32(data[i])%int32(n), int32(data[i+1])%int32(n))
+		}
+		g := b.Graph()
+		budget := int(budgetRaw) % (n + 1) // 0: the full universe
+		opts := func(p provider, parallel int) Options {
+			return Options{MaxSources: budget, Rand: rand.New(rand.NewSource(int64(budgetRaw))),
+				Parallelism: parallel, force: p}
+		}
+
+		o := opts(probed, 1)
+		o.defaults()
+		sources, inQ := sampleSources(n, o)
+		streams, release := sweepPlain(g, &o, sources, inQ)
+		half := streamEntries(streams)
+		release()
+		type key struct {
+			edge uint32
+			u, t int32
+		}
+		want := map[key]float64{}
+		for _, p := range bruteEntries(g, inQ) {
+			if p.u < p.t {
+				want[key{p.edge, p.u, p.t}] = p.w
+			}
+		}
+		if len(half) != len(want) {
+			t.Fatalf("half stream has %d entries, brute %d", len(half), len(want))
+		}
+		for _, p := range half {
+			w, ok := want[key{p.edge, p.u, p.t}]
+			if !ok {
+				t.Fatalf("half stream entry %+v not in brute", p)
+			}
+			if math.Abs(p.w-w) > 1e-12*math.Max(math.Abs(p.w), math.Abs(w)) {
+				t.Fatalf("entry %+v: fraction %v, brute %v", p, p.w, w)
+			}
+		}
+
+		mirrored := slices.Clone(half)
+		for _, p := range half {
+			mirrored = append(mirrored, pairEntry{edge: p.edge, u: p.t, t: p.u, w: p.w})
+		}
+		ordered, _ := coversOf(mirrored, g.NumEdges(), n, false)
+		got := LinkValues(g, opts(probed, 1)).Values
+		if !slices.Equal(got, ordered) {
+			t.Fatalf("LinkValues %v, mirrored ordered cover %v", got, ordered)
+		}
+
+		if ts, wantTS := TraversalSetSizes(g, opts(probed, 1)), bruteTraversalSetSizes(g, opts(probed, 1)); !slices.Equal(ts, wantTS) {
+			t.Fatalf("traversal-set sizes %v, brute %v", ts, wantTS)
+		}
+
+		for _, p := range []provider{scalarProvider, batchProvider} {
+			for _, parallel := range []int{1, 3} {
+				if v := LinkValues(g, opts(p, parallel)).Values; !slices.Equal(v, got) {
+					t.Fatalf("provider=%d P=%d: values %v, probed P=1 %v", p, parallel, v, got)
+				}
+			}
+		}
+	})
 }

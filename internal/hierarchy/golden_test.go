@@ -1,8 +1,10 @@
 package hierarchy_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"topocmp/internal/core"
@@ -75,6 +77,49 @@ func TestLinkValueGoldenScalarVsSigma(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHalfCoversMatchOrderedRoute checks the sweep over unordered pairs
+// against the ordered sweep it replaced, kept in ordered_test.go, on every
+// quick-scale family (RL on its core, as the suite computes link values):
+// each edge's cover holds the same nodes, and its value is within 4 ulp.
+// The reverse copies' fractions, computed from the other endpoint's rows,
+// are the only difference between the routes. LinkValues must return the
+// half route's values bit for bit.
+func TestHalfCoversMatchOrderedRoute(t *testing.T) {
+	opts := core.PaperSetOptions{Seed: 1, Scale: 0.12}
+	ms := core.BuildMeasured(opts)
+	nets := map[string]*graph.Graph{"AS": ms.AS.Graph}
+	if c, _ := ms.RL.Graph.Core(); c.NumNodes() >= 3 {
+		nets["RLcore"] = c
+	}
+	for _, name := range append(append([]string{}, core.GeneratedNetworkNames...), core.CanonicalNetworkNames...) {
+		nets[name] = core.BuildNetwork(name, opts).Graph
+	}
+	const maxULP = 4
+	for name, g := range nets {
+		half, halfCovers := hierarchy.HalfCovers(g, forced(128, 1, hierarchy.Probed))
+		ordered, orderedCovers := hierarchy.OrderedCovers(g, forced(128, 1, hierarchy.Probed))
+		moved := 0
+		for e := range half {
+			if !slices.Equal(halfCovers[e], orderedCovers[e]) {
+				t.Fatalf("%s edge %v: half cover %v, ordered cover %v",
+					name, g.Edges()[e], halfCovers[e], orderedCovers[e])
+			}
+			d := int64(math.Float64bits(half[e])) - int64(math.Float64bits(ordered[e]))
+			if d < -maxULP || d > maxULP {
+				t.Fatalf("%s edge %v: half value %v, ordered %v (%d ulp)",
+					name, g.Edges()[e], half[e], ordered[e], d)
+			}
+			if d != 0 {
+				moved++
+			}
+		}
+		if got := hierarchy.LinkValues(g, forced(128, 1, hierarchy.Probed)); !reflect.DeepEqual(got.Values, half) {
+			t.Errorf("%s: LinkValues differs from the half route's covers", name)
+		}
+		t.Logf("%s: %d of %d values moved", name, moved, len(half))
 	}
 }
 

@@ -171,7 +171,8 @@ func (r *Result) DegreeCorrelationDegrees(deg []int) float64 {
 }
 
 // pairEntry is one (source, target) pair crossing an edge with the fraction
-// of its shortest paths that do so.
+// of its shortest paths that do so. Plain sweeps emit each unordered pair
+// once, as u < t; policy sweeps emit both orders.
 type pairEntry struct {
 	edge uint32
 	u, t int32
@@ -192,9 +193,16 @@ type coverEntry struct {
 // small enough that one bucket's entries counting-sort and cover inside L2.
 const coverBucketShift = 5
 
-// bucketChunk is the edgeStream arena chunk size in entries (a power of
-// two: the emission fast path tests the cursor against the chunk mask).
+// bucketChunk is the edgeStream chunk size in entries (a power of two: the
+// emission fast path tests the cursor against the chunk mask).
 const bucketChunk = 1024
+
+// blockShift sizes the edgeStream blocks: 64 chunks, 1.5 MB of entries.
+const (
+	blockShift = 16
+	blockLen   = 1 << blockShift
+	blockMask  = blockLen - 1
+)
 
 // edgeStream radix-partitions one worker's pair entries by edge-id bucket as
 // they are emitted, so no sweep materializes a linear entry log or a
@@ -203,17 +211,21 @@ const bucketChunk = 1024
 // arena), and the cover re-sorts one cache-resident bucket at a time into
 // per-edge groups.
 //
-// cur is each bucket's next write index into the data arena. Chunk 0 is a
-// reserved sentinel no bucket ever owns, so cur == 0 (empty bucket) and any
-// other chunk-aligned value (full tail) both land on the one boundary test
-// at the open-coded emission sites — the hot path is three memory
-// operations on cache-resident lines.
+// Chunks are numbered in the order they open and live in fixed-size blocks,
+// blockLen/bucketChunk to a block, so growth appends a block and never
+// copies the entries already written. The blocks persist across resets.
+//
+// cur is each bucket's next write index: chunk number × bucketChunk plus
+// the offset inside the chunk, so entry c lives at blocks[c>>blockShift]
+// [c&blockMask]. Chunk 0 is a reserved sentinel no bucket ever owns, so
+// cur == 0 (empty bucket) and any other chunk-aligned value (full tail)
+// both land on the one boundary test at the open-coded emission sites.
 type edgeStream struct {
-	heads []int32 // per bucket: first chunk, -1 when empty
-	tails []int32 // per bucket: tail chunk
-	cur   []int32 // per bucket: next write index into data
-	next  []int32 // per chunk: successor, -1 at the tail
-	data  []pairEntry
+	heads  []int32 // per bucket: first chunk, -1 when empty
+	tails  []int32 // per bucket: tail chunk
+	cur    []int32 // per bucket: next write index
+	next   []int32 // per chunk: successor, -1 at the tail
+	blocks []*[blockLen]pairEntry
 }
 
 func (es *edgeStream) reset(numEdges int) {
@@ -228,10 +240,8 @@ func (es *edgeStream) reset(numEdges int) {
 	}
 	// Reserve the sentinel chunk (its contents are never read).
 	es.next = append(es.next[:0], -1)
-	if cap(es.data) < bucketChunk {
-		es.data = make([]pairEntry, bucketChunk, 32*bucketChunk)
-	} else {
-		es.data = es.data[:bucketChunk]
+	if len(es.blocks) == 0 {
+		es.blocks = append(es.blocks, new([blockLen]pairEntry))
 	}
 }
 
@@ -241,7 +251,7 @@ func (es *edgeStream) reset(numEdges int) {
 func (es *edgeStream) add(p pairEntry) {
 	b := p.edge >> coverBucketShift
 	if c := es.cur[b]; c&(bucketChunk-1) != 0 {
-		es.data[c] = p
+		es.blocks[c>>blockShift][c&blockMask] = p
 		es.cur[b] = c + 1
 		return
 	}
@@ -249,20 +259,15 @@ func (es *edgeStream) add(p pairEntry) {
 }
 
 // grow opens a new tail chunk for bucket b and writes p as its first entry;
-// reused arena capacity is left dirty (cur bounds every read).
+// reused blocks are left dirty (cur bounds every read).
 func (es *edgeStream) grow(b uint32, p pairEntry) {
 	ni := int32(len(es.next))
 	es.next = append(es.next, -1)
 	base := ni * bucketChunk
-	need := int(base) + bucketChunk
-	if cap(es.data) < need {
-		nd := make([]pairEntry, need, max(2*need, 32*bucketChunk))
-		copy(nd, es.data)
-		es.data = nd
-	} else {
-		es.data = es.data[:need]
+	if int(base>>blockShift) == len(es.blocks) {
+		es.blocks = append(es.blocks, new([blockLen]pairEntry))
 	}
-	es.data[base] = p
+	es.blocks[base>>blockShift][base&blockMask] = p
 	if ti := es.tails[b]; ti >= 0 {
 		es.next[ti] = ni
 	} else {
@@ -277,11 +282,12 @@ func (es *edgeStream) grow(b uint32, p pairEntry) {
 func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
 	for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
 		base := ci * bucketChunk
-		end := base + bucketChunk
+		n := int32(bucketChunk)
 		if ci == es.tails[b] {
-			end = es.cur[b]
+			n = es.cur[b] - base
 		}
-		segs = append(segs, es.data[base:end])
+		off := base & blockMask
+		segs = append(segs, es.blocks[base>>blockShift][off:off+n])
 	}
 	return segs
 }
@@ -350,13 +356,13 @@ func grownZero(b []float64, n int) []float64 {
 // sources like ball.CumProfiles (never starving the pool), worker count
 // capped at the strip count, and the routing counters recorded. Returns
 // width 0 for the scalar provider.
-func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, strips, w int) {
+func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, w int) {
 	if !batched {
 		opts.Metrics.Counter("hierarchy.sigma_scalar").Add(int64(numSources))
-		return 0, 0, workers
+		return 0, workers
 	}
 	width = ball.BatchWidth(numSources, workers)
-	strips = (numSources + width - 1) / width
+	strips := (numSources + width - 1) / width
 	if workers > strips {
 		workers = strips
 	}
@@ -365,7 +371,7 @@ func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, str
 	}
 	opts.Metrics.Gauge("hierarchy.sigma_width").Set(int64(width))
 	opts.Metrics.Counter("hierarchy.sigma_batches").Add(int64(strips))
-	return width, strips, workers
+	return width, workers
 }
 
 // rowProvider yields each source's exact distance and path-count rows, in
@@ -383,23 +389,50 @@ type rowProvider struct {
 type visitFunc func(ws *sweepScratch, es *edgeStream, u int32,
 	dist []int32, sigma []float64, guard *graph.BFSScratch)
 
+// workerBlocks cuts the sweep's units — single sources (width 1) or mask
+// strips of width sources — into contiguous per-worker blocks of near-equal
+// pair count. The source at rank r of the q sorted sources pairs with its
+// q−1−r later sources when half is set (the unordered-pair sweep) and with
+// all q−1 others otherwise, so cutting by source count would hand the
+// first worker of two three quarters of a half sweep. Worker w gets units
+// [b[w], b[w+1]), within one unit's pairs of an equal share.
+func workerBlocks(q, width, workers int, half bool) []int {
+	units := (q + width - 1) / width
+	before := func(r int64) int64 { // pairs of the sources ranked below r
+		if half {
+			return r*int64(q-1) - r*(r-1)/2
+		}
+		return r * int64(q-1)
+	}
+	total := before(int64(q))
+	b := make([]int, workers+1)
+	k := 0
+	for w := 1; w < workers; w++ {
+		share := total * int64(w) / int64(workers)
+		for k < units && before(int64(min(k*width, q))) < share {
+			k++
+		}
+		b[w] = k
+	}
+	b[workers] = units
+	return b
+}
+
 // sweep is the one link-value driver. The sorted sources are cut into
 // contiguous per-worker blocks — of single sources for the scalar provider,
-// of whole mask strips for the batched one — so every source of worker w
-// precedes every source of worker w+1, and each worker visits its sources
-// in ascending order into its own stream. The streams come back in worker
-// order, which is the canonical (u, t) order coverValuesStream relies on;
-// release returns their scratches to the pool once they have been read.
-// The graph is immutable and every worker owns its leased scratch, so the
-// workers share nothing but read-only inputs.
-func sweep(opts *Options, sources []int32, numEdges int, batched bool,
+// of whole mask strips for the batched one, balanced by pair count (half
+// says whether visit emits unordered or ordered pairs) — so every source of
+// worker w precedes every source of worker w+1, and each worker visits its
+// sources in ascending order into its own stream. The streams come back in
+// worker order, which is the canonical (u, t) order coverValuesStream
+// relies on; release returns their scratches to the pool once they have
+// been read. The graph is immutable and every worker owns its leased
+// scratch, so the workers share nothing but read-only inputs.
+func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 	rp rowProvider, visit visitFunc) (streams []*edgeStream, release func()) {
 
-	width, strips, workers := sigmaPlan(opts, len(sources), opts.workers(len(sources)), batched)
-	units := len(sources)
-	if width > 0 {
-		units = strips
-	}
+	width, workers := sigmaPlan(opts, len(sources), opts.workers(len(sources)), batched)
+	blocks := workerBlocks(len(sources), max(width, 1), workers, half)
 	wss := make([]*sweepScratch, workers)
 	streams = make([]*edgeStream, workers)
 	var wg sync.WaitGroup
@@ -407,7 +440,7 @@ func sweep(opts *Options, sources []int32, numEdges int, batched bool,
 		ws := sweepPool.Get()
 		wss[w], streams[w] = ws, ws.stream
 		ws.stream.reset(numEdges)
-		lo, hi := w*units/workers, (w+1)*units/workers
+		lo, hi := blocks[w], blocks[w+1]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -438,14 +471,10 @@ func sweep(opts *Options, sources []int32, numEdges int, batched bool,
 	}
 }
 
-// sweepPlain runs the shortest-path sweep LinkValues and TraversalSetSizes
-// share: per source, every sampled target's ancestor DAG walked in
-// ascending target order over the lazy predecessor lists.
-func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {
-	n, m := g.NumNodes(), g.NumEdges()
-	off, adj := g.CSR()
-	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
-	rp := rowProvider{
+// plainRows is the shortest-path row provider: one counting BFS per source,
+// or one sigma-carrying MSBFS per strip.
+func plainRows(g *graph.Graph) rowProvider {
+	return rowProvider{
 		scalar: func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
 			ws.bfs.Counts(g, u)
 			dist, sigma := ws.bfs.Rows()
@@ -453,12 +482,24 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 		},
 		strip: func(ws *sweepScratch, strip []int32) { ws.msbfs.RunSigma(g, strip) },
 	}
+}
+
+// sweepPlain runs the shortest-path sweep LinkValues and TraversalSetSizes
+// share over unordered pairs: per source u, the ancestor DAG of every
+// sampled target t > u, walked in ascending target order over the lazy
+// predecessor lists. The pair (t, u) would cross the same edges with the
+// same fractions, so it is never swept; the cover replays its weights from
+// this one copy (edgeCover).
+func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {
+	n, m := g.NumNodes(), g.NumEdges()
+	off, adj := g.CSR()
+	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
 	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, guard *graph.BFSScratch) {
 		ws.gval = grownZero(ws.gval, n)
 		ws.beginPreds(n, m)
 		fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-		for t := int32(0); t < int32(n); t++ {
-			if t == u || !inQ[t] {
+		for t := u + 1; t < int32(n); t++ {
+			if !inQ[t] {
 				continue
 			}
 			d := dist[t]
@@ -471,23 +512,24 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 			sweepTargetStream(u, t, int(d), fs, ws, es)
 		}
 	}
-	return sweep(opts, sources, m, opts.batched(g), rp, visit)
+	return sweep(opts, sources, m, opts.batched(g), true, plainRows(g), visit)
 }
 
 // LinkValues computes link values under shortest-path routing. Source
 // sweeps run concurrently and, on low-diameter graphs, in bit-parallel
 // sigma batches — one CSR sweep per mask strip of up to
-// graph.MSBFSMaxWidth sources instead of one scalar BFS each. The
-// worker-ordered streams make the result independent of scheduling, and
-// path counts are exact integers in float64 from either row provider, so
-// the values are byte-identical across worker counts and providers.
+// graph.MSBFSMaxWidth sources instead of one scalar BFS each — over
+// unordered pairs. The worker-ordered streams make the result independent
+// of scheduling, and path counts are exact integers in float64 from either
+// row provider, so the values are byte-identical across worker counts and
+// providers.
 func LinkValues(g *graph.Graph, opts Options) *Result {
 	opts.defaults()
 	sources, inQ := sampleSources(g.NumNodes(), opts)
 	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
 	streams, release := sweepPlain(g, &opts, sources, inQ)
 	defer release()
-	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams)
+	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams, true)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
@@ -574,8 +616,8 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 	sigma := fs.sigma
 	// The stream emission fast path is open-coded (the grow call pushes a
 	// method past the inliner's budget). cur never moves during a sweep;
-	// data is reloaded after any grow, which may reallocate the arena.
-	cur, data := es.cur, es.data
+	// blocks is reloaded after any grow, which may append a block.
+	cur, blocks := es.cur, es.blocks
 	if sigma[t] == 1 {
 		b := t
 		for d := dt; d >= 1; d-- {
@@ -586,11 +628,11 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 			e := fs.predEdge[lo]
 			bkt := e >> coverBucketShift
 			if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-				data[c] = pairEntry{edge: e, u: u, t: t, w: 1}
+				blocks[c>>blockShift][c&blockMask] = pairEntry{edge: e, u: u, t: t, w: 1}
 				cur[bkt] = c + 1
 			} else {
 				es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: 1})
-				data = es.data
+				blocks = es.blocks
 			}
 			b = fs.predAdj[lo]
 		}
@@ -620,11 +662,11 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 				e := fs.predEdge[i]
 				bkt := e >> coverBucketShift
 				if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-					data[c] = pairEntry{edge: e, u: u, t: t, w: frac}
+					blocks[c>>blockShift][c&blockMask] = pairEntry{edge: e, u: u, t: t, w: frac}
 					cur[bkt] = c + 1
 				} else {
 					es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: frac})
-					data = es.data
+					blocks = es.blocks
 				}
 				if ws.gval[a] == 0 {
 					ws.touched = append(ws.touched, a)
@@ -669,7 +711,8 @@ func sampleSources(n int, opts Options) ([]int32, []bool) {
 // coverValuesStream computes every edge's link value from the workers'
 // entry streams: per-node traversal weights W(x,e) (the average pair
 // fraction over the pairs containing x), then the primal-dual weighted
-// vertex cover per edge.
+// vertex cover per edge. half says the streams hold each unordered pair
+// once (see edgeCover).
 //
 // It walks one bucket at a time, reading the bucket's chunks across the
 // streams in worker order. Each stream is (u, t)-ascending and the workers'
@@ -677,7 +720,7 @@ func sampleSources(n int, opts Options) ([]int32, []bool) {
 // too; a stable counting sort by edge then lands every group in the
 // canonical (edge, u, t) order the order-dependent primal-dual needs, with
 // no global sort. Only one bucket's entries are ever copied.
-func coverValuesStream(numEdges, numNodes int, streams []*edgeStream) []float64 {
+func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool) []float64 {
 	ws := coverPool.Get()
 	defer coverPool.Put(ws)
 	ws.ensure(numNodes)
@@ -724,7 +767,7 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream) []float64 
 			if len(group) == 0 {
 				continue
 			}
-			values[lo+uint32(c)] = edgeCover(group, ws)
+			values[lo+uint32(c)] = edgeCover(group, ws, half)
 		}
 	}
 	return values
@@ -786,20 +829,47 @@ func growPairs(b []coverEntry, n int) []coverEntry {
 // prune that removes cover nodes whose pairs are all covered by other cover
 // nodes (without the prune, ties double access-link values). Every float
 // accumulation runs in the entries' canonical order, so the value is
-// bit-deterministic across runs and worker counts.
-func edgeCover(pairs []coverEntry, ws *coverScratch) float64 {
+// bit-deterministic across runs and worker counts. On return
+// ws.coverOrder holds the final cover in construction order.
+//
+// With half set, pairs holds each unordered pair once, as (a, b) with
+// a < b, and the value equals the ordered route's over the same pairs with
+// every entry mirrored as (b, a):
+//   - A node x's weight folds, in the ordered stream, its entries with a
+//     smaller partner (A) as targets, then the same pairs again at the
+//     start of its own source block, then its entries with a larger
+//     partner (B), then those again as targets of later sources: A, A, B,
+//     B, each in partner order. Four passes over the half group replay
+//     exactly that sequence.
+//   - The primal-dual step on (a, b) leaves an endpoint in the cover, and
+//     (a, b) precedes (b, a) in canonical order, so the ordered route
+//     skips every mirrored entry.
+//   - The prune reads partner sets, which the mirrors do not change.
+func edgeCover(pairs []coverEntry, ws *coverScratch, half bool) float64 {
 	nodes := ws.nodes[:0]
-	for _, p := range pairs {
-		if ws.cnt[p.u] == 0 {
-			nodes = append(nodes, p.u)
+	add := func(v int32, w float64) {
+		if ws.cnt[v] == 0 {
+			nodes = append(nodes, v)
 		}
-		ws.sum[p.u] += p.w
-		ws.cnt[p.u]++
-		if ws.cnt[p.t] == 0 {
-			nodes = append(nodes, p.t)
+		ws.sum[v] += w
+		ws.cnt[v]++
+	}
+	if half {
+		for range 2 {
+			for _, p := range pairs {
+				add(p.t, p.w)
+			}
 		}
-		ws.sum[p.t] += p.w
-		ws.cnt[p.t]++
+		for range 2 {
+			for _, p := range pairs {
+				add(p.u, p.w)
+			}
+		}
+	} else {
+		for _, p := range pairs {
+			add(p.u, p.w)
+			add(p.t, p.w)
+		}
 	}
 	for _, v := range nodes {
 		w := ws.sum[v] / float64(ws.cnt[v])
@@ -871,11 +941,14 @@ func edgeCover(pairs []coverEntry, ws *coverScratch) float64 {
 	// Sum in coverOrder (not node order) so the float accumulation matches
 	// the cover construction exactly.
 	value := 0.0
+	kept := coverOrder[:0]
 	for _, v := range coverOrder {
 		if ws.inCover[v] {
 			value += ws.weight[v]
+			kept = append(kept, v)
 		}
 	}
+	coverOrder = kept
 	// Restore the zero-at-rest invariant for the next group.
 	for _, v := range nodes {
 		ws.sum[v] = 0

@@ -10,7 +10,9 @@ import (
 // does for the AS and RL graphs ("with policy routing, since paths are more
 // concentrated, the highest link values are larger").
 //
-// It runs on the same driver, streams and cover as LinkValues. The
+// It runs on the same sweep, streams and cover as LinkValues, over
+// ordered pairs: valley-free routes need not be symmetric, so the pair
+// (t, u) may cross other edges, or the same ones with other fractions. The
 // batched provider materializes the valley-free product graph once as a
 // directed CSR (policy.ProductCSR) and runs one bit-parallel sigma sweep
 // per mask strip over it; the scalar provider runs one product BFS per
@@ -66,9 +68,9 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 			sweepPolicyTarget(a, u, t, int(pdist), dist, sigma, ix, ws, es)
 		}
 	}
-	streams, release := sweep(&opts, sources, m, batched, rp, visit)
+	streams, release := sweep(&opts, sources, m, batched, false, rp, visit)
 	defer release()
-	values := coverValuesStream(m, n, streams)
+	values := coverValuesStream(m, n, streams, false)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
 }
 

@@ -6,9 +6,11 @@
 #   bench module: go vet + go test inside bench/ (its own module)
 #   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
 #         a sorted edge set, the MSBFS level and sigma sweeps against
-#         scalar BFS, ball sizes against closed forms, and the coarsening,
-#         induced-subgraph, vertex-cover/clustering, provider-pick and
-#         traceroute-walk references for 5s each
+#         scalar BFS, ball sizes against closed forms, link values over
+#         unordered pairs against brute-force enumeration and the ordered
+#         cover, and the coarsening, induced-subgraph,
+#         vertex-cover/clustering, provider-pick and traceroute-walk
+#         references for 5s each
 #   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
@@ -70,6 +72,14 @@ echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =
 # cutoff, against their closed forms.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
+
+echo "== fuzz: link values over unordered pairs against brute force =="
+# Raw-byte graphs of up to 48 nodes, full or sampled pair universes: the
+# half stream against the brute enumeration's pairs with u < t, LinkValues
+# against the ordered cover over the mirrored stream (bit for bit),
+# TraversalSetSizes against the brute count, and both row providers at
+# P = 1 and 3 against each other.
+go test -run '^$' -fuzz '^FuzzLinkValuesMatchesBrute$' -fuzztime 5s ./internal/hierarchy
 
 echo "== fuzz: per-ball kernels against their historical references =="
 # The transposed coarse contraction against stamp-merge-then-sort, the

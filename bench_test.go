@@ -540,7 +540,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := c.opts
 				o.Rand = rand.New(rand.NewSource(int64(i)))
-				cut = partition.CutSize(sub, o)
+				cut = partition.CutSizeWith(partition.NewWorkspace(), sub, o)
 			}
 			b.ReportMetric(float64(cut), "cut")
 		})

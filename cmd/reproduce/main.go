@@ -67,9 +67,10 @@ func main() {
 		"or a preset (\"full-rl\" = the real RL map's 170k nodes, \"1m\" = million-node generators); "+
 		"empty = per-mode default")
 	full := flag.Bool("full", false, "larger run: networks at 0.45x the paper's sizes "+
-		"(about 40 s and 4.5 GB peak RSS on 2 cores)")
+		"(53.5 s at 2.40 GB peak RSS with -j 2 on a 2-core host, 2026-10-18)")
 	quick := flag.Bool("quick", false, "CI-scale run: networks at 0.12x the paper's sizes "+
-		"(about 10-13 s and 2 GB on 2 cores)")
+		"(11.35-11.8 s at 0.75-0.79 GB peak RSS with -j 1, 8.4-9.1 s at 1.00-1.03 GB "+
+		"with -j 2, on a 2-core host, 2026-10-18)")
 	workers := flag.Int("j", 0, "pipeline worker budget (0 = all cores, 1 = sequential)")
 	cacheDir := flag.String("cache", "", "result cache directory (empty = no caching)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
@@ -81,6 +82,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 
+	if err := checkWorkers(*workers); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		os.Exit(2)
+	}
 	if *quick && *full {
 		fmt.Fprintln(os.Stderr, "reproduce: -quick and -full are mutually exclusive; pick one")
 		os.Exit(2)
@@ -117,6 +122,16 @@ func main() {
 			Sample:   *metrics || *httpAddr != "",
 		},
 		*traceFile, *cpuprofile, *memprofile))
+}
+
+// checkWorkers rejects a negative -j: the pipeline and the ball engine read
+// any width below 1 as all cores, and run.json would record the negative
+// value.
+func checkWorkers(workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("-j must be >= 0 (0 = all cores), got %d", workers)
+	}
+	return nil
 }
 
 // parseScale resolves a -scale argument: a named preset from
@@ -521,26 +536,19 @@ func writeExtras(e experiments.ExtrasData, out string) error {
 		return err
 	}
 
-	f, err := os.Create(filepath.Join(out, "extras.txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Network\tSmallWorldSigma\tClustering\tAPL\tWeibullK\tWeibullR2")
-	for _, row := range e.Rows {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.2f\t%.2f\t%.2f\n",
-			row.Name, row.Sigma, row.Clustering, row.PathLength, row.WeibullK, row.WeibullR2)
-	}
-	fmt.Fprintf(tw, "\nAS size/degree correlation (Tangmunarunkit et al. 2001): %.3f\n",
-		e.SizeDegreeCorrelation)
-	cov := e.Coverage
-	fmt.Fprintf(tw, "BGP coverage: 1 vantage %.2f -> %d vantages %.2f (Chang et al. 2002)\n",
-		cov.Points[0].Y, cov.Len(), cov.Points[cov.Len()-1].Y)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeTable(filepath.Join(out, "extras.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Network\tSmallWorldSigma\tClustering\tAPL\tWeibullK\tWeibullR2")
+		for _, row := range e.Rows {
+			fmt.Fprintf(w, "%s\t%.2f\t%.3f\t%.2f\t%.2f\t%.2f\n",
+				row.Name, row.Sigma, row.Clustering, row.PathLength, row.WeibullK, row.WeibullR2)
+		}
+		fmt.Fprintf(w, "\nAS size/degree correlation (Tangmunarunkit et al. 2001): %.3f\n",
+			e.SizeDegreeCorrelation)
+		cov := e.Coverage
+		fmt.Fprintf(w, "BGP coverage: 1 vantage %.2f -> %d vantages %.2f (Chang et al. 2002)\n",
+			cov.Points[0].Y, cov.Len(), cov.Points[cov.Len()-1].Y)
+		return nil
+	})
 }
 
 // stageSlug compresses a stage banner title into a metric-name segment:
@@ -631,108 +639,88 @@ func preview(series []stats.Series, title string, opts plot.Options) {
 	plot.ASCII(os.Stdout, series, opts)
 }
 
-func writeTable1(r *experiments.Runner, out string) error {
-	f, err := os.Create(filepath.Join(out, "table1_inventory.txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Type\tTopology\tNodes\tEdges\tAvgDegree\tMaxDegree")
-	for _, d := range r.Table1() {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\t%d\n",
-			d.Category, d.Name, d.Nodes, d.Edges, d.AvgDegree, d.MaxDegree)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func writeRows(path string, rows []core.Row) error {
+// writeTable creates path and aligns what fill writes into tab-separated
+// columns, then flushes and closes the file. core.WriteTable aligns its own
+// cells, so its lines carry no tabs and pass through unchanged.
+func writeTable(path string, fill func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := core.WriteTable(f, rows); err != nil {
+	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
+	if err := fill(tw); err != nil {
+		return err
+	}
+	if err := tw.Flush(); err != nil {
 		return err
 	}
 	return f.Close()
+}
+
+func writeTable1(r *experiments.Runner, out string) error {
+	return writeTable(filepath.Join(out, "table1_inventory.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Type\tTopology\tNodes\tEdges\tAvgDegree\tMaxDegree")
+		for _, d := range r.Table1() {
+			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.2f\t%d\n",
+				d.Category, d.Name, d.Nodes, d.Edges, d.AvgDegree, d.MaxDegree)
+		}
+		return nil
+	})
+}
+
+func writeRows(path string, rows []core.Row) error {
+	return writeTable(path, func(w io.Writer) error { return core.WriteTable(w, rows) })
 }
 
 func writeTable4(r *experiments.Runner, out string) error {
-	f, err := os.Create(filepath.Join(out, "table4_hierarchy.txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Topology\tHierarchy\tExpected")
-	for _, row := range r.Table4() {
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", row.Name, row.Class, core.ExpectedHierarchy[row.Name])
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeTable(filepath.Join(out, "table4_hierarchy.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Topology\tHierarchy\tExpected")
+		for _, row := range r.Table4() {
+			fmt.Fprintf(w, "%s\t%s\t%s\n", row.Name, row.Class, core.ExpectedHierarchy[row.Name])
+		}
+		return nil
+	})
 }
 
 func writeFigure5(r *experiments.Runner, out string) error {
-	f, err := os.Create(filepath.Join(out, "fig5_correlation.txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Topology\tCorrelation")
-	for _, row := range r.Figure5() {
-		fmt.Fprintf(tw, "%s\t%.3f\n", row.Name, row.Correlation)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeTable(filepath.Join(out, "fig5_correlation.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Topology\tCorrelation")
+		for _, row := range r.Figure5() {
+			fmt.Fprintf(w, "%s\t%.3f\n", row.Name, row.Correlation)
+		}
+		return nil
+	})
 }
 
 func writeFigure11(r *experiments.Runner, out string) error {
-	f, err := os.Create(filepath.Join(out, "fig11_parameters.txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Generator\tParams\tNodes\tAvgDegree\tSignature")
-	for _, row := range r.Figure11() {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%s\n",
-			row.Generator, row.Params, row.Nodes, row.AvgDegree, row.Signature)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeTable(filepath.Join(out, "fig11_parameters.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Generator\tParams\tNodes\tAvgDegree\tSignature")
+		for _, row := range r.Figure11() {
+			fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\t%s\n",
+				row.Generator, row.Params, row.Nodes, row.AvgDegree, row.Signature)
+		}
+		return nil
+	})
 }
 
 func writeSummary(r *experiments.Runner, out string) error {
-	f, err := os.Create(filepath.Join(out, "summary.txt"))
+	matches, total := 0, 0
+	err := writeTable(filepath.Join(out, "summary.txt"), func(w io.Writer) error {
+		fmt.Fprintln(w, "Check\tExpected\tGot\tMatch")
+		for _, c := range r.Summary() {
+			fmt.Fprintf(w, "%s\t%s\t%s\t%v\n", c.Name, c.Expected, c.Got, c.Match)
+			total++
+			if c.Match {
+				matches++
+			}
+		}
+		fmt.Fprintf(w, "TOTAL\t\t\t%d/%d\n", matches, total)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tw := tabwriter.NewWriter(f, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Check\tExpected\tGot\tMatch")
-	matches, total := 0, 0
-	for _, c := range r.Summary() {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%v\n", c.Name, c.Expected, c.Got, c.Match)
-		total++
-		if c.Match {
-			matches++
-		}
-	}
-	fmt.Fprintf(tw, "TOTAL\t\t\t%d/%d\n", matches, total)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
 	fmt.Printf("summary: %d/%d checks match the paper\n", matches, total)
-	return f.Close()
+	return nil
 }

@@ -193,10 +193,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 	}
 
 	// Cold manifest: real work happened and was recorded.
-	coldMan, err := obs.ReadManifest(filepath.Join(coldOut, "run.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	coldMan := readManifest(t, filepath.Join(coldOut, "run.json"))
 	if coldMan.Metrics.Counters["pipeline.network_builds"] == 0 ||
 		coldMan.Metrics.Counters["pipeline.suite_runs"] == 0 {
 		t.Errorf("cold manifest recorded no work: %+v", coldMan.Metrics.Counters)
@@ -214,10 +211,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 	delete(warm, "run.json")
 	delete(warm, "run_timeseries.json")
 	sameTree(t, "warm obs vs plain", plain, warm)
-	man, err := obs.ReadManifest(filepath.Join(warmOut, "run.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	man := readManifest(t, filepath.Join(warmOut, "run.json"))
 	c := man.Metrics.Counters
 	for _, name := range []string{"pipeline.network_builds", "pipeline.suite_runs",
 		"cache.misses", "cache.puts", "cache.decode_errors"} {
@@ -263,6 +257,27 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// TestCheckWorkers checks that a negative -j ends in an error before any
+// work starts, never in a silent all-cores run, and that zero and positive
+// widths pass.
+func TestCheckWorkers(t *testing.T) {
+	cases := []struct {
+		workers int
+		ok      bool
+	}{
+		{0, true},
+		{1, true},
+		{64, true},
+		{-1, false},
+		{-3, false},
+	}
+	for _, c := range cases {
+		if err := checkWorkers(c.workers); (err == nil) != c.ok {
+			t.Errorf("-j %d: error %v, want ok=%v", c.workers, err, c.ok)
+		}
+	}
+}
+
 func TestStageSlug(t *testing.T) {
 	for in, want := range map[string]string{
 		"Pipeline: networks and suites":             "pipeline_networks_and_suites",
@@ -304,4 +319,18 @@ func TestSpanTreeDeterministicShape(t *testing.T) {
 	if len(seqShape.Children) == 0 {
 		t.Fatal("root span has no stage children")
 	}
+}
+
+// readManifest decodes the run.json a run with -metrics wrote.
+func readManifest(t *testing.T, path string) *obs.Manifest {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
 }

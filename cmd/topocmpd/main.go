@@ -43,6 +43,10 @@ func main() {
 		"(the tree grows with traffic; debugging aid)")
 	flag.Parse()
 
+	if err := checkFlags(*workers, *maxInFlight, *deadline, *drain); err != nil {
+		fmt.Fprintln(os.Stderr, "topocmpd:", err)
+		os.Exit(2)
+	}
 	opts := serve.Options{
 		Workers:     *workers,
 		MaxInFlight: *maxInFlight,
@@ -104,4 +108,22 @@ func main() {
 		}
 		fmt.Printf("topocmpd: wrote %s\n", *timeseries)
 	}
+}
+
+// checkFlags rejects a negative worker budget, admission cap, deadline or
+// drain budget. serve.Options reads any of the first three below 1 as its
+// default (all cores, 2 slots, no deadline), and a negative drain budget
+// would skip the drain.
+func checkFlags(workers, maxInFlight int, deadline, drain time.Duration) error {
+	switch {
+	case workers < 0:
+		return fmt.Errorf("-j must be >= 0 (0 = all cores), got %d", workers)
+	case maxInFlight < 0:
+		return fmt.Errorf("-max-inflight must be >= 0 (0 = 2), got %d", maxInFlight)
+	case deadline < 0:
+		return fmt.Errorf("-deadline must be >= 0 (0 = none), got %v", deadline)
+	case drain < 0:
+		return fmt.Errorf("-drain must be >= 0, got %v", drain)
+	}
+	return nil
 }

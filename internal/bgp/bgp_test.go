@@ -1,14 +1,78 @@
 package bgp
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"topocmp/internal/internetsim"
 	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
+
+// Write serializes the table, one path per line: space-separated AS ids,
+// vantage first (the format ParseTable reads and Gao-style tooling
+// consumes).
+func (t *Table) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, p := range t.Paths {
+		for i, as := range p {
+			if i > 0 {
+				if err := bw.WriteByte(' '); err != nil {
+					return err
+				}
+			}
+			if _, err := bw.WriteString(strconv.Itoa(int(as))); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// ParseTable reads the format produced by Write. Blank lines and lines
+// starting with '#' are skipped. AS-path prepending (repeated ids) is
+// collapsed, as Gao's algorithm expects.
+func ParseTable(rd io.Reader) (*Table, error) {
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	t := &Table{}
+	lineno := 0
+	for sc.Scan() {
+		lineno++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		path := make([]int32, 0, len(fields))
+		for _, f := range fields {
+			v, err := strconv.ParseInt(f, 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("bgp: line %d: bad AS id %q: %v", lineno, f, err)
+			}
+			if len(path) > 0 && path[len(path)-1] == int32(v) {
+				continue // collapse prepending
+			}
+			path = append(path, int32(v))
+		}
+		if len(path) > 0 {
+			t.Paths = append(t.Paths, path)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 func testInternet(t *testing.T, n int, seed int64) *internetsim.ASLevel {
 	t.Helper()

@@ -108,18 +108,6 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key[2:]+".gob")
 }
 
-// Has reports whether an entry exists on disk for key, without reading or
-// decoding it (a corrupt entry still reports true until a Get evicts it).
-// Existence probes are not traffic, so no hit/miss counter moves. Always
-// false on a nil store.
-func (s *Store) Has(key string) bool {
-	if s == nil {
-		return false
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // Get decodes the entry for key into v (a pointer) and reports whether it
 // was found. An entry that exists but fails to decode — corrupt, truncated,
 // or written under a schema the version constant failed to capture — is

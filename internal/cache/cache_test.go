@@ -183,28 +183,3 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestHasProbesWithoutTraffic(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("set", "suite", "probe")
-	if s.Has(key) {
-		t.Fatal("Has on empty store")
-	}
-	if err := s.Put(key, payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(key) {
-		t.Fatal("Has after Put")
-	}
-	// Existence probes are not traffic: only the Put moved a counter.
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 || st.Puts != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	var nilStore *Store
-	if nilStore.Has(key) {
-		t.Fatal("Has on nil store")
-	}
-}

@@ -25,7 +25,7 @@ func scalarCoverageCurve(a *policy.Annotated, vantages []int32) stats.Series {
 	covered := map[uint64]bool{}
 	n := int32(a.G.NumNodes())
 	for i, vp := range vantages {
-		pt := a.Paths(vp)
+		pt := a.PathsInto(nil, vp)
 		for dst := int32(0); dst < n; dst++ {
 			if dst == vp {
 				continue

@@ -130,8 +130,8 @@ func TestLinear(t *testing.T) {
 	if g.NumEdges() != 8 {
 		t.Fatalf("linear edges = %d", g.NumEdges())
 	}
-	if g.Eccentricity(0) != 8 {
-		t.Fatalf("chain eccentricity = %d", g.Eccentricity(0))
+	if dist, order := g.BFS(0); dist[order[len(order)-1]] != 8 {
+		t.Fatalf("chain eccentricity = %d", dist[order[len(order)-1]])
 	}
 }
 

@@ -82,11 +82,3 @@ func (ix *EdgeIndex) ArcIDs() []uint32 {
 	}
 	return out
 }
-
-// Edge returns the (U, V) endpoints of the edge with the given id — the
-// inverse of ID, one binary search over the per-node prefix sums.
-func (ix *EdgeIndex) Edge(id int32) Edge {
-	u := sort.Search(len(ix.base)-1, func(i int) bool { return ix.base[i+1] > id })
-	pos := ix.upStart[u] + (id - ix.base[u])
-	return Edge{U: int32(u), V: ix.g.adj[pos]}
-}

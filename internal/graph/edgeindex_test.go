@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // TestEdgeIndexMatchesEdges pins the index to Edges(): ids follow (U, V)
 // order, both orientations resolve, non-edges return -1, and Edge inverts.
@@ -51,4 +54,12 @@ func max32(a, b int32) int32 {
 		return b
 	}
 	return a
+}
+
+// Edge returns the (U, V) endpoints of the edge with the given id — the
+// inverse of ID, one binary search over the per-node prefix sums.
+func (ix *EdgeIndex) Edge(id int32) Edge {
+	u := sort.Search(len(ix.base)-1, func(i int) bool { return ix.base[i+1] > id })
+	pos := ix.upStart[u] + (id - ix.base[u])
+	return Edge{U: int32(u), V: ix.g.adj[pos]}
 }

@@ -185,17 +185,6 @@ func (g *Graph) Ball(src int32, h int) []int32 {
 	return out
 }
 
-// Eccentricity returns the maximum finite BFS distance from src, i.e. the
-// hop radius of src's component as seen from src. Runs on pooled scratch;
-// sweeps over many sources should batch through MSBFSScratch instead.
-func (g *Graph) Eccentricity(src int32) int {
-	s := bfsScratchPool.Get().(*BFSScratch)
-	order := s.BFS(g, src)
-	ecc := int(s.Dist(order[len(order)-1]))
-	bfsScratchPool.Put(s)
-	return ecc
-}
-
 // Components labels each node with a component id and returns the labels and
 // the size of each component.
 func (g *Graph) Components() (label []int32, sizes []int) {

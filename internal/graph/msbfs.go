@@ -453,9 +453,6 @@ func (s *MSBFSScratch) SigmaRow(i int) []float64 {
 	return s.sigma[i*s.n : (i+1)*s.n]
 }
 
-// NumSources returns the batch width of the last run.
-func (s *MSBFSScratch) NumSources() int { return s.nsrc }
-
 // LevelCounts returns sources[i]'s per-level reach counts: counts[h] nodes
 // sit at distance exactly h, and len(counts) is the source's eccentricity
 // plus one. The slice is owned by the scratch and valid until the next run.
@@ -465,24 +462,6 @@ func (s *MSBFSScratch) NumSources() int { return s.nsrc }
 func (s *MSBFSScratch) LevelCounts(i int) []int32 {
 	s.checkCounts()
 	return s.counts[i]
-}
-
-// Eccentricity returns sources[i]'s hop radius within its component.
-// Valid after RunLevels only (see LevelCounts).
-func (s *MSBFSScratch) Eccentricity(i int) int {
-	s.checkCounts()
-	return len(s.counts[i]) - 1
-}
-
-// Reached returns how many nodes sources[i] reached, including itself.
-// Valid after RunLevels only (see LevelCounts).
-func (s *MSBFSScratch) Reached(i int) int {
-	s.checkCounts()
-	total := 0
-	for _, c := range s.counts[i] {
-		total += int(c)
-	}
-	return total
 }
 
 func (s *MSBFSScratch) checkCounts() {

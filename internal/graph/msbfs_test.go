@@ -18,22 +18,14 @@ func msbfsTestGraph(seed int64, n, edges int) *Graph {
 }
 
 // checkBatchMatchesScalar verifies one RunLevels against a scalar BFS per
-// source: every level-count row, eccentricity and reach count.
+// source: every level-count row, whose length is the eccentricity plus one
+// and whose sum is the reach count.
 func checkBatchMatchesScalar(t *testing.T, g *Graph, s *MSBFSScratch, sources []int32) {
 	t.Helper()
 	s.RunLevels(g, sources)
-	if s.NumSources() != len(sources) {
-		t.Fatalf("NumSources = %d, want %d", s.NumSources(), len(sources))
-	}
 	for i, src := range sources {
 		dist, order := g.BFS(src)
 		ecc := int(dist[order[len(order)-1]])
-		if got := s.Eccentricity(i); got != ecc {
-			t.Fatalf("source %d (%d): eccentricity %d, want %d", i, src, got, ecc)
-		}
-		if got := s.Reached(i); got != len(order) {
-			t.Fatalf("source %d (%d): reached %d, want %d", i, src, got, len(order))
-		}
 		want := make([]int32, ecc+1)
 		for _, v := range order {
 			want[dist[v]]++

@@ -484,10 +484,10 @@ func plainRows(g *graph.Graph) rowProvider {
 	}
 }
 
-// sweepPlain runs the shortest-path sweep LinkValues and TraversalSetSizes
-// share over unordered pairs: per source u, the ancestor DAG of every
-// sampled target t > u, walked in ascending target order over the lazy
-// predecessor lists. The pair (t, u) would cross the same edges with the
+// sweepPlain runs LinkValues' shortest-path sweep over unordered pairs
+// (the tests' TraversalSetSizes reads it too): per source u, the ancestor
+// DAG of every sampled target t > u, walked in ascending target order over
+// the lazy predecessor lists. The pair (t, u) would cross the same edges with the
 // same fractions, so it is never swept; the cover replays its weights from
 // this one copy (edgeCover).
 func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
 
@@ -15,8 +16,17 @@ func TestGenerateASBasics(t *testing.T) {
 	if !as.Graph.IsConnected() {
 		t.Fatal("AS graph must be connected (every AS has a provider chain to tier-1)")
 	}
-	if err := as.Annotated.Validate(); err != nil {
-		t.Fatalf("annotations invalid: %v", err)
+	// Every edge carries a consistent pair of relationships.
+	for _, e := range as.Graph.Edges() {
+		ruv, rvu := as.Annotated.Rel(e.U, e.V), as.Annotated.Rel(e.V, e.U)
+		switch {
+		case ruv == policy.RelCustomer && rvu == policy.RelProvider,
+			ruv == policy.RelProvider && rvu == policy.RelCustomer,
+			ruv == policy.RelPeer && rvu == policy.RelPeer,
+			ruv == policy.RelSibling && rvu == policy.RelSibling:
+		default:
+			t.Fatalf("edge (%d,%d) annotated %v/%v", e.U, e.V, ruv, rvu)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func TestResilienceWorkspaceMatchesFresh(t *testing.T) {
 	const seed = 1
 	freshRaw := ball.NewEngine(g, 1).BallPoints(cfg(), seed,
 		func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
-			return float64(partition.CutSize(sub, partition.Options{Rand: rng})), true
+			return float64(partition.CutSizeWith(partition.NewWorkspace(), sub, partition.Options{Rand: rng})), true
 		})
 	fresh := stats.Bucketize(freshRaw, bucketRatio)
 	for _, par := range []int{1, 4} {

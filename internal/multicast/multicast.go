@@ -11,7 +11,6 @@ package multicast
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"topocmp/internal/graph"
 	"topocmp/internal/rng"
@@ -117,74 +116,4 @@ func Efficiency(curve stats.Series, avgPathLen float64) (stats.Series, error) {
 		out.Add(p.X, p.Y/(p.X*avgPathLen))
 	}
 	return out, nil
-}
-
-// StateDistribution returns, for the shortest-path multicast tree from
-// source to the receivers, the forwarding-state burden per on-tree router:
-// its number of tree children (0 for pure leaves). Wong and Katz ("An
-// Analysis of Multicast Forwarding State Scalability", ICNP 2000) — cited
-// by the paper as evidence topology shapes protocol cost — found this
-// distribution differs qualitatively across topologies.
-func StateDistribution(g *graph.Graph, source int32, receivers []int32) map[int32]int {
-	n := g.NumNodes()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[source] = source
-	queue := []int32{source}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if parent[v] == -1 {
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	state := map[int32]int{}
-	inTree := make([]bool, n)
-	inTree[source] = true
-	state[source] = 0
-	for _, rcv := range receivers {
-		if parent[rcv] == -1 {
-			continue
-		}
-		for v := rcv; !inTree[v]; v = parent[v] {
-			inTree[v] = true
-			if _, ok := state[v]; !ok {
-				state[v] = 0
-			}
-			state[parent[v]]++
-		}
-	}
-	return state
-}
-
-// StateConcentration summarizes a state distribution: the fraction of all
-// forwarding state held by the busiest tenth of on-tree routers. Hub-heavy
-// topologies concentrate state; meshes spread it.
-func StateConcentration(state map[int32]int) float64 {
-	if len(state) == 0 {
-		return 0
-	}
-	loads := make([]int, 0, len(state))
-	total := 0
-	for _, s := range state {
-		loads = append(loads, s)
-		total += s
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(loads)))
-	top := len(loads) / 10
-	if top < 1 {
-		top = 1
-	}
-	sum := 0
-	for _, s := range loads[:top] {
-		sum += s
-	}
-	return float64(sum) / float64(total)
 }

@@ -107,67 +107,3 @@ func TestEfficiencyBadInput(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
-
-func TestStateDistributionStar(t *testing.T) {
-	// Star source at hub: each receiver adds one child at the hub.
-	b := graph.NewStreamBuilder(8)
-	for i := int32(1); i < 8; i++ {
-		b.AddEdge(0, i)
-	}
-	g := b.Graph()
-	state := StateDistribution(g, 0, []int32{1, 2, 3})
-	if state[0] != 3 {
-		t.Fatalf("hub state = %d, want 3", state[0])
-	}
-	for _, leaf := range []int32{1, 2, 3} {
-		if state[leaf] != 0 {
-			t.Fatalf("leaf %d state = %d, want 0", leaf, state[leaf])
-		}
-	}
-	if len(state) != 4 {
-		t.Fatalf("on-tree routers = %d, want 4", len(state))
-	}
-}
-
-func TestStateDistributionChain(t *testing.T) {
-	g := canonical.Linear(6)
-	state := StateDistribution(g, 0, []int32{5})
-	// Every router along the chain holds one child except the receiver.
-	for v := int32(0); v < 5; v++ {
-		if state[v] != 1 {
-			t.Fatalf("router %d state = %d, want 1", v, state[v])
-		}
-	}
-	if state[5] != 0 {
-		t.Fatalf("receiver state = %d", state[5])
-	}
-}
-
-func TestStateConcentrationHubVsChain(t *testing.T) {
-	// Wong-Katz: hub topologies concentrate forwarding state.
-	b := graph.NewStreamBuilder(40)
-	for i := int32(1); i < 40; i++ {
-		b.AddEdge(0, i)
-	}
-	star := b.Graph()
-	receivers := make([]int32, 30)
-	for i := range receivers {
-		receivers[i] = int32(i + 1)
-	}
-	starConc := StateConcentration(StateDistribution(star, 0, receivers))
-	chain := canonical.Linear(40)
-	chainRecv := []int32{39}
-	chainConc := StateConcentration(StateDistribution(chain, 0, chainRecv))
-	if starConc <= chainConc {
-		t.Fatalf("star concentration %v should exceed chain %v", starConc, chainConc)
-	}
-}
-
-func TestStateConcentrationEmpty(t *testing.T) {
-	if c := StateConcentration(nil); c != 0 {
-		t.Fatalf("empty concentration = %v", c)
-	}
-	if c := StateConcentration(map[int32]int{0: 0}); c != 0 {
-		t.Fatalf("zero-state concentration = %v", c)
-	}
-}

@@ -65,18 +65,3 @@ func (m *Manifest) Write(path string) error {
 	}
 	return os.Rename(tmp.Name(), path)
 }
-
-// ReadManifest loads a manifest written by Write. Config decodes as
-// generic JSON (map[string]any); callers needing the concrete type can
-// re-unmarshal it.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}

@@ -1,5 +1,16 @@
 package partition
 
-// BisectHeap is Bisect on the lazy-heap reference refinement (heap_test.go),
-// for the external differential tests.
+import "topocmp/internal/graph"
+
+// BisectHeap is the bisection on the lazy-heap reference refinement
+// (heap_test.go), for the external differential tests.
 var BisectHeap = bisectHeap
+
+// BisectWith runs the bisection on ws and returns the cut size with a
+// fresh copy of the side assignment, which the tests keep across calls.
+func BisectWith(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
+	cut, side := bisect(ws, g, opts)
+	out := make([]bool, g.NumNodes())
+	copy(out, side)
+	return cut, out
+}

@@ -18,27 +18,19 @@ type PathTree struct {
 	queue  []int32 // BFS frontier, recycled by PathsInto
 }
 
-// Paths computes a policy path tree from src over the annotated graph.
-func (a *Annotated) Paths(src int32) *PathTree {
-	return a.PathsInto(nil, src)
-}
-
-// PathsInto is Paths recycling t's product-space scratch (dist, parent,
-// best, queue); t == nil allocates a fresh tree. Sweeps that run hundreds
-// of single-source trees over one graph (traceroute, BGP collection,
-// policy expansion) pass the previous tree back in and allocate nothing
-// after the first source. The filled tree is always returned; any previous
-// contents of t are overwritten.
+// PathsInto computes a policy path tree from src over the annotated graph,
+// recycling t's product-space scratch (dist, parent, best, queue); t == nil
+// allocates a fresh tree. Sweeps that run hundreds of single-source trees
+// over one graph (traceroute, BGP collection, policy expansion) pass the
+// previous tree back in and allocate nothing after the first source. The
+// filled tree is always returned; any previous contents of t are
+// overwritten.
 func (a *Annotated) PathsInto(t *PathTree, src int32) *PathTree {
 	return buildPathTree(t, a.G, a.rel, src)
 }
 
-// Paths computes a router-level policy path tree from src.
-func (o *RouterOverlay) Paths(src int32) *PathTree {
-	return o.PathsInto(nil, src)
-}
-
-// PathsInto is Paths recycling t's scratch; see Annotated.PathsInto.
+// PathsInto computes a router-level policy path tree from src, recycling
+// t's scratch; see Annotated.PathsInto.
 func (o *RouterOverlay) PathsInto(t *PathTree, src int32) *PathTree {
 	return buildPathTree(t, o.RL, o.rel, src)
 }

@@ -11,7 +11,7 @@ import (
 
 func TestPathTreeFigure15(t *testing.T) {
 	a := figure15()
-	pt := a.Paths(nA)
+	pt := a.PathsInto(nil, nA)
 	// Distances agree with Dist.
 	want := a.Dist(nA)
 	for v := int32(0); v < 8; v++ {
@@ -58,7 +58,7 @@ func TestPathTreePathsValidProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randomAnnotated(r, 60, 120)
-		pt := a.Paths(0)
+		pt := a.PathsInto(nil, 0)
 		dist := a.Dist(0)
 		for v := int32(0); v < int32(a.G.NumNodes()); v++ {
 			path := pt.Path(v)
@@ -101,7 +101,7 @@ func TestRouterOverlayPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := o.Paths(0)
+	pt := o.PathsInto(nil, 0)
 	path := pt.Path(3)
 	want := []int32{0, 1, 2, 3}
 	if len(path) != 4 {
@@ -116,8 +116,8 @@ func TestRouterOverlayPaths(t *testing.T) {
 
 func TestPathTreeDeterminism(t *testing.T) {
 	a := randomAnnotated(rand.New(rand.NewSource(3)), 80, 150)
-	p1 := a.Paths(0)
-	p2 := a.Paths(0)
+	p1 := a.PathsInto(nil, 0)
+	p2 := a.PathsInto(nil, 0)
 	for v := int32(0); v < int32(a.G.NumNodes()); v++ {
 		a1, a2 := p1.Path(v), p2.Path(v)
 		if len(a1) != len(a2) {
@@ -140,7 +140,7 @@ func TestPathsIntoMatchesPaths(t *testing.T) {
 	var reused *PathTree
 	for src := int32(0); src < n; src++ {
 		reused = a.PathsInto(reused, src)
-		fresh := a.Paths(src)
+		fresh := a.PathsInto(nil, src)
 		for v := int32(0); v < n; v++ {
 			if reused.Dist(v) != fresh.Dist(v) {
 				t.Fatalf("src %d: reused dist(%d) = %d, fresh %d",
@@ -168,7 +168,7 @@ func TestVisitPathEdgesMatchesPath(t *testing.T) {
 	a := randomAnnotated(rand.New(rand.NewSource(11)), 50, 90)
 	n := int32(a.G.NumNodes())
 	for src := int32(0); src < n; src += 7 {
-		pt := a.Paths(src)
+		pt := a.PathsInto(nil, src)
 		var stamp graph.Stamp
 		stamp.Begin(pt.NumProductStates())
 		stamped := map[[2]int32]bool{}
@@ -220,7 +220,7 @@ func TestVisitPathEdgesMatchesPath(t *testing.T) {
 func TestPathIntoReuse(t *testing.T) {
 	a := randomAnnotated(rand.New(rand.NewSource(13)), 40, 70)
 	n := int32(a.G.NumNodes())
-	pt := a.Paths(3)
+	pt := a.PathsInto(nil, 3)
 	var buf []int32
 	for dst := int32(0); dst < n; dst++ {
 		got := pt.PathInto(buf, dst)
@@ -249,7 +249,7 @@ func TestNewSuffixMatchesPath(t *testing.T) {
 	a := randomAnnotated(rand.New(rand.NewSource(17)), 60, 100)
 	n := int32(a.G.NumNodes())
 	for src := int32(0); src < n; src += 5 {
-		pt := a.Paths(src)
+		pt := a.PathsInto(nil, src)
 		var stamp graph.Stamp
 		stamp.Begin(pt.NumProductStates())
 		covered := map[int32]bool{}

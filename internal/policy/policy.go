@@ -107,25 +107,6 @@ func (a *Annotated) Rel(u, v int32) Relationship {
 	return RelNone
 }
 
-// Validate checks that every edge of the graph is annotated consistently in
-// both directions.
-func (a *Annotated) Validate() error {
-	for _, e := range a.G.Edges() {
-		ruv, rvu := a.Rel(e.U, e.V), a.Rel(e.V, e.U)
-		if ruv == RelNone || rvu == RelNone {
-			return fmt.Errorf("policy: edge (%d,%d) not annotated", e.U, e.V)
-		}
-		ok := (ruv == RelCustomer && rvu == RelProvider) ||
-			(ruv == RelProvider && rvu == RelCustomer) ||
-			(ruv == RelPeer && rvu == RelPeer) ||
-			(ruv == RelSibling && rvu == RelSibling)
-		if !ok {
-			return fmt.Errorf("policy: edge (%d,%d) annotated %v/%v", e.U, e.V, ruv, rvu)
-		}
-	}
-	return nil
-}
-
 // Valley-free traversal states.
 const (
 	stateUp   = 0 // only customer→provider (or sibling) hops so far
@@ -238,20 +219,15 @@ func (a *Annotated) ProductCSR() (off, adj []int32) {
 	return off, adj
 }
 
-// ProductCounts computes, over the (node × state) product space, the policy
-// BFS distances, the number of distinct shortest product paths sigma, and
-// the BFS visit order. Indices are node*NumStates+state.
-func (a *Annotated) ProductCounts(src int32) (dist []int32, sigma []float64, order []int32) {
-	return a.ProductCountsInto(nil, nil, nil, src)
-}
-
-// ProductCountsInto is ProductCounts into caller-owned buffers, for sweeps
-// that run one product traversal per source: dist and sigma are reset
-// through the previous call's order (every touched state appears there), so
-// a reused buffer behaves exactly like a fresh one without the per-source
-// allocation. Pass nil slices (or slices from a previous call on a
-// same-sized graph) and keep all three returned slices together for the
-// next call.
+// ProductCountsInto computes, over the (node × state) product space, the
+// policy BFS distances, the number of distinct shortest product paths
+// sigma, and the BFS visit order; indices are node*NumStates+state. It
+// fills caller-owned buffers, for sweeps that run one product traversal
+// per source: dist and sigma are reset through the previous call's order
+// (every touched state appears there), so a reused buffer behaves exactly
+// like a fresh one without the per-source allocation. Pass nil slices (or
+// slices from a previous call on a same-sized graph) and keep all three
+// returned slices together for the next call.
 func (a *Annotated) ProductCountsInto(dist []int32, sigma []float64,
 	order []int32, src int32) ([]int32, []float64, []int32) {
 

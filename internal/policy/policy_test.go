@@ -1,12 +1,37 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"topocmp/internal/graph"
 )
+
+// Validate checks that every edge of the graph is annotated consistently in
+// both directions.
+func (a *Annotated) Validate() error {
+	for _, e := range a.G.Edges() {
+		ruv, rvu := a.Rel(e.U, e.V), a.Rel(e.V, e.U)
+		if ruv == RelNone || rvu == RelNone {
+			return fmt.Errorf("policy: edge (%d,%d) not annotated", e.U, e.V)
+		}
+		ok := (ruv == RelCustomer && rvu == RelProvider) ||
+			(ruv == RelProvider && rvu == RelCustomer) ||
+			(ruv == RelPeer && rvu == RelPeer) ||
+			(ruv == RelSibling && rvu == RelSibling)
+		if !ok {
+			return fmt.Errorf("policy: edge (%d,%d) annotated %v/%v", e.U, e.V, ruv, rvu)
+		}
+	}
+	return nil
+}
+
+// Dist computes router-level policy distances from src: BFS over the
+// (router × valley-state) product, where intra-AS hops keep the state and
+// inter-AS hops follow the AS relationship transition.
+func (o *RouterOverlay) Dist(src int32) []int32 { return productDist(o.RL, o.rel, src) }
 
 // figure15 reconstructs the Appendix E example (Figure 15): nodes A..H with
 // policy distances A=0, B=1, C=1, H=1, D=2, E=2, G=3, F=4.

@@ -185,7 +185,7 @@ func TestAnnotatedMatchesRelMap(t *testing.T) {
 			}
 
 			// Path counts: BFS over the reference expander.
-			dist, sigma, _ := a.ProductCounts(src)
+			dist, sigma, _ := a.ProductCountsInto(nil, nil, nil, src)
 			wd, ws := countPaths(expand, int(n), src)
 			if !slices.Equal(dist, wd) || !slices.Equal(sigma, ws) {
 				t.Fatalf("seed %d src %d: ProductCounts differs from the reference", seed, src)

@@ -47,10 +47,5 @@ func NewRouterOverlay(rl *graph.Graph, asOf []int32, as *Annotated) (*RouterOver
 	return &RouterOverlay{RL: rl, ASOf: asOf, AS: as, rel: rel}, nil
 }
 
-// Dist computes router-level policy distances from src: BFS over the
-// (router × valley-state) product, where intra-AS hops keep the state and
-// inter-AS hops follow the AS relationship transition.
-func (o *RouterOverlay) Dist(src int32) []int32 { return productDist(o.RL, o.rel, src) }
-
 // PolicyBall grows the policy-induced router-level ball of radius h.
 func (o *RouterOverlay) PolicyBall(src int32, h int) Ball { return productBall(o.RL, o.rel, src, h) }

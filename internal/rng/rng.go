@@ -1,8 +1,8 @@
 // Package rng provides the deterministic random-variate helpers the
-// topology generators share: discrete power-law (zeta) samplers, Pareto and
-// Weibull variates for heavy-tailed sizes, and weighted selection. All
-// functions take an explicit *rand.Rand so that every generated topology is
-// reproducible from a seed.
+// topology generators share: discrete power-law (zeta) samplers, Pareto
+// variates for heavy-tailed sizes, shuffles and distinct-integer samples.
+// All functions take an explicit *rand.Rand so that every generated
+// topology is reproducible from a seed.
 package rng
 
 import (
@@ -71,58 +71,6 @@ func BoundedParetoInt(r *rand.Rand, min, max int, alpha float64) int {
 		v = max
 	}
 	return v
-}
-
-// Weibull draws a Weibull variate with scale lambda and shape k. Broido and
-// Claffy report Internet degree distributions are well modeled by Weibull
-// tails; we use it for optional degree assignment variants.
-func Weibull(r *rand.Rand, lambda, k float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return lambda * math.Pow(-math.Log(u), 1/k)
-}
-
-// WeightedChoice returns an index drawn with probability proportional to
-// weights[i]. It returns -1 if all weights are zero or the slice is empty.
-func WeightedChoice(r *rand.Rand, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return -1
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// WeightedChoiceInt is WeightedChoice over integer weights.
-func WeightedChoiceInt(r *rand.Rand, weights []int) int {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return -1
-	}
-	u := r.Intn(total)
-	acc := 0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Shuffle permutes xs in place.

@@ -87,47 +87,6 @@ func TestBoundedParetoIntClamps(t *testing.T) {
 	}
 }
 
-func TestWeibullPositive(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 1000; i++ {
-		if v := Weibull(r, 2, 0.5); v <= 0 {
-			t.Fatalf("Weibull nonpositive: %v", v)
-		}
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	if WeightedChoice(r, nil) != -1 {
-		t.Fatal("empty weights should return -1")
-	}
-	if WeightedChoice(r, []float64{0, 0}) != -1 {
-		t.Fatal("zero weights should return -1")
-	}
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[WeightedChoice(r, []float64{1, 2, 7})]++
-	}
-	if counts[2] < counts[1] || counts[1] < counts[0] {
-		t.Fatalf("weighted counts not ordered: %v", counts)
-	}
-	if got := float64(counts[2]) / 30000; math.Abs(got-0.7) > 0.03 {
-		t.Fatalf("heavy weight frequency %.3f, want ~0.7", got)
-	}
-}
-
-func TestWeightedChoiceInt(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	if WeightedChoiceInt(r, []int{0, 0, 0}) != -1 {
-		t.Fatal("zero weights should return -1")
-	}
-	for i := 0; i < 100; i++ {
-		if got := WeightedChoiceInt(r, []int{0, 5, 0}); got != 1 {
-			t.Fatalf("got index %d, want 1", got)
-		}
-	}
-}
-
 // Property: SampleInts returns k distinct values in range.
 func TestSampleIntsProperty(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {

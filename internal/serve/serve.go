@@ -194,9 +194,6 @@ func New(opts Options) *Server {
 // Metrics returns the server's metrics registry (serve.*, ball.*, cache.*).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Progress returns the server's live progress tracker.
-func (s *Server) Progress() *obs.Progress { return s.prog }
-
 // Handler returns the server's full mux: the observability plane
 // (/metrics, /debug/progress, /debug/trace, /debug/pprof/) plus
 //

@@ -79,20 +79,6 @@ func (s *Series) YAt(x float64) float64 {
 	return s.Points[i-1].Y
 }
 
-// MaxY returns the largest Y value, or NaN for an empty series.
-func (s *Series) MaxY() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	max := s.Points[0].Y
-	for _, p := range s.Points[1:] {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}
-
 // CCDF returns the complementary cumulative distribution of the integer
 // sample xs: points (k, P(X >= k)) for each distinct value k. This is the
 // "complementary cumulative frequency" plotted in the paper's Appendix A.
@@ -296,24 +282,6 @@ func Bucketize(pts []Point, ratio float64) Series {
 	}
 	s.SortByX()
 	return s
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by nearest-rank on a
-// sorted copy. NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	i := int(q * float64(len(sorted)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // FractionAbove returns the fraction of values strictly above the threshold.

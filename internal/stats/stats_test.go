@@ -197,32 +197,12 @@ func TestSeriesYAt(t *testing.T) {
 	}
 }
 
-func TestQuantileAndFractionAbove(t *testing.T) {
+func TestFractionAbove(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 10 {
-		t.Fatalf("q1 = %v", q)
-	}
 	if f := FractionAbove(xs, 5); f != 0.5 {
 		t.Fatalf("FractionAbove = %v, want 0.5", f)
 	}
 	if f := FractionAbove(nil, 0); f != 0 {
 		t.Fatalf("empty FractionAbove = %v", f)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("Quantile(nil) should be NaN")
-	}
-}
-
-func TestMaxY(t *testing.T) {
-	s := Series{Points: []Point{{1, 3}, {2, 7}, {3, 2}}}
-	if m := s.MaxY(); m != 7 {
-		t.Fatalf("MaxY = %v", m)
-	}
-	var empty Series
-	if !math.IsNaN(empty.MaxY()) {
-		t.Fatal("empty MaxY should be NaN")
 	}
 }

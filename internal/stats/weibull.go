@@ -30,11 +30,3 @@ func FitWeibullTail(ccdf Series) WeibullFit {
 	}
 	return out
 }
-
-// WeibullCCDF evaluates the fitted tail at x.
-func (w WeibullFit) WeibullCCDF(x float64) float64 {
-	if w.Lambda <= 0 || x <= 0 {
-		return math.NaN()
-	}
-	return math.Exp(-math.Pow(x/w.Lambda, w.K))
-}

@@ -1,81 +1,11 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
 	"topocmp/internal/graph"
 )
-
-// kernels2BenchRow is one line of BENCH_kernels2.json: the wave-2 kernel
-// record (wide multi-word MSBFS strips and bit-parallel Brandes) per graph
-// family, the machine-readable form of the kernel-wave-2 table in
-// EXPERIMENTS.md. Rewritten after every benchmark so a partial -bench run
-// still leaves a consistent file.
-type kernels2BenchRow struct {
-	Name         string  `json:"name"`
-	Graph        string  `json:"graph"`
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
-	Sources      int     `json:"sources"`
-	SecondsPerOp float64 `json:"seconds_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-}
-
-var kernels2Bench struct {
-	sync.Mutex
-	rows []kernels2BenchRow
-}
-
-// benchKernels2 runs fn b.N times with alloc accounting and records the row.
-func benchKernels2(b *testing.B, g *graph.Graph, gname string, sources int, fn func()) {
-	b.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N)
-	row := kernels2BenchRow{
-		Name:         b.Name(),
-		Graph:        gname,
-		Nodes:        g.NumNodes(),
-		Edges:        g.NumEdges(),
-		Sources:      sources,
-		SecondsPerOp: b.Elapsed().Seconds() / n,
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:   float64(after.TotalAlloc-before.TotalAlloc) / n,
-	}
-	kernels2Bench.Lock()
-	defer kernels2Bench.Unlock()
-	replaced := false
-	for i := range kernels2Bench.rows {
-		if kernels2Bench.rows[i].Name == row.Name {
-			kernels2Bench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		kernels2Bench.rows = append(kernels2Bench.rows, row)
-	}
-	data, err := json.MarshalIndent(kernels2Bench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_kernels2.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkWideMSBFS sweeps the same 256 sources as four single-word
 // 64-source batches versus one four-word strip, counts-only (RunLevels) in
@@ -95,7 +25,7 @@ func BenchmarkWideMSBFS(b *testing.B) {
 		}
 		ms := graph.NewMSBFSScratch()
 		b.Run("words1/"+net.Name, func(b *testing.B) {
-			benchKernels2(b, g, net.Name, nsrc, func() {
+			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				for lo := 0; lo < nsrc; lo += graph.MSBFSWordBits {
 					hi := lo + graph.MSBFSWordBits
 					if hi > nsrc {
@@ -106,7 +36,7 @@ func BenchmarkWideMSBFS(b *testing.B) {
 			})
 		})
 		b.Run("words4/"+net.Name, func(b *testing.B) {
-			benchKernels2(b, g, net.Name, nsrc, func() {
+			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				ms.RunLevels(g, sources)
 			})
 		})
@@ -134,7 +64,7 @@ func BenchmarkBrandes(b *testing.B) {
 		s := graph.NewBFSScratch()
 		br := graph.NewBrandesScratch()
 		b.Run("scalar/"+net.Name, func(b *testing.B) {
-			benchKernels2(b, g, net.Name, nsrc, func() {
+			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				clear(bc)
 				for _, src := range sources {
 					order := s.Counts(g, src)
@@ -155,7 +85,7 @@ func BenchmarkBrandes(b *testing.B) {
 			})
 		})
 		b.Run("batched/"+net.Name, func(b *testing.B) {
-			benchKernels2(b, g, net.Name, nsrc, func() {
+			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				clear(bc)
 				br.Accumulate(g, sources, bc)
 			})

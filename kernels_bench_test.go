@@ -1,11 +1,7 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
 	"topocmp/internal/ball"
@@ -16,10 +12,8 @@ import (
 	"topocmp/internal/partition"
 )
 
-// kernelBenchRow is one line of BENCH_kernels.json, rewritten after every
-// kernel benchmark so a partial -bench run still leaves a consistent file.
-// These rows are the machine-readable form of the kernel tables in
-// EXPERIMENTS.md.
+// kernelBenchRow is one line of BENCH_kernels.json. These rows are the
+// machine-readable form of the kernel tables in EXPERIMENTS.md.
 type kernelBenchRow struct {
 	Name         string  `json:"name"`
 	SecondsPerOp float64 `json:"seconds_per_op"`
@@ -27,52 +21,12 @@ type kernelBenchRow struct {
 	BytesPerOp   float64 `json:"bytes_per_op"`
 }
 
-var kernelBench struct {
-	sync.Mutex
-	rows []kernelBenchRow
-}
-
 // benchKernel runs fn b.N times with alloc accounting and records the row.
 func benchKernel(b *testing.B, fn func()) {
 	b.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N)
-	row := kernelBenchRow{
-		Name:         b.Name(),
-		SecondsPerOp: b.Elapsed().Seconds() / n,
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:   float64(after.TotalAlloc-before.TotalAlloc) / n,
-	}
-	kernelBench.Lock()
-	defer kernelBench.Unlock()
-	// The harness re-enters the function while calibrating b.N; keep only
-	// the latest (largest-N) row per benchmark name.
-	replaced := false
-	for i := range kernelBench.rows {
-		if kernelBench.rows[i].Name == row.Name {
-			kernelBench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		kernelBench.rows = append(kernelBench.rows, row)
-	}
-	data, err := json.MarshalIndent(kernelBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_kernels.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	row := kernelBenchRow{Name: b.Name()}
+	row.SecondsPerOp, row.AllocsPerOp, row.BytesPerOp = opCost(b, fn)
+	recordBench(b, "BENCH_kernels.json", row)
 }
 
 func kernelCfg() ball.Config {
@@ -113,7 +67,7 @@ func BenchmarkKernelCutSize(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.Run("fresh", func(b *testing.B) {
 		benchKernel(b, func() {
-			partition.CutSize(g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+			partition.CutSizeWith(partition.NewWorkspace(), g, partition.Options{Rand: rand.New(rand.NewSource(1))})
 		})
 	})
 	b.Run("workspace", func(b *testing.B) {

@@ -1,85 +1,13 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
 	"topocmp/internal/core"
-	"topocmp/internal/graph"
 	"topocmp/internal/hierarchy"
 )
-
-// linkValueBenchRow is one line of BENCH_linkvalue.json: the link-value
-// sweep record per graph family, the machine-readable form of the
-// link-value table in EXPERIMENTS.md. Rewritten after every benchmark so a
-// partial -bench run still leaves a consistent file.
-type linkValueBenchRow struct {
-	Name         string  `json:"name"`
-	Graph        string  `json:"graph"`
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
-	Sources      int     `json:"sources"`
-	SecondsPerOp float64 `json:"seconds_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-}
-
-var linkValueBench struct {
-	sync.Mutex
-	rows []linkValueBenchRow
-}
-
-// benchLinkValue runs fn b.N times with alloc accounting and records the row.
-// One untimed call first grows the pooled entry streams to the graph's size,
-// so a row times a warm pass, as every suite run after the first is.
-func benchLinkValue(b *testing.B, g *graph.Graph, gname string, sources int, fn func()) {
-	b.Helper()
-	fn()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N)
-	row := linkValueBenchRow{
-		Name:         b.Name(),
-		Graph:        gname,
-		Nodes:        g.NumNodes(),
-		Edges:        g.NumEdges(),
-		Sources:      sources,
-		SecondsPerOp: b.Elapsed().Seconds() / n,
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:   float64(after.TotalAlloc-before.TotalAlloc) / n,
-	}
-	linkValueBench.Lock()
-	defer linkValueBench.Unlock()
-	replaced := false
-	for i := range linkValueBench.rows {
-		if linkValueBench.rows[i].Name == row.Name {
-			linkValueBench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		linkValueBench.rows = append(linkValueBench.rows, row)
-	}
-	data, err := json.MarshalIndent(linkValueBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_linkvalue.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 var linkValueNetsOnce struct {
 	sync.Once
@@ -119,13 +47,18 @@ func BenchmarkLinkValues(b *testing.B) {
 	for _, n := range linkValueBenchNets() {
 		g := n.Graph
 		b.Run("sigma/"+n.Name, func(b *testing.B) {
-			benchLinkValue(b, g, n.Name, numSources, func() {
+			pass := func() {
 				hierarchy.LinkValues(g, hierarchy.Options{
 					MaxSources:  numSources,
 					Rand:        rand.New(rand.NewSource(7)),
 					Parallelism: 1,
 				})
-			})
+			}
+			// One untimed pass first grows the pooled entry streams to the
+			// graph's size, so the row times a warm pass, as every suite
+			// run after the first is.
+			pass()
+			benchOnGraph(b, "BENCH_linkvalue.json", g, n.Name, numSources, pass)
 		})
 	}
 }

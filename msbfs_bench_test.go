@@ -1,81 +1,13 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
 	"topocmp/internal/core"
 	"topocmp/internal/graph"
 )
-
-// msbfsBenchRow is one line of BENCH_msbfs.json: the scalar-vs-batched
-// distance-sweep record per graph family, the machine-readable form of the
-// distance-kernel table in EXPERIMENTS.md. Rewritten after every benchmark
-// so a partial -bench run still leaves a consistent file.
-type msbfsBenchRow struct {
-	Name         string  `json:"name"`
-	Graph        string  `json:"graph"`
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
-	Sources      int     `json:"sources"`
-	SecondsPerOp float64 `json:"seconds_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-}
-
-var msbfsBench struct {
-	sync.Mutex
-	rows []msbfsBenchRow
-}
-
-// benchMSBFS runs fn b.N times with alloc accounting and records the row.
-func benchMSBFS(b *testing.B, g *graph.Graph, gname string, sources int, fn func()) {
-	b.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N)
-	row := msbfsBenchRow{
-		Name:         b.Name(),
-		Graph:        gname,
-		Nodes:        g.NumNodes(),
-		Edges:        g.NumEdges(),
-		Sources:      sources,
-		SecondsPerOp: b.Elapsed().Seconds() / n,
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:   float64(after.TotalAlloc-before.TotalAlloc) / n,
-	}
-	msbfsBench.Lock()
-	defer msbfsBench.Unlock()
-	replaced := false
-	for i := range msbfsBench.rows {
-		if msbfsBench.rows[i].Name == row.Name {
-			msbfsBench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		msbfsBench.rows = append(msbfsBench.rows, row)
-	}
-	data, err := json.MarshalIndent(msbfsBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_msbfs.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 var msbfsNetsOnce struct {
 	sync.Once
@@ -115,7 +47,7 @@ func BenchmarkMSBFS(b *testing.B) {
 		}
 		b.Run("scalar/"+n.Name, func(b *testing.B) {
 			s := graph.NewBFSScratch()
-			benchMSBFS(b, g, n.Name, len(sources), func() {
+			benchOnGraph(b, "BENCH_msbfs.json", g, n.Name, len(sources), func() {
 				for _, src := range sources {
 					s.BFS(g, src)
 				}
@@ -123,7 +55,7 @@ func BenchmarkMSBFS(b *testing.B) {
 		})
 		b.Run("batched/"+n.Name, func(b *testing.B) {
 			ms := graph.NewMSBFSScratch()
-			benchMSBFS(b, g, n.Name, len(sources), func() {
+			benchOnGraph(b, "BENCH_msbfs.json", g, n.Name, len(sources), func() {
 				ms.RunLevels(g, sources)
 			})
 		})

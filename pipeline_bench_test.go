@@ -1,10 +1,8 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 
 	"topocmp/internal/cache"
@@ -23,9 +21,7 @@ func pipeCfg() experiments.Config {
 	}
 }
 
-// pipelineBenchRow is one line of BENCH_pipeline.json, rewritten after
-// every pipeline benchmark so a partial -bench run still leaves a
-// consistent file.
+// pipelineBenchRow is one line of BENCH_pipeline.json.
 type pipelineBenchRow struct {
 	Name          string  `json:"name"`
 	Workers       int     `json:"workers"`
@@ -35,16 +31,9 @@ type pipelineBenchRow struct {
 	SuiteRuns     int64   `json:"suite_runs"`
 }
 
-var pipelineBench struct {
-	sync.Mutex
-	rows []pipelineBenchRow
-}
-
 func recordPipelineBench(b *testing.B, workers int, cacheState string, st experiments.Stats) {
 	b.Helper()
-	pipelineBench.Lock()
-	defer pipelineBench.Unlock()
-	pipelineBench.rows = append(pipelineBench.rows, pipelineBenchRow{
+	recordBench(b, "BENCH_pipeline.json", pipelineBenchRow{
 		Name:          b.Name(),
 		Workers:       workers,
 		Cache:         cacheState,
@@ -52,13 +41,6 @@ func recordPipelineBench(b *testing.B, workers int, cacheState string, st experi
 		NetworkBuilds: st.NetworkBuilds,
 		SuiteRuns:     st.SuiteRuns,
 	})
-	data, err := json.MarshalIndent(pipelineBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 var pipelineWidths = []struct {

@@ -1,12 +1,9 @@
 package topocmp
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 
 	"topocmp/internal/ball"
@@ -20,8 +17,6 @@ import (
 // scaleBenchRow is one line of BENCH_scale.json: the million-node scale
 // pass's machine-readable record — map-vs-streamed builder peak memory, the
 // size-vs-time/RSS build trajectory, and the full-RL sampled-metrics run.
-// Rewritten after every benchmark so a partial -bench run still leaves a
-// consistent file.
 type scaleBenchRow struct {
 	Name          string  `json:"name"`
 	Mode          string  `json:"mode"` // "map", "streamed", "pipeline"
@@ -43,35 +38,6 @@ type scaleBenchRow struct {
 	// MeanStdErr is the mean per-point standard error of the sampled
 	// expansion computed on the built graph (full-RL row only).
 	MeanStdErr float64 `json:"mean_stderr,omitempty"`
-}
-
-var scaleBench struct {
-	sync.Mutex
-	rows []scaleBenchRow
-}
-
-func scaleBenchRecord(b *testing.B, row scaleBenchRow) {
-	b.Helper()
-	scaleBench.Lock()
-	defer scaleBench.Unlock()
-	replaced := false
-	for i := range scaleBench.rows {
-		if scaleBench.rows[i].Name == row.Name {
-			scaleBench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		scaleBench.rows = append(scaleBench.rows, row)
-	}
-	data, err := json.MarshalIndent(scaleBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // plrgEdgeStream reproduces the PLRG clone-matching edge stream at the given
@@ -153,7 +119,7 @@ func BenchmarkScaleBuild(b *testing.B) {
 				return mb.AddEdge, mb.csr
 			})
 			b.StopTimer()
-			scaleBenchRecord(b, scaleBenchRow{
+			recordBench(b, "BENCH_scale.json", scaleBenchRow{
 				Name: b.Name(), Mode: "map", Nodes: n, EdgeAdds: len(adds),
 				DistinctEdges: c.edges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
 				PeakHeapBytes: peak, CSRBytes: c.bytes(), BuildOverheadBytes: peak - c.bytes(),
@@ -169,7 +135,7 @@ func BenchmarkScaleBuild(b *testing.B) {
 				return sb.AddEdge, sb.Graph
 			})
 			b.StopTimer()
-			scaleBenchRecord(b, scaleBenchRow{
+			recordBench(b, "BENCH_scale.json", scaleBenchRow{
 				Name: b.Name(), Mode: "streamed", Nodes: n, EdgeAdds: len(adds),
 				DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
 				PeakHeapBytes: peak, CSRBytes: csrBytes(g), BuildOverheadBytes: peak - csrBytes(g),
@@ -197,7 +163,7 @@ func BenchmarkScaleTrajectory(b *testing.B) {
 				})
 				b.StopTimer()
 				rss, _ := obs.ReadRSS()
-				scaleBenchRecord(b, scaleBenchRow{
+				recordBench(b, "BENCH_scale.json", scaleBenchRow{
 					Name: b.Name(), Mode: "streamed", Nodes: n, EdgeAdds: len(adds),
 					DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
 					PeakHeapBytes: peak, CSRBytes: csrBytes(g), BuildOverheadBytes: peak - csrBytes(g),
@@ -233,7 +199,7 @@ func BenchmarkScaleFullRL(b *testing.B) {
 		if len(exp.StdErr) > 0 {
 			meanSE /= float64(len(exp.StdErr))
 		}
-		scaleBenchRecord(b, scaleBenchRow{
+		recordBench(b, "BENCH_scale.json", scaleBenchRow{
 			Name: b.Name(), Mode: "pipeline", Nodes: g.NumNodes(), EdgeAdds: g.NumEdges(),
 			DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
 			PeakHeapBytes: peak, RSSBytes: rss, MeanStdErr: meanSE,

@@ -6,8 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,8 +18,7 @@ import (
 // layer's singleflight dedup against a burst of distinct requests. One op
 // is a burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled on
 // the optimized row once its naive twin has run, so the committed file
-// carries the dedup win explicitly. Rewritten after every benchmark so a
-// partial -bench run still leaves a consistent file.
+// carries the dedup win explicitly.
 type serveBenchRow struct {
 	Name           string  `json:"name"`
 	Mode           string  `json:"mode"`
@@ -46,38 +44,16 @@ var serveBenchPairs = map[string]string{
 // with alloc accounting and records the row.
 func benchServe(b *testing.B, mode string, requests int, fn func()) {
 	b.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N)
-	row := serveBenchRow{
-		Name:         b.Name(),
-		Mode:         mode,
-		Requests:     requests,
-		SecondsPerOp: b.Elapsed().Seconds() / n,
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:   float64(after.TotalAlloc-before.TotalAlloc) / n,
-	}
+	row := serveBenchRow{Name: b.Name(), Mode: mode, Requests: requests}
+	row.SecondsPerOp, row.AllocsPerOp, row.BytesPerOp = opCost(b, fn)
 	serveBench.Lock()
 	defer serveBench.Unlock()
-	replaced := false
-	for i := range serveBench.rows {
-		if serveBench.rows[i].Name == row.Name {
-			serveBench.rows[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
+	if i := slices.IndexFunc(serveBench.rows, func(r serveBenchRow) bool { return r.Name == row.Name }); i >= 0 {
+		serveBench.rows[i] = row
+	} else {
 		serveBench.rows = append(serveBench.rows, row)
 	}
-	// Fill the speedup column wherever both sides of a pair are present.
+	// Fill the speedup column wherever both sides of a pair ran.
 	bySec := map[string]float64{}
 	for _, r := range serveBench.rows {
 		bySec[r.Name] = r.SecondsPerOp
@@ -91,12 +67,8 @@ func benchServe(b *testing.B, mode string, requests int, fn func()) {
 			serveBench.rows[i].SpeedupVsNaive = ns / serveBench.rows[i].SecondsPerOp
 		}
 	}
-	data, err := json.MarshalIndent(serveBench.rows, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+	for _, r := range serveBench.rows {
+		recordBench(b, "BENCH_serve.json", r)
 	}
 }
 
@@ -167,7 +139,7 @@ func postOnce(b *testing.B, url string, body []byte) []byte {
 }
 
 // BenchmarkServe measures the daemon's singleflight dedup end to end over
-// real HTTP, writing BENCH_serve.json. Each op fires 8 concurrent suite
+// real HTTP, recording BENCH_serve.json's rows. Each op fires 8 concurrent suite
 // requests at one warm server per arm: dedup8 sends 8 identical requests,
 // which execute one suite; naive8 sends 8 distinct suite seeds, so every
 // request computes, serialized by the worker semaphore. The dedup row's

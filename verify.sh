@@ -14,7 +14,8 @@
 #   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
-#   bench smoke: one iteration of the kernel benchmarks
+#   bench smoke: one iteration of the kernel benchmarks (the committed
+#                baselines stay as they are; -update rewrites them)
 #   bench sentinel: benchdiff against the committed baselines
 #
 # Tier 2 runs the packages with real concurrency under the race
@@ -130,18 +131,16 @@ echo "== serve smoke: topocmpd answers, dedups and observes mid-run =="
 TOPOCMP_SERVE_SMOKE=1 go test -run '^TestServeSmoke$' -timeout 10m .
 
 echo "== bench smoke: kernel benchmarks compile and run =="
-# The root-package benchmarks rewrite their BENCH_*.json baselines as they
-# run, so snapshot the committed baselines first — the sentinel below must
-# compare fresh numbers against the tree's state, not against themselves.
+# The root benchmarks rewrite their BENCH_*.json baselines only under
+# -update, so this smoke leaves the committed files as they are and the
+# sentinel below compares against them.
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
-cp BENCH_*.json "$workdir"
 bench_out="$workdir/bench.out"
 go test -run '^$' -bench 'BenchmarkKernel|BenchmarkMSBFS|BenchmarkWideMSBFS|BenchmarkBrandes|BenchmarkLinkValues|BenchmarkServe' \
     -benchtime 1x . > "$bench_out"
-# Scale benchmarks refresh BENCH_scale.json (map-vs-streamed peak memory
-# and the size-vs-time/RSS trajectory; the full-RL pipeline row is skipped
-# here to keep the smoke fast — run the full Scale suite to update it).
+# The scale smoke runs the map-vs-streamed build and the size trajectory;
+# the full-RL pipeline row is skipped to keep it fast.
 go test -run '^$' -bench 'BenchmarkScaleBuild|BenchmarkScaleTrajectory' \
     -benchtime 1x . >> "$bench_out"
 cat "$bench_out"
@@ -150,6 +149,6 @@ echo "== bench sentinel: compare against committed baselines =="
 # One -benchtime 1x iteration is noisy, so the default tolerances are
 # loose (4x time, 1.5x + 64 allocs); the sentinel catches accidental
 # order-of-magnitude regressions, not drift.
-go run ./cmd/benchdiff -baseline "$workdir/BENCH_*.json" "$bench_out"
+go run ./cmd/benchdiff -baseline 'BENCH_*.json' "$bench_out"
 
 echo "verify.sh: all tiers passed"

@@ -40,8 +40,8 @@ type Engine struct {
 	profiles map[int32]*profileEntry
 	cums     map[int32]*cumEntry
 
-	diamOnce sync.Once
-	diam     int
+	spreadOnce sync.Once
+	spread     int
 
 	// Resolved metric handles (nil until Instrument): each event on the
 	// ball hot path costs at most one atomic add, and nothing at all when
@@ -53,7 +53,7 @@ type Engine struct {
 	mMSBFSBatches   *obs.Counter // bit-parallel distance batches run
 	mMSBFSSources   *obs.Counter // sources swept across those batches
 	mMSBFSWidth     *obs.Gauge   // batch width the last wide sweep chose
-	mDistScalar     *obs.Counter // centers the diameter probe routed to scalar BFS
+	mDistScalar     *obs.Counter // centers the spread probe routed to scalar BFS
 	mBrandesBatches *obs.Counter // bit-parallel Brandes batches run by kernel consumers
 	mBrandesScalar  *obs.Counter // subgraphs the probe kept on scalar Brandes
 
@@ -138,9 +138,10 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 // scratch_allocs, kernel_gets/kernel_allocs, msbfs_gets/msbfs_allocs for
 // the leased-workspace pools — reuse is gets minus allocs; msbfs_batches/
 // msbfs_sources/msbfs_width for the bit-parallel distance kernel's traffic;
-// dist_scalar and brandes_batches/brandes_scalar for the diameter probe's
-// routing decisions). Call it before the first ball grows; a nil registry
-// leaves the engine uninstrumented.
+// dist_scalar for the centers the spread probe routed to scalar BFS, and
+// brandes_batches/brandes_scalar for distortion's diameter probe). Call it
+// before the first ball grows; a nil registry leaves the engine
+// uninstrumented.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -171,17 +172,26 @@ func (e *Engine) SetProgress(st *obs.ProgressStage) { e.prog = st }
 // Graph returns the graph the engine grows balls on.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// ApproxDiameter returns the double-sweep diameter estimate for the
-// engine's graph, computed once on first use and cached. The batched
-// kernels consult it to route high-diameter graphs (lattices) onto scalar
-// paths where bit-parallel batching loses.
-func (e *Engine) ApproxDiameter() int {
-	e.diamOnce.Do(func() {
+// distSpread returns the spread probe CumProfiles routes on, computed once
+// on first use and cached: the hop distance at the 90th percentile of one
+// BFS from node 0, read off the BFS order, which is sorted by distance. The
+// BFS is the double sweep's first leg, so the probe never exceeds
+// graph.ApproxDiameter. A level sweep rescans a node's adjacency once for
+// every distinct distance at which the batch's sources reach it, so its
+// cost follows how widely distances spread: a few long access chains set a
+// graph's diameter but add little, while a lattice's spread makes the
+// batch repeat most of its scans.
+func (e *Engine) distSpread() int {
+	e.spreadOnce.Do(func() {
+		if e.g.NumNodes() == 0 {
+			return
+		}
 		ws := e.scratch.Get()
-		e.diam = graph.ApproxDiameter(e.g, ws.bfs)
+		order := ws.bfs.BFS(e.g, 0)
+		e.spread = int(ws.bfs.Dist(order[(len(order)-1)*9/10]))
 		e.scratch.Put(ws)
 	})
-	return e.diam
+	return e.spread
 }
 
 // Profile is one center's cached ball profile: everything a single BFS pass
@@ -288,15 +298,17 @@ func (c *CumProfile) Size(h int) int {
 	return int(c.Cum[h])
 }
 
-// MSBFSDiameterCutoff routes high-diameter graphs off the bit-parallel
-// sweeps: past this estimated diameter the per-level frontiers are thin and
-// the mask strips repeat work every level, and a scalar BFS per center wins
-// (the wave-1 benchmarks measured ~2.5x regressions on lattices). The
-// double-sweep probe is cached per engine. It is the one cutoff for every
-// bit-parallel route: the engine's distance sweeps, distortion's Brandes
-// election per ball subgraph, and the hierarchy sweeps' sigma batches — for
-// the sigma batches it also guards exactness: lattice-like graphs are the
-// ones whose binomial path counts could leave float64's exact-integer range.
+// MSBFSDiameterCutoff is the hop count past which the bit-parallel sweeps
+// lose to one scalar traversal per source: the per-level frontiers thin
+// out and the mask strips repeat work every level (the wave-1 benchmarks
+// measured ~2.5x regressions on lattices). Each route compares it with its
+// own probe. The engine's distance sweeps read the spread probe (see
+// distSpread), which lets graphs with a few long chains, such as the
+// measured RL graph, batch. Distortion's Brandes election per ball subgraph
+// and the hierarchy sweeps' sigma batches read the double-sweep diameter
+// (graph.ApproxDiameter); for the sigma batches the diameter also guards
+// exactness, since lattice-like graphs are the ones whose binomial path
+// counts could leave float64's exact-integer range.
 const MSBFSDiameterCutoff = 32
 
 // CumProfiles returns the centers' cum-only profiles in center order. The
@@ -304,15 +316,20 @@ const MSBFSDiameterCutoff = 32
 // up to graph.MSBFSMaxWidth sources (one CSR sweep per batch, counts-only —
 // no distance matrix), fanned over the worker pool — the fast path for
 // distance-only metrics (expansion, eccentricity, path lengths) that never
-// materialize ball membership. High-diameter graphs route to a scalar BFS
-// per center instead (see MSBFSDiameterCutoff); level counts are integers
-// either way, so the routing and batch width are invisible in the results.
+// materialize ball membership. Graphs whose spread probe exceeds
+// MSBFSDiameterCutoff route to a scalar BFS per center instead; level
+// counts are integers either way, so the routing and batch width are
+// invisible in the results.
 //
 // Cache coherence with full profiles: a completed full profile satisfies a
 // cum request directly (its Cum is shared, no kernel pass runs), while cum
 // entries live in a side cache that Profile never consults — so a cum entry
 // can never downgrade or preempt a cached full profile, and a later
 // Profile(center) still computes (and caches) the full ordered pass.
+//
+// A panic in the kernel reaches the caller after the other workers stop.
+// The entries this call claimed but did not fill leave the cache first, so
+// a concurrent call waiting on them computes them itself.
 func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 	out := make([]*CumProfile, len(centers))
 	ents := make([]*cumEntry, len(centers))
@@ -340,7 +357,45 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 	// centers complete instantly; "mine" completes as the kernels run.
 	e.prog.AddTotal(int64(len(centers)))
 	e.prog.Add(int64(len(centers) - len(mine)))
-	if len(mine) > 0 && e.ApproxDiameter() > MSBFSDiameterCutoff {
+	if len(mine) > 0 {
+		e.fillCums(centers, mine, ents)
+	}
+	for _, i := range mine {
+		out[i] = ents[i].c
+	}
+	// Entries claimed by a concurrent call: their owner always completes
+	// its batches before waiting on anyone else, so this cannot cycle. An
+	// entry that comes back empty was given up by an owner that panicked.
+	var lost []int
+	for _, i := range theirs {
+		<-ents[i].done
+		if out[i] = ents[i].c; out[i] == nil {
+			lost = append(lost, i)
+		}
+	}
+	if len(lost) > 0 {
+		again := make([]int32, len(lost))
+		for j, i := range lost {
+			again[j] = centers[i]
+		}
+		for j, c := range e.CumProfiles(again) {
+			out[lost[j]] = c
+		}
+	}
+	return out
+}
+
+// fillCums computes the claimed entries ents[i], i in mine, and closes
+// each as it fills it. If the kernel panics, the entries it did not fill
+// are deleted from the cache and closed empty as the panic unwinds.
+func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
+	filled := false
+	defer func() {
+		if !filled {
+			e.abandonCums(centers, mine, ents)
+		}
+	}()
+	if e.distSpread() > MSBFSDiameterCutoff {
 		e.forEach(len(mine), func(j int) {
 			idx := mine[j]
 			ws := e.scratch.Get()
@@ -348,12 +403,11 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 			e.scratch.Put(ws)
 			ent := ents[idx]
 			ent.c = &CumProfile{Center: centers[idx], Cum: cum}
-			out[idx] = ent.c
 			close(ent.done)
 			e.prog.Add(1)
 		})
 		e.mDistScalar.Add(int64(len(mine)))
-	} else if len(mine) > 0 {
+	} else {
 		width := BatchWidth(len(mine), e.parallel)
 		e.mMSBFSWidth.Set(int64(width))
 		batches := (len(mine) + width - 1) / width
@@ -380,7 +434,6 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 				}
 				ent := ents[idx]
 				ent.c = &CumProfile{Center: sources[j], Cum: cum}
-				out[idx] = ent.c
 				close(ent.done)
 			}
 			e.msbfs.Put(ms)
@@ -389,13 +442,22 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 			e.prog.Add(int64(len(batch)))
 		})
 	}
-	// Entries claimed by a concurrent call: their owner always completes
-	// its batches before waiting on anyone else, so this cannot cycle.
-	for _, i := range theirs {
-		<-ents[i].done
-		out[i] = ents[i].c
+	filled = true
+}
+
+// abandonCums deletes the claimed entries that were not filled from the
+// cum cache and closes them empty. Every worker has stopped by then.
+func (e *Engine) abandonCums(centers []int32, mine []int, ents []*cumEntry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, i := range mine {
+		select {
+		case <-ents[i].done:
+		default:
+			delete(e.cums, centers[i])
+			close(ents[i].done)
+		}
 	}
-	return out
 }
 
 // BatchWidth picks a bit-parallel mask-strip width for pending work items
@@ -441,7 +503,9 @@ func (e *Engine) BallSubgraph(p *Profile, h int) *graph.Graph {
 }
 
 // forEach runs work(i) for i in [0, n) over the worker pool. With a pool of
-// width 1 the calls run inline in index order.
+// width 1 the calls run inline in index order. A panic in work stops the
+// other workers from taking new indices and is re-raised here once they
+// have returned (see Group).
 func (e *Engine) forEach(n int, work func(i int)) {
 	if e.parallel <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -449,26 +513,20 @@ func (e *Engine) forEach(n int, work func(i int)) {
 		}
 		return
 	}
-	workers := e.parallel
-	if workers > n {
-		workers = n
-	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
+	var grp Group
+	for w := 0; w < min(e.parallel, n); w++ {
+		grp.Go(func() {
+			for !grp.Stopped() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				work(i)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	grp.Wait()
 }
 
 // BallPoints grows balls per cfg around the sampled centers, fanning

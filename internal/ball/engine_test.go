@@ -3,6 +3,8 @@ package ball
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"topocmp/internal/gen/canonical"
@@ -168,7 +170,7 @@ func TestEngineInstrumentation(t *testing.T) {
 // checkClosedForm compares a width-1 engine's CumProfiles and Profile sizes
 // at every center in centers, radii 0 through one past the eccentricity,
 // against want(center, h). CumProfiles runs first, so its kernel route
-// computes the rows rather than reading cached full profiles. The diameter
+// computes the rows rather than reading cached full profiles. The spread
 // probe must have taken the route the cutoff names: the scalar BFS per
 // center past it, the bit-parallel batches otherwise.
 func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32, want func(c int32, h int) int) {
@@ -178,8 +180,8 @@ func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32,
 	e.Instrument(reg)
 	cums := e.CumProfiles(centers)
 	scalar := reg.Counter("ball.dist_scalar").Value() > 0
-	if wantScalar := e.ApproxDiameter() > MSBFSDiameterCutoff; scalar != wantScalar {
-		t.Fatalf("%s: diameter %d took the scalar route %t, want %t", name, e.ApproxDiameter(), scalar, wantScalar)
+	if wantScalar := e.distSpread() > MSBFSDiameterCutoff; scalar != wantScalar {
+		t.Fatalf("%s: spread %d took the scalar route %t, want %t", name, e.distSpread(), scalar, wantScalar)
 	}
 	for i, c := range centers {
 		p := e.Profile(c)
@@ -200,8 +202,9 @@ func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32,
 // balls have closed forms, at fuzzed sizes: a Mesh ball holds the cells
 // within Manhattan distance h (2h²+2h+1 while the diamond fits), a k-ary
 // Tree's root ball (k^(h+1)−1)/(k−1) nodes, and node i of Linear(n)
-// min(i,h)+min(n−1−i,h)+1 nodes. Meshes and chains reach past
-// MSBFSDiameterCutoff, so both CumProfiles routes are exercised.
+// min(i,h)+min(n−1−i,h)+1 nodes. The spread probe of large
+// meshes and long chains passes MSBFSDiameterCutoff, so both CumProfiles
+// routes are exercised.
 func FuzzBallSizesClosedForm(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(4), uint8(4), uint8(1), uint8(4), uint8(20), uint8(7))
 	f.Add(uint8(40), uint8(3), uint8(0), uint8(2), uint8(0), uint8(7), uint8(80), uint8(0))
@@ -243,9 +246,144 @@ func FuzzBallSizesClosedForm(f *testing.F) {
 	})
 }
 
+// TestCumProfilesRouteFollowsSpread pins the distance route on the spread
+// probe rather than the diameter. A complete ternary tree with a 40-node
+// chain hung off one leaf has diameter 52, but 90% of its nodes sit within
+// 6 hops of the root: it must batch, and its batched rows must equal the
+// scalar profiles at every center, the chain's tip included. A 30x30 mesh
+// (90th percentile 46) and Linear(500) (449) must stay scalar.
+func TestCumProfilesRouteFollowsSpread(t *testing.T) {
+	tree := canonical.Tree(3, 6)
+	n := tree.NumNodes()
+	const chain = 40
+	b := graph.NewStreamBuilder(n + chain)
+	for _, ed := range tree.Edges() {
+		b.AddEdge(ed.U, ed.V)
+	}
+	for v := n; v < n+chain; v++ {
+		b.AddEdge(int32(v-1), int32(v)) // node n-1 is a depth-6 leaf
+	}
+	g := b.Graph()
+	centers := make([]int32, g.NumNodes())
+	for i := range centers {
+		centers[i] = int32(i)
+	}
+
+	e := NewEngine(g, 1)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	if d, s := graph.ApproxDiameter(g, graph.NewBFSScratch()), e.distSpread(); d != 52 || s != 6 {
+		t.Fatalf("tree with a chain: diameter %d and spread %d, want 52 and 6", d, s)
+	}
+	cums := e.CumProfiles(centers)
+	if batches, scalar := reg.Counter("ball.msbfs_batches").Value(), reg.Counter("ball.dist_scalar").Value(); batches == 0 || scalar != 0 {
+		t.Fatalf("tree with a chain: %d batches and %d scalar centers, want batches only", batches, scalar)
+	}
+	ref := NewEngine(g, 1)
+	for i, c := range centers {
+		if want := ref.Profile(c).Cum; !reflect.DeepEqual(cums[i].Cum, want) {
+			t.Fatalf("center %d: batched rows %v, scalar profile %v", c, cums[i].Cum, want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"Mesh(30, 30)", canonical.Mesh(30, 30)}, {"Linear(500)", canonical.Linear(500)}} {
+		e := NewEngine(tc.g, 1)
+		reg := obs.NewRegistry()
+		e.Instrument(reg)
+		e.CumProfiles([]int32{0, 1, 2})
+		if batches, scalar := reg.Counter("ball.msbfs_batches").Value(), reg.Counter("ball.dist_scalar").Value(); batches != 0 || scalar != 3 {
+			t.Errorf("%s: %d batches and %d scalar centers, want 0 and 3", tc.name, batches, scalar)
+		}
+	}
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x
 	}
 	return x
+}
+
+// TestForEachReraisesWorkerPanic: a panic on a worker goroutine reaches the
+// caller of forEach as a WorkerPanic carrying the value, after every worker
+// has returned.
+func TestForEachReraisesWorkerPanic(t *testing.T) {
+	e := NewEngine(engineTestGraph(), 4)
+	var running atomic.Int64
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.forEach(100, func(i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 37 {
+				panic("boom")
+			}
+		})
+	}()
+	wp, ok := got.(*WorkerPanic)
+	if !ok || wp.Value != "boom" || len(wp.Stack) == 0 {
+		t.Fatalf("recovered %#v, want a WorkerPanic of \"boom\" with its stack", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d workers still running after the panic was re-raised", n)
+	}
+}
+
+// TestCumProfilesPanicReleasesClaims: when the kernel panics, CumProfiles
+// re-raises it with no claimed entry left open in the cache, and a call
+// that was waiting on an abandoned entry computes it itself.
+func TestCumProfilesPanicReleasesClaims(t *testing.T) {
+	g := engineTestGraph()
+	n := int32(g.NumNodes())
+	e := NewEngine(g, 2)
+	centers := make([]int32, 300) // two batches; the second holds the bad center
+	for i := range centers {
+		centers[i] = int32(i)
+	}
+	centers[len(centers)-1] = n + 7
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an out-of-range center did not panic")
+			}
+		}()
+		e.CumProfiles(centers)
+	}()
+	for c, ent := range e.cums {
+		select {
+		case <-ent.done:
+			if ent.c == nil {
+				t.Fatalf("center %d: closed entry left in the cache without a profile", c)
+			}
+		default:
+			t.Fatalf("center %d: claimed entry left open after the panic", c)
+		}
+	}
+
+	// A waiter on an entry whose owner gives it up computes it afresh. The
+	// progress stage shows when the waiter has found the entry claimed: it
+	// adds its one center to the total, and the retry adds it once more.
+	prog := obs.NewProgress()
+	e.SetProgress(prog.Register("cum"))
+	units := func() int64 { return prog.Snapshot().Stages[0].TotalUnits }
+	ent := &cumEntry{done: make(chan struct{})}
+	e.mu.Lock()
+	e.cums[n-1] = ent
+	e.mu.Unlock()
+	got := make(chan *CumProfile)
+	go func() { got <- e.CumProfiles([]int32{n - 1})[0] }()
+	for units() == 0 {
+		runtime.Gosched()
+	}
+	e.abandonCums([]int32{n - 1}, []int{0}, []*cumEntry{ent})
+	if c := <-got; c == nil || !reflect.DeepEqual(c.Cum, NewEngine(g, 1).Profile(n-1).Cum) {
+		t.Fatalf("waiter on an abandoned entry got %v", c)
+	}
+	if u := units(); u != 2 {
+		t.Fatalf("progress total %d, want 2: the waiter did not retry", u)
+	}
 }

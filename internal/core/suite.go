@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
@@ -196,11 +195,13 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 			Rand:        rand.New(rand.NewSource(opts.Seed + 1)),
 		}
 	}
-	var wg sync.WaitGroup
+	// A panic in a concurrent stage is re-raised on this goroutine once the
+	// other stages return; stages that have not started by then skip.
+	var stages ball.Group
 	stage := func(name string, f func()) {
 		run := func() {
-			if ctx.Err() != nil {
-				return // canceled: the partial result is discarded below
+			if ctx.Err() != nil || stages.Stopped() {
+				return // canceled or failed: the partial result is discarded below
 			}
 			sp := opts.Span.Start(name)
 			defer sp.End()
@@ -210,11 +211,7 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 			run()
 			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
+		stages.Go(run)
 	}
 	stage("expansion", func() {
 		res.Expansion = metrics.ExpansionWith(eng, ball.Config{
@@ -291,7 +288,7 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 			res.PolicyResilience, res.PolicyDistortion = policyBallCurves(n, opts)
 		})
 	}
-	wg.Wait()
+	stages.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"topocmp/internal/ball"
+	"topocmp/internal/gen/canonical"
 )
 
 // TestRunSuiteParallelMatchesSequential is the ball-engine determinism
@@ -71,5 +74,24 @@ func TestRunSuiteRaceShort(t *testing.T) {
 	res := RunSuite(ms.AS, opts)
 	if res.Expansion.Len() == 0 || res.LinkValues == nil {
 		t.Fatal("race-mode suite produced empty results")
+	}
+}
+
+// TestRunSuiteStagePanicReachesCaller: a panic in a stage that runs on a
+// goroutine of its own is re-raised on the caller's, where it can be
+// recovered, instead of ending the process. A tolerance fraction past 1,
+// which SuiteOptions.Validate rejects, makes the tolerance stages slice
+// past the node count.
+func TestRunSuiteStagePanicReachesCaller(t *testing.T) {
+	n := &Network{Name: "Tree", Graph: canonical.Tree(3, 4)}
+	opts := SuiteOptions{Sources: 2, MaxBallSize: 50, EigenRank: 4, Seed: 1,
+		Parallelism: 2, SkipHierarchy: true, ToleranceFractions: []float64{1.5}}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		RunSuite(n, opts)
+		return nil
+	}()
+	if _, ok := got.(*ball.WorkerPanic); !ok {
+		t.Fatalf("recovered %#v, want the stage's panic as a ball.WorkerPanic", got)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
@@ -63,11 +62,11 @@ const (
 )
 
 // batched resolves the row provider for g. Low-diameter graphs batch their
-// sources through the sigma-carrying MSBFS kernel; the probe (the same
-// double-sweep estimate and threshold as ball.CumProfiles) keeps
-// lattice-like graphs on scalar traversals, where thin frontiers repeat
-// mask work every level and binomial path counts could leave float64's
-// exact-integer range.
+// sources through the sigma-carrying MSBFS kernel; the probe (the
+// double-sweep diameter against ball.MSBFSDiameterCutoff, the threshold
+// ball.CumProfiles compares with its spread probe) keeps lattice-like
+// graphs on scalar traversals, where thin frontiers repeat mask work every
+// level and binomial path counts could leave float64's exact-integer range.
 func (o *Options) batched(g *graph.Graph) bool {
 	if o.force != probed {
 		return o.force == batchProvider
@@ -427,7 +426,10 @@ func workerBlocks(q, width, workers int, half bool) []int {
 // worker order, which is the canonical (u, t) order coverValuesStream
 // relies on; release returns their scratches to the pool once they have
 // been read. The graph is immutable and every worker owns its leased
-// scratch, so the workers share nothing but read-only inputs.
+// scratch, so the workers share nothing but read-only inputs. A worker's
+// panic stops the others at their next unit and is re-raised here; the
+// scratches are then dropped, not pooled, since a sweep cut short can
+// leave them off their reset invariants.
 func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 	rp rowProvider, visit visitFunc) (streams []*edgeStream, release func()) {
 
@@ -435,17 +437,18 @@ func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 	blocks := workerBlocks(len(sources), max(width, 1), workers, half)
 	wss := make([]*sweepScratch, workers)
 	streams = make([]*edgeStream, workers)
-	var wg sync.WaitGroup
+	var grp ball.Group
 	for w := range wss {
 		ws := sweepPool.Get()
 		wss[w], streams[w] = ws, ws.stream
 		ws.stream.reset(numEdges)
 		lo, hi := blocks[w], blocks[w+1]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		grp.Go(func() {
 			if width == 0 {
 				for _, u := range sources[lo:hi] {
+					if grp.Stopped() {
+						return
+					}
 					dist, sigma, guard := rp.scalar(ws, u)
 					visit(ws, ws.stream, u, dist, sigma, guard)
 				}
@@ -454,16 +457,16 @@ func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 			if ws.msbfs == nil {
 				ws.msbfs = graph.NewMSBFSScratch()
 			}
-			for k := lo; k < hi; k++ {
+			for k := lo; k < hi && !grp.Stopped(); k++ {
 				strip := sources[k*width : min((k+1)*width, len(sources))]
 				rp.strip(ws, strip)
 				for j, u := range strip {
 					visit(ws, ws.stream, u, ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j), nil)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	grp.Wait()
 	return streams, func() {
 		for _, ws := range wss {
 			sweepPool.Put(ws)

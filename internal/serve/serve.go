@@ -385,14 +385,21 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 // instead of taking the daemon down with it.
 var errPanic = errors.New("computation panicked")
 
-// computeRecover runs compute, turning a panic on this goroutine into an
-// errPanic error (the stack goes to the log). Panics on goroutines the
-// computation starts itself still end the process.
+// computeRecover runs compute, turning a panic into an errPanic error (the
+// stack goes to the log). The goroutines a computation starts are the ball
+// engine's workers, the suite's stages and the link-value sweep's workers;
+// each re-raises its first panic on the goroutine that waits for it, so a
+// panic on any of them arrives here as a ball.WorkerPanic, whose stack is
+// the one logged.
 func computeRecover(ctx context.Context, width int, label string,
 	compute func(ctx context.Context, width int) (any, error)) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			log.Printf("serve: %s panicked: %v\n%s", label, p, debug.Stack())
+			stack := debug.Stack()
+			if wp, ok := p.(*ball.WorkerPanic); ok {
+				stack = wp.Stack
+			}
+			log.Printf("serve: %s panicked: %v\n%s", label, p, stack)
 			v, err = nil, fmt.Errorf("%w: %v", errPanic, p)
 		}
 	}()

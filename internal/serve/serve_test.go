@@ -6,15 +6,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"topocmp/internal/ball"
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
+	"topocmp/internal/gen/canonical"
+	"topocmp/internal/graph"
 )
 
 // quickSuite is a suite configuration small enough that a Tree request
@@ -527,5 +532,34 @@ func TestServeComputePanic(t *testing.T) {
 		})
 	if w2.Code != http.StatusOK {
 		t.Fatalf("retry after panic: status %d, want 200 (%s)", w2.Code, w2.Body.String())
+	}
+}
+
+// TestServeWorkerPanic: a panic on one of the ball engine's worker
+// goroutines reaches the compute goroutine, so the request gets 500 instead
+// of the daemon ending, and a retry of the same key computes afresh.
+func TestServeWorkerPanic(t *testing.T) {
+	s := New(Options{Workers: 2})
+	g := canonical.Tree(3, 4)
+	var panicked atomic.Bool
+	compute := func(ctx context.Context, _ int) (any, error) {
+		cfg := ball.Config{MaxSources: 8, Rand: rand.New(rand.NewSource(1))}
+		pts := ball.NewEngine(g, 2).BallPoints(cfg, 1, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("per-ball kernel failed")
+			}
+			return float64(sub.NumEdges()), true
+		})
+		return &metricEntry{Network: fmt.Sprint(len(pts))}, nil
+	}
+	w := httptest.NewRecorder()
+	s.serveKeyed(w, context.Background(), "k", "x", noCache, compute)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("worker panic: status %d, want 500 (%s)", w.Code, w.Body.String())
+	}
+	w2 := httptest.NewRecorder()
+	s.serveKeyed(w2, context.Background(), "k", "x", noCache, compute)
+	if w2.Code != http.StatusOK {
+		t.Fatalf("retry after worker panic: status %d, want 200 (%s)", w2.Code, w2.Body.String())
 	}
 }

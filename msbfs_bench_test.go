@@ -2,6 +2,7 @@ package topocmp
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,13 +32,25 @@ func msbfsBenchNets() []*core.Network {
 	return msbfsNetsOnce.nets
 }
 
+// msbfsRouteNets are the families whose distance sweeps batch only because
+// the ball engine routes on the spread of distances rather than the
+// diameter: RL and Tiers at scale 1.0, seed 1, named RL@1.0 and Tiers@1.0.
+// Their diameters (42 and 45) pass ball.MSBFSDiameterCutoff and their
+// 90th-percentile distances from node 0 (14 and 29) do not.
+func msbfsRouteNets() []*core.Network {
+	opts := core.PaperSetOptions{Seed: 1, Scale: 1.0}
+	rl, tiers := *core.BuildMeasured(opts).RL, *core.BuildNetwork("Tiers", opts)
+	rl.Name, tiers.Name = "RL@1.0", "Tiers@1.0"
+	return []*core.Network{&rl, &tiers}
+}
+
 // BenchmarkMSBFS compares one full 64-source distance sweep done the scalar
 // way (64 reusable-scratch BFS passes, the pre-kernel hot path of the
 // expansion/eccentricity/path-length metrics) against one bit-parallel
 // MSBFS batch over the same sources in the level-counts mode those metrics
 // read.
 func BenchmarkMSBFS(b *testing.B) {
-	for _, n := range msbfsBenchNets() {
+	for _, n := range slices.Concat(msbfsBenchNets(), msbfsRouteNets()) {
 		g := n.Graph
 		r := rand.New(rand.NewSource(7))
 		perm := r.Perm(g.NumNodes())

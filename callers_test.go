@@ -22,7 +22,7 @@ import (
 // single package's _test.go can hold them.
 var testOnlyReferences = map[string]string{
 	"graph.Graph.Fingerprint": "the order-sensitive hash every golden and determinism test pins a built graph with",
-	"graph.Graph.BFSCounts":   "scalar shortest-path counts, the reference for the batched Brandes, MSBFS sigma and link-value kernels",
+	"graph.Graph.BFSCounts":   "scalar shortest-path counts, the reference for the batched Brandes and link-value kernels",
 	"graph.Graph.HasEdge":     "an adjacency probe the generator, builder and transform tests assert edges with",
 	"stats.Series.YAt":        "reads one point of a series in the metric, experiment and core tests",
 }

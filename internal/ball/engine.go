@@ -305,10 +305,7 @@ func (c *CumProfile) Size(h int) int {
 // own probe. The engine's distance sweeps read the spread probe (see
 // distSpread), which lets graphs with a few long chains, such as the
 // measured RL graph, batch. Distortion's Brandes election per ball subgraph
-// and the hierarchy sweeps' sigma batches read the double-sweep diameter
-// (graph.ApproxDiameter); for the sigma batches the diameter also guards
-// exactness, since lattice-like graphs are the ones whose binomial path
-// counts could leave float64's exact-integer range.
+// reads the double-sweep diameter (graph.ApproxDiameter).
 const MSBFSDiameterCutoff = 32
 
 // CumProfiles returns the centers' cum-only profiles in center order. The
@@ -408,7 +405,7 @@ func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
 		})
 		e.mDistScalar.Add(int64(len(mine)))
 	} else {
-		width := BatchWidth(len(mine), e.parallel)
+		width := batchWidth(len(mine), e.parallel)
 		e.mMSBFSWidth.Set(int64(width))
 		batches := (len(mine) + width - 1) / width
 		e.forEach(batches, func(b int) {
@@ -460,13 +457,11 @@ func (e *Engine) abandonCums(centers []int32, mine []int, ents []*cumEntry) {
 	}
 }
 
-// BatchWidth picks a bit-parallel mask-strip width for pending work items
+// batchWidth picks a bit-parallel mask-strip width for pending work items
 // spread over parallel workers: as wide as the pending work allows without
 // starving the pool, rounded up to whole 64-bit words and clamped to
-// [MSBFSWidth, MSBFSMaxWidth]. Shared by the engine's distance sweeps and
-// the hierarchy layer's sigma batches so every batched kernel sizes strips
-// by the same rule.
-func BatchWidth(pending, parallel int) int {
+// [MSBFSWidth, MSBFSMaxWidth].
+func batchWidth(pending, parallel int) int {
 	if parallel < 1 {
 		parallel = 1
 	}

@@ -114,9 +114,8 @@ func twoComponentsAndIsolated() *graph.Graph {
 }
 
 // TestSweepMatchesBruteForce checks link values and traversal-set sizes
-// against the brute-force references, for both row providers and the
-// probe, at one and four workers, over the full and a sampled pair
-// universe.
+// against the brute-force references at one and four workers, over the
+// full and a sampled pair universe.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	cases := map[string]*graph.Graph{
 		"Linear":       canonical.Linear(7),
@@ -133,26 +132,24 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			}
 			want := bruteLinkValues(g, opts())
 			wantTS := bruteTraversalSetSizes(g, opts())
-			for _, force := range []provider{probed, scalarProvider, batchProvider} {
-				for _, parallel := range []int{1, 4} {
-					label := fmt.Sprintf("%s budget=%d provider=%d P=%d", name, budget, force, parallel)
-					o := opts()
-					o.Parallelism, o.force = parallel, force
-					got := LinkValues(g, o)
-					if got.N != want.N {
-						t.Fatalf("%s: N = %d, want %d", label, got.N, want.N)
+			for _, parallel := range []int{1, 4} {
+				label := fmt.Sprintf("%s budget=%d P=%d", name, budget, parallel)
+				o := opts()
+				o.Parallelism = parallel
+				got := LinkValues(g, o)
+				if got.N != want.N {
+					t.Fatalf("%s: N = %d, want %d", label, got.N, want.N)
+				}
+				for i := range want.Values {
+					if math.Abs(want.Values[i]-got.Values[i]) > 1e-6 {
+						t.Fatalf("%s edge %v: sweep %v vs brute %v",
+							label, want.Edges[i], got.Values[i], want.Values[i])
 					}
-					for i := range want.Values {
-						if math.Abs(want.Values[i]-got.Values[i]) > 1e-6 {
-							t.Fatalf("%s edge %v: sweep %v vs brute %v",
-								label, want.Edges[i], got.Values[i], want.Values[i])
-						}
-					}
-					o = opts()
-					o.Parallelism, o.force = parallel, force
-					if ts := TraversalSetSizes(g, o); !reflect.DeepEqual(ts, wantTS) {
-						t.Fatalf("%s: traversal-set sizes %v, brute %v", label, ts, wantTS)
-					}
+				}
+				o = opts()
+				o.Parallelism = parallel
+				if ts := TraversalSetSizes(g, o); !reflect.DeepEqual(ts, wantTS) {
+					t.Fatalf("%s: traversal-set sizes %v, brute %v", label, ts, wantTS)
 				}
 			}
 		}
@@ -168,7 +165,7 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 //   - LinkValues equals, bit for bit, the ordered cover over the half
 //     stream with every entry mirrored as (edge, t, u);
 //   - TraversalSetSizes equals the brute count exactly;
-//   - both row providers at P = 1 and P = 3 give bit-identical values.
+//   - P = 1 and P = 3 give bit-identical values.
 //
 // Covers are not compared with brute's directly: brute computes fractions
 // another way, and a near-tie in the primal-dual step could then break
@@ -184,12 +181,12 @@ func FuzzLinkValuesMatchesBrute(f *testing.F) {
 		}
 		g := b.Graph()
 		budget := int(budgetRaw) % (n + 1) // 0: the full universe
-		opts := func(p provider, parallel int) Options {
+		opts := func(parallel int) Options {
 			return Options{MaxSources: budget, Rand: rand.New(rand.NewSource(int64(budgetRaw))),
-				Parallelism: parallel, force: p}
+				Parallelism: parallel}
 		}
 
-		o := opts(probed, 1)
+		o := opts(1)
 		o.defaults()
 		sources, inQ := sampleSources(n, o)
 		streams, release := sweepPlain(g, &o, sources, inQ)
@@ -223,21 +220,17 @@ func FuzzLinkValuesMatchesBrute(f *testing.F) {
 			mirrored = append(mirrored, pairEntry{edge: p.edge, u: p.t, t: p.u, w: p.w})
 		}
 		ordered, _ := coversOf(mirrored, g.NumEdges(), n, false)
-		got := LinkValues(g, opts(probed, 1)).Values
+		got := LinkValues(g, opts(1)).Values
 		if !slices.Equal(got, ordered) {
 			t.Fatalf("LinkValues %v, mirrored ordered cover %v", got, ordered)
 		}
 
-		if ts, wantTS := TraversalSetSizes(g, opts(probed, 1)), bruteTraversalSetSizes(g, opts(probed, 1)); !slices.Equal(ts, wantTS) {
+		if ts, wantTS := TraversalSetSizes(g, opts(1)), bruteTraversalSetSizes(g, opts(1)); !slices.Equal(ts, wantTS) {
 			t.Fatalf("traversal-set sizes %v, brute %v", ts, wantTS)
 		}
 
-		for _, p := range []provider{scalarProvider, batchProvider} {
-			for _, parallel := range []int{1, 3} {
-				if v := LinkValues(g, opts(p, parallel)).Values; !slices.Equal(v, got) {
-					t.Fatalf("provider=%d P=%d: values %v, probed P=1 %v", p, parallel, v, got)
-				}
-			}
+		if v := LinkValues(g, opts(3)).Values; !slices.Equal(v, got) {
+			t.Fatalf("P=3: values %v, P=1 %v", v, got)
 		}
 	})
 }

@@ -40,40 +40,9 @@ type Options struct {
 	// 1 runs sequentially. Results are identical at every width.
 	Parallelism int
 	// Metrics, when non-nil, counts the source sweeps performed
-	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps) and the row
-	// provider chosen (hierarchy.sigma_batches / hierarchy.sigma_scalar,
-	// width gauge hierarchy.sigma_width). Never affects results.
+	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps). Never
+	// affects results.
 	Metrics *obs.Registry `json:"-"`
-
-	// force overrides the diameter probe's provider choice. Only the
-	// differential tests set it (export_test.go).
-	force provider
-}
-
-// provider names where a sweep's per-source distance and path-count rows
-// come from. The rows are identical either way (path counts are exact
-// integers in float64), so the choice only changes speed.
-type provider int8
-
-const (
-	probed         provider = iota // the diameter probe decides
-	scalarProvider                 // one scalar traversal per source
-	batchProvider                  // one sigma-carrying MSBFS per mask strip
-)
-
-// batched resolves the row provider for g. Low-diameter graphs batch their
-// sources through the sigma-carrying MSBFS kernel; the probe (the
-// double-sweep diameter against ball.MSBFSDiameterCutoff, the threshold
-// ball.CumProfiles compares with its spread probe) keeps lattice-like
-// graphs on scalar traversals, where thin frontiers repeat mask work every
-// level and binomial path counts could leave float64's exact-integer range.
-func (o *Options) batched(g *graph.Graph) bool {
-	if o.force != probed {
-		return o.force == batchProvider
-	}
-	ws := sweepPool.Get()
-	defer sweepPool.Put(ws)
-	return graph.ApproxDiameter(g, ws.bfs) <= ball.MSBFSDiameterCutoff
 }
 
 func (o *Options) defaults() {
@@ -300,7 +269,6 @@ func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
 // like a fresh one.
 type sweepScratch struct {
 	bfs     *graph.BFSScratch
-	msbfs   *graph.MSBFSScratch // sigma-batch kernel, allocated on first batched lease
 	gval    []float64
 	touched []int32
 	buckets [][]int32
@@ -324,11 +292,10 @@ type sweepScratch struct {
 	stream *edgeStream
 	// Product-space traversal buffers for policy sweeps, reused through
 	// policy.ProductCountsInto (reset via porder, so they carry their own
-	// zero-at-rest invariant), and a strip's product start states.
+	// zero-at-rest invariant).
 	pdist  []int32
 	psigma []float64
 	porder []int32
-	psrc   []int32
 }
 
 var sweepPool = ball.NewPool(func() *sweepScratch {
@@ -351,52 +318,23 @@ func grownZero(b []float64, n int) []float64 {
 	return b[:n]
 }
 
-// sigmaPlan sizes the batched provider: strip width from the pending
-// sources like ball.CumProfiles (never starving the pool), worker count
-// capped at the strip count, and the routing counters recorded. Returns
-// width 0 for the scalar provider.
-func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, w int) {
-	if !batched {
-		opts.Metrics.Counter("hierarchy.sigma_scalar").Add(int64(numSources))
-		return 0, workers
-	}
-	width = ball.BatchWidth(numSources, workers)
-	strips := (numSources + width - 1) / width
-	if workers > strips {
-		workers = strips
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	opts.Metrics.Gauge("hierarchy.sigma_width").Set(int64(width))
-	opts.Metrics.Counter("hierarchy.sigma_batches").Add(int64(strips))
-	return width, workers
-}
-
-// rowProvider yields each source's exact distance and path-count rows, in
-// one of two forms picked per graph by the diameter probe. scalar runs one
-// traversal for source u and returns its rows; guard, when non-nil, is the
-// traversal whose epoch-guarded Dist must gate targets because the rows
-// are stale at unreached nodes. strip runs one mask strip on ws.msbfs,
-// whose DistRow/SigmaRow then hold the strip's rows in full.
-type rowProvider struct {
-	scalar func(ws *sweepScratch, u int32) (dist []int32, sigma []float64, guard *graph.BFSScratch)
-	strip  func(ws *sweepScratch, strip []int32)
-}
+// rowProvider runs one traversal for source u and returns its exact
+// distance and path-count rows. guard, when non-nil, is the traversal whose
+// epoch-guarded Dist must gate targets because the rows are stale at
+// unreached nodes.
+type rowProvider func(ws *sweepScratch, u int32) (dist []int32, sigma []float64, guard *graph.BFSScratch)
 
 // visitFunc sweeps every target of source u into the worker's stream es.
 type visitFunc func(ws *sweepScratch, es *edgeStream, u int32,
 	dist []int32, sigma []float64, guard *graph.BFSScratch)
 
-// workerBlocks cuts the sweep's units — single sources (width 1) or mask
-// strips of width sources — into contiguous per-worker blocks of near-equal
-// pair count. The source at rank r of the q sorted sources pairs with its
-// q−1−r later sources when half is set (the unordered-pair sweep) and with
-// all q−1 others otherwise, so cutting by source count would hand the
-// first worker of two three quarters of a half sweep. Worker w gets units
-// [b[w], b[w+1]), within one unit's pairs of an equal share.
-func workerBlocks(q, width, workers int, half bool) []int {
-	units := (q + width - 1) / width
+// workerBlocks cuts the q sorted sources into contiguous per-worker blocks
+// of near-equal pair count. The source at rank r pairs with its q−1−r later
+// sources when half is set (the unordered-pair sweep) and with all q−1
+// others otherwise, so cutting by source count would hand the first worker
+// of two three quarters of a half sweep. Worker w gets sources [b[w],
+// b[w+1]), within one source's pairs of an equal share.
+func workerBlocks(q, workers int, half bool) []int {
 	before := func(r int64) int64 { // pairs of the sources ranked below r
 		if half {
 			return r*int64(q-1) - r*(r-1)/2
@@ -408,33 +346,32 @@ func workerBlocks(q, width, workers int, half bool) []int {
 	k := 0
 	for w := 1; w < workers; w++ {
 		share := total * int64(w) / int64(workers)
-		for k < units && before(int64(min(k*width, q))) < share {
+		for k < q && before(int64(k)) < share {
 			k++
 		}
 		b[w] = k
 	}
-	b[workers] = units
+	b[workers] = q
 	return b
 }
 
 // sweep is the one link-value driver. The sorted sources are cut into
-// contiguous per-worker blocks — of single sources for the scalar provider,
-// of whole mask strips for the batched one, balanced by pair count (half
-// says whether visit emits unordered or ordered pairs) — so every source of
-// worker w precedes every source of worker w+1, and each worker visits its
-// sources in ascending order into its own stream. The streams come back in
-// worker order, which is the canonical (u, t) order coverValuesStream
-// relies on; release returns their scratches to the pool once they have
-// been read. The graph is immutable and every worker owns its leased
-// scratch, so the workers share nothing but read-only inputs. A worker's
-// panic stops the others at their next unit and is re-raised here; the
-// scratches are then dropped, not pooled, since a sweep cut short can
-// leave them off their reset invariants.
-func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
+// contiguous per-worker blocks balanced by pair count (half says whether
+// visit emits unordered or ordered pairs), so every source of worker w
+// precedes every source of worker w+1, and each worker takes its sources'
+// rows from rp and visits them in ascending order into its own stream. The
+// streams come back in worker order, which is the canonical (u, t) order
+// coverValuesStream relies on; release returns their scratches to the pool
+// once they have been read. The graph is immutable and every worker owns
+// its leased scratch, so the workers share nothing but read-only inputs. A
+// worker's panic stops the others at their next source and is re-raised
+// here; the scratches are then dropped, not pooled, since a sweep cut short
+// can leave them off their reset invariants.
+func sweep(opts *Options, sources []int32, numEdges int, half bool,
 	rp rowProvider, visit visitFunc) (streams []*edgeStream, release func()) {
 
-	width, workers := sigmaPlan(opts, len(sources), opts.workers(len(sources)), batched)
-	blocks := workerBlocks(len(sources), max(width, 1), workers, half)
+	workers := opts.workers(len(sources))
+	blocks := workerBlocks(len(sources), workers, half)
 	wss := make([]*sweepScratch, workers)
 	streams = make([]*edgeStream, workers)
 	var grp ball.Group
@@ -442,27 +379,14 @@ func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 		ws := sweepPool.Get()
 		wss[w], streams[w] = ws, ws.stream
 		ws.stream.reset(numEdges)
-		lo, hi := blocks[w], blocks[w+1]
+		mine := sources[blocks[w]:blocks[w+1]]
 		grp.Go(func() {
-			if width == 0 {
-				for _, u := range sources[lo:hi] {
-					if grp.Stopped() {
-						return
-					}
-					dist, sigma, guard := rp.scalar(ws, u)
-					visit(ws, ws.stream, u, dist, sigma, guard)
+			for _, u := range mine {
+				if grp.Stopped() {
+					return
 				}
-				return
-			}
-			if ws.msbfs == nil {
-				ws.msbfs = graph.NewMSBFSScratch()
-			}
-			for k := lo; k < hi && !grp.Stopped(); k++ {
-				strip := sources[k*width : min((k+1)*width, len(sources))]
-				rp.strip(ws, strip)
-				for j, u := range strip {
-					visit(ws, ws.stream, u, ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j), nil)
-				}
+				dist, sigma, guard := rp(ws, u)
+				visit(ws, ws.stream, u, dist, sigma, guard)
 			}
 		})
 	}
@@ -474,16 +398,12 @@ func sweep(opts *Options, sources []int32, numEdges int, batched, half bool,
 	}
 }
 
-// plainRows is the shortest-path row provider: one counting BFS per source,
-// or one sigma-carrying MSBFS per strip.
+// plainRows is the shortest-path row provider: one counting BFS per source.
 func plainRows(g *graph.Graph) rowProvider {
-	return rowProvider{
-		scalar: func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
-			ws.bfs.Counts(g, u)
-			dist, sigma := ws.bfs.Rows()
-			return dist, sigma, ws.bfs
-		},
-		strip: func(ws *sweepScratch, strip []int32) { ws.msbfs.RunSigma(g, strip) },
+	return func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
+		ws.bfs.Counts(g, u)
+		dist, sigma := ws.bfs.Rows()
+		return dist, sigma, ws.bfs
 	}
 }
 
@@ -515,17 +435,13 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 			sweepTargetStream(u, t, int(d), fs, ws, es)
 		}
 	}
-	return sweep(opts, sources, m, opts.batched(g), true, plainRows(g), visit)
+	return sweep(opts, sources, m, true, plainRows(g), visit)
 }
 
 // LinkValues computes link values under shortest-path routing. Source
-// sweeps run concurrently and, on low-diameter graphs, in bit-parallel
-// sigma batches — one CSR sweep per mask strip of up to
-// graph.MSBFSMaxWidth sources instead of one scalar BFS each — over
-// unordered pairs. The worker-ordered streams make the result independent
-// of scheduling, and path counts are exact integers in float64 from either
-// row provider, so the values are byte-identical across worker counts and
-// providers.
+// sweeps, one counting BFS per source, run concurrently over unordered
+// pairs. The worker-ordered streams make the result independent of
+// scheduling, so the values are byte-identical across worker counts.
 func LinkValues(g *graph.Graph, opts Options) *Result {
 	opts.defaults()
 	sources, inQ := sampleSources(g.NumNodes(), opts)
@@ -561,8 +477,8 @@ func (ws *sweepScratch) beginPreds(n, m int) {
 // the arc-id table, the source's distance/path-count rows, and the source's
 // pred-arc buffers (stable for the source's lifetime, see beginPreds). The
 // walk reads the rows only at the target's ancestors and their neighbours,
-// all reached by the source's traversal, so a scalar traversal's rows,
-// stale at unreached nodes, serve as well as a sigma strip's full rows.
+// all reached by the source's traversal, so the rows may be stale at
+// unreached nodes.
 type fastSweep struct {
 	off, adj []int32
 	arcIDs   []uint32

@@ -237,28 +237,25 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 // TestSweepWorkerPanicReachesCaller: a panic on one sweep worker is
-// re-raised on the caller's goroutine once the other worker stops, on both
-// row providers.
+// re-raised on the caller's goroutine once the other worker stops.
 func TestSweepWorkerPanicReachesCaller(t *testing.T) {
 	g := canonical.Mesh(8, 8)
 	sources := make([]int32, g.NumNodes())
 	for i := range sources {
 		sources[i] = int32(i)
 	}
-	for _, batched := range []bool{false, true} {
-		opts := &Options{Parallelism: 2}
-		got := func() (p any) {
-			defer func() { p = recover() }()
-			sweep(opts, sources, g.NumEdges(), batched, true, plainRows(g),
-				func(_ *sweepScratch, _ *edgeStream, u int32, _ []int32, _ []float64, _ *graph.BFSScratch) {
-					if u == 50 {
-						panic("visit failed")
-					}
-				})
-			return nil
-		}()
-		if wp, ok := got.(*ball.WorkerPanic); !ok || wp.Value != "visit failed" {
-			t.Errorf("batched %t: recovered %#v, want the worker's panic", batched, got)
-		}
+	opts := &Options{Parallelism: 2}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		sweep(opts, sources, g.NumEdges(), true, plainRows(g),
+			func(_ *sweepScratch, _ *edgeStream, u int32, _ []int32, _ []float64, _ *graph.BFSScratch) {
+				if u == 50 {
+					panic("visit failed")
+				}
+			})
+		return nil
+	}()
+	if wp, ok := got.(*ball.WorkerPanic); !ok || wp.Value != "visit failed" {
+		t.Errorf("recovered %#v, want the worker's panic", got)
 	}
 }

@@ -35,7 +35,7 @@ func sweepOrdered(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([
 			sweepTargetStream(u, t, int(d), fs, ws, es)
 		}
 	}
-	return sweep(opts, sources, m, opts.batched(g), false, plainRows(g), visit)
+	return sweep(opts, sources, m, false, plainRows(g), visit)
 }
 
 // streamEntries collects every entry of the streams, in stream order.
@@ -87,47 +87,42 @@ func routeCovers(g *graph.Graph, opts Options, half bool,
 	return coversOf(streamEntries(streams), g.NumEdges(), g.NumNodes(), half)
 }
 
-// TestWorkerBlocksBalancePairs checks how sweep splits its units: contiguous
-// blocks covering every unit, each within one unit's pairs of an equal
-// share, on both routes, for single sources and for strips.
+// TestWorkerBlocksBalancePairs checks how sweep splits its sources:
+// contiguous blocks covering every source, each within one source's pairs
+// of an equal share, on both routes.
 func TestWorkerBlocksBalancePairs(t *testing.T) {
 	for _, q := range []int{1, 2, 3, 7, 64, 383, 384, 1000} {
-		for _, width := range []int{1, 3, 64, 256} {
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				units := (q + width - 1) / width
-				if workers > units {
-					continue
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			if workers > q {
+				continue
+			}
+			for _, half := range []bool{true, false} {
+				srcPairs := make([]int64, q)
+				var total, maxSrc int64
+				for r := 0; r < q; r++ {
+					p := int64(q - 1)
+					if half {
+						p = int64(q - 1 - r)
+					}
+					srcPairs[r] = p
+					total += p
+					maxSrc = max(maxSrc, p)
 				}
-				for _, half := range []bool{true, false} {
-					unitPairs := make([]int64, units)
-					var total, maxUnit int64
-					for r := 0; r < q; r++ {
-						p := int64(q - 1)
-						if half {
-							p = int64(q - 1 - r)
-						}
-						unitPairs[r/width] += p
-						total += p
+				b := workerBlocks(q, workers, half)
+				if len(b) != workers+1 || b[0] != 0 || b[workers] != q {
+					t.Fatalf("q=%d workers=%d half=%v: blocks %v", q, workers, half, b)
+				}
+				for w := 0; w < workers; w++ {
+					if b[w] > b[w+1] {
+						t.Fatalf("q=%d workers=%d half=%v: blocks %v not ascending", q, workers, half, b)
 					}
-					for _, p := range unitPairs {
-						maxUnit = max(maxUnit, p)
+					var pairs int64
+					for _, p := range srcPairs[b[w]:b[w+1]] {
+						pairs += p
 					}
-					b := workerBlocks(q, width, workers, half)
-					if len(b) != workers+1 || b[0] != 0 || b[workers] != units {
-						t.Fatalf("q=%d width=%d workers=%d half=%v: blocks %v", q, width, workers, half, b)
-					}
-					for w := 0; w < workers; w++ {
-						if b[w] > b[w+1] {
-							t.Fatalf("q=%d width=%d workers=%d half=%v: blocks %v not ascending", q, width, workers, half, b)
-						}
-						var pairs int64
-						for _, p := range unitPairs[b[w]:b[w+1]] {
-							pairs += p
-						}
-						if d := pairs*int64(workers) - total; d > maxUnit*int64(workers) || -d > maxUnit*int64(workers) {
-							t.Errorf("q=%d width=%d workers=%d half=%v: worker %d sweeps %d pairs, share %d/%d, unit %d",
-								q, width, workers, half, w, pairs, total, workers, maxUnit)
-						}
+					if d := pairs*int64(workers) - total; d > maxSrc*int64(workers) || -d > maxSrc*int64(workers) {
+						t.Errorf("q=%d workers=%d half=%v: worker %d sweeps %d pairs, share %d/%d, source %d",
+							q, workers, half, w, pairs, total, workers, maxSrc)
 					}
 				}
 			}

@@ -12,12 +12,8 @@ import (
 //
 // It runs on the same sweep, streams and cover as LinkValues, over
 // ordered pairs: valley-free routes need not be symmetric, so the pair
-// (t, u) may cross other edges, or the same ones with other fractions. The
-// batched provider materializes the valley-free product graph once as a
-// directed CSR (policy.ProductCSR) and runs one bit-parallel sigma sweep
-// per mask strip over it; the scalar provider runs one product BFS per
-// source. Product path counts are exact integers in float64, so the values
-// are byte-identical from either provider.
+// (t, u) may cross other edges, or the same ones with other fractions. Each
+// source's rows come from one product BFS (policy.ProductCountsInto).
 func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.defaults()
 	g := a.G
@@ -27,28 +23,13 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
 
 	ns := policy.NumStates
-	batched := opts.batched(g)
-	var poff, padj []int32
-	if batched {
-		poff, padj = a.ProductCSR()
+	rp := func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
+		ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
+		return ws.pdist, ws.psigma, nil
 	}
-	rp := rowProvider{
-		scalar: func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
-			ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
-			return ws.pdist, ws.psigma, nil
-		},
-		strip: func(ws *sweepScratch, strip []int32) {
-			ws.psrc = ws.psrc[:0]
-			for _, u := range strip {
-				ws.psrc = append(ws.psrc, policy.ProductStart(u))
-			}
-			ws.msbfs.RunSigmaCSR(n*ns, poff, padj, ws.psrc)
-		},
-	}
-	// Per-node policy distance = min over states. Both providers hand in
-	// fully initialized product rows (the scalar buffers by their
-	// Unreached-reset invariant, the kernel rows by RunSigma's pre-fill), so
-	// the state scan reads them raw.
+	// Per-node policy distance = min over states. The product rows are
+	// fully initialized by the buffers' Unreached-reset invariant, so the
+	// state scan reads them raw.
 	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, _ *graph.BFSScratch) {
 		ws.gval = grownZero(ws.gval, n*ns)
 		ws.localW = grownZero(ws.localW, m)
@@ -68,7 +49,7 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 			sweepPolicyTarget(a, u, t, int(pdist), dist, sigma, ix, ws, es)
 		}
 	}
-	streams, release := sweep(&opts, sources, m, batched, false, rp, visit)
+	streams, release := sweep(&opts, sources, m, false, rp, visit)
 	defer release()
 	values := coverValuesStream(m, n, streams, false)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}

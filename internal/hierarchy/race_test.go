@@ -11,49 +11,45 @@ import (
 )
 
 // TestLinkValueRaceShort is the tier-2 race target for the link-value
-// driver: four sweep workers lease MSBFS workspaces and entry streams from
+// driver: four sweep workers lease BFS workspaces and entry streams from
 // the shared pool and emit concurrently, while sibling goroutines drive
-// more LinkValues and TraversalSetSizes calls through the same pool with
-// each row provider forced. Every parallel result must stay bit-identical
-// to the sequential scalar reference — the worker-ordered bucket walk is
-// what makes that deterministic, and the race detector checks the leases.
+// more LinkValues and TraversalSetSizes calls through the same pool. Every
+// parallel result must stay bit-identical to the sequential reference —
+// the worker-ordered bucket walk is what makes that deterministic, and the
+// race detector checks the leases.
 func TestLinkValueRaceShort(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(41)), plrg.Params{N: 900, Beta: 2.246})
-	opts := func(p hierarchy.Provider, parallel int) hierarchy.Options {
-		return hierarchy.Force(hierarchy.Options{
+	opts := func(parallel int) hierarchy.Options {
+		return hierarchy.Options{
 			MaxSources:  96,
 			Rand:        rand.New(rand.NewSource(9)),
 			Parallelism: parallel,
-		}, p)
+		}
 	}
-	want := hierarchy.LinkValues(g, opts(hierarchy.ScalarRows, 1))
-	wantTS := hierarchy.TraversalSetSizes(g, opts(hierarchy.ScalarRows, 1))
+	want := hierarchy.LinkValues(g, opts(1))
+	wantTS := hierarchy.TraversalSetSizes(g, opts(1))
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		p := hierarchy.BatchedRows
-		if w%2 == 1 {
-			p = hierarchy.ScalarRows
-		}
 		wg.Add(1)
-		go func(p hierarchy.Provider) {
+		go func() {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
-				got := hierarchy.LinkValues(g, opts(p, 4))
+				got := hierarchy.LinkValues(g, opts(4))
 				if !reflect.DeepEqual(got.Values, want.Values) {
-					t.Errorf("provider=%d: parallel link values differ from sequential scalar", p)
+					t.Error("parallel link values differ from sequential")
 					return
 				}
 			}
-		}(p)
+		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for k := 0; k < 3; k++ {
-			got := hierarchy.TraversalSetSizes(g, opts(hierarchy.BatchedRows, 4))
+			got := hierarchy.TraversalSetSizes(g, opts(4))
 			if !reflect.DeepEqual(got, wantTS) {
-				t.Error("batched traversal-set sizes differ from scalar under load")
+				t.Error("parallel traversal-set sizes differ from sequential under load")
 				return
 			}
 		}

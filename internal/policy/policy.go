@@ -173,52 +173,6 @@ func (a *Annotated) Transition(u, v int32, state int) int {
 	return transition(state, a.Rel(u, v))
 }
 
-// ProductStart returns the product-space start state of a policy traversal
-// from src — (src, up), the state ProductCountsInto seeds.
-func ProductStart(src int32) int32 { return src*numStates + stateUp }
-
-// ProductCSR materializes the valley-free product graph as a directed CSR
-// over NumNodes×NumStates product states (indices node*NumStates+state):
-// state (u,s) has one arc to (v, transition(s, rel(u,v))) for every
-// neighbor v whose hop is valley-free from s. Built once, it lets batched
-// kernels (graph.MSBFSScratch.RunSigmaCSR) traverse the product space
-// without re-deriving the per-arc transitions on every traversal. A BFS
-// over this CSR from ProductStart(src) yields exactly ProductCountsInto's
-// distances and path counts.
-func (a *Annotated) ProductCSR() (off, adj []int32) {
-	n := a.G.NumNodes()
-	goff, gadj := a.G.CSR()
-	pn := n * numStates
-	off = make([]int32, pn+1)
-	for u := int32(0); u < int32(n); u++ {
-		for i := goff[u]; i < goff[u+1]; i++ {
-			for s := 0; s < numStates; s++ {
-				if transition(s, a.rel[i]) >= 0 {
-					off[int(u)*numStates+s+1]++
-				}
-			}
-		}
-	}
-	for i := 0; i < pn; i++ {
-		off[i+1] += off[i]
-	}
-	adj = make([]int32, off[pn])
-	cur := make([]int32, pn)
-	copy(cur, off[:pn])
-	for u := int32(0); u < int32(n); u++ {
-		for i := goff[u]; i < goff[u+1]; i++ {
-			for s := 0; s < numStates; s++ {
-				if ns := transition(s, a.rel[i]); ns >= 0 {
-					st := int(u)*numStates + s
-					adj[cur[st]] = gadj[i]*numStates + int32(ns)
-					cur[st]++
-				}
-			}
-		}
-	}
-	return off, adj
-}
-
 // ProductCountsInto computes, over the (node × state) product space, the
 // policy BFS distances, the number of distinct shortest product paths
 // sigma, and the BFS visit order; indices are node*NumStates+state. It

@@ -29,7 +29,7 @@ func pathTreeRef(src int32, n int, expand func(cur int32, visit func(next int32)
 	for i := range t.dist {
 		t.dist[i], t.parent[i] = graph.Unreached, -1
 	}
-	start := ProductStart(src)
+	start := src*numStates + stateUp
 	t.dist[start] = 0
 	queue := []int32{start}
 	for head := 0; head < len(queue); head++ {
@@ -117,8 +117,8 @@ func samePathTrees(t *testing.T, what string, got, want *PathTree) {
 
 // TestAnnotatedMatchesRelMap checks the per-arc relationships against the
 // map-backed reference on random graphs: Rel on every ordered pair, edge or
-// not; the AS and router path trees and distances; and the product CSR and
-// path counts.
+// not; the AS and router path trees and distances; and the product path
+// counts.
 func TestAnnotatedMatchesRelMap(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -133,16 +133,7 @@ func TestAnnotatedMatchesRelMap(t *testing.T) {
 			}
 		}
 
-		// The product CSR lists exactly the reference expander's arcs.
-		off, adj := a.ProductCSR()
 		expand := m.expand(g)
-		for st := int32(0); st < n*numStates; st++ {
-			var want []int32
-			expand(st, func(next int32) { want = append(want, next) })
-			if !slices.Equal(adj[off[st]:off[st+1]], want) {
-				t.Fatalf("seed %d: ProductCSR row %d = %v, reference %v", seed, st, adj[off[st]:off[st+1]], want)
-			}
-		}
 
 		// Routers: each AS owns 1-3 routers on a chain; one router link per
 		// AS edge, plus random intra- and inter-AS links.
@@ -208,7 +199,7 @@ func countPaths(expand func(int32, func(int32)), n int, src int32) ([]int32, []f
 	for i := range dist {
 		dist[i] = graph.Unreached
 	}
-	start := ProductStart(src)
+	start := src*numStates + stateUp
 	dist[start], sigma[start] = 0, 1
 	queue := []int32{start}
 	for head := 0; head < len(queue); head++ {

@@ -16,8 +16,8 @@ var linkValueNetsOnce struct {
 
 // linkValueBenchNets builds the benchmark's graph families once: the
 // acceptance workload RL (reduced to its core, exactly as the suite computes
-// link values), AS, and PLRG — plus Mesh, whose diameter sends the probe to
-// the scalar provider, so its row times that provider.
+// link values), AS, and PLRG — plus Mesh, whose lattice of equal-cost paths
+// makes the widest ancestor DAGs of the paper set.
 func linkValueBenchNets() []*core.Network {
 	linkValueNetsOnce.Do(func() {
 		opts := core.PaperSetOptions{Seed: 1, Scale: 0.12}
@@ -37,16 +37,14 @@ func linkValueBenchNets() []*core.Network {
 	return linkValueNetsOnce.nets
 }
 
-// BenchmarkLinkValues times one full link-value pass per graph family on
-// the production route: the diameter probe picks the sigma-carrying MSBFS
-// provider (one CSR sweep per 64–256-source strip) or, on Mesh, the scalar
-// provider (one counting BFS per source). Parallelism is pinned to 1,
-// matching the reproduce -quick -j 1 acceptance run.
+// BenchmarkLinkValues times one full link-value pass per graph family: one
+// counting BFS per source, the DAG walks and the cover. Parallelism is
+// pinned to 1, matching the reproduce -quick -j 1 acceptance run.
 func BenchmarkLinkValues(b *testing.B) {
 	const numSources = 384
 	for _, n := range linkValueBenchNets() {
 		g := n.Graph
-		b.Run("sigma/"+n.Name, func(b *testing.B) {
+		b.Run(n.Name, func(b *testing.B) {
 			pass := func() {
 				hierarchy.LinkValues(g, hierarchy.Options{
 					MaxSources:  numSources,

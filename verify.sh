@@ -5,7 +5,7 @@
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
 #   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
-#         a sorted edge set, the MSBFS level and sigma sweeps against
+#         a sorted edge set, the MSBFS level sweep against
 #         scalar BFS, ball sizes against closed forms, link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, and the coarsening, induced-subgraph,
@@ -27,11 +27,11 @@
 # obs.TestSamplerRaceShort), the pooled per-worker cut kernels
 # (partition.TestResilienceRaceShort), the pooled Brandes/distortion
 # workspaces (metrics.TestBrandesRaceShort), the link-value driver's
-# per-worker entry streams and MSBFS workspaces leased from the shared
-# pool at P=4 with each row provider forced
-# (hierarchy.TestLinkValueRaceShort), and the serving layer's singleflight
-# dedup, shared per-network ball engines and admission semaphore under
-# mixed concurrent traffic at P=4 (serve.TestServeRaceShort).
+# per-worker entry streams and BFS workspaces leased from the shared
+# pool at P=4 (hierarchy.TestLinkValueRaceShort), and the serving
+# layer's singleflight dedup, shared per-network ball engines and
+# admission semaphore under mixed concurrent traffic at P=4
+# (serve.TestServeRaceShort).
 set -eu
 
 echo "== tier 0: gofmt cleanliness =="
@@ -67,8 +67,7 @@ go test -run '^$' -fuzz '^FuzzStreamBuilderMatchesEdgeSet$' -fuzztime 5s ./inter
 
 echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =="
 # Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
-# scratch: RunLevels against Graph.BFS, RunSigma against Graph.BFSCounts,
-# RunSigmaCSR against a scalar directed BFS. Then width-1 engine ball sizes
+# scratch: RunLevels against Graph.BFS. Then width-1 engine ball sizes
 # on Mesh, Tree and Linear at fuzzed sizes, on both sides of the diameter
 # cutoff, against their closed forms.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
@@ -78,8 +77,8 @@ echo "== fuzz: link values over unordered pairs against brute force =="
 # Raw-byte graphs of up to 48 nodes, full or sampled pair universes: the
 # half stream against the brute enumeration's pairs with u < t, LinkValues
 # against the ordered cover over the mirrored stream (bit for bit),
-# TraversalSetSizes against the brute count, and both row providers at
-# P = 1 and 3 against each other.
+# TraversalSetSizes against the brute count, and P = 1 and 3 against
+# each other.
 go test -run '^$' -fuzz '^FuzzLinkValuesMatchesBrute$' -fuzztime 5s ./internal/hierarchy
 
 echo "== fuzz: per-ball kernels against their historical references =="

@@ -41,10 +41,10 @@ func TestDocNamesExist(t *testing.T) {
 		}
 		for _, span := range codeSpans(string(src)) {
 			segs := strings.Split(span.text, ".")
-			if !docNamePath.MatchString(span.text) || fileSuffixes[segs[len(segs)-1]] || !ix.isRoot(segs[0]) {
+			if !docNamePath.MatchString(span.text) || fileSuffixes[segs[len(segs)-1]] || !ix.roots[segs[0]] {
 				continue
 			}
-			if !ix.resolves(segs) && !ix.inLiteral(span.text) {
+			if !ix.declared[span.text] && !ix.inLiteral(span.text) {
 				t.Errorf("%s:%d: `%s` names nothing declared in the module", doc, span.line, span.text)
 			}
 		}
@@ -78,11 +78,11 @@ func codeSpans(doc string) []codeSpan {
 	return out
 }
 
-// moduleIndex holds what the module's Go files declare, by package name.
+// moduleIndex holds what the module's Go files declare.
 type moduleIndex struct {
-	names    map[string]map[string]bool            // package → top-level names
-	members  map[string]map[string]map[string]bool // package → type → fields and methods
-	literals []string                              // every string literal's value
+	roots    map[string]bool // package and type names
+	declared map[string]bool // pkg.Name, pkg.Type.Member and Type.Member
+	literals []string        // every string literal's value
 }
 
 // indexModule parses every Go file of the module, tests included, below the
@@ -90,10 +90,7 @@ type moduleIndex struct {
 // other modules. An external test package (pkg_test) counts as pkg.
 func indexModule(t *testing.T) *moduleIndex {
 	t.Helper()
-	ix := &moduleIndex{
-		names:   map[string]map[string]bool{},
-		members: map[string]map[string]map[string]bool{},
-	}
+	ix := &moduleIndex{roots: map[string]bool{}, declared: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -129,23 +126,16 @@ func indexModule(t *testing.T) *moduleIndex {
 
 func (ix *moduleIndex) add(f *ast.File) {
 	pkg := strings.TrimSuffix(f.Name.Name, "_test")
-	if ix.names[pkg] == nil {
-		ix.names[pkg] = map[string]bool{}
-		ix.members[pkg] = map[string]map[string]bool{}
-	}
+	ix.roots[pkg] = true
 	member := func(typ, name string) {
-		if ix.members[pkg][typ] == nil {
-			ix.members[pkg][typ] = map[string]bool{}
-		}
-		if name != "" {
-			ix.members[pkg][typ][name] = true
-		}
+		ix.declared[pkg+"."+typ+"."+name] = true
+		ix.declared[typ+"."+name] = true
 	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				ix.names[pkg][d.Name.Name] = true
+				ix.declared[pkg+"."+d.Name.Name] = true
 			} else if typ := receiverType(d.Recv.List[0].Type); typ != "" {
 				member(typ, d.Name.Name)
 			}
@@ -153,14 +143,14 @@ func (ix *moduleIndex) add(f *ast.File) {
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					ix.names[pkg][s.Name.Name] = true
-					member(s.Name.Name, "")
+					ix.roots[s.Name.Name] = true
+					ix.declared[pkg+"."+s.Name.Name] = true
 					for _, m := range typeMembers(s.Type) {
 						member(s.Name.Name, m)
 					}
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
-						ix.names[pkg][n.Name] = true
+						ix.declared[pkg+"."+n.Name] = true
 					}
 				}
 			}
@@ -217,37 +207,6 @@ func typeMembers(e ast.Expr) []string {
 		}
 	}
 	return out
-}
-
-// isRoot reports whether seg names a package or a type of the module.
-func (ix *moduleIndex) isRoot(seg string) bool {
-	if ix.names[seg] != nil {
-		return true
-	}
-	for _, types := range ix.members {
-		if types[seg] != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// resolves reports whether segs, read as pkg.Name[.Member] or
-// Type.Member, names declared things.
-func (ix *moduleIndex) resolves(segs []string) bool {
-	if names := ix.names[segs[0]]; names[segs[1]] {
-		if len(segs) == 2 || ix.members[segs[0]][segs[1]][segs[2]] {
-			return true
-		}
-	}
-	if len(segs) == 2 {
-		for _, types := range ix.members {
-			if types[segs[0]][segs[1]] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // inLiteral reports whether span appears whole in a string literal: not

@@ -67,9 +67,9 @@ func main() {
 		"or a preset (\"full-rl\" = the real RL map's 170k nodes, \"1m\" = million-node generators); "+
 		"empty = per-mode default")
 	full := flag.Bool("full", false, "larger run: networks at 0.45x the paper's sizes "+
-		"(53.5 s at 2.40 GB peak RSS with -j 2 on a 2-core host, 2026-10-18)")
+		"(8.0-8.6 s at 1.37-2.03 GB peak RSS with -j 2 on a 2-core host, 2026-10-18)")
 	quick := flag.Bool("quick", false, "CI-scale run: networks at 0.12x the paper's sizes "+
-		"(11.35-11.8 s at 0.75-0.79 GB peak RSS with -j 1, 8.4-9.1 s at 1.00-1.03 GB "+
+		"(3.2-3.3 s at 0.56-0.61 GB peak RSS with -j 1, 2.3 s at 0.62-0.68 GB "+
 		"with -j 2, on a 2-core host, 2026-10-18)")
 	workers := flag.Int("j", 0, "pipeline worker budget (0 = all cores, 1 = sequential)")
 	cacheDir := flag.String("cache", "", "result cache directory (empty = no caching)")

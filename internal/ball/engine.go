@@ -1,6 +1,7 @@
 package ball
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -524,12 +525,50 @@ func (e *Engine) forEach(n int, work func(i int)) {
 	grp.Wait()
 }
 
-// BallPoints grows balls per cfg around the sampled centers, fanning
-// centers out over the worker pool, and collects one point per accepted
-// ball — X the ball size, Y from perBall on the ball's induced subgraph —
-// assembled in deterministic (center, radius) order. perBall runs on worker
-// goroutines and receives a per-center RNG seeded seed+centerIndex; it must
-// not retain sub, which is shared through the engine's subgraph cache.
+// BucketRadii returns, in increasing order, the radii at which a ball-size
+// curve evaluates one center, read off the center's cumulative ball sizes
+// (cum[h] = |ball(center, h)|, increasing with h): among the radii h >= 1
+// whose size lies in [minSize, maxSize] (maxSize <= 0: no cap), one per
+// stats.BucketRatio size bucket, the radius whose log size lies nearest the
+// bucket's log midpoint, the smaller radius on a tie. The curves average
+// their points into the same buckets (stats.Bucketize), so a second ball of
+// one center in a bucket only re-weighs a mean that center already feeds;
+// a center's cost then follows its number of buckets, which grows with
+// log n, instead of its eccentricity.
+func BucketRadii(cum []int32, minSize, maxSize int) []int {
+	logRatio := math.Log(stats.BucketRatio)
+	var radii []int
+	bucket, off := 0, 0.0 // the last bucket and its kept radius's distance
+	for h := 1; h < len(cum); h++ {
+		sz := int(cum[h])
+		if maxSize > 0 && sz > maxSize {
+			break
+		}
+		if sz < minSize {
+			continue
+		}
+		b := stats.BucketIndex(float64(sz), stats.BucketRatio)
+		d := math.Abs(math.Log(float64(sz)) - (float64(b)+0.5)*logRatio)
+		if len(radii) > 0 && b == bucket {
+			if d < off {
+				radii[len(radii)-1], off = h, d
+			}
+			continue
+		}
+		radii = append(radii, h)
+		bucket, off = b, d
+	}
+	return radii
+}
+
+// BallPoints evaluates perBall around the sampled centers, fanning centers
+// out over the worker pool, at the radii BucketRadii selects from each
+// center's cached profile: one ball per center and size bucket, with X the
+// ball size and Y from perBall on the ball's induced subgraph, assembled in
+// deterministic (center, radius) order. A ball for which perBall reports
+// !ok adds no point. perBall runs on worker goroutines and receives a
+// per-center RNG seeded seed+centerIndex; it must not retain sub, which is
+// shared through the engine's subgraph cache.
 func (e *Engine) BallPoints(cfg Config, seed int64, perBall func(sub *graph.Graph, rng *rand.Rand) (y float64, ok bool)) []stats.Point {
 	return e.BallPointsKernels(cfg, seed,
 		func(sub *graph.Graph, _ int, rng *rand.Rand, _ *Kernels) (float64, bool) {
@@ -544,7 +583,8 @@ func (e *Engine) BallPoints(cfg Config, seed int64, perBall func(sub *graph.Grap
 // afterwards, so consecutive balls (and consecutive centers on the same
 // worker) reuse the same workspaces. Kernel contents carry no state between
 // balls that affects results, preserving the bit-identical-at-every-
-// parallelism contract.
+// parallelism contract. The selection reads only the profile's sizes, so
+// curves that share centers and size limits share their ball subgraphs.
 func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *graph.Graph, radius int, rng *rand.Rand, k *Kernels) (y float64, ok bool)) []stats.Point {
 	cfg.defaults()
 	centers := Centers(e.g, &cfg)
@@ -555,19 +595,11 @@ func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *gra
 		rng := rand.New(rand.NewSource(seed + int64(i)))
 		k := e.kernels.Get()
 		defer e.kernels.Put(k)
-		maxR := p.Eccentricity()
 		var pts []stats.Point
-		for h := 1; h <= maxR; h++ {
-			sz := p.Size(h)
-			if cfg.MaxBallSize > 0 && sz > cfg.MaxBallSize {
-				break
-			}
-			if sz < cfg.MinBallSize {
-				continue
-			}
+		for _, h := range BucketRadii(p.Cum, cfg.MinBallSize, cfg.MaxBallSize) {
 			sub := e.BallSubgraph(p, h)
 			if y, ok := perBall(sub, h, rng, k); ok {
-				pts = append(pts, stats.Point{X: float64(sz), Y: y})
+				pts = append(pts, stats.Point{X: float64(p.Size(h)), Y: y})
 			}
 		}
 		perCenter[i] = pts

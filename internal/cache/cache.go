@@ -32,8 +32,9 @@ import (
 // Version 2: stats.Series gained per-point StdErr bounds,
 // hierarchy.Result gained Nodes, and SuiteOptions gained SampleBudget.
 // Version 3: plain link values are swept over unordered pairs, which moves
-// some values in their last bits.
-const SchemaVersion = 3
+// some values in their last bits. Version 4: ball-size curves evaluate
+// one ball per center and size bucket instead of every radius.
+const SchemaVersion = 4
 
 // Key derives the content address for a result produced under the given
 // canonical description parts (e.g. the paper-set key, the suite key and a

@@ -295,11 +295,47 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 	return res, nil
 }
 
+// policyRouting returns the path-tree and ball builders of the policy
+// routing the Figure 2(d-f) variants grow their balls under: the router
+// overlay's when the network has one, the annotated AS graph's otherwise.
+func (n *Network) policyRouting() (paths func(*policy.PathTree, int32) *policy.PathTree,
+	grow func(src int32, h int) policy.Ball) {
+	if n.Overlay != nil {
+		return n.Overlay.PathsInto, n.Overlay.PolicyBall
+	}
+	return n.Policy.PathsInto, n.Policy.PolicyBall
+}
+
+// policyCum fills cum with the policy ball sizes around a finished path
+// tree's source: cum[h] = |{v : policy distance <= h}|, up to the source's
+// policy eccentricity. One product BFS per center (PathsInto) yields every
+// radius's size.
+func policyCum(pt *policy.PathTree, numNodes int32, cum []int32) []int32 {
+	cum = cum[:0]
+	for v := int32(0); v < numNodes; v++ {
+		d := pt.Dist(v)
+		if d == graph.Unreached {
+			continue
+		}
+		for int(d) >= len(cum) {
+			cum = append(cum, 0)
+		}
+		cum[d]++
+	}
+	for h := 1; h < len(cum); h++ {
+		cum[h] += cum[h-1]
+	}
+	return cum
+}
+
 // policyBallCurves computes resilience and distortion over policy-induced
 // balls, the AS(Policy)/RL(Policy) curves of Figure 2(e,f). Policy balls
 // contain only the links on policy-compliant shortest paths, which is what
 // lowers the measured resilience ("the resilience of the RL and AS graphs
 // decreases... although its qualitative behavior remains unchanged").
+// Like the engine's curves, each center evaluates one ball per size bucket
+// (ball.BucketRadii), chosen from the sizes of one path tree, so the
+// policy balls are grown only at the selected radii.
 func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series) {
 	g := n.Graph
 	cfg := ball.Config{
@@ -307,34 +343,21 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 		Rand:       rand.New(rand.NewSource(opts.Seed + 1)),
 	}
 	centers := ball.Centers(g, &cfg)
-	grow := func(src int32, h int) policy.Ball {
-		if n.Overlay != nil {
-			return n.Overlay.PolicyBall(src, h)
-		}
-		return n.Policy.PolicyBall(src, h)
-	}
+	paths, grow := n.policyRouting()
 	popts := partition.Options{Rand: rand.New(rand.NewSource(opts.Seed + 100))}
 	// One kernel bundle serves the whole sequential sweep: the partition
 	// workspace for the cuts, BFS and Brandes scratch for the distortion
 	// election. Workspace-backed kernels are bit-identical to fresh ones.
 	k := &ball.Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
 		Brandes: graph.NewBrandesScratch()}
+	var pt *policy.PathTree
+	var cum []int32
 	var resRaw, distRaw []stats.Point
 	for _, src := range centers {
-		prev := 0
-		for h := 1; ; h++ {
-			b := grow(src, h)
-			if len(b.Nodes) == prev && h > 1 {
-				break // policy reach exhausted
-			}
-			prev = len(b.Nodes)
-			if opts.MaxBallSize > 0 && len(b.Nodes) > opts.MaxBallSize {
-				break
-			}
-			if len(b.Nodes) < 3 {
-				continue
-			}
-			sub := b.Subgraph()
+		pt = paths(pt, src)
+		cum = policyCum(pt, int32(g.NumNodes()), cum)
+		for _, h := range ball.BucketRadii(cum, 3, opts.MaxBallSize) {
+			sub := grow(src, h).Subgraph()
 			cut := partition.CutSizeWith(k.Part, sub, popts)
 			resRaw = append(resRaw, stats.Point{X: float64(sub.NumNodes()), Y: float64(cut)})
 			if d := metrics.SubgraphDistortionKernels(sub, 3, k); d > 0 {
@@ -342,9 +365,9 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 			}
 		}
 	}
-	res := stats.Bucketize(resRaw, 1.45)
+	res := stats.Bucketize(resRaw, stats.BucketRatio)
 	res.Name = "resilience(policy)"
-	dist := stats.Bucketize(distRaw, 1.45)
+	dist := stats.Bucketize(distRaw, stats.BucketRatio)
 	dist.Name = "distortion(policy)"
 	return res, dist
 }
@@ -355,60 +378,26 @@ func policyExpansion(n *Network, cfg ball.Config) stats.Series {
 	g := n.Graph
 	total := float64(g.NumNodes())
 	centers := ball.Centers(g, &cfg)
+	paths, _ := n.policyRouting()
 	// Per-center cumulative reach profiles, saturated to the global
-	// maximum eccentricity afterwards. The distance histogram is a slice
-	// indexed by distance (distances are small dense ints; a map here
-	// churns on large policy graphs), reused across centers.
-	var profiles [][]float64
-	var counts []int
-	maxH := 0
-	// One product-space tree serves every center: PathsInto recycles the
-	// dist/parent/best arrays, and the tree's per-node Dist is the same
-	// min-over-states the standalone Dist sweep computes.
+	// maximum eccentricity afterwards. One product-space tree serves every
+	// center: PathsInto recycles the dist/parent/best arrays, and the
+	// tree's per-node Dist is the same min-over-states the standalone Dist
+	// sweep computes.
+	var profiles [][]int32
 	var pt *policy.PathTree
-	nn := int32(g.NumNodes())
+	maxH := 0
 	for _, src := range centers {
-		if n.Overlay != nil {
-			pt = n.Overlay.PathsInto(pt, src)
-		} else {
-			pt = n.Policy.PathsInto(pt, src)
-		}
-		counts = counts[:0]
-		ecc := 0
-		for v := int32(0); v < nn; v++ {
-			d := pt.Dist(v)
-			if d == graph.Unreached {
-				continue
-			}
-			di := int(d)
-			for di >= len(counts) {
-				counts = append(counts, 0)
-			}
-			counts[di]++
-			if di > ecc {
-				ecc = di
-			}
-		}
-		cum := make([]float64, ecc+1)
-		run := 0
-		for h := 0; h <= ecc; h++ {
-			run += counts[h]
-			cum[h] = float64(run)
-		}
+		pt = paths(pt, src)
+		cum := policyCum(pt, int32(g.NumNodes()), nil)
 		profiles = append(profiles, cum)
-		if ecc > maxH {
-			maxH = ecc
-		}
+		maxH = max(maxH, len(cum)-1)
 	}
 	s := stats.Series{Name: "expansion(policy)"}
 	for h := 0; h <= maxH; h++ {
 		sum := 0.0
 		for _, cum := range profiles {
-			if h < len(cum) {
-				sum += cum[h]
-			} else {
-				sum += cum[len(cum)-1]
-			}
+			sum += float64(cum[min(h, len(cum)-1)])
 		}
 		s.Add(float64(h), sum/float64(len(profiles))/total)
 	}

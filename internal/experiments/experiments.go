@@ -24,8 +24,9 @@ type Config struct {
 
 // QuickConfig returns a configuration sized for CI-style runs: networks at
 // 0.12x the paper's sizes. It matches all 20 of the paper's checks. A cold
-// `reproduce -quick` on a 2-core host (2026-10-18) took 11.35-11.8 s at
-// 0.75-0.79 GB peak RSS with -j 1, and 8.4-9.1 s at 1.00-1.03 GB with -j 2.
+// `reproduce -quick` on a 2-core host (2026-10-18, three runs each) took
+// 3.2-3.3 s at 0.56-0.61 GB peak RSS with -j 1, and 2.3 s at 0.62-0.68 GB
+// with -j 2.
 func QuickConfig(seed int64) Config {
 	return Config{
 		Set: core.PaperSetOptions{Seed: seed, Scale: 0.12},
@@ -39,7 +40,7 @@ func QuickConfig(seed int64) Config {
 // FullConfig returns the largest preset: networks at 0.45x the paper's
 // sizes (scale 1.0 is the paper's own; -scale 1.0 selects it). It matches
 // all 20 checks. A cold `reproduce -full -j 2` on a 2-core host
-// (2026-10-18) took 53.5 s at 2.40 GB peak RSS.
+// (2026-10-18, three runs) took 8.0-8.6 s at 1.37-2.03 GB peak RSS.
 func FullConfig(seed int64) Config {
 	return Config{
 		Set: core.PaperSetOptions{Seed: seed, Scale: 0.45},

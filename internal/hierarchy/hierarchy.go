@@ -280,11 +280,13 @@ type sweepScratch struct {
 	// filtered the first time a target walk reaches it, memoized for the
 	// source's remaining targets via pstamp — so with sampled pair universes
 	// only the ancestors of sampled targets ever pay an adjacency scan or a
-	// (table-read) edge-id lookup.
+	// (table-read) edge-id lookup. Policy sweeps keep the same lists over
+	// product states (policyPreds.build): b is then a product state and
+	// predAdj holds predecessor states.
 	pstamp   graph.Stamp
 	predLo   []int32 // b's pred arcs are predAdj[predLo[b]:predHi[b]]
 	predHi   []int32 // valid only where pstamp has seen b
-	predAdj  []int32 // fixed length m per source; predN is the fill cursor
+	predAdj  []int32 // fixed length per source (beginPreds); predN is the fill cursor
 	predEdge []uint32
 	predN    int32
 	// stream is the worker's entry store. It persists its arena across
@@ -452,23 +454,24 @@ func LinkValues(g *graph.Graph, opts Options) *Result {
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
-// beginPreds resets the lazy predecessor state for a new source: one epoch
-// bump and a cursor reset — no per-node clearing, predLo/predHi are only
-// read where pstamp has seen the node. The arc buffers are sized to m up
-// front: an undirected edge is a pred arc in at most one direction per
-// source (its endpoints' distances differ by at most one), so m bounds a
-// source's total pred-arc count and the buffers never reallocate — which
-// lets fastSweep hold them as stable slices the hot loops read without
-// reloading.
-func (ws *sweepScratch) beginPreds(n, m int) {
+// beginPreds resets the lazy predecessor state for a new source over n
+// nodes (or product states): one epoch bump and a cursor reset — no
+// per-node clearing, predLo/predHi are only read where pstamp has seen the
+// node. The arc buffers are sized up front to maxArcs, a bound on the
+// source's total pred-arc count, so they never reallocate — which lets
+// fastSweep hold them as stable slices the hot loops read without
+// reloading. For plain sweeps m bounds it: an undirected edge is a pred arc
+// in at most one direction per source (its endpoints' distances differ by
+// at most one).
+func (ws *sweepScratch) beginPreds(n, maxArcs int) {
 	ws.pstamp.Begin(n)
 	ws.predLo = growI32(ws.predLo, n)
 	ws.predHi = growI32(ws.predHi, n)
-	ws.predAdj = growI32(ws.predAdj, m)
-	if cap(ws.predEdge) < m {
-		ws.predEdge = make([]uint32, m)
+	ws.predAdj = growI32(ws.predAdj, maxArcs)
+	if cap(ws.predEdge) < maxArcs {
+		ws.predEdge = make([]uint32, maxArcs)
 	} else {
-		ws.predEdge = ws.predEdge[:m]
+		ws.predEdge = ws.predEdge[:maxArcs]
 	}
 	ws.predN = 0
 }

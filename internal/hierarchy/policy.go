@@ -18,7 +18,8 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.defaults()
 	g := a.G
 	n, m := g.NumNodes(), g.NumEdges()
-	ix := graph.NewEdgeIndex(g)
+	off, _ := g.CSR()
+	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
 	sources, inQ := sampleSources(n, opts)
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
 
@@ -29,10 +30,14 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	}
 	// Per-node policy distance = min over states. The product rows are
 	// fully initialized by the buffers' Unreached-reset invariant, so the
-	// state scan reads them raw.
+	// state scan reads them raw. A product state has at most one
+	// predecessor per (arc into it, predecessor state), so 2m·NumStates
+	// bounds a source's predecessor lists.
 	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, _ *graph.BFSScratch) {
 		ws.gval = grownZero(ws.gval, n*ns)
 		ws.localW = grownZero(ws.localW, m)
+		ws.beginPreds(n*ns, 2*m*ns)
+		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: dist, sigma: sigma}
 		for t := int32(0); t < int32(n); t++ {
 			if t == u || !inQ[t] {
 				continue
@@ -46,7 +51,7 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 			if pdist == graph.Unreached || pdist == 0 {
 				continue
 			}
-			sweepPolicyTarget(a, u, t, int(pdist), dist, sigma, ix, ws, es)
+			sweepPolicyTarget(pp, u, t, int(pdist), ws, es)
 		}
 	}
 	streams, release := sweep(&opts, sources, m, false, rp, visit)
@@ -55,18 +60,57 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
 }
 
+// policyPreds bundles one source's inputs to the product-space predecessor
+// lists: the annotated graph, its CSR offsets and arc-id table, and the
+// source's product distance and path-count rows.
+type policyPreds struct {
+	a      *policy.Annotated
+	off    []int32
+	arcIDs []uint32
+	dist   []int32
+	sigma  []float64
+}
+
+// build lists product state st's predecessors on the source's shortest
+// product paths, (predecessor state, edge id) pairs, in b's adjacency order
+// and then state order, as ws.predAdj/predEdge[predLo[st]:predHi[st]]. Like
+// sweepPlain's buildPreds it runs on a state's first touch per source, so
+// later targets read the list instead of rescanning b's adjacency in every
+// state, and the list order keeps every target's accumulation order.
+func (pp *policyPreds) build(st int32, ws *sweepScratch) {
+	ns := int32(policy.NumStates)
+	b, sb := st/ns, int(st%ns)
+	want := pp.dist[st] - 1
+	base := pp.off[b]
+	k := ws.predN
+	for i, av := range pp.a.G.Neighbors(b) {
+		for sa := int32(0); sa < ns; sa++ {
+			sat := av*ns + sa
+			if pp.dist[sat] != want || pp.sigma[sat] == 0 {
+				continue
+			}
+			if pp.a.Transition(av, b, int(sa)) != sb {
+				continue
+			}
+			ws.predAdj[k] = sat
+			ws.predEdge[k] = pp.arcIDs[base+int32(i)]
+			k++
+		}
+	}
+	ws.predLo[st], ws.predHi[st] = ws.predN, k
+	ws.predN = k
+}
+
 // sweepPolicyTarget walks the product-space shortest-path ancestor DAG of
 // target t, distributing path fractions over the optimal arrival states and
 // aggregating per underlying edge (a product sweep can cross the same graph
-// edge in several states). The per-edge aggregation runs on the leased
-// scratch's dense accumulators (localW, reset through localE) instead of a
-// per-target map, and each touched edge's aggregate becomes one entry of
-// es.
-func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
-	dist []int32, sigma []float64, ix *graph.EdgeIndex,
-	ws *sweepScratch, es *edgeStream) {
-
-	g := a.G
+// edge in several states). Each state's predecessors come from the
+// source's memoized lists (policyPreds.build). The per-edge aggregation
+// runs on the leased scratch's dense accumulators (localW, reset through
+// localE) instead of a per-target map, and each touched edge's aggregate
+// becomes one entry of es.
+func sweepPolicyTarget(pp *policyPreds, u, t int32, pdist int, ws *sweepScratch, es *edgeStream) {
+	dist, sigma := pp.dist, pp.sigma
 	ns := policy.NumStates
 	for len(ws.buckets) <= pdist {
 		ws.buckets = append(ws.buckets, nil)
@@ -97,35 +141,26 @@ func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 		}
 	}
 	for d := pdist; d >= 1; d-- {
-		for _, stRaw := range bs[d] {
-			st := int(stRaw)
-			b := int32(st / ns)
-			sb := st % ns
+		for _, st := range bs[d] {
 			gb := ws.gval[st]
-			for _, av := range g.Neighbors(b) {
-				// Predecessor states (av, sa) with a valid transition into sb.
-				for sa := 0; sa < ns; sa++ {
-					sat := int(av)*ns + sa
-					if dist[sat] != int32(d-1) || sigma[sat] == 0 {
-						continue
-					}
-					if a.Transition(av, b, sa) != sb {
-						continue
-					}
-					frac := gb * sigma[sat] / sigma[st]
-					id := uint32(ix.ID(av, b))
-					if ws.localW[id] == 0 {
-						ws.localE = append(ws.localE, id)
-					}
-					ws.localW[id] += frac
-					if ws.gval[sat] == 0 {
-						ws.touched = append(ws.touched, int32(sat))
-						if d-1 >= 1 {
-							bs[d-1] = append(bs[d-1], int32(sat))
-						}
-					}
-					ws.gval[sat] += frac
+			if ws.pstamp.Visit(st) {
+				pp.build(st, ws)
+			}
+			for i := ws.predLo[st]; i < ws.predHi[st]; i++ {
+				sat := ws.predAdj[i]
+				frac := gb * sigma[sat] / sigma[st]
+				id := ws.predEdge[i]
+				if ws.localW[id] == 0 {
+					ws.localE = append(ws.localE, id)
 				}
+				ws.localW[id] += frac
+				if ws.gval[sat] == 0 {
+					ws.touched = append(ws.touched, sat)
+					if d-1 >= 1 {
+						bs[d-1] = append(bs[d-1], sat)
+					}
+				}
+				ws.gval[sat] += frac
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func BiconnectivityCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	raw := e.BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
 		return float64(BiconnectedComponents(sub)), true
 	})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "biconnectivity"
 	return s
 }

@@ -60,7 +60,7 @@ func ClusteringCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	raw := e.BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
 		return ClusteringCoefficient(sub), true
 	})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "clustering"
 	return s
 }

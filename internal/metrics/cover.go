@@ -36,7 +36,7 @@ func VertexCoverCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	raw := e.BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
 		return float64(len(VertexCover(sub))), true
 	})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "vertexcover"
 	return s
 }

@@ -28,7 +28,7 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 		d := SubgraphDistortionKernels(sub, roots, k)
 		return d, d > 0
 	})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "distortion"
 	return s
 }

@@ -27,7 +27,7 @@ func BallPathLengthCurve(g *graph.Graph, cfg ball.Config) stats.Series {
 		apl, _ := AveragePathLength(sub, min(sub.NumNodes(), 24))
 		return apl, true
 	})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "ballpathlength"
 	return s
 }
@@ -72,7 +72,7 @@ func SurfaceMaxFlowCurve(g *graph.Graph, cfg ball.Config, flowSamples int) stats
 			}
 			return total / float64(samples), true
 		})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "surfacemaxflow"
 	return s
 }

@@ -31,11 +31,7 @@ func ResilienceWith(e *ball.Engine, cfg ball.Config, popts partition.Options, se
 			o.Rand = rng
 			return float64(partition.CutSizeWith(k.Part, sub, o)), true
 		})
-	s := stats.Bucketize(raw, bucketRatio)
+	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "resilience"
 	return s
 }
-
-// bucketRatio groups ball sizes into geometric buckets roughly matching the
-// paper's log-scale sampling of ball sizes.
-const bucketRatio = 1.45

@@ -249,6 +249,20 @@ func SemiLogFit(pts []Point) Fit {
 	return LinearFit(lp)
 }
 
+// BucketRatio is the width of the geometric ball-size buckets every
+// ball-size curve is averaged into, roughly matching the paper's log-scale
+// sampling of ball sizes. The ball engine evaluates one ball per center
+// and bucket of this ratio (ball.BucketRadii).
+const BucketRatio = 1.45
+
+// BucketIndex returns the geometric bucket of x > 0 at the given ratio,
+// floor(log x / log ratio): bucket b holds [ratio^b, ratio^(b+1)). Bucketize
+// and the ball engine's radius selection both call it, so the balls a
+// curve evaluates and the buckets that average them cannot disagree.
+func BucketIndex(x, ratio float64) int {
+	return int(math.Floor(math.Log(x) / math.Log(ratio)))
+}
+
 // Bucketize aggregates raw (x, y) samples into geometric buckets of the
 // given ratio (>1) and returns one averaged point per non-empty bucket.
 // Metric curves keyed by ball size use this to tame sampling noise, like
@@ -266,7 +280,7 @@ func Bucketize(pts []Point, ratio float64) Series {
 		if p.X <= 0 {
 			continue
 		}
-		b := int(math.Floor(math.Log(p.X) / math.Log(ratio)))
+		b := BucketIndex(p.X, ratio)
 		a := buckets[b]
 		if a == nil {
 			a = &acc{}

@@ -6,7 +6,9 @@
 #   bench module: go vet + go test inside bench/ (its own module)
 #   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
 #         a sorted edge set, the MSBFS level sweep against
-#         scalar BFS, ball sizes against closed forms, link values over
+#         scalar BFS, ball sizes against closed forms, the ball engine's
+#         one-ball-per-bucket radius selection against the eligible
+#         radii, link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, and the coarsening, induced-subgraph,
 #         vertex-cover/clustering, provider-pick and traceroute-walk
@@ -69,9 +71,13 @@ echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =
 # Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
 # scratch: RunLevels against Graph.BFS. Then width-1 engine ball sizes
 # on Mesh, Tree and Linear at fuzzed sizes, on both sides of the diameter
-# cutoff, against their closed forms.
+# cutoff, against their closed forms. Then the radii the engine's ball
+# curves evaluate on random small graphs at random size limits: one per
+# size bucket the eligible radii reach, nearest the bucket's log midpoint,
+# the same at parallelism 1 and 4.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
+go test -run '^$' -fuzz '^FuzzBallBucketSelection$' -fuzztime 5s ./internal/ball
 
 echo "== fuzz: link values over unordered pairs against brute force =="
 # Raw-byte graphs of up to 48 nodes, full or sampled pair universes: the

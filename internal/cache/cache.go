@@ -8,16 +8,22 @@
 //
 // Values are encoded with encoding/gob, which round-trips float64 bits
 // exactly: a result decoded from the cache is byte-identical, when
-// rendered, to the freshly computed one. Writes are atomic
-// (temp file + rename), so concurrent writers — the pipeline stores suite
-// results from many goroutines — never expose a torn entry.
+// rendered, to the freshly computed one. gob carries no checksum, and a
+// flipped bit can decode into a different value, so each entry starts with
+// the CRC-32C (Castagnoli) of its gob body, which detects every single-bit
+// error. Writes are atomic (temp file + rename), so concurrent writers — the
+// pipeline stores suite results from many goroutines — never expose a torn
+// entry.
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,8 +39,12 @@ import (
 // hierarchy.Result gained Nodes, and SuiteOptions gained SampleBudget.
 // Version 3: plain link values are swept over unordered pairs, which moves
 // some values in their last bits. Version 4: ball-size curves evaluate
-// one ball per center and size bucket instead of every radius.
-const SchemaVersion = 4
+// one ball per center and size bucket instead of every radius. Version 5:
+// entries start with a CRC-32C of their gob body.
+const SchemaVersion = 5
+
+// crcTable is the Castagnoli polynomial's table for the entry checksums.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Key derives the content address for a result produced under the given
 // canonical description parts (e.g. the paper-set key, the suite key and a
@@ -50,13 +60,14 @@ func Key(parts ...string) string {
 }
 
 // Stats counts store traffic. DecodeErrors counts entries that existed on
-// disk but failed to decode — corruption, truncation or a schema drift the
-// version constant missed — and were evicted so the next run rebuilds them.
+// disk but failed their checksum or failed to decode — corruption,
+// truncation or a schema drift the version constant missed — and were
+// evicted so the next run rebuilds them.
 type Stats struct {
 	Hits, Misses, Puts, DecodeErrors int64
 }
 
-// Store is a directory of gob-encoded entries named by their key. A nil
+// Store is a directory of checksummed gob entries named by their key. A nil
 // *Store is valid and behaves as an always-miss, drop-writes cache, so
 // callers don't need to branch on "caching enabled".
 //
@@ -110,11 +121,11 @@ func (s *Store) path(key string) string {
 }
 
 // Get decodes the entry for key into v (a pointer) and reports whether it
-// was found. An entry that exists but fails to decode — corrupt, truncated,
-// or written under a schema the version constant failed to capture — is
-// counted as a decode error (not a miss), evicted from disk, and reported
-// as not found, so the caller rebuilds it once instead of tripping over the
-// bad bytes on every future run.
+// was found. An entry that exists but fails its checksum or fails to decode
+// — corrupt, truncated, or written under a schema the version constant
+// failed to capture — is counted as a decode error (not a miss), evicted
+// from disk, and reported as not found, so the caller rebuilds it once
+// instead of tripping over the bad bytes on every future run.
 func (s *Store) Get(key string, v any) bool {
 	if s == nil {
 		return false
@@ -124,13 +135,13 @@ func (s *Store) Get(key string, v any) bool {
 		defer func() { s.getTime.Observe(time.Since(t0)) }()
 	}
 	path := s.path(key)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		return false
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
+	if len(data) < crc32.Size || binary.BigEndian.Uint32(data) != crc32.Checksum(data[crc32.Size:], crcTable) ||
+		gob.NewDecoder(bytes.NewReader(data[crc32.Size:])).Decode(v) != nil {
 		s.decodeErrors.Add(1)
 		os.Remove(path) //nolint:errcheck // best-effort eviction
 		return false
@@ -139,7 +150,8 @@ func (s *Store) Get(key string, v any) bool {
 	return true
 }
 
-// Put stores v under key atomically. A nil store drops the write.
+// Put stores v under key atomically, as the CRC-32C of its gob encoding
+// followed by the encoding. A nil store drops the write.
 func (s *Store) Put(key string, v any) error {
 	if s == nil {
 		return nil
@@ -148,6 +160,13 @@ func (s *Store) Put(key string, v any) error {
 		t0 := time.Now()
 		defer func() { s.putTime.Observe(time.Since(t0)) }()
 	}
+	var buf bytes.Buffer
+	buf.Write(make([]byte, crc32.Size))
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return fmt.Errorf("cache: encode %s: %w", strings.TrimSuffix(key, "\n"), err)
+	}
+	data := buf.Bytes()
+	binary.BigEndian.PutUint32(data, crc32.Checksum(data[crc32.Size:], crcTable))
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -157,9 +176,9 @@ func (s *Store) Put(key string, v any) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(v); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("cache: encode %s: %w", strings.TrimSuffix(key, "\n"), err)
+		return fmt.Errorf("cache: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("cache: %w", err)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -182,4 +183,59 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// FuzzStoreGetCorrupt stores a fuzzed payload, then damages the entry on
+// disk: it truncates it to cut bytes, or flips one bit. Get must either
+// return the stored payload bit for bit, or miss, count a decode error and
+// evict the entry. It must never return another value or panic.
+func FuzzStoreGetCorrupt(f *testing.F) {
+	f.Add("AS", []byte{1, 2, 3, 4, 5, 6, 7, 8}, 7, false, uint32(0))
+	f.Add("", []byte{}, 0, true, uint32(9))
+	f.Add("RL", []byte("0123456789abcdef"), -3, false, uint32(800))
+	f.Fuzz(func(t *testing.T, name string, raw []byte, n int, truncate bool, at uint32) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := payload{Name: name, N: n}
+		for i := 0; i+8 <= len(raw); i += 8 {
+			in.Values = append(in.Values, math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])))
+		}
+		key := Key(name)
+		if err := s.Put(key, in); err != nil {
+			t.Fatal(err)
+		}
+		path := s.path(key)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truncate {
+			data = data[:int(at)%len(data)]
+		} else {
+			bit := int(at) % (8 * len(data))
+			data[bit/8] ^= 1 << uint(bit%8)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out payload
+		if s.Get(key, &out) {
+			same := out.Name == in.Name && out.N == in.N && len(out.Values) == len(in.Values)
+			for i := 0; same && i < len(in.Values); i++ {
+				same = math.Float64bits(out.Values[i]) == math.Float64bits(in.Values[i])
+			}
+			if !same {
+				t.Fatalf("damaged entry decoded to %+v, stored %+v", out, in)
+			}
+			return
+		}
+		if st := s.Stats(); st.DecodeErrors != 1 {
+			t.Fatalf("damaged entry missed with stats %+v, want 1 decode error", st)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("damaged entry not evicted: %v", err)
+		}
+	})
 }

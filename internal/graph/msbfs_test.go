@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,26 +17,29 @@ func msbfsTestGraph(seed int64, n, edges int) *Graph {
 	return b.Graph()
 }
 
-// checkBatchMatchesScalar verifies one RunLevels against a scalar BFS per
-// source: every level-count row, whose length is the eccentricity plus one
-// and whose sum is the reach count.
+// checkBatchMatchesScalar verifies RunLevels against a scalar BFS per
+// source, three times on one scratch: with each level's direction picked by
+// the rule, all top-down and all bottom-up. It checks every level-count
+// row, whose length is the eccentricity plus one and whose sum is the
+// reach count.
 func checkBatchMatchesScalar(t *testing.T, g *Graph, s *MSBFSScratch, sources []int32) {
 	t.Helper()
-	s.RunLevels(g, sources)
+	want := make([][]int32, len(sources))
 	for i, src := range sources {
 		dist, order := g.BFS(src)
-		ecc := int(dist[order[len(order)-1]])
-		want := make([]int32, ecc+1)
+		want[i] = make([]int32, dist[order[len(order)-1]]+1)
 		for _, v := range order {
-			want[dist[v]]++
+			want[i][dist[v]]++
 		}
-		lc := s.LevelCounts(i)
-		if len(lc) != len(want) {
-			t.Fatalf("source %d (%d): %d levels, want %d", i, src, len(lc), len(want))
-		}
-		for h := range want {
-			if lc[h] != want[h] {
-				t.Fatalf("source %d (%d): level %d count %d, want %d", i, src, h, lc[h], want[h])
+	}
+	for _, route := range []struct {
+		name string
+		run  func(*Graph, []int32)
+	}{{"rule", s.RunLevels}, {"top-down", s.RunLevelsTopDown}, {"bottom-up", s.RunLevelsBottomUp}} {
+		route.run(g, sources)
+		for i, src := range sources {
+			if lc := s.LevelCounts(i); !slices.Equal(lc, want[i]) {
+				t.Fatalf("%s: source %d (%d): level counts %v, want %v", route.name, i, src, lc, want[i])
 			}
 		}
 	}
@@ -72,18 +76,22 @@ func TestMSBFSDuplicateSources(t *testing.T) {
 	checkBatchMatchesScalar(t, g, s, []int32{5, 5, 9, 5})
 }
 
+// TestMSBFSBatchWidthPanics: a batch of no sources, too many sources or a
+// source outside the graph panics before any strip changes, so the scratch
+// still runs the next batch correctly.
 func TestMSBFSBatchWidthPanics(t *testing.T) {
 	g := msbfsTestGraph(4, 80, 160)
 	s := NewMSBFSScratch()
-	for _, sources := range [][]int32{nil, make([]int32, MSBFSMaxWidth+1)} {
+	for _, sources := range [][]int32{nil, make([]int32, MSBFSMaxWidth+1), {3, 80}, {-1, 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("RunLevels with %d sources did not panic", len(sources))
+					t.Fatalf("RunLevels with sources %v did not panic", sources)
 				}
 			}()
 			s.RunLevels(g, sources)
 		}()
+		checkBatchMatchesScalar(t, g, s, []int32{3, 2, 79})
 	}
 }
 
@@ -132,10 +140,14 @@ func TestBallScratchMatchesBFS(t *testing.T) {
 // FuzzMSBFSMatchesBFS reads a graph of up to 64 nodes from raw bytes, two
 // per edge (self-loops and repeats included), and runs two batches of 1 to
 // 256 sources, duplicates allowed, through one reused scratch. Each batch
-// checks RunLevels against Graph.BFS.
+// checks RunLevels against Graph.BFS with the per-level direction rule,
+// all top-down and all bottom-up. The seeds include a disconnected graph
+// with isolated nodes and a batch of 256 copies of one source.
 func FuzzMSBFSMatchesBFS(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(255), []byte{0, 1, 1, 2, 2, 3, 3, 0})
 	f.Add(uint8(0), uint8(63), uint8(64), []byte{})
+	f.Add(uint8(11), uint8(5), uint8(200), []byte{0, 1, 1, 2, 2, 0, 4, 5, 5, 6, 6, 7, 9, 10})
+	f.Add(uint8(7), uint8(255), uint8(255), []byte{0, 7, 6, 5, 4, 3, 2, 1}) // 256 copies of node 0
 	f.Fuzz(func(t *testing.T, nRaw, w1, w2 uint8, data []byte) {
 		n := 1 + int(nRaw)%64
 		b := NewStreamBuilder(n)

@@ -36,8 +36,9 @@ type Options struct {
 	MaxSources int
 	// Rand drives sampling; nil uses a fixed seed.
 	Rand *rand.Rand
-	// Parallelism caps the source-sweep worker count; 0 uses GOMAXPROCS,
-	// 1 runs sequentially. Results are identical at every width.
+	// Parallelism caps the worker count of the source sweeps and of the
+	// cover; 0 uses GOMAXPROCS, 1 runs sequentially. Results are identical
+	// at every width.
 	Parallelism int
 	// Metrics, when non-nil, counts the source sweeps performed
 	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps). Never
@@ -51,7 +52,8 @@ func (o *Options) defaults() {
 	}
 }
 
-// workers resolves the worker count for n source sweeps.
+// workers resolves the worker count for n work items (source sweeps or
+// cover buckets).
 func (o *Options) workers(n int) int {
 	w := o.Parallelism
 	if w <= 0 {
@@ -245,6 +247,19 @@ func (es *edgeStream) grow(b uint32, p pairEntry) {
 	es.cur[b] = base + 1
 }
 
+// size returns the number of entries in bucket b.
+func (es *edgeStream) size(b int) int {
+	n := 0
+	for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
+		if ci == es.tails[b] {
+			n += int(es.cur[b] - ci*bucketChunk)
+		} else {
+			n += bucketChunk
+		}
+	}
+	return n
+}
+
 // segments appends bucket b's entries to segs as chunk slices, in emission
 // order.
 func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
@@ -337,23 +352,30 @@ type visitFunc func(ws *sweepScratch, es *edgeStream, u int32,
 // of two three quarters of a half sweep. Worker w gets sources [b[w],
 // b[w+1]), within one source's pairs of an equal share.
 func workerBlocks(q, workers int, half bool) []int {
-	before := func(r int64) int64 { // pairs of the sources ranked below r
+	return blockCuts(q, workers, func(k int) int64 { // pairs of the sources ranked below k
+		r := int64(k)
 		if half {
 			return r*int64(q-1) - r*(r-1)/2
 		}
 		return r * int64(q-1)
-	}
-	total := before(int64(q))
+	})
+}
+
+// blockCuts cuts n items into contiguous per-worker blocks, worker w taking
+// items [b[w], b[w+1]), given before(k), the nondecreasing cost of the
+// items below k: each cut lies within one item of an equal share.
+func blockCuts(n, workers int, before func(k int) int64) []int {
+	total := before(n)
 	b := make([]int, workers+1)
 	k := 0
 	for w := 1; w < workers; w++ {
 		share := total * int64(w) / int64(workers)
-		for k < q && before(int64(k)) < share {
+		for k < n && before(k) < share {
 			k++
 		}
 		b[w] = k
 	}
-	b[workers] = q
+	b[workers] = n
 	return b
 }
 
@@ -450,7 +472,7 @@ func LinkValues(g *graph.Graph, opts Options) *Result {
 	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
 	streams, release := sweepPlain(g, &opts, sources, inQ)
 	defer release()
-	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams, true)
+	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams, true, &opts)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
@@ -636,21 +658,52 @@ func sampleSources(n int, opts Options) ([]int32, []bool) {
 // vertex cover per edge. half says the streams hold each unordered pair
 // once (see edgeCover).
 //
-// It walks one bucket at a time, reading the bucket's chunks across the
-// streams in worker order. Each stream is (u, t)-ascending and the workers'
-// source blocks ascend with worker index, so that walk is (u, t)-ascending
-// too; a stable counting sort by edge then lands every group in the
-// canonical (edge, u, t) order the order-dependent primal-dual needs, with
-// no global sort. Only one bucket's entries are ever copied.
-func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool) []float64 {
+// Each edge's cover reads only its own entries, so the buckets split into
+// contiguous ranges of near-equal entry count, one per worker; every worker
+// leases its own cover scratch and writes only its buckets' slots of
+// values, so the result is the same at every worker count. One worker runs
+// on the caller's goroutine.
+func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool, opts *Options) []float64 {
+	values := make([]float64, numEdges)
+	buckets := numEdges>>coverBucketShift + 1
+	workers := opts.workers(buckets)
+	if workers == 1 {
+		coverBuckets(0, buckets, numNodes, streams, half, values)
+		return values
+	}
+	// Entries in the buckets below b, the per-bucket cost of the split.
+	before := make([]int64, buckets+1)
+	for b := 0; b < buckets; b++ {
+		before[b+1] = before[b]
+		for _, es := range streams {
+			before[b+1] += int64(es.size(b))
+		}
+	}
+	cuts := blockCuts(buckets, workers, func(b int) int64 { return before[b] })
+	var grp ball.Group
+	for w := 0; w < workers; w++ {
+		lo, hi := cuts[w], cuts[w+1]
+		grp.Go(func() { coverBuckets(lo, hi, numNodes, streams, half, values) })
+	}
+	grp.Wait()
+	return values
+}
+
+// coverBuckets covers the edges of buckets [lo, hi) into values. It walks
+// one bucket at a time, reading the bucket's chunks across the streams in
+// worker order. Each stream is (u, t)-ascending and the workers' source
+// blocks ascend with worker index, so that walk is (u, t)-ascending too; a
+// stable counting sort by edge then lands every group in the canonical
+// (edge, u, t) order the order-dependent primal-dual needs, with no global
+// sort. Only one bucket's entries are ever copied.
+func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, half bool, values []float64) {
 	ws := coverPool.Get()
 	defer coverPool.Put(ws)
 	ws.ensure(numNodes)
-	values := make([]float64, numEdges)
 	const be = 1 << coverBucketShift
 	var cnt [be + 1]int32
 	var segs [][]pairEntry
-	for b := 0; b <= numEdges>>coverBucketShift; b++ {
+	for b := lo; b < hi; b++ {
 		segs = segs[:0]
 		for _, es := range streams {
 			segs = es.segments(b, segs)
@@ -658,13 +711,13 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool)
 		if len(segs) == 0 {
 			continue
 		}
-		lo := uint32(b) << coverBucketShift
+		first := uint32(b) << coverBucketShift
 		cnt = [be + 1]int32{}
 		total := 0
 		for _, seg := range segs {
 			total += len(seg)
 			for i := range seg {
-				cnt[seg[i].edge-lo+1]++
+				cnt[seg[i].edge-first+1]++
 			}
 		}
 		for i := 0; i < be; i++ {
@@ -675,7 +728,7 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool)
 		for _, seg := range segs {
 			for i := range seg {
 				p := &seg[i]
-				c := p.edge - lo
+				c := p.edge - first
 				sorted[cnt[c]] = coverEntry{u: p.u, t: p.t, w: p.w}
 				cnt[c]++
 			}
@@ -689,10 +742,9 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool)
 			if len(group) == 0 {
 				continue
 			}
-			values[lo+uint32(c)] = edgeCover(group, ws, half)
+			values[first+uint32(c)] = edgeCover(group, ws, half)
 		}
 	}
-	return values
 }
 
 // coverScratch is the vertex-cover workspace: node-indexed accumulators

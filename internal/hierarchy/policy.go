@@ -56,7 +56,7 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	}
 	streams, release := sweep(&opts, sources, m, false, rp, visit)
 	defer release()
-	values := coverValuesStream(m, n, streams, false)
+	values := coverValuesStream(m, n, streams, false, &opts)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
 }
 

@@ -129,6 +129,28 @@ func TestCompleteGraphCut(t *testing.T) {
 	}
 }
 
+// FuzzCompleteBisection checks the bisection of Complete(n), n in [2, 300],
+// at a fuzzed seed against its closed form. Every split of K_n cuts
+// s·(n−s) edges, fewest at the most unbalanced split the balance allows:
+// a = max(⌊0.55·n⌋, ⌈n/2⌉) nodes on the heavier side, computed as refine
+// computes it, so the cut is a·(n−a) (K20 cuts 11·9 = 99, not 10·10).
+func FuzzCompleteBisection(f *testing.F) {
+	f.Add(uint16(18), int64(1))
+	f.Add(uint16(0), int64(7))
+	f.Add(uint16(298), int64(-3))
+	f.Fuzz(func(t *testing.T, nRaw uint16, seed int64) {
+		n := 2 + int(nRaw)%299
+		a := int(0.55 * float64(n))
+		if a*2 < n {
+			a = (n + 1) / 2
+		}
+		cut := CutSizeWith(NewWorkspace(), canonical.Complete(n), Options{Rand: rand.New(rand.NewSource(seed))})
+		if want := a * (n - a); cut != want {
+			t.Fatalf("Complete(%d) at seed %d: cut %d, want %d·%d = %d", n, seed, cut, a, n-a, want)
+		}
+	})
+}
+
 // Property: the reported cut always equals the actual crossing-edge count
 // and the partition is balanced.
 func TestCutConsistencyProperty(t *testing.T) {

@@ -4,33 +4,36 @@ import (
 	"math/rand"
 	"testing"
 
+	"topocmp/internal/core"
 	"topocmp/internal/graph"
 )
 
 // BenchmarkWideMSBFS sweeps the same 256 sources as four single-word
 // 64-source batches versus one four-word strip, counts-only (RunLevels) in
 // both arms — the multi-word payoff is the shared frontier amortized over
-// four times the sources per edge scan.
+// four times the sources per edge scan. Its words4/RL@full-rl row is one
+// 256-source strip on the measured RL graph at the full-rl preset, seed 1
+// (170,555 nodes): the unit of work of topobench's fullrl workload, which
+// sweeps two such strips.
 func BenchmarkWideMSBFS(b *testing.B) {
-	for _, net := range msbfsBenchNets() {
-		g := net.Graph
-		nsrc := 4 * graph.MSBFSWordBits
-		if n := g.NumNodes(); nsrc > n {
-			nsrc = n
-		}
+	wideSources := func(g *graph.Graph) []int32 {
+		nsrc := min(4*graph.MSBFSWordBits, g.NumNodes())
 		perm := rand.New(rand.NewSource(2)).Perm(g.NumNodes())
 		sources := make([]int32, nsrc)
 		for i := range sources {
 			sources[i] = int32(perm[i])
 		}
-		ms := graph.NewMSBFSScratch()
+		return sources
+	}
+	ms := graph.NewMSBFSScratch()
+	for _, net := range msbfsBenchNets() {
+		g := net.Graph
+		sources := wideSources(g)
+		nsrc := len(sources)
 		b.Run("words1/"+net.Name, func(b *testing.B) {
 			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				for lo := 0; lo < nsrc; lo += graph.MSBFSWordBits {
-					hi := lo + graph.MSBFSWordBits
-					if hi > nsrc {
-						hi = nsrc
-					}
+					hi := min(lo+graph.MSBFSWordBits, nsrc)
 					ms.RunLevels(g, sources[lo:hi])
 				}
 			})
@@ -41,6 +44,16 @@ func BenchmarkWideMSBFS(b *testing.B) {
 			})
 		})
 	}
+	var fullRL *graph.Graph // built on first entry: the harness re-enters to size b.N
+	b.Run("words4/RL@full-rl", func(b *testing.B) {
+		if fullRL == nil {
+			fullRL = core.BuildMeasured(core.PaperSetOptions{Seed: 1, Scale: core.ScalePresets["full-rl"]}).RL.Graph
+		}
+		sources := wideSources(fullRL)
+		benchOnGraph(b, "BENCH_kernels2.json", fullRL, "RL@full-rl", len(sources), func() {
+			ms.RunLevels(fullRL, sources)
+		})
+	})
 }
 
 // BenchmarkBrandes accumulates betweenness from 64 sources the scalar way

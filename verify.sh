@@ -4,11 +4,13 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
-#   fuzz: FuzzRefineMatchesHeap for 10s; the streamed edge builder against
-#         a sorted edge set, the MSBFS level sweep against
-#         scalar BFS, ball sizes against closed forms, the ball engine's
-#         one-ball-per-bucket radius selection against the eligible
-#         radii, link values over
+#   fuzz: FuzzRefineMatchesHeap for 10s; Complete(n) bisection against
+#         its closed form, damaged cache entries against the stored value,
+#         the streamed edge builder against a sorted edge set, the MSBFS
+#         level sweep (per-level rule, all top-down, all bottom-up)
+#         against scalar BFS, ball sizes against closed forms, the ball
+#         engine's one-ball-per-bucket radius selection against the
+#         eligible radii, link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, and the coarsening, induced-subgraph,
 #         vertex-cover/clustering, provider-pick and traceroute-walk
@@ -29,10 +31,10 @@
 # obs.TestSamplerRaceShort), the pooled per-worker cut kernels
 # (partition.TestResilienceRaceShort), the pooled Brandes/distortion
 # workspaces (metrics.TestBrandesRaceShort), the link-value driver's
-# per-worker entry streams and BFS workspaces leased from the shared
-# pool at P=4 (hierarchy.TestLinkValueRaceShort), and the serving
-# layer's singleflight dedup, shared per-network ball engines and
-# admission semaphore under mixed concurrent traffic at P=4
+# per-worker entry streams, BFS workspaces and cover scratches leased
+# from the shared pools at P=4 (hierarchy.TestLinkValueRaceShort), and
+# the serving layer's singleflight dedup, shared per-network ball
+# engines and admission semaphore under mixed concurrent traffic at P=4
 # (serve.TestServeRaceShort).
 set -eu
 
@@ -60,6 +62,16 @@ echo "== fuzz: gain-bucket FM refinement against the lazy-heap reference =="
 # refinement kept in internal/partition/heap_test.go; side arrays must match.
 go test -run '^$' -fuzz '^FuzzRefineMatchesHeap$' -fuzztime 10s ./internal/partition
 
+echo "== fuzz: Complete(n) bisection against its closed form =="
+# Complete(n), n in [2, 300], at fuzzed seeds: the cut must be a·(n−a),
+# a = max(floor(0.55·n), ceil(n/2)) the heavier side the balance allows.
+go test -run '^$' -fuzz '^FuzzCompleteBisection$' -fuzztime 5s ./internal/partition
+
+echo "== fuzz: damaged cache entries never decode to another value =="
+# A stored payload truncated or with one bit flipped: Get returns the
+# stored value or misses, counts a decode error and evicts the entry.
+go test -run '^$' -fuzz '^FuzzStoreGetCorrupt$' -fuzztime 5s ./internal/cache
+
 echo "== fuzz: streamed edge builder against a sorted, deduplicated edge set =="
 # Raw-byte edge lists of up to 64 nodes, self-loops, repeats and both
 # orientations included, through StreamBuilder and the edge-set reference
@@ -69,7 +81,8 @@ go test -run '^$' -fuzz '^FuzzStreamBuilderMatchesEdgeSet$' -fuzztime 5s ./inter
 
 echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =="
 # Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
-# scratch: RunLevels against Graph.BFS. Then width-1 engine ball sizes
+# scratch: RunLevels against Graph.BFS with each level's direction picked
+# by the rule, all top-down and all bottom-up. Then width-1 engine ball sizes
 # on Mesh, Tree and Linear at fuzzed sizes, on both sides of the diameter
 # cutoff, against their closed forms. Then the radii the engine's ball
 # curves evaluate on random small graphs at random size limits: one per

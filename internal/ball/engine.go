@@ -41,9 +41,6 @@ type Engine struct {
 	profiles map[int32]*profileEntry
 	cums     map[int32]*cumEntry
 
-	spreadOnce sync.Once
-	spread     int
-
 	// Resolved metric handles (nil until Instrument): each event on the
 	// ball hot path costs at most one atomic add, and nothing at all when
 	// uninstrumented beyond a nil check. Pool traffic (gets/allocs per
@@ -54,9 +51,7 @@ type Engine struct {
 	mMSBFSBatches   *obs.Counter // bit-parallel distance batches run
 	mMSBFSSources   *obs.Counter // sources swept across those batches
 	mMSBFSWidth     *obs.Gauge   // batch width the last wide sweep chose
-	mDistScalar     *obs.Counter // centers the spread probe routed to scalar BFS
 	mBrandesBatches *obs.Counter // bit-parallel Brandes batches run by kernel consumers
-	mBrandesScalar  *obs.Counter // subgraphs the probe kept on scalar Brandes
 
 	// prog, when set, receives balls-done/total work counters so a live
 	// /debug/progress can turn the suite's ball traffic into a completion
@@ -80,16 +75,14 @@ type Kernels struct {
 	eng *Engine // counter backref; nil for bundles built outside an engine
 }
 
-// CountBrandes records kernel-consumer Brandes traffic under the engine's
-// ball.* namespace: batches bit-parallel batches run, and scalar subgraphs
-// the diameter probe kept on the scalar path. Safe on bundles built outside
-// an engine.
-func (k *Kernels) CountBrandes(batches, scalar int64) {
+// CountBrandes records kernel-consumer Brandes traffic, the bit-parallel
+// batches run, under the engine's ball.* namespace. Safe on bundles built
+// outside an engine.
+func (k *Kernels) CountBrandes(batches int64) {
 	if k.eng == nil {
 		return
 	}
 	k.eng.mBrandesBatches.Add(batches)
-	k.eng.mBrandesScalar.Add(scalar)
 }
 
 // workerScratch bundles one worker's reusable traversal buffers.
@@ -138,11 +131,9 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 // ball.* namespace: profiles, bfs_visits, subgraphs; scratch_gets/
 // scratch_allocs, kernel_gets/kernel_allocs, msbfs_gets/msbfs_allocs for
 // the leased-workspace pools — reuse is gets minus allocs; msbfs_batches/
-// msbfs_sources/msbfs_width for the bit-parallel distance kernel's traffic;
-// dist_scalar for the centers the spread probe routed to scalar BFS, and
-// brandes_batches/brandes_scalar for distortion's diameter probe). Call it
-// before the first ball grows; a nil registry leaves the engine
-// uninstrumented.
+// msbfs_sources/msbfs_width for the bit-parallel distance kernel's traffic,
+// and brandes_batches for distortion's center elections). Call it before
+// the first ball grows; a nil registry leaves the engine uninstrumented.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -156,9 +147,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.mMSBFSBatches = reg.Counter("ball.msbfs_batches")
 	e.mMSBFSSources = reg.Counter("ball.msbfs_sources")
 	e.mMSBFSWidth = reg.Gauge("ball.msbfs_width")
-	e.mDistScalar = reg.Counter("ball.dist_scalar")
 	e.mBrandesBatches = reg.Counter("ball.brandes_batches")
-	e.mBrandesScalar = reg.Counter("ball.brandes_scalar")
 }
 
 // SetProgress attaches a live progress stage: every Profiles/CumProfiles
@@ -172,28 +161,6 @@ func (e *Engine) SetProgress(st *obs.ProgressStage) { e.prog = st }
 
 // Graph returns the graph the engine grows balls on.
 func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// distSpread returns the spread probe CumProfiles routes on, computed once
-// on first use and cached: the hop distance at the 90th percentile of one
-// BFS from node 0, read off the BFS order, which is sorted by distance. The
-// BFS is the double sweep's first leg, so the probe never exceeds
-// graph.ApproxDiameter. A level sweep rescans a node's adjacency once for
-// every distinct distance at which the batch's sources reach it, so its
-// cost follows how widely distances spread: a few long access chains set a
-// graph's diameter but add little, while a lattice's spread makes the
-// batch repeat most of its scans.
-func (e *Engine) distSpread() int {
-	e.spreadOnce.Do(func() {
-		if e.g.NumNodes() == 0 {
-			return
-		}
-		ws := e.scratch.Get()
-		order := ws.bfs.BFS(e.g, 0)
-		e.spread = int(ws.bfs.Dist(order[(len(order)-1)*9/10]))
-		e.scratch.Put(ws)
-	})
-	return e.spread
-}
 
 // Profile is one center's cached ball profile: everything a single BFS pass
 // reveals about the balls around the center.
@@ -299,25 +266,13 @@ func (c *CumProfile) Size(h int) int {
 	return int(c.Cum[h])
 }
 
-// MSBFSDiameterCutoff is the hop count past which the bit-parallel sweeps
-// lose to one scalar traversal per source: the per-level frontiers thin
-// out and the mask strips repeat work every level (the wave-1 benchmarks
-// measured ~2.5x regressions on lattices). Each route compares it with its
-// own probe. The engine's distance sweeps read the spread probe (see
-// distSpread), which lets graphs with a few long chains, such as the
-// measured RL graph, batch. Distortion's Brandes election per ball subgraph
-// reads the double-sweep diameter (graph.ApproxDiameter).
-const MSBFSDiameterCutoff = 32
-
 // CumProfiles returns the centers' cum-only profiles in center order. The
 // misses run through the bit-parallel MSBFS kernel in multi-word batches of
 // up to graph.MSBFSMaxWidth sources (one CSR sweep per batch, counts-only —
-// no distance matrix), fanned over the worker pool — the fast path for
+// no distance matrix), fanned over the worker pool — the one route of
 // distance-only metrics (expansion, eccentricity, path lengths) that never
-// materialize ball membership. Graphs whose spread probe exceeds
-// MSBFSDiameterCutoff route to a scalar BFS per center instead; level
-// counts are integers either way, so the routing and batch width are
-// invisible in the results.
+// materialize ball membership. Level counts are integers, so the batch
+// width is invisible in the results.
 //
 // Cache coherence with full profiles: a completed full profile satisfies a
 // cum request directly (its Cum is shared, no kernel pass runs), while cum
@@ -393,53 +348,39 @@ func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
 			e.abandonCums(centers, mine, ents)
 		}
 	}()
-	if e.distSpread() > MSBFSDiameterCutoff {
-		e.forEach(len(mine), func(j int) {
-			idx := mine[j]
-			ws := e.scratch.Get()
-			cum := cumSizes(ws.bfs, ws.bfs.BFS(e.g, centers[idx]))
-			e.scratch.Put(ws)
+	width := batchWidth(len(mine), e.parallel)
+	e.mMSBFSWidth.Set(int64(width))
+	batches := (len(mine) + width - 1) / width
+	e.forEach(batches, func(b int) {
+		lo := b * width
+		hi := lo + width
+		if hi > len(mine) {
+			hi = len(mine)
+		}
+		batch := mine[lo:hi]
+		sources := make([]int32, len(batch))
+		for j, idx := range batch {
+			sources[j] = centers[idx]
+		}
+		ms := e.msbfs.Get()
+		ms.RunLevels(e.g, sources)
+		for j, idx := range batch {
+			levels := ms.LevelCounts(j)
+			cum := make([]int32, len(levels))
+			run := int32(0)
+			for h, cnt := range levels {
+				run += cnt
+				cum[h] = run
+			}
 			ent := ents[idx]
-			ent.c = &CumProfile{Center: centers[idx], Cum: cum}
+			ent.c = &CumProfile{Center: sources[j], Cum: cum}
 			close(ent.done)
-			e.prog.Add(1)
-		})
-		e.mDistScalar.Add(int64(len(mine)))
-	} else {
-		width := batchWidth(len(mine), e.parallel)
-		e.mMSBFSWidth.Set(int64(width))
-		batches := (len(mine) + width - 1) / width
-		e.forEach(batches, func(b int) {
-			lo := b * width
-			hi := lo + width
-			if hi > len(mine) {
-				hi = len(mine)
-			}
-			batch := mine[lo:hi]
-			sources := make([]int32, len(batch))
-			for j, idx := range batch {
-				sources[j] = centers[idx]
-			}
-			ms := e.msbfs.Get()
-			ms.RunLevels(e.g, sources)
-			for j, idx := range batch {
-				levels := ms.LevelCounts(j)
-				cum := make([]int32, len(levels))
-				run := int32(0)
-				for h, cnt := range levels {
-					run += cnt
-					cum[h] = run
-				}
-				ent := ents[idx]
-				ent.c = &CumProfile{Center: sources[j], Cum: cum}
-				close(ent.done)
-			}
-			e.msbfs.Put(ms)
-			e.mMSBFSBatches.Add(1)
-			e.mMSBFSSources.Add(int64(len(batch)))
-			e.prog.Add(int64(len(batch)))
-		})
-	}
+		}
+		e.msbfs.Put(ms)
+		e.mMSBFSBatches.Add(1)
+		e.mMSBFSSources.Add(int64(len(batch)))
+		e.prog.Add(int64(len(batch)))
+	})
 	filled = true
 }
 

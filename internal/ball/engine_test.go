@@ -169,20 +169,12 @@ func TestEngineInstrumentation(t *testing.T) {
 
 // checkClosedForm compares a width-1 engine's CumProfiles and Profile sizes
 // at every center in centers, radii 0 through one past the eccentricity,
-// against want(center, h). CumProfiles runs first, so its kernel route
-// computes the rows rather than reading cached full profiles. The spread
-// probe must have taken the route the cutoff names: the scalar BFS per
-// center past it, the bit-parallel batches otherwise.
+// against want(center, h). CumProfiles runs first, so the bit-parallel
+// batches compute its rows rather than reading cached full profiles.
 func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32, want func(c int32, h int) int) {
 	t.Helper()
 	e := NewEngine(g, 1)
-	reg := obs.NewRegistry()
-	e.Instrument(reg)
 	cums := e.CumProfiles(centers)
-	scalar := reg.Counter("ball.dist_scalar").Value() > 0
-	if wantScalar := e.distSpread() > MSBFSDiameterCutoff; scalar != wantScalar {
-		t.Fatalf("%s: spread %d took the scalar route %t, want %t", name, e.distSpread(), scalar, wantScalar)
-	}
 	for i, c := range centers {
 		p := e.Profile(c)
 		for h := 0; h <= p.Eccentricity()+1; h++ {
@@ -191,8 +183,7 @@ func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32,
 				t.Fatalf("%s center %d: Profile size at h=%d is %d, closed form %d", name, c, h, got, w)
 			}
 			if got := cums[i].Size(h); got != w {
-				t.Fatalf("%s center %d: CumProfiles size at h=%d is %d, closed form %d (scalar route %t)",
-					name, c, h, got, w, scalar)
+				t.Fatalf("%s center %d: CumProfiles size at h=%d is %d, closed form %d", name, c, h, got, w)
 			}
 		}
 	}
@@ -202,9 +193,7 @@ func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32,
 // balls have closed forms, at fuzzed sizes: a Mesh ball holds the cells
 // within Manhattan distance h (2h²+2h+1 while the diamond fits), a k-ary
 // Tree's root ball (k^(h+1)−1)/(k−1) nodes, and node i of Linear(n)
-// min(i,h)+min(n−1−i,h)+1 nodes. The spread probe of large
-// meshes and long chains passes MSBFSDiameterCutoff, so both CumProfiles
-// routes are exercised.
+// min(i,h)+min(n−1−i,h)+1 nodes.
 func FuzzBallSizesClosedForm(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(4), uint8(4), uint8(1), uint8(4), uint8(20), uint8(7))
 	f.Add(uint8(40), uint8(3), uint8(0), uint8(2), uint8(0), uint8(7), uint8(80), uint8(0))
@@ -246,13 +235,11 @@ func FuzzBallSizesClosedForm(f *testing.F) {
 	})
 }
 
-// TestCumProfilesRouteFollowsSpread pins the distance route on the spread
-// probe rather than the diameter. A complete ternary tree with a 40-node
-// chain hung off one leaf has diameter 52, but 90% of its nodes sit within
-// 6 hops of the root: it must batch, and its batched rows must equal the
-// scalar profiles at every center, the chain's tip included. A 30x30 mesh
-// (90th percentile 46) and Linear(500) (449) must stay scalar.
-func TestCumProfilesRouteFollowsSpread(t *testing.T) {
+// TestCumProfilesMatchProfiles checks the batched rows against Profile.Cum
+// at every center of three long graphs: a complete ternary tree with a
+// 40-node chain hung off one leaf (diameter 52), a 30x30 mesh and
+// Linear(500).
+func TestCumProfilesMatchProfiles(t *testing.T) {
 	tree := canonical.Tree(3, 6)
 	n := tree.NumNodes()
 	const chain = 40
@@ -263,39 +250,20 @@ func TestCumProfilesRouteFollowsSpread(t *testing.T) {
 	for v := n; v < n+chain; v++ {
 		b.AddEdge(int32(v-1), int32(v)) // node n-1 is a depth-6 leaf
 	}
-	g := b.Graph()
-	centers := make([]int32, g.NumNodes())
-	for i := range centers {
-		centers[i] = int32(i)
-	}
-
-	e := NewEngine(g, 1)
-	reg := obs.NewRegistry()
-	e.Instrument(reg)
-	if d, s := graph.ApproxDiameter(g, graph.NewBFSScratch()), e.distSpread(); d != 52 || s != 6 {
-		t.Fatalf("tree with a chain: diameter %d and spread %d, want 52 and 6", d, s)
-	}
-	cums := e.CumProfiles(centers)
-	if batches, scalar := reg.Counter("ball.msbfs_batches").Value(), reg.Counter("ball.dist_scalar").Value(); batches == 0 || scalar != 0 {
-		t.Fatalf("tree with a chain: %d batches and %d scalar centers, want batches only", batches, scalar)
-	}
-	ref := NewEngine(g, 1)
-	for i, c := range centers {
-		if want := ref.Profile(c).Cum; !reflect.DeepEqual(cums[i].Cum, want) {
-			t.Fatalf("center %d: batched rows %v, scalar profile %v", c, cums[i].Cum, want)
-		}
-	}
-
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"Mesh(30, 30)", canonical.Mesh(30, 30)}, {"Linear(500)", canonical.Linear(500)}} {
-		e := NewEngine(tc.g, 1)
-		reg := obs.NewRegistry()
-		e.Instrument(reg)
-		e.CumProfiles([]int32{0, 1, 2})
-		if batches, scalar := reg.Counter("ball.msbfs_batches").Value(), reg.Counter("ball.dist_scalar").Value(); batches != 0 || scalar != 3 {
-			t.Errorf("%s: %d batches and %d scalar centers, want 0 and 3", tc.name, batches, scalar)
+	}{{"tree with a chain", b.Graph()}, {"Mesh(30, 30)", canonical.Mesh(30, 30)}, {"Linear(500)", canonical.Linear(500)}} {
+		centers := make([]int32, tc.g.NumNodes())
+		for i := range centers {
+			centers[i] = int32(i)
+		}
+		cums := NewEngine(tc.g, 1).CumProfiles(centers)
+		ref := NewEngine(tc.g, 1)
+		for i, c := range centers {
+			if want := ref.Profile(c).Cum; !reflect.DeepEqual(cums[i].Cum, want) {
+				t.Fatalf("%s center %d: batched rows %v, profile %v", tc.name, c, cums[i].Cum, want)
+			}
 		}
 	}
 }

@@ -346,10 +346,9 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 	paths, grow := n.policyRouting()
 	popts := partition.Options{Rand: rand.New(rand.NewSource(opts.Seed + 100))}
 	// One kernel bundle serves the whole sequential sweep: the partition
-	// workspace for the cuts, BFS and Brandes scratch for the distortion
+	// workspace for the cuts, the Brandes strips for the distortion
 	// election. Workspace-backed kernels are bit-identical to fresh ones.
-	k := &ball.Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
-		Brandes: graph.NewBrandesScratch()}
+	k := &ball.Kernels{Part: partition.NewWorkspace(), Brandes: graph.NewBrandesScratch()}
 	var pt *policy.PathTree
 	var cum []int32
 	var resRaw, distRaw []stats.Point

@@ -29,13 +29,14 @@ const BrandesWidth = MSBFSWordBits
 // sigma values are exact integers in float64 matching any scalar order
 // bit-for-bit; delta sums are added in the canonical (level desc, id asc,
 // adjacency, bit asc) order, which can differ from a scalar per-source run
-// in the last float ulps — consumers rank by betweenness, and the golden
-// tests pin the ranks to the scalar path.
+// in the last float ulps — consumers rank by betweenness, and
+// internal/metrics' tests pin the elected roots to a scalar reference.
 //
-// Like the other scratch families the buffers are epoch-stamped
-// (graph.Stamp), single-owner, and valid only until the next Accumulate.
+// A run clears the four mask strips and the n×B sigma/delta rows it uses,
+// so nothing one run leaves behind, even one cut short by a panic, reaches
+// the next. The sources are checked before any strip changes. A scratch is
+// single-owner, and its buffers are valid only until the next Accumulate.
 type BrandesScratch struct {
-	live     Stamp
 	seen     []uint64  // bit i set ⇔ sources[i] has reached v
 	next     []uint64  // frontier bits accumulated for the level being built
 	prev     []uint64  // bits of v at the level below the one in flight
@@ -46,67 +47,63 @@ type BrandesScratch struct {
 	levOff   []int32  // event ranges per level: events[levOff[h]:levOff[h+1]]
 	levNode  []int32  // event node ids, ascending within a level
 	levMask  []uint64 // fresh source bits of the event node
-	width    int      // B of the current run
-	n        int
 }
 
 // NewBrandesScratch returns an empty scratch; buffers grow on first use.
 func NewBrandesScratch() *BrandesScratch { return &BrandesScratch{} }
 
+// begin sizes the buffers for an n-node graph and width sources, and
+// clears the mask strips and the sigma/delta rows the run uses.
 func (b *BrandesScratch) begin(n, width int) {
-	if b.live.Begin(n) {
+	if len(b.seen) < n {
 		b.seen = make([]uint64, n)
 		b.next = make([]uint64, n)
 		b.prev = make([]uint64, n)
 		b.curm = make([]uint64, n)
 		b.cur = make([]int32, 0, n)
 		b.nxt = make([]int32, 0, n)
+	} else {
+		clear(b.seen[:n])
+		clear(b.next[:n])
+		clear(b.prev[:n])
+		clear(b.curm[:n])
 	}
 	if need := n * width; len(b.sigma) < need {
 		b.sigma = make([]float64, need)
 		b.delta = make([]float64, need)
+	} else {
+		clear(b.sigma[:need])
+		clear(b.delta[:need])
 	}
 	b.levOff = b.levOff[:0]
 	b.levNode = b.levNode[:0]
 	b.levMask = b.levMask[:0]
 	b.cur = b.cur[:0]
-	b.width, b.n = width, n
-}
-
-// touch opens v's masks and zeroes its sigma/delta rows for this run.
-func (b *BrandesScratch) touch(v int32) {
-	if b.live.Visit(v) {
-		b.seen[v] = 0
-		b.next[v] = 0
-		b.prev[v] = 0
-		b.curm[v] = 0
-		row := int(v) * b.width
-		for i := 0; i < b.width; i++ {
-			b.sigma[row+i] = 0
-			b.delta[row+i] = 0
-		}
-	}
 }
 
 // Accumulate adds every source's Brandes dependency contributions into bc
 // (which must have length g.NumNodes(); contributions are added, so callers
-// accumulate across batches by looping). The batch size must be
-// 1..BrandesWidth; a repeated source simply contributes once per occurrence,
-// as a scalar loop over the same list would. A source's own bc entry
-// receives no contribution from its own traversal, mirroring the scalar
-// accumulation.
+// accumulate across batches by looping). The batch must hold 1 to
+// BrandesWidth sources, each a node of g; Accumulate panics otherwise. A
+// repeated source simply contributes once per occurrence, as a scalar loop
+// over the same list would. A source's own bc entry receives no
+// contribution from its own traversal, mirroring the scalar accumulation.
 func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
+	n := g.NumNodes()
 	if len(sources) == 0 || len(sources) > BrandesWidth {
 		panic(fmt.Sprintf("graph: Brandes batch of %d sources, want 1..%d", len(sources), BrandesWidth))
 	}
-	n := g.NumNodes()
+	for _, src := range sources {
+		if src < 0 || int(src) >= n {
+			panic(fmt.Sprintf("graph: Brandes source %d outside [0, %d)", src, n))
+		}
+	}
 	B := len(sources)
 	b.begin(n, B)
 
 	// Level 0: seed the sources. prev carries each node's level-0 bits
 	// while level 1 is built.
 	for i, src := range sources {
-		b.touch(src)
 		if b.seen[src] == 0 {
 			b.cur = append(b.cur, src)
 		}
@@ -130,7 +127,6 @@ func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
 		for _, u := range b.cur {
 			fu := b.prev[u]
 			for _, v := range g.Neighbors(u) {
-				b.touch(v)
 				add := fu &^ b.seen[v]
 				if add == 0 {
 					continue
@@ -159,8 +155,7 @@ func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
 			}
 		}
 		b.levOff = append(b.levOff, int32(len(b.levNode)))
-		// Retire the finished level's masks and promote the fresh ones;
-		// both arrays drain back to all-zero by the time the sweep ends.
+		// Retire the finished level's masks and promote the fresh ones.
 		for _, u := range b.cur {
 			b.prev[u] = 0
 		}
@@ -196,9 +191,6 @@ func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
 	// Fold the delta rows into bc: node ascending, source bits ascending,
 	// matching a scalar sweep that processes sources in index order.
 	for v := int32(0); v < int32(n); v++ {
-		if !b.live.Seen(v) {
-			continue
-		}
 		row := int(v) * B
 		for m := b.seen[v]; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)

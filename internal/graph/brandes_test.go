@@ -59,7 +59,7 @@ func TestBrandesMatchesScalar(t *testing.T) {
 }
 
 // TestBrandesScratchReuse reruns one scratch across graphs and widths; the
-// epoch stamping and row sizing must isolate every run.
+// strips and rows each run clears must isolate it from the runs before.
 func TestBrandesScratchReuse(t *testing.T) {
 	b := NewBrandesScratch()
 	big := msbfsTestGraph(19, 400, 1200)
@@ -94,17 +94,31 @@ func TestBrandesDuplicateSources(t *testing.T) {
 	checkBrandesMatches(t, g, b, []int32{5, 5, 9, 5})
 }
 
+// TestBrandesBatchPanics: a batch of no sources, too many sources or a
+// source outside the graph panics before any strip changes, and a run cut
+// short part way (here by a bc too short for the fold) leaves nothing the
+// next run reads, so the scratch still matches the reference afterwards.
 func TestBrandesBatchPanics(t *testing.T) {
 	g := msbfsTestGraph(37, 50, 100)
 	b := NewBrandesScratch()
-	for _, sources := range [][]int32{nil, make([]int32, BrandesWidth+1)} {
+	// A larger graph first leaves strips longer than g's, so no index
+	// check but Accumulate's own catches source 50.
+	checkBrandesMatches(t, msbfsTestGraph(5, 200, 400), b, []int32{0, 199})
+	for _, tc := range []struct {
+		sources []int32
+		bcLen   int
+	}{
+		{nil, 50}, {make([]int32, BrandesWidth+1), 50}, {[]int32{3, 50}, 50}, {[]int32{-1, 2}, 50},
+		{[]int32{3, 2, 49}, 1},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Accumulate with %v did not panic", sources)
+					t.Fatalf("Accumulate with %v into %d slots did not panic", tc.sources, tc.bcLen)
 				}
 			}()
-			b.Accumulate(g, sources, make([]float64, g.NumNodes()))
+			b.Accumulate(g, tc.sources, make([]float64, tc.bcLen))
 		}()
+		checkBrandesMatches(t, g, b, []int32{3, 2, 49})
 	}
 }

@@ -477,22 +477,3 @@ func (s *MSBFSScratch) flush() {
 func (s *MSBFSScratch) LevelCounts(i int) []int32 {
 	return s.counts[i]
 }
-
-// ApproxDiameter estimates g's diameter with a double BFS sweep (BFS from
-// node 0, then from the farthest node found): a classic lower bound that is
-// exact on trees and within a small factor on the paper's graphs.
-// Distortion's Brandes election uses it to route high-diameter ball
-// subgraphs (lattices) onto the scalar path, where bit-parallel batching
-// loses (mask traffic repeats per level while frontiers stay thin). The
-// ball engine's distance sweeps route on the first leg's 90th-percentile
-// distance instead, which a few long chains do not move. Deterministic;
-// costs two traversals on s's scratch.
-func ApproxDiameter(g *Graph, s *BFSScratch) int {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	order := s.BFS(g, 0)
-	far := order[len(order)-1]
-	order = s.BFS(g, far)
-	return int(s.Dist(order[len(order)-1]))
-}

@@ -62,7 +62,7 @@ func (s *BFSScratch) BFS(g *Graph, src int32) []int32 {
 
 // Counts runs a traversal from src that also accumulates the number of
 // distinct shortest paths to every reached node (the sigma values of
-// Graph.BFSCounts), available through Sigma until the next traversal.
+// Graph.BFSCounts), available through Rows until the next traversal.
 func (s *BFSScratch) Counts(g *Graph, src int32) []int32 {
 	s.begin(g.NumNodes())
 	if len(s.sigma) < s.live.Len() {
@@ -122,18 +122,9 @@ func (s *BFSScratch) Dist(v int32) int32 {
 	return s.dist[v]
 }
 
-// Sigma returns v's shortest-path count in the last Counts traversal, or 0
-// for unreached nodes.
-func (s *BFSScratch) Sigma(v int32) float64 {
-	if !s.live.Seen(v) {
-		return 0
-	}
-	return s.sigma[v]
-}
-
 // Rows returns the raw distance and path-count rows backing the last Counts
 // traversal, for hot loops that index them directly instead of paying the
-// per-read epoch guard of Dist/Sigma. Entries are valid only at nodes that
+// per-read epoch guard of Dist. Entries are valid only at nodes that
 // traversal reached — stale values persist elsewhere, so callers must gate
 // on reachability (via Dist or the returned order) before indexing. Owned by
 // the scratch until the next traversal.

@@ -1,8 +1,8 @@
 package graph
 
 // Stamp is the epoch-stamped visited set shared by the scratch families in
-// the repository (BFSScratch, SubgraphScratch, the Brandes accumulator,
-// partition.Workspace's coarse-adjacency and region-growing marks). A
+// the repository (BFSScratch, SubgraphScratch, partition.Workspace's
+// coarse-adjacency and region-growing marks). A
 // traversal opens a new epoch with Begin instead of clearing its arrays,
 // so starting one costs O(1) rather than O(N); per-node liveness is
 // stamp[v] == epoch. Centralizing the rules here (growth resets the epoch,

@@ -335,15 +335,9 @@ func grownZero(b []float64, n int) []float64 {
 	return b[:n]
 }
 
-// rowProvider runs one traversal for source u and returns its exact
-// distance and path-count rows. guard, when non-nil, is the traversal whose
-// epoch-guarded Dist must gate targets because the rows are stale at
-// unreached nodes.
-type rowProvider func(ws *sweepScratch, u int32) (dist []int32, sigma []float64, guard *graph.BFSScratch)
-
-// visitFunc sweeps every target of source u into the worker's stream es.
-type visitFunc func(ws *sweepScratch, es *edgeStream, u int32,
-	dist []int32, sigma []float64, guard *graph.BFSScratch)
+// visitFunc runs source u's traversal on the worker's scratch ws and
+// sweeps every target of u into the worker's stream ws.stream.
+type visitFunc func(ws *sweepScratch, u int32)
 
 // workerBlocks cuts the q sorted sources into contiguous per-worker blocks
 // of near-equal pair count. The source at rank r pairs with its q−1−r later
@@ -382,17 +376,17 @@ func blockCuts(n, workers int, before func(k int) int64) []int {
 // sweep is the one link-value driver. The sorted sources are cut into
 // contiguous per-worker blocks balanced by pair count (half says whether
 // visit emits unordered or ordered pairs), so every source of worker w
-// precedes every source of worker w+1, and each worker takes its sources'
-// rows from rp and visits them in ascending order into its own stream. The
-// streams come back in worker order, which is the canonical (u, t) order
-// coverValuesStream relies on; release returns their scratches to the pool
-// once they have been read. The graph is immutable and every worker owns
-// its leased scratch, so the workers share nothing but read-only inputs. A
-// worker's panic stops the others at their next source and is re-raised
-// here; the scratches are then dropped, not pooled, since a sweep cut short
-// can leave them off their reset invariants.
+// precedes every source of worker w+1, and each worker visits its sources
+// in ascending order into its own stream. The streams come back in worker
+// order, which is the canonical (u, t) order coverValuesStream relies on;
+// release returns their scratches to the pool once they have been read.
+// The graph is immutable and every worker owns its leased scratch, so the
+// workers share nothing but read-only inputs. A worker's panic stops the
+// others at their next source and is re-raised here; the scratches are
+// then dropped, not pooled, since a sweep cut short can leave them off
+// their reset invariants.
 func sweep(opts *Options, sources []int32, numEdges int, half bool,
-	rp rowProvider, visit visitFunc) (streams []*edgeStream, release func()) {
+	visit visitFunc) (streams []*edgeStream, release func()) {
 
 	workers := opts.workers(len(sources))
 	blocks := workerBlocks(len(sources), workers, half)
@@ -409,8 +403,7 @@ func sweep(opts *Options, sources []int32, numEdges int, half bool,
 				if grp.Stopped() {
 					return
 				}
-				dist, sigma, guard := rp(ws, u)
-				visit(ws, ws.stream, u, dist, sigma, guard)
+				visit(ws, u)
 			}
 		})
 	}
@@ -419,15 +412,6 @@ func sweep(opts *Options, sources []int32, numEdges int, half bool,
 		for _, ws := range wss {
 			sweepPool.Put(ws)
 		}
-	}
-}
-
-// plainRows is the shortest-path row provider: one counting BFS per source.
-func plainRows(g *graph.Graph) rowProvider {
-	return func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
-		ws.bfs.Counts(g, u)
-		dist, sigma := ws.bfs.Rows()
-		return dist, sigma, ws.bfs
 	}
 }
 
@@ -441,7 +425,9 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 	n, m := g.NumNodes(), g.NumEdges()
 	off, adj := g.CSR()
 	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
-	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, guard *graph.BFSScratch) {
+	visit := func(ws *sweepScratch, u int32) {
+		ws.bfs.Counts(g, u)
+		dist, sigma := ws.bfs.Rows()
 		ws.gval = grownZero(ws.gval, n)
 		ws.beginPreds(n, m)
 		fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
@@ -449,17 +435,14 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 			if !inQ[t] {
 				continue
 			}
-			d := dist[t]
-			if guard != nil {
-				d = guard.Dist(t)
+			// The rows are stale at unreached nodes; the epoch-guarded
+			// Dist gates the targets.
+			if d := ws.bfs.Dist(t); d > 0 && d != graph.Unreached {
+				sweepTargetStream(u, t, int(d), fs, ws, ws.stream)
 			}
-			if d <= 0 || d == graph.Unreached {
-				continue
-			}
-			sweepTargetStream(u, t, int(d), fs, ws, es)
 		}
 	}
-	return sweep(opts, sources, m, true, plainRows(g), visit)
+	return sweep(opts, sources, m, true, visit)
 }
 
 // LinkValues computes link values under shortest-path routing. Source

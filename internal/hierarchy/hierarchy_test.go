@@ -247,12 +247,11 @@ func TestSweepWorkerPanicReachesCaller(t *testing.T) {
 	opts := &Options{Parallelism: 2}
 	got := func() (p any) {
 		defer func() { p = recover() }()
-		sweep(opts, sources, g.NumEdges(), true, plainRows(g),
-			func(_ *sweepScratch, _ *edgeStream, u int32, _ []int32, _ []float64, _ *graph.BFSScratch) {
-				if u == 50 {
-					panic("visit failed")
-				}
-			})
+		sweep(opts, sources, g.NumEdges(), true, func(_ *sweepScratch, u int32) {
+			if u == 50 {
+				panic("visit failed")
+			}
+		})
 		return nil
 	}()
 	if wp, ok := got.(*ball.WorkerPanic); !ok || wp.Value != "visit failed" {

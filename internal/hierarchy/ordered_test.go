@@ -17,7 +17,9 @@ func sweepOrdered(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([
 	n, m := g.NumNodes(), g.NumEdges()
 	off, adj := g.CSR()
 	arcIDs := graph.NewEdgeIndex(g).ArcIDs()
-	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, guard *graph.BFSScratch) {
+	visit := func(ws *sweepScratch, u int32) {
+		ws.bfs.Counts(g, u)
+		dist, sigma := ws.bfs.Rows()
 		ws.gval = grownZero(ws.gval, n)
 		ws.beginPreds(n, m)
 		fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
@@ -25,17 +27,12 @@ func sweepOrdered(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([
 			if t == u || !inQ[t] {
 				continue
 			}
-			d := dist[t]
-			if guard != nil {
-				d = guard.Dist(t)
+			if d := ws.bfs.Dist(t); d > 0 && d != graph.Unreached {
+				sweepTargetStream(u, t, int(d), fs, ws, ws.stream)
 			}
-			if d <= 0 || d == graph.Unreached {
-				continue
-			}
-			sweepTargetStream(u, t, int(d), fs, ws, es)
 		}
 	}
-	return sweep(opts, sources, m, false, plainRows(g), visit)
+	return sweep(opts, sources, m, false, visit)
 }
 
 // streamEntries collects every entry of the streams, in stream order.

@@ -24,37 +24,34 @@ func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
 
 	ns := policy.NumStates
-	rp := func(ws *sweepScratch, u int32) ([]int32, []float64, *graph.BFSScratch) {
-		ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
-		return ws.pdist, ws.psigma, nil
-	}
 	// Per-node policy distance = min over states. The product rows are
 	// fully initialized by the buffers' Unreached-reset invariant, so the
 	// state scan reads them raw. A product state has at most one
 	// predecessor per (arc into it, predecessor state), so 2m·NumStates
 	// bounds a source's predecessor lists.
-	visit := func(ws *sweepScratch, es *edgeStream, u int32, dist []int32, sigma []float64, _ *graph.BFSScratch) {
+	visit := func(ws *sweepScratch, u int32) {
+		ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
 		ws.gval = grownZero(ws.gval, n*ns)
 		ws.localW = grownZero(ws.localW, m)
 		ws.beginPreds(n*ns, 2*m*ns)
-		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: dist, sigma: sigma}
+		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: ws.pdist, sigma: ws.psigma}
 		for t := int32(0); t < int32(n); t++ {
 			if t == u || !inQ[t] {
 				continue
 			}
 			pdist := graph.Unreached
 			for s := 0; s < ns; s++ {
-				if d := dist[int(t)*ns+s]; d < pdist {
+				if d := ws.pdist[int(t)*ns+s]; d < pdist {
 					pdist = d
 				}
 			}
 			if pdist == graph.Unreached || pdist == 0 {
 				continue
 			}
-			sweepPolicyTarget(pp, u, t, int(pdist), ws, es)
+			sweepPolicyTarget(pp, u, t, int(pdist), ws, ws.stream)
 		}
 	}
-	streams, release := sweep(&opts, sources, m, false, rp, visit)
+	streams, release := sweep(&opts, sources, m, false, visit)
 	defer release()
 	values := coverValuesStream(m, n, streams, false, &opts)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}

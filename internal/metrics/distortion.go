@@ -33,31 +33,15 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 	return s
 }
 
-// brandesRoute names the Brandes accumulation path of the center election.
-// Both paths elect identical roots, so the route only changes speed.
-type brandesRoute int8
-
-const (
-	// brandesProbed probes the subgraph's diameter (cheap double BFS sweep)
-	// and routes on ball.MSBFSDiameterCutoff: past it the frontiers are thin
-	// and the scalar path wins; otherwise the bit-parallel kernel batches
-	// every sampled source through one shared level sweep. The only
-	// production setting; the forced routes serve the differential tests
-	// (export_test.go).
-	brandesProbed brandesRoute = iota
-	brandesScalar
-	brandesBitParallel
-)
-
 // distScratch is the distortion workspace family — the spanning-tree arrays
-// and the betweenness accumulators — leased per subgraph through the
-// unified ball.Pool layer. Traversal scratch (BFS, Brandes strips) comes
-// from the ball.Kernels bundle instead, so engine-driven calls share the
-// per-worker kernels every other ball metric uses.
+// and the betweenness accumulator — leased per subgraph through the
+// unified ball.Pool layer. The Brandes strips come from the ball.Kernels
+// bundle instead, so engine-driven calls share the per-worker kernels every
+// other ball metric uses.
 type distScratch struct {
 	parent, depth, queue []int32
 	sources              []int32
-	bc, delta            []float64
+	bc                   []float64
 }
 
 var distPool = ball.NewPool(func() *distScratch { return &distScratch{} })
@@ -66,10 +50,9 @@ var distPool = ball.NewPool(func() *distScratch { return &distScratch{} })
 // connected graph: the minimum, over BFS trees rooted at the top `roots`
 // betweenness candidates, of the average tree distance between edge
 // endpoints; 0 for graphs with no edges. The betweenness election runs on
-// k's BFS scratch or bit-parallel Brandes strips, as the diameter probe
-// routes, and the tree arrays come from the pooled distortion workspace, so
-// the per-ball hot path is allocation-free. k needs only BFS and Brandes;
-// a bundle built outside an engine records no counters.
+// k's bit-parallel Brandes strips, and the tree arrays come from the pooled
+// distortion workspace, so the per-ball hot path is allocation-free. k
+// needs only Brandes; a bundle built outside an engine records no counters.
 //
 // A tree (connected, m = n−1) is its own only spanning tree, so it answers
 // exactly 1 without an election: every candidate root's BFS tree is the
@@ -79,17 +62,24 @@ func SubgraphDistortionKernels(sub *graph.Graph, roots int, k *ball.Kernels) flo
 	if n := sub.NumNodes(); n >= 2 && sub.NumEdges() == n-1 {
 		return 1
 	}
-	return subgraphDistortion(sub, roots, brandesProbed, k)
+	return subgraphDistortion(sub, roots, k)
 }
 
-func subgraphDistortion(sub *graph.Graph, roots int, route brandesRoute, k *ball.Kernels) float64 {
-	n := sub.NumNodes()
-	if n < 2 || sub.NumEdges() == 0 {
+// subgraphDistortion is SubgraphDistortionKernels without the tree answer:
+// it always runs the election.
+func subgraphDistortion(sub *graph.Graph, roots int, k *ball.Kernels) float64 {
+	if sub.NumNodes() < 2 || sub.NumEdges() == 0 {
 		return 0
 	}
 	ws := distPool.Get()
 	defer distPool.Put(ws)
-	centers := topBetweenness(sub, roots, route, k, ws)
+	return minTreeDistortion(sub, topBetweenness(sub, roots, k, ws), ws)
+}
+
+// minTreeDistortion returns the least average tree distance between edge
+// endpoints over the BFS trees rooted at centers.
+func minTreeDistortion(sub *graph.Graph, centers []int32, ws *distScratch) float64 {
+	n := sub.NumNodes()
 	// One scratch set serves every candidate root: each BFS rewrites the
 	// tree arrays in full, and the edge sweep order is fixed by the CSR.
 	ws.parent = growInts(ws.parent, n)
@@ -105,76 +95,36 @@ func subgraphDistortion(sub *graph.Graph, roots int, route brandesRoute, k *ball
 	return best
 }
 
+// maxSources caps the sampled Brandes sources of one election.
+const maxSources = 24
+
+// electionSources appends to buf the sources an n-node subgraph's election
+// samples: the first min(n, maxSources) nodes of a permutation seeded by n.
+func electionSources(n int, buf []int32) []int32 {
+	perm := rand.New(rand.NewSource(int64(n)*7919 + 17)).Perm(n)
+	for _, v := range perm[:min(n, maxSources)] {
+		buf = append(buf, int32(v))
+	}
+	return buf
+}
+
 // topBetweenness returns up to k nodes with the highest approximate
-// betweenness, computed by Brandes' accumulation from a sample of sources —
-// scalar per source or bit-parallel per batch, per route.
-func topBetweenness(g *graph.Graph, k int, route brandesRoute, kn *ball.Kernels, ws *distScratch) []int32 {
-	n := g.NumNodes()
-	sources := n
-	const maxSources = 24
-	if sources > maxSources {
-		sources = maxSources
-	}
-	ws.bc = growFloats(ws.bc, n)
-	bc := ws.bc
-	for i := range bc {
-		bc[i] = 0
-	}
-	r := rand.New(rand.NewSource(int64(n)*7919 + 17))
-	perm := r.Perm(n)
-	if route == brandesProbed {
-		if graph.ApproxDiameter(g, kn.BFS) > ball.MSBFSDiameterCutoff {
-			route = brandesScalar
-		} else {
-			route = brandesBitParallel
-		}
-	}
-	if route == brandesBitParallel {
-		ws.sources = ws.sources[:0]
-		for si := 0; si < sources; si++ {
-			ws.sources = append(ws.sources, int32(perm[si]))
-		}
-		batches := int64(0)
-		for lo := 0; lo < len(ws.sources); lo += graph.BrandesWidth {
-			hi := lo + graph.BrandesWidth
-			if hi > len(ws.sources) {
-				hi = len(ws.sources)
-			}
-			kn.Brandes.Accumulate(g, ws.sources[lo:hi], bc)
-			batches++
-		}
-		kn.CountBrandes(batches, 0)
-	} else {
-		kn.CountBrandes(0, 1)
-		// The scalar fallback runs the exact accumulation (and float
-		// ordering) of the original per-source loop, on pooled epoch-
-		// stamped scratch instead of three fresh arrays per source.
-		ws.delta = growFloats(ws.delta, n)
-		delta := ws.delta
-		s := kn.BFS
-		for si := 0; si < sources; si++ {
-			src := int32(perm[si])
-			order := s.Counts(g, src)
-			for i := range delta {
-				delta[i] = 0
-			}
-			for i := len(order) - 1; i >= 0; i-- {
-				w := order[i]
-				dw := s.Dist(w)
-				for _, v := range g.Neighbors(w) {
-					if s.Dist(v) == dw-1 {
-						delta[v] += s.Sigma(v) / s.Sigma(w) * (1 + delta[w])
-					}
-				}
-				if w != src {
-					bc[w] += delta[w]
-				}
-			}
-		}
-	}
-	// Partial top-k selection by (betweenness desc, id asc): one insertion
-	// pass over bc into a k-slot slice, instead of materializing and
-	// selection-sorting an n-entry candidate slice per ball.
+// betweenness: Brandes' accumulation from the sampled sources, all of them
+// in one bit-parallel batch on kn's strips.
+func topBetweenness(g *graph.Graph, k int, kn *ball.Kernels, ws *distScratch) []int32 {
+	ws.bc = growFloats(ws.bc, g.NumNodes())
+	clear(ws.bc)
+	ws.sources = electionSources(g.NumNodes(), ws.sources[:0])
+	kn.Brandes.Accumulate(g, ws.sources, ws.bc) // maxSources <= graph.BrandesWidth
+	kn.CountBrandes(1)
+	return topK(ws.bc, k)
+}
+
+// topK returns up to k nodes by (bc desc, id asc): one insertion pass over
+// bc into a k-slot slice, instead of materializing and selection-sorting an
+// n-entry candidate slice per ball.
+func topK(bc []float64, k int) []int32 {
+	n := len(bc)
 	if k > n {
 		k = n
 	}

@@ -19,7 +19,7 @@ func defaultCfg(sources int) ball.Config {
 // newKernels returns a kernel bundle built outside an engine, enough for
 // SubgraphDistortionKernels.
 func newKernels() *ball.Kernels {
-	return &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
+	return &ball.Kernels{Brandes: graph.NewBrandesScratch()}
 }
 
 // --- Expansion ---

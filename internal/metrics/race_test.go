@@ -30,7 +30,7 @@ func TestBrandesRaceShort(t *testing.T) {
 	}
 	sub := canonical.Random(rand.New(rand.NewSource(12)), 90, 0.08)
 	newKernels := func() *ball.Kernels {
-		return &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
+		return &ball.Kernels{Brandes: graph.NewBrandesScratch()}
 	}
 	wantSub := metrics.SubgraphDistortionKernels(sub, 6, newKernels())
 

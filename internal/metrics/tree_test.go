@@ -46,8 +46,9 @@ func pruferTree(r *rand.Rand, n int) *graph.Graph {
 	return b.Graph()
 }
 
-// checkTreeAnswer fails unless both forced election routes answer exactly
-// 1.0 on tree g, as SubgraphDistortionKernels' early return does.
+// checkTreeAnswer fails unless the election and the scalar reference
+// election both answer exactly 1.0 on tree g, as SubgraphDistortionKernels'
+// early return does.
 func checkTreeAnswer(t *testing.T, name string, g *graph.Graph, k *ball.Kernels) {
 	t.Helper()
 	if g.NumEdges() != g.NumNodes()-1 {
@@ -55,21 +56,21 @@ func checkTreeAnswer(t *testing.T, name string, g *graph.Graph, k *ball.Kernels)
 	}
 	one := math.Float64bits(1)
 	got := metrics.SubgraphDistortionKernels(g, 3, k)
-	sc := metrics.SubgraphDistortionScalar(g, 3, k)
-	bp := metrics.SubgraphDistortionBitParallel(g, 3, k)
-	if math.Float64bits(got) != one || math.Float64bits(sc) != one || math.Float64bits(bp) != one {
-		t.Fatalf("%s (%d nodes): kernels %v, scalar election %v, bit-parallel election %v; want exactly 1",
-			name, g.NumNodes(), got, sc, bp)
+	el := metrics.SubgraphDistortionElection(g, 3, k)
+	sc := metrics.SubgraphDistortionScalar(g, 3)
+	if math.Float64bits(got) != one || math.Float64bits(el) != one || math.Float64bits(sc) != one {
+		t.Fatalf("%s (%d nodes): kernels %v, election %v, scalar election %v; want exactly 1",
+			name, g.NumNodes(), got, el, sc)
 	}
 }
 
 // TestDistortionTreeAnswer pins SubgraphDistortionKernels' tree answer
-// against the full election, which the forced routes still run: on random
+// against the full election and the scalar reference election: on random
 // Prüfer trees, paths, stars and every tree ball the quick-scale suite's
-// distortion stage meets on Linear, Tree, PLRG and AS, both routes must
-// answer 1.0 exactly.
+// distortion stage meets on Linear, Tree, PLRG and AS, both must answer
+// 1.0 exactly.
 func TestDistortionTreeAnswer(t *testing.T) {
-	k := &ball.Kernels{BFS: graph.NewBFSScratch(), Brandes: graph.NewBrandesScratch()}
+	k := &ball.Kernels{Brandes: graph.NewBrandesScratch()}
 	r := rand.New(rand.NewSource(3))
 	for n := 2; n <= 300; n += 1 + n/10 {
 		checkTreeAnswer(t, "Prüfer tree", pruferTree(r, n), k)
@@ -114,7 +115,7 @@ func TestDistortionTreeAnswer(t *testing.T) {
 // TestDistortionUnicyclicRunsElection checks that the tree answer needs
 // m = n−1 exactly: a cycle with a pendant path (m = n) and every ball of
 // it that holds the cycle still runs the election, and agrees with the
-// forced scalar route bit for bit.
+// scalar reference election bit for bit.
 func TestDistortionUnicyclicRunsElection(t *testing.T) {
 	b := graph.NewStreamBuilder(16)
 	for v := int32(0); v < 15; v++ {
@@ -125,9 +126,7 @@ func TestDistortionUnicyclicRunsElection(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := ball.NewEngine(g, 1)
 	e.Instrument(reg)
-	elections := func() int64 {
-		return reg.Counter("ball.brandes_batches").Value() + reg.Counter("ball.brandes_scalar").Value()
-	}
+	elections := func() int64 { return reg.Counter("ball.brandes_batches").Value() }
 	cyclic := 0
 	e.BallPointsKernels(ball.Config{MaxSources: 16, MinBallSize: 3, Rand: rand.New(rand.NewSource(1))}, 0,
 		func(sub *graph.Graph, _ int, _ *rand.Rand, k *ball.Kernels) (float64, bool) {
@@ -139,7 +138,7 @@ func TestDistortionUnicyclicRunsElection(t *testing.T) {
 			}
 			if sub.NumEdges() == sub.NumNodes() {
 				cyclic++
-				if sc := metrics.SubgraphDistortionScalar(sub, 3, k); math.Float64bits(d) != math.Float64bits(sc) {
+				if sc := metrics.SubgraphDistortionScalar(sub, 3); math.Float64bits(d) != math.Float64bits(sc) {
 					t.Fatalf("%d-node unicyclic ball: distortion %v, scalar election %v", sub.NumNodes(), d, sc)
 				}
 				if d <= 1 {

@@ -81,13 +81,13 @@ func BenchmarkBrandes(b *testing.B) {
 				clear(bc)
 				for _, src := range sources {
 					order := s.Counts(g, src)
+					dist, sigma := s.Rows()
 					clear(delta)
 					for i := len(order) - 1; i >= 0; i-- {
 						w := order[i]
-						dw := s.Dist(w)
 						for _, v := range g.Neighbors(w) {
-							if s.Dist(v) == dw-1 {
-								delta[v] += s.Sigma(v) / s.Sigma(w) * (1 + delta[w])
+							if dist[v] == dist[w]-1 {
+								delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
 							}
 						}
 						if w != src {

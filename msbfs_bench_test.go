@@ -32,12 +32,10 @@ func msbfsBenchNets() []*core.Network {
 	return msbfsNetsOnce.nets
 }
 
-// msbfsRouteNets are the families whose distance sweeps batch only because
-// the ball engine routes on the spread of distances rather than the
-// diameter: RL and Tiers at scale 1.0, seed 1, named RL@1.0 and Tiers@1.0.
-// Their diameters (42 and 45) pass ball.MSBFSDiameterCutoff and their
-// 90th-percentile distances from node 0 (14 and 29) do not.
-func msbfsRouteNets() []*core.Network {
+// msbfsLongNets are two long-diameter families, RL and Tiers at scale 1.0,
+// seed 1, named RL@1.0 and Tiers@1.0 (diameters 42 and 45): the batched
+// kernel is the ball engine's only distance route, long sweeps included.
+func msbfsLongNets() []*core.Network {
 	opts := core.PaperSetOptions{Seed: 1, Scale: 1.0}
 	rl, tiers := *core.BuildMeasured(opts).RL, *core.BuildNetwork("Tiers", opts)
 	rl.Name, tiers.Name = "RL@1.0", "Tiers@1.0"
@@ -50,7 +48,7 @@ func msbfsRouteNets() []*core.Network {
 // MSBFS batch over the same sources in the level-counts mode those metrics
 // read.
 func BenchmarkMSBFS(b *testing.B) {
-	for _, n := range slices.Concat(msbfsBenchNets(), msbfsRouteNets()) {
+	for _, n := range slices.Concat(msbfsBenchNets(), msbfsLongNets()) {
 		g := n.Graph
 		r := rand.New(rand.NewSource(7))
 		perm := r.Perm(g.NumNodes())

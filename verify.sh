@@ -10,7 +10,8 @@
 #         level sweep (per-level rule, all top-down, all bottom-up)
 #         against scalar BFS, ball sizes against closed forms, the ball
 #         engine's one-ball-per-bucket radius selection against the
-#         eligible radii, link values over
+#         eligible radii, bit-parallel Brandes against the scalar
+#         accumulation, link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, and the coarsening, induced-subgraph,
 #         vertex-cover/clustering, provider-pick and traceroute-walk
@@ -83,14 +84,22 @@ echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =
 # Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
 # scratch: RunLevels against Graph.BFS with each level's direction picked
 # by the rule, all top-down and all bottom-up. Then width-1 engine ball sizes
-# on Mesh, Tree and Linear at fuzzed sizes, on both sides of the diameter
-# cutoff, against their closed forms. Then the radii the engine's ball
+# on Mesh, Tree and Linear at fuzzed sizes, from the batched rows and the
+# scalar profiles, against their closed forms. Then the radii the engine's ball
 # curves evaluate on random small graphs at random size limits: one per
 # size bucket the eligible radii reach, nearest the bucket's log midpoint,
 # the same at parallelism 1 and 4.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
 go test -run '^$' -fuzz '^FuzzBallBucketSelection$' -fuzztime 5s ./internal/ball
+
+echo "== fuzz: bit-parallel Brandes against the scalar accumulation =="
+# Raw-byte graphs of up to 64 nodes, disconnected ones included, 1-64
+# sources with repeats: BrandesScratch.Accumulate against the per-source
+# scalar loop the distortion election ran before it batched (the reference
+# lives in internal/metrics/export_test.go), one scratch on a graph and
+# then on a smaller one; betweenness within 1e-9 relative error.
+go test -run '^$' -fuzz '^FuzzBrandesMatchesScalar$' -fuzztime 5s ./internal/metrics
 
 echo "== fuzz: link values over unordered pairs against brute force =="
 # Raw-byte graphs of up to 48 nodes, full or sampled pair universes: the

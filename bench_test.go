@@ -27,7 +27,6 @@ import (
 	"topocmp/internal/hierarchy"
 	"topocmp/internal/metrics"
 	"topocmp/internal/multicast"
-	"topocmp/internal/partition"
 	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
@@ -128,7 +127,7 @@ func BenchmarkFigure2ResilienceRaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		metrics.ResilienceWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 6, MaxBallSize: 800,
-			Rand: rand.New(rand.NewSource(int64(i)))}, partition.Options{}, 1)
+			Rand: rand.New(rand.NewSource(int64(i)))}, 1)
 	}
 }
 
@@ -519,30 +518,6 @@ func BenchmarkAblationDistortionRoots(b *testing.B) {
 			if last.Len() > 0 {
 				b.ReportMetric(last.Points[last.Len()-1].Y, "distortion")
 			}
-		})
-	}
-}
-
-func BenchmarkAblationPartitioner(b *testing.B) {
-	g := benchGraph()
-	sub := g.Subgraph(g.Ball(0, 4))
-	cases := []struct {
-		name string
-		opts partition.Options
-	}{
-		{"fm-multilevel", partition.Options{}},
-		{"no-refinement", partition.Options{Refinements: -1, Seeds: 1}},
-		{"many-seeds", partition.Options{Seeds: 12}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cut := 0
-			for i := 0; i < b.N; i++ {
-				o := c.opts
-				o.Rand = rand.New(rand.NewSource(int64(i)))
-				cut = partition.CutSizeWith(partition.NewWorkspace(), sub, o)
-			}
-			b.ReportMetric(float64(cut), "cut")
 		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
 	"topocmp/internal/metrics"
-	"topocmp/internal/partition"
 	"topocmp/internal/plot"
 	"topocmp/internal/stats"
 )
@@ -64,8 +63,7 @@ func main() {
 				Rand: rand.New(rand.NewSource(*seed))})
 		},
 		"resilience": func() stats.Series {
-			return metrics.ResilienceWith(eng(), cfg(1), partition.Options{},
-				rand.New(rand.NewSource(*seed+100)).Int63())
+			return metrics.ResilienceWith(eng(), cfg(1), rand.New(rand.NewSource(*seed+100)).Int63())
 		},
 		"distortion":  func() stats.Series { return metrics.DistortionWith(eng(), cfg(2), 3) },
 		"eigenvalues": func() stats.Series { return metrics.EigenvalueSpectrum(g, 40) },

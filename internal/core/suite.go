@@ -220,8 +220,7 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 		})
 	})
 	stage("resilience", func() {
-		res.Resilience = metrics.ResilienceWith(eng, curveCfg(), partition.Options{},
-			opts.Seed+100)
+		res.Resilience = metrics.ResilienceWith(eng, curveCfg(), opts.Seed+100)
 	})
 	stage("distortion", func() { res.Distortion = metrics.DistortionWith(eng, curveCfg(), 3) })
 	stage("eigenvalues", func() { res.Eigenvalues = metrics.EigenvalueSpectrum(g, opts.EigenRank) })
@@ -295,15 +294,14 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 	return res, nil
 }
 
-// policyRouting returns the path-tree and ball builders of the policy
-// routing the Figure 2(d-f) variants grow their balls under: the router
-// overlay's when the network has one, the annotated AS graph's otherwise.
-func (n *Network) policyRouting() (paths func(*policy.PathTree, int32) *policy.PathTree,
-	grow func(src int32, h int) policy.Ball) {
+// policyRouting returns the path-tree builder of the policy routing the
+// Figure 2(d-f) variants grow their balls under: the router overlay's when
+// the network has one, the annotated AS graph's otherwise.
+func (n *Network) policyRouting() func(*policy.PathTree, int32) *policy.PathTree {
 	if n.Overlay != nil {
-		return n.Overlay.PathsInto, n.Overlay.PolicyBall
+		return n.Overlay.PathsInto
 	}
-	return n.Policy.PathsInto, n.Policy.PolicyBall
+	return n.Policy.PathsInto
 }
 
 // policyCum fills cum with the policy ball sizes around a finished path
@@ -334,8 +332,8 @@ func policyCum(pt *policy.PathTree, numNodes int32, cum []int32) []int32 {
 // lowers the measured resilience ("the resilience of the RL and AS graphs
 // decreases... although its qualitative behavior remains unchanged").
 // Like the engine's curves, each center evaluates one ball per size bucket
-// (ball.BucketRadii), chosen from the sizes of one path tree, so the
-// policy balls are grown only at the selected radii.
+// (ball.BucketRadii), chosen from the sizes of one path tree, and every
+// ball is read from that tree: one product BFS per center.
 func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series) {
 	g := n.Graph
 	cfg := ball.Config{
@@ -343,8 +341,7 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 		Rand:       rand.New(rand.NewSource(opts.Seed + 1)),
 	}
 	centers := ball.Centers(g, &cfg)
-	paths, grow := n.policyRouting()
-	popts := partition.Options{Rand: rand.New(rand.NewSource(opts.Seed + 100))}
+	paths := n.policyRouting()
 	// One kernel bundle serves the whole sequential sweep: the partition
 	// workspace for the cuts, the Brandes strips for the distortion
 	// election. Workspace-backed kernels are bit-identical to fresh ones.
@@ -352,12 +349,13 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 	var pt *policy.PathTree
 	var cum []int32
 	var resRaw, distRaw []stats.Point
+	rng := rand.New(rand.NewSource(opts.Seed + 100))
 	for _, src := range centers {
 		pt = paths(pt, src)
 		cum = policyCum(pt, int32(g.NumNodes()), cum)
 		for _, h := range ball.BucketRadii(cum, 3, opts.MaxBallSize) {
-			sub := grow(src, h).Subgraph()
-			cut := partition.CutSizeWith(k.Part, sub, popts)
+			sub := pt.Ball(h).Subgraph()
+			cut := partition.CutSizeWith(k.Part, sub, rng)
 			resRaw = append(resRaw, stats.Point{X: float64(sub.NumNodes()), Y: float64(cut)})
 			if d := metrics.SubgraphDistortionKernels(sub, 3, k); d > 0 {
 				distRaw = append(distRaw, stats.Point{X: float64(sub.NumNodes()), Y: d})
@@ -377,7 +375,7 @@ func policyExpansion(n *Network, cfg ball.Config) stats.Series {
 	g := n.Graph
 	total := float64(g.NumNodes())
 	centers := ball.Centers(g, &cfg)
-	paths, _ := n.policyRouting()
+	paths := n.policyRouting()
 	// Per-center cumulative reach profiles, saturated to the global
 	// maximum eccentricity afterwards. One product-space tree serves every
 	// center: PathsInto recycles the dist/parent/best arrays, and the

@@ -17,7 +17,6 @@ import (
 	"topocmp/internal/graph"
 	"topocmp/internal/hierarchy"
 	"topocmp/internal/metrics"
-	"topocmp/internal/partition"
 	"topocmp/internal/stats"
 )
 
@@ -102,8 +101,7 @@ func basicCurves(g *graph.Graph, cfg Config) (e, res, d stats.Series) {
 	}
 	e = metrics.ExpansionWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 4 * cfg.Suite.Sources,
 		Rand: rand.New(rand.NewSource(seed))})
-	res = metrics.ResilienceWith(ball.NewEngine(g, 1), mkCfg(1), partition.Options{},
-		rand.New(rand.NewSource(seed+100)).Int63())
+	res = metrics.ResilienceWith(ball.NewEngine(g, 1), mkCfg(1), rand.New(rand.NewSource(seed+100)).Int63())
 	d = metrics.DistortionWith(ball.NewEngine(g, 1), mkCfg(2), 3)
 	return e, res, d
 }

@@ -69,7 +69,7 @@ func bruteLinkValues(g *graph.Graph, opts Options) *Result {
 		for ; hi < len(entries) && entries[hi].edge == entries[lo].edge; hi++ {
 			group = append(group, coverEntry{u: entries[hi].u, t: entries[hi].t, w: entries[hi].w})
 		}
-		values[entries[lo].edge] = edgeCover(group, ws, false)
+		values[entries[lo].edge] = edgeCoverOrdered(group, ws)
 		lo = hi
 	}
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources)}
@@ -219,7 +219,7 @@ func FuzzLinkValuesMatchesBrute(f *testing.F) {
 		for _, p := range half {
 			mirrored = append(mirrored, pairEntry{edge: p.edge, u: p.t, t: p.u, w: p.w})
 		}
-		ordered, _ := coversOf(mirrored, g.NumEdges(), n, false)
+		ordered, _ := coversOf(mirrored, g.NumEdges(), n, edgeCoverOrdered)
 		got := LinkValues(g, opts(1)).Values
 		if !slices.Equal(got, ordered) {
 			t.Fatalf("LinkValues %v, mirrored ordered cover %v", got, ordered)

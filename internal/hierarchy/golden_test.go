@@ -1,6 +1,7 @@
 package hierarchy_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -64,13 +65,15 @@ func TestLinkValueGoldenParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestHalfCoversMatchOrderedRoute checks the sweep over unordered pairs
-// against the ordered sweep it replaced, kept in ordered_test.go, on every
-// quick-scale family (RL on its core, as the suite computes link values):
-// each edge's cover holds the same nodes, and its value is within 4 ulp.
-// The reverse copies' fractions, computed from the other endpoint's rows,
-// are the only difference between the routes. LinkValues must return the
-// half route's values bit for bit.
+// TestHalfCoversMatchOrderedRoute checks the sweeps over unordered pairs
+// against the ordered sweeps they replaced, kept in ordered_test.go: plain
+// routing on every quick-scale family (RL on its core, as the suite
+// computes link values), and policy routing on the quick-scale AS graph at
+// seeds 1-5 with the suite's 384 sources and seed+400 sampling. Each
+// edge's cover holds the same nodes, and its value is within 4 ulp. The
+// reverse copies' fractions, computed from the other endpoint's rows, are
+// the only difference between the routes. LinkValues and PolicyLinkValues
+// must return the half routes' values bit for bit.
 func TestHalfCoversMatchOrderedRoute(t *testing.T) {
 	opts := core.PaperSetOptions{Seed: 1, Scale: 0.12}
 	ms := core.BuildMeasured(opts)
@@ -81,30 +84,51 @@ func TestHalfCoversMatchOrderedRoute(t *testing.T) {
 	for _, name := range append(append([]string{}, core.GeneratedNetworkNames...), core.CanonicalNetworkNames...) {
 		nets[name] = core.BuildNetwork(name, opts).Graph
 	}
-	const maxULP = 4
 	for name, g := range nets {
 		half, halfCovers := hierarchy.HalfCovers(g, sampled(128, 1))
 		ordered, orderedCovers := hierarchy.OrderedCovers(g, sampled(128, 1))
-		moved := 0
-		for e := range half {
-			if !slices.Equal(halfCovers[e], orderedCovers[e]) {
-				t.Fatalf("%s edge %v: half cover %v, ordered cover %v",
-					name, g.Edges()[e], halfCovers[e], orderedCovers[e])
-			}
-			d := int64(math.Float64bits(half[e])) - int64(math.Float64bits(ordered[e]))
-			if d < -maxULP || d > maxULP {
-				t.Fatalf("%s edge %v: half value %v, ordered %v (%d ulp)",
-					name, g.Edges()[e], half[e], ordered[e], d)
-			}
-			if d != 0 {
-				moved++
-			}
-		}
+		sameCovers(t, name, g, half, halfCovers, ordered, orderedCovers)
 		if got := hierarchy.LinkValues(g, sampled(128, 1)); !reflect.DeepEqual(got.Values, half) {
 			t.Errorf("%s: LinkValues differs from the half route's covers", name)
 		}
-		t.Logf("%s: %d of %d values moved", name, moved, len(half))
 	}
+	for seed := int64(1); seed <= 5; seed++ {
+		a := core.BuildMeasured(core.PaperSetOptions{Seed: seed, Scale: 0.12}).AS.Policy
+		suite := func() hierarchy.Options {
+			return hierarchy.Options{MaxSources: 384, Rand: rand.New(rand.NewSource(seed + 400)), Parallelism: 1}
+		}
+		name := fmt.Sprintf("AS(Policy) seed %d", seed)
+		half, halfCovers := hierarchy.PolicyHalfCovers(a, suite())
+		ordered, orderedCovers := hierarchy.PolicyOrderedCovers(a, suite())
+		sameCovers(t, name, a.G, half, halfCovers, ordered, orderedCovers)
+		if got := hierarchy.PolicyLinkValues(a, suite()); !reflect.DeepEqual(got.Values, half) {
+			t.Errorf("%s: PolicyLinkValues differs from the half route's covers", name)
+		}
+	}
+}
+
+// sameCovers fails unless every edge keeps its cover across the two routes
+// and its value moves by at most 4 ulp, and logs how many values moved.
+func sameCovers(t *testing.T, name string, g *graph.Graph,
+	half []float64, halfCovers [][]int32, ordered []float64, orderedCovers [][]int32) {
+	t.Helper()
+	const maxULP = 4
+	moved := 0
+	for e := range half {
+		if !slices.Equal(halfCovers[e], orderedCovers[e]) {
+			t.Fatalf("%s edge %v: half cover %v, ordered cover %v",
+				name, g.Edges()[e], halfCovers[e], orderedCovers[e])
+		}
+		d := int64(math.Float64bits(half[e])) - int64(math.Float64bits(ordered[e]))
+		if d < -maxULP || d > maxULP {
+			t.Fatalf("%s edge %v: half value %v, ordered %v (%d ulp)",
+				name, g.Edges()[e], half[e], ordered[e], d)
+		}
+		if d != 0 {
+			moved++
+		}
+	}
+	t.Logf("%s: %d of %d values moved", name, moved, len(half))
 }
 
 // TestPolicyLinkValueGoldenParallelMatchesSequential is the policy-routing

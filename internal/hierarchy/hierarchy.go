@@ -21,6 +21,7 @@ import (
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
 	"topocmp/internal/obs"
+	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
 
@@ -141,8 +142,8 @@ func (r *Result) DegreeCorrelationDegrees(deg []int) float64 {
 }
 
 // pairEntry is one (source, target) pair crossing an edge with the fraction
-// of its shortest paths that do so. Plain sweeps emit each unordered pair
-// once, as u < t; policy sweeps emit both orders.
+// of its shortest paths that do so. The sweeps emit each unordered pair
+// once, as u < t.
 type pairEntry struct {
 	edge uint32
 	u, t int32
@@ -307,12 +308,11 @@ type sweepScratch struct {
 	// stream is the worker's entry store. It persists its arena across
 	// leases and must not return to the pool until the cover has read it.
 	stream *edgeStream
-	// Product-space traversal buffers for policy sweeps, reused through
-	// policy.ProductCountsInto (reset via porder, so they carry their own
-	// zero-at-rest invariant).
-	pdist  []int32
-	psigma []float64
-	porder []int32
+	// The policy sweeps' product-space path tree and path-count row, both
+	// recycled from source to source (PathsInto and CountsInto refill them
+	// whole).
+	tree  *policy.PathTree
+	sigma []float64
 }
 
 var sweepPool = ball.NewPool(func() *sweepScratch {
@@ -341,17 +341,13 @@ type visitFunc func(ws *sweepScratch, u int32)
 
 // workerBlocks cuts the q sorted sources into contiguous per-worker blocks
 // of near-equal pair count. The source at rank r pairs with its q−1−r later
-// sources when half is set (the unordered-pair sweep) and with all q−1
-// others otherwise, so cutting by source count would hand the first worker
-// of two three quarters of a half sweep. Worker w gets sources [b[w],
-// b[w+1]), within one source's pairs of an equal share.
-func workerBlocks(q, workers int, half bool) []int {
+// sources, so cutting by source count would hand the first worker of two
+// three quarters of the sweep. Worker w gets sources [b[w], b[w+1]),
+// within one source's pairs of an equal share.
+func workerBlocks(q, workers int) []int {
 	return blockCuts(q, workers, func(k int) int64 { // pairs of the sources ranked below k
 		r := int64(k)
-		if half {
-			return r*int64(q-1) - r*(r-1)/2
-		}
-		return r * int64(q-1)
+		return r*int64(q-1) - r*(r-1)/2
 	})
 }
 
@@ -374,22 +370,22 @@ func blockCuts(n, workers int, before func(k int) int64) []int {
 }
 
 // sweep is the one link-value driver. The sorted sources are cut into
-// contiguous per-worker blocks balanced by pair count (half says whether
-// visit emits unordered or ordered pairs), so every source of worker w
-// precedes every source of worker w+1, and each worker visits its sources
-// in ascending order into its own stream. The streams come back in worker
-// order, which is the canonical (u, t) order coverValuesStream relies on;
-// release returns their scratches to the pool once they have been read.
+// contiguous per-worker blocks balanced by pair count, so every source of
+// worker w precedes every source of worker w+1, and each worker visits its
+// sources in ascending order into its own stream. The streams come back in
+// worker order, which is the canonical (u, t) order coverValuesStream
+// relies on; release returns their scratches to the pool once they have
+// been read.
 // The graph is immutable and every worker owns its leased scratch, so the
 // workers share nothing but read-only inputs. A worker's panic stops the
 // others at their next source and is re-raised here; the scratches are
 // then dropped, not pooled, since a sweep cut short can leave them off
 // their reset invariants.
-func sweep(opts *Options, sources []int32, numEdges int, half bool,
+func sweep(opts *Options, sources []int32, numEdges int,
 	visit visitFunc) (streams []*edgeStream, release func()) {
 
 	workers := opts.workers(len(sources))
-	blocks := workerBlocks(len(sources), workers, half)
+	blocks := workerBlocks(len(sources), workers)
 	wss := make([]*sweepScratch, workers)
 	streams = make([]*edgeStream, workers)
 	var grp ball.Group
@@ -442,7 +438,7 @@ func sweepPlain(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([]*
 			}
 		}
 	}
-	return sweep(opts, sources, m, true, visit)
+	return sweep(opts, sources, m, visit)
 }
 
 // LinkValues computes link values under shortest-path routing. Source
@@ -455,7 +451,7 @@ func LinkValues(g *graph.Graph, opts Options) *Result {
 	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
 	streams, release := sweepPlain(g, &opts, sources, inQ)
 	defer release()
-	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams, true, &opts)
+	values := coverValuesStream(g.NumEdges(), g.NumNodes(), streams, &opts)
 	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
@@ -638,20 +634,20 @@ func sampleSources(n int, opts Options) ([]int32, []bool) {
 // coverValuesStream computes every edge's link value from the workers'
 // entry streams: per-node traversal weights W(x,e) (the average pair
 // fraction over the pairs containing x), then the primal-dual weighted
-// vertex cover per edge. half says the streams hold each unordered pair
-// once (see edgeCover).
+// vertex cover per edge. The streams hold each unordered pair once (see
+// edgeCover).
 //
 // Each edge's cover reads only its own entries, so the buckets split into
 // contiguous ranges of near-equal entry count, one per worker; every worker
 // leases its own cover scratch and writes only its buckets' slots of
 // values, so the result is the same at every worker count. One worker runs
 // on the caller's goroutine.
-func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool, opts *Options) []float64 {
+func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, opts *Options) []float64 {
 	values := make([]float64, numEdges)
 	buckets := numEdges>>coverBucketShift + 1
 	workers := opts.workers(buckets)
 	if workers == 1 {
-		coverBuckets(0, buckets, numNodes, streams, half, values)
+		coverBuckets(0, buckets, numNodes, streams, values)
 		return values
 	}
 	// Entries in the buckets below b, the per-bucket cost of the split.
@@ -666,7 +662,7 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool,
 	var grp ball.Group
 	for w := 0; w < workers; w++ {
 		lo, hi := cuts[w], cuts[w+1]
-		grp.Go(func() { coverBuckets(lo, hi, numNodes, streams, half, values) })
+		grp.Go(func() { coverBuckets(lo, hi, numNodes, streams, values) })
 	}
 	grp.Wait()
 	return values
@@ -679,7 +675,7 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, half bool,
 // stable counting sort by edge then lands every group in the canonical
 // (edge, u, t) order the order-dependent primal-dual needs, with no global
 // sort. Only one bucket's entries are ever copied.
-func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, half bool, values []float64) {
+func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, values []float64) {
 	ws := coverPool.Get()
 	defer coverPool.Put(ws)
 	ws.ensure(numNodes)
@@ -725,7 +721,7 @@ func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, half bool, values
 			if len(group) == 0 {
 				continue
 			}
-			values[first+uint32(c)] = edgeCover(group, ws, half)
+			values[first+uint32(c)] = edgeCover(group, ws)
 		}
 	}
 }
@@ -789,9 +785,9 @@ func growPairs(b []coverEntry, n int) []coverEntry {
 // bit-deterministic across runs and worker counts. On return
 // ws.coverOrder holds the final cover in construction order.
 //
-// With half set, pairs holds each unordered pair once, as (a, b) with
-// a < b, and the value equals the ordered route's over the same pairs with
-// every entry mirrored as (b, a):
+// pairs holds each unordered pair once, as (a, b) with a < b, and the value
+// equals the cover over the ordered pairs with every entry mirrored as
+// (b, a) (the reference fold in ordered_test.go):
 //   - A node x's weight folds, in the ordered stream, its entries with a
 //     smaller partner (A) as targets, then the same pairs again at the
 //     start of its own source block, then its entries with a larger
@@ -802,32 +798,36 @@ func growPairs(b []coverEntry, n int) []coverEntry {
 //     (a, b) precedes (b, a) in canonical order, so the ordered route
 //     skips every mirrored entry.
 //   - The prune reads partner sets, which the mirrors do not change.
-func edgeCover(pairs []coverEntry, ws *coverScratch, half bool) float64 {
+func edgeCover(pairs []coverEntry, ws *coverScratch) float64 {
 	nodes := ws.nodes[:0]
-	add := func(v int32, w float64) {
-		if ws.cnt[v] == 0 {
-			nodes = append(nodes, v)
-		}
-		ws.sum[v] += w
-		ws.cnt[v]++
-	}
-	if half {
-		for range 2 {
-			for _, p := range pairs {
-				add(p.t, p.w)
-			}
-		}
-		for range 2 {
-			for _, p := range pairs {
-				add(p.u, p.w)
-			}
-		}
-	} else {
+	for range 2 {
 		for _, p := range pairs {
-			add(p.u, p.w)
-			add(p.t, p.w)
+			nodes = ws.add(nodes, p.t, p.w)
 		}
 	}
+	for range 2 {
+		for _, p := range pairs {
+			nodes = ws.add(nodes, p.u, p.w)
+		}
+	}
+	return ws.cover(pairs, nodes)
+}
+
+// add folds one entry's weight into node v's traversal weight, appending v
+// to nodes, the group's distinct nodes in first-touch order, on its first
+// entry.
+func (ws *coverScratch) add(nodes []int32, v int32, w float64) []int32 {
+	if ws.cnt[v] == 0 {
+		nodes = append(nodes, v)
+	}
+	ws.sum[v] += w
+	ws.cnt[v]++
+	return nodes
+}
+
+// cover runs the primal-dual cover and the prune over pairs, once the
+// weights of the group's nodes are folded (add), and restores the scratch.
+func (ws *coverScratch) cover(pairs []coverEntry, nodes []int32) float64 {
 	for _, v := range nodes {
 		w := ws.sum[v] / float64(ws.cnt[v])
 		ws.weight[v] = w

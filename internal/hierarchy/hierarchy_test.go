@@ -247,7 +247,7 @@ func TestSweepWorkerPanicReachesCaller(t *testing.T) {
 	opts := &Options{Parallelism: 2}
 	got := func() (p any) {
 		defer func() { p = recover() }()
-		sweep(opts, sources, g.NumEdges(), true, func(_ *sweepScratch, u int32) {
+		sweep(opts, sources, g.NumEdges(), func(_ *sweepScratch, u int32) {
 			if u == 50 {
 				panic("visit failed")
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"topocmp/internal/graph"
+	"topocmp/internal/policy"
 )
 
 // sweepOrdered is the ordered plain sweep LinkValues ran before it swept
@@ -32,7 +33,49 @@ func sweepOrdered(g *graph.Graph, opts *Options, sources []int32, inQ []bool) ([
 			}
 		}
 	}
-	return sweep(opts, sources, m, false, visit)
+	return sweep(opts, sources, m, visit)
+}
+
+// sweepPolicyOrdered is the ordered policy sweep PolicyLinkValues ran
+// before it swept unordered pairs, on the claim that valley-free routes
+// need not be symmetric: per source u, every sampled target t ≠ u. It
+// survives as the reference the half route must agree with.
+func sweepPolicyOrdered(a *policy.Annotated, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {
+	n, m := a.G.NumNodes(), a.G.NumEdges()
+	off, _ := a.G.CSR()
+	arcIDs := graph.NewEdgeIndex(a.G).ArcIDs()
+	ns := policy.NumStates
+	visit := func(ws *sweepScratch, u int32) {
+		ws.tree = a.PathsInto(ws.tree, u)
+		var dist []int32
+		dist, ws.sigma = ws.tree.CountsInto(ws.sigma)
+		ws.gval = grownZero(ws.gval, n*ns)
+		ws.localW = grownZero(ws.localW, m)
+		ws.beginPreds(n*ns, 2*m*ns)
+		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: dist, sigma: ws.sigma}
+		for t := int32(0); t < int32(n); t++ {
+			if t == u || !inQ[t] {
+				continue
+			}
+			if d := ws.tree.Dist(t); d > 0 && d != graph.Unreached {
+				sweepPolicyTarget(pp, u, t, int(d), ws, ws.stream)
+			}
+		}
+	}
+	return sweep(opts, sources, m, visit)
+}
+
+// edgeCoverOrdered is the cover over an ordered stream, which holds each
+// pair twice, as (u, t) and (t, u): every entry folds into both of its
+// nodes' weights, in canonical order. edgeCover replays this fold from the
+// half stream.
+func edgeCoverOrdered(pairs []coverEntry, ws *coverScratch) float64 {
+	nodes := ws.nodes[:0]
+	for _, p := range pairs {
+		nodes = ws.add(nodes, p.u, p.w)
+		nodes = ws.add(nodes, p.t, p.w)
+	}
+	return ws.cover(pairs, nodes)
 }
 
 // streamEntries collects every entry of the streams, in stream order.
@@ -50,8 +93,11 @@ func streamEntries(streams []*edgeStream) []pairEntry {
 }
 
 // coversOf sorts entries into the canonical (edge, u, t) order and covers
-// each edge's group, returning every edge's value and final cover set.
-func coversOf(entries []pairEntry, numEdges, numNodes int, half bool) ([]float64, [][]int32) {
+// each edge's group with cover (edgeCover for a half stream,
+// edgeCoverOrdered for an ordered one), returning every edge's value and
+// final cover set.
+func coversOf(entries []pairEntry, numEdges, numNodes int,
+	cover func([]coverEntry, *coverScratch) float64) ([]float64, [][]int32) {
 	slices.SortFunc(entries, func(x, y pairEntry) int {
 		return cmp.Or(cmp.Compare(x.edge, y.edge), cmp.Compare(x.u, y.u), cmp.Compare(x.t, y.t))
 	})
@@ -66,61 +112,60 @@ func coversOf(entries []pairEntry, numEdges, numNodes int, half bool) ([]float64
 		for ; lo < len(entries) && entries[lo].edge == e; lo++ {
 			group = append(group, coverEntry{u: entries[lo].u, t: entries[lo].t, w: entries[lo].w})
 		}
-		values[e] = edgeCover(group, ws, half)
+		values[e] = cover(group, ws)
 		covers[e] = slices.Clone(ws.coverOrder)
 		slices.Sort(covers[e])
 	}
 	return values, covers
 }
 
-// routeCovers runs one route's sweep — sw, with its entries covered as
-// half says — and returns every edge's value and cover set.
-func routeCovers(g *graph.Graph, opts Options, half bool,
-	sw func(*graph.Graph, *Options, []int32, []bool) ([]*edgeStream, func())) ([]float64, [][]int32) {
+// routeSweep is one route's sweep over a fixed graph.
+type routeSweep func(opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func())
+
+// routeCovers runs one route's sweep over a graph of n nodes and m edges,
+// covers its entries with cover, and returns every edge's value and cover
+// set.
+func routeCovers(n, m int, opts Options, sw routeSweep,
+	cover func([]coverEntry, *coverScratch) float64) ([]float64, [][]int32) {
 	opts.defaults()
-	sources, inQ := sampleSources(g.NumNodes(), opts)
-	streams, release := sw(g, &opts, sources, inQ)
+	sources, inQ := sampleSources(n, opts)
+	streams, release := sw(&opts, sources, inQ)
 	defer release()
-	return coversOf(streamEntries(streams), g.NumEdges(), g.NumNodes(), half)
+	return coversOf(streamEntries(streams), m, n, cover)
 }
 
 // TestWorkerBlocksBalancePairs checks how sweep splits its sources:
 // contiguous blocks covering every source, each within one source's pairs
-// of an equal share, on both routes.
+// of an equal share.
 func TestWorkerBlocksBalancePairs(t *testing.T) {
 	for _, q := range []int{1, 2, 3, 7, 64, 383, 384, 1000} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			if workers > q {
 				continue
 			}
-			for _, half := range []bool{true, false} {
-				srcPairs := make([]int64, q)
-				var total, maxSrc int64
-				for r := 0; r < q; r++ {
-					p := int64(q - 1)
-					if half {
-						p = int64(q - 1 - r)
-					}
-					srcPairs[r] = p
-					total += p
-					maxSrc = max(maxSrc, p)
+			srcPairs := make([]int64, q)
+			var total, maxSrc int64
+			for r := 0; r < q; r++ {
+				p := int64(q - 1 - r)
+				srcPairs[r] = p
+				total += p
+				maxSrc = max(maxSrc, p)
+			}
+			b := workerBlocks(q, workers)
+			if len(b) != workers+1 || b[0] != 0 || b[workers] != q {
+				t.Fatalf("q=%d workers=%d: blocks %v", q, workers, b)
+			}
+			for w := 0; w < workers; w++ {
+				if b[w] > b[w+1] {
+					t.Fatalf("q=%d workers=%d: blocks %v not ascending", q, workers, b)
 				}
-				b := workerBlocks(q, workers, half)
-				if len(b) != workers+1 || b[0] != 0 || b[workers] != q {
-					t.Fatalf("q=%d workers=%d half=%v: blocks %v", q, workers, half, b)
+				var pairs int64
+				for _, p := range srcPairs[b[w]:b[w+1]] {
+					pairs += p
 				}
-				for w := 0; w < workers; w++ {
-					if b[w] > b[w+1] {
-						t.Fatalf("q=%d workers=%d half=%v: blocks %v not ascending", q, workers, half, b)
-					}
-					var pairs int64
-					for _, p := range srcPairs[b[w]:b[w+1]] {
-						pairs += p
-					}
-					if d := pairs*int64(workers) - total; d > maxSrc*int64(workers) || -d > maxSrc*int64(workers) {
-						t.Errorf("q=%d workers=%d half=%v: worker %d sweeps %d pairs, share %d/%d, source %d",
-							q, workers, half, w, pairs, total, workers, maxSrc)
-					}
+				if d := pairs*int64(workers) - total; d > maxSrc*int64(workers) || -d > maxSrc*int64(workers) {
+					t.Errorf("q=%d workers=%d: worker %d sweeps %d pairs, share %d/%d, source %d",
+						q, workers, w, pairs, total, workers, maxSrc)
 				}
 			}
 		}

@@ -11,50 +11,50 @@ import (
 // concentrated, the highest link values are larger").
 //
 // It runs on the same sweep, streams and cover as LinkValues, over
-// ordered pairs: valley-free routes need not be symmetric, so the pair
-// (t, u) may cross other edges, or the same ones with other fractions. Each
-// source's rows come from one product BFS (policy.ProductCountsInto).
+// unordered pairs. Reversing a valley-free path swaps its provider and
+// customer hops and keeps its peer and sibling hops, so the reverse of
+// every shortest valley-free path from u to t is one from t to u: the pair
+// (t, u) crosses the same edges with the same fractions, and the cover
+// replays its weights from the (u, t) copy (edgeCover).
 func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.defaults()
-	g := a.G
-	n, m := g.NumNodes(), g.NumEdges()
-	off, _ := g.CSR()
-	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
+	n, m := a.G.NumNodes(), a.G.NumEdges()
 	sources, inQ := sampleSources(n, opts)
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
+	streams, release := sweepPolicy(a, &opts, sources, inQ)
+	defer release()
+	values := coverValuesStream(m, n, streams, &opts)
+	return &Result{Edges: a.G.Edges(), Values: values, N: len(sources), Nodes: n}
+}
 
+// sweepPolicy runs PolicyLinkValues' sweep: per source u, one path tree and
+// its path counts (policy.PathTree.CountsInto), then the product-space
+// ancestor DAG of every sampled target t > u, in ascending target order. A
+// product state has at most one predecessor per (arc into it, predecessor
+// state), so 2m·NumStates bounds a source's predecessor lists.
+func sweepPolicy(a *policy.Annotated, opts *Options, sources []int32, inQ []bool) ([]*edgeStream, func()) {
+	n, m := a.G.NumNodes(), a.G.NumEdges()
+	off, _ := a.G.CSR()
+	arcIDs := graph.NewEdgeIndex(a.G).ArcIDs() // shared, read-only across workers
 	ns := policy.NumStates
-	// Per-node policy distance = min over states. The product rows are
-	// fully initialized by the buffers' Unreached-reset invariant, so the
-	// state scan reads them raw. A product state has at most one
-	// predecessor per (arc into it, predecessor state), so 2m·NumStates
-	// bounds a source's predecessor lists.
 	visit := func(ws *sweepScratch, u int32) {
-		ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(ws.pdist, ws.psigma, ws.porder, u)
+		ws.tree = a.PathsInto(ws.tree, u)
+		var dist []int32
+		dist, ws.sigma = ws.tree.CountsInto(ws.sigma)
 		ws.gval = grownZero(ws.gval, n*ns)
 		ws.localW = grownZero(ws.localW, m)
 		ws.beginPreds(n*ns, 2*m*ns)
-		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: ws.pdist, sigma: ws.psigma}
-		for t := int32(0); t < int32(n); t++ {
-			if t == u || !inQ[t] {
+		pp := &policyPreds{a: a, off: off, arcIDs: arcIDs, dist: dist, sigma: ws.sigma}
+		for t := u + 1; t < int32(n); t++ {
+			if !inQ[t] {
 				continue
 			}
-			pdist := graph.Unreached
-			for s := 0; s < ns; s++ {
-				if d := ws.pdist[int(t)*ns+s]; d < pdist {
-					pdist = d
-				}
+			if d := ws.tree.Dist(t); d > 0 && d != graph.Unreached {
+				sweepPolicyTarget(pp, u, t, int(d), ws, ws.stream)
 			}
-			if pdist == graph.Unreached || pdist == 0 {
-				continue
-			}
-			sweepPolicyTarget(pp, u, t, int(pdist), ws, ws.stream)
 		}
 	}
-	streams, release := sweep(&opts, sources, m, false, visit)
-	defer release()
-	values := coverValuesStream(m, n, streams, false, &opts)
-	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
+	return sweep(opts, sources, m, visit)
 }
 
 // policyPreds bundles one source's inputs to the product-space predecessor

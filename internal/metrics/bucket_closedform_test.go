@@ -24,7 +24,7 @@ func TestBucketCurvesOnPath(t *testing.T) {
 		cfg := func() ball.Config {
 			return ball.Config{MaxSources: 12, MaxBallSize: 300, Rand: rand.New(rand.NewSource(int64(n)))}
 		}
-		res := ResilienceWith(ball.NewEngine(g, 2), cfg(), partition.Options{}, 5)
+		res := ResilienceWith(ball.NewEngine(g, 2), cfg(), 5)
 		dist := DistortionWith(ball.NewEngine(g, 2), cfg(), 3)
 		for _, p := range res.Points {
 			if p.Y < 1 || p.Y >= 2 {
@@ -81,13 +81,13 @@ func TestBucketCurvesOnComplete(t *testing.T) {
 		cuts := 0.0
 		for i := range min(n, 4) {
 			cuts += float64(partition.CutSizeWith(partition.NewWorkspace(), g,
-				partition.Options{Rand: rand.New(rand.NewSource(seed + int64(i)))}))
+				rand.New(rand.NewSource(seed+int64(i)))))
 		}
 		for _, c := range []struct {
 			s    stats.Series
 			want float64
 		}{
-			{ResilienceWith(eng, cfg(), partition.Options{}, seed), cuts / float64(min(n, 4))},
+			{ResilienceWith(eng, cfg(), seed), cuts / float64(min(n, 4))},
 			{DistortionWith(eng, cfg(), 3), float64((n-1)+2*(m-(n-1))) / float64(m)},
 			{VertexCoverCurveWith(eng, cfg()), float64(n - 1)},
 			{BiconnectivityCurveWith(eng, cfg()), 1},

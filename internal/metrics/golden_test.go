@@ -60,7 +60,7 @@ func sameSeries(t *testing.T, name string, got stats.Series, want []stats.Point)
 func TestResilienceSeriesGolden(t *testing.T) {
 	s := ResilienceWith(ball.NewEngine(goldenPLRG(), 1),
 		ball.Config{MaxSources: 6, MaxBallSize: 400, Rand: rand.New(rand.NewSource(2))},
-		partition.Options{}, 1)
+		1)
 	sameSeries(t, "resilience", s, []stats.Point{
 		{X: 2, Y: 1}, {X: 3, Y: 1}, {X: 4, Y: 2}, {X: 6, Y: 3}, {X: 7.5, Y: 3},
 		{X: 17, Y: 8.5}, {X: 24, Y: 11}, {X: 39, Y: 7}, {X: 42, Y: 6.5},
@@ -100,11 +100,11 @@ func TestResilienceWorkspaceMatchesFresh(t *testing.T) {
 	const seed = 1
 	freshRaw := ball.NewEngine(g, 1).BallPoints(cfg(), seed,
 		func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
-			return float64(partition.CutSizeWith(partition.NewWorkspace(), sub, partition.Options{Rand: rng})), true
+			return float64(partition.CutSizeWith(partition.NewWorkspace(), sub, rng)), true
 		})
 	fresh := stats.Bucketize(freshRaw, stats.BucketRatio)
 	for _, par := range []int{1, 4} {
-		got := ResilienceWith(ball.NewEngine(g, par), cfg(), partition.Options{}, seed)
+		got := ResilienceWith(ball.NewEngine(g, par), cfg(), seed)
 		if len(got.Points) != len(fresh.Points) {
 			t.Fatalf("parallelism %d: %d points, want %d", par, len(got.Points), len(fresh.Points))
 		}

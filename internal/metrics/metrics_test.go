@@ -9,7 +9,6 @@ import (
 	"topocmp/internal/gen/canonical"
 	"topocmp/internal/gen/plrg"
 	"topocmp/internal/graph"
-	"topocmp/internal/partition"
 )
 
 func defaultCfg(sources int) ball.Config {
@@ -70,7 +69,7 @@ func TestExpansionEmptyGraph(t *testing.T) {
 
 func TestResilienceTreeLow(t *testing.T) {
 	g := canonical.Tree(3, 6)
-	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(12), partition.Options{}, 1)
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(12), 1)
 	// Tiny balls around internal nodes are stars, whose balanced cut is
 	// necessarily ~n/2; and a complete k-ary tree needs ~log n cuts for a
 	// balanced split. The tree's signature is therefore *flat, low*
@@ -89,7 +88,7 @@ func TestResilienceTreeLow(t *testing.T) {
 func TestResilienceRandomGrows(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := canonical.Random(r, 1200, 0.004) // avg degree ~4.8
-	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(10), partition.Options{}, 1)
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(10), 1)
 	if s.Len() < 3 {
 		t.Fatalf("too few resilience points: %d", s.Len())
 	}
@@ -109,9 +108,9 @@ func TestResilienceOrdering(t *testing.T) {
 	tree := canonical.Tree(2, 9)
 	mesh := canonical.Mesh(32, 32)
 	random := canonical.Random(r, 1100, 0.004)
-	st := ResilienceWith(ball.NewEngine(tree, 1), defaultCfg(8), partition.Options{}, 1)
-	sm := ResilienceWith(ball.NewEngine(mesh, 1), defaultCfg(8), partition.Options{}, 1)
-	sr := ResilienceWith(ball.NewEngine(random, 1), defaultCfg(8), partition.Options{}, 1)
+	st := ResilienceWith(ball.NewEngine(tree, 1), defaultCfg(8), 1)
+	sm := ResilienceWith(ball.NewEngine(mesh, 1), defaultCfg(8), 1)
+	sr := ResilienceWith(ball.NewEngine(random, 1), defaultCfg(8), 1)
 	size := 400.0
 	if !(st.YAt(size) < sm.YAt(size) && sm.YAt(size) < sr.YAt(size)) {
 		t.Fatalf("ordering violated: tree=%v mesh=%v random=%v",

@@ -16,20 +16,18 @@ import (
 // geometric buckets.
 //
 // Each center partitions its balls with an RNG derived from
-// seed+centerIndex (popts.Rand is ignored), which keeps the series
+// seed+centerIndex, which keeps the series
 // bit-identical at every engine parallelism. Callers that hold a seeded
 // RNG rather than a seed draw it once, rand.New(src).Int63(), and pass the
 // result. Cut computations run on the engine's pooled per-worker partition
 // workspaces, so steady-state partitioning does not allocate.
-func ResilienceWith(e *ball.Engine, cfg ball.Config, popts partition.Options, seed int64) stats.Series {
+func ResilienceWith(e *ball.Engine, cfg ball.Config, seed int64) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2
 	}
 	raw := e.BallPointsKernels(cfg, seed,
 		func(sub *graph.Graph, _ int, rng *rand.Rand, k *ball.Kernels) (float64, bool) {
-			o := popts
-			o.Rand = rng
-			return float64(partition.CutSizeWith(k.Part, sub, o)), true
+			return float64(partition.CutSizeWith(k.Part, sub, rng)), true
 		})
 	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "resilience"

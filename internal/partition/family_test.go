@@ -27,7 +27,7 @@ func TestBisectMatchesHeapOnPaperBalls(t *testing.T) {
 		cut  int
 		side []bool
 	}
-	replay := func(g *graph.Graph, bisect func(*ball.Kernels, *graph.Graph, partition.Options) (int, []bool)) []result {
+	replay := func(g *graph.Graph, bisect func(*ball.Kernels, *graph.Graph, *rand.Rand) (int, []bool)) []result {
 		var out []result
 		ballCfg := ball.Config{
 			MaxSources:  cfg.Suite.Sources,
@@ -37,17 +37,17 @@ func TestBisectMatchesHeapOnPaperBalls(t *testing.T) {
 		}
 		ball.NewEngine(g, 1).BallPointsKernels(ballCfg, cfg.Suite.Seed+100,
 			func(sub *graph.Graph, _ int, rng *rand.Rand, k *ball.Kernels) (float64, bool) {
-				cut, side := bisect(k, sub, partition.Options{Rand: rng})
+				cut, side := bisect(k, sub, rng)
 				out = append(out, result{cut, side})
 				return 0, false
 			})
 		return out
 	}
 	for _, n := range nets {
-		got := replay(n.Graph, func(k *ball.Kernels, sub *graph.Graph, o partition.Options) (int, []bool) {
+		got := replay(n.Graph, func(k *ball.Kernels, sub *graph.Graph, o *rand.Rand) (int, []bool) {
 			return partition.BisectWith(k.Part, sub, o)
 		})
-		want := replay(n.Graph, func(_ *ball.Kernels, sub *graph.Graph, o partition.Options) (int, []bool) {
+		want := replay(n.Graph, func(_ *ball.Kernels, sub *graph.Graph, o *rand.Rand) (int, []bool) {
 			return partition.BisectHeap(sub, o)
 		})
 		if len(got) == 0 || len(got) != len(want) {

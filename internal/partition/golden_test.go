@@ -25,13 +25,11 @@ func TestCutSizeGolden(t *testing.T) {
 		got  int
 		want int
 	}{
-		{"mesh20", CutSizeWith(NewWorkspace(), mesh, Options{Rand: rand.New(rand.NewSource(11))}), 20},
-		{"tree3x6", CutSizeWith(NewWorkspace(), tree, Options{Rand: rand.New(rand.NewSource(12))}), 5},
-		{"random300", CutSizeWith(NewWorkspace(), random, Options{Rand: rand.New(rand.NewSource(13))}), 355},
-		{"plrg600", CutSizeWith(NewWorkspace(), p, Options{Rand: rand.New(rand.NewSource(14))}), 54},
-		{"plrg600-defaults", CutSizeWith(NewWorkspace(), p, Options{}), 36},
-		{"mesh20-seeds12", CutSizeWith(NewWorkspace(), mesh, Options{Seeds: 12, Rand: rand.New(rand.NewSource(15))}), 20},
-		{"plrg600-bal.52-ref6", CutSizeWith(NewWorkspace(), p, Options{Balance: 0.52, Refinements: 6, Rand: rand.New(rand.NewSource(16))}), 63},
+		{"mesh20", CutSizeWith(NewWorkspace(), mesh, rand.New(rand.NewSource(11))), 20},
+		{"tree3x6", CutSizeWith(NewWorkspace(), tree, rand.New(rand.NewSource(12))), 5},
+		{"random300", CutSizeWith(NewWorkspace(), random, rand.New(rand.NewSource(13))), 355},
+		{"plrg600", CutSizeWith(NewWorkspace(), p, rand.New(rand.NewSource(14))), 54},
+		{"plrg600-defaults", CutSizeWith(NewWorkspace(), p, nil), 36},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -62,13 +60,13 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, gc := range graphs {
 			seed := int64(100*round + 1)
-			reused := CutSizeWith(ws, gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
-			fresh := CutSizeWith(NewWorkspace(), gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
+			reused := CutSizeWith(ws, gc.g, rand.New(rand.NewSource(seed)))
+			fresh := CutSizeWith(NewWorkspace(), gc.g, rand.New(rand.NewSource(seed)))
 			if reused != fresh {
 				t.Fatalf("round %d %s: workspace cut %d != fresh cut %d",
 					round, gc.name, reused, fresh)
 			}
-			cutB, side := BisectWith(ws, gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
+			cutB, side := BisectWith(ws, gc.g, rand.New(rand.NewSource(seed)))
 			if cutB != fresh {
 				t.Fatalf("round %d %s: BisectWith cut %d != fresh cut %d",
 					round, gc.name, cutB, fresh)

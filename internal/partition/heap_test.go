@@ -64,16 +64,16 @@ func gainUp(h []moveCand, j int) {
 // refineHeap is refine as it ran on the lazy binary heap: every gain change
 // pushes a fresh entry, and a popped entry is skipped when its node has
 // moved or its gain is stale.
-func (ws *Workspace) refineHeap(l *level, side []bool, opts *Options) {
+func (ws *Workspace) refineHeap(l *level, side []bool, balance float64, passes int) {
 	n := l.numNodes()
 	total := l.totalNodeW()
-	maxSide := int(opts.Balance * float64(total))
+	maxSide := int(balance * float64(total))
 	if maxSide*2 < total {
 		maxSide = (total + 1) / 2
 	}
 	gain := make([]int, n)
 	moved := make([]bool, n)
-	for pass := 0; pass < opts.Refinements; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		weightTrue := 0
 		for v := 0; v < n; v++ {
 			if side[v] {
@@ -156,8 +156,10 @@ func (ws *Workspace) refineHeap(l *level, side []bool, opts *Options) {
 
 // bisectHeap runs bisect's phases with refineHeap in place of refine on a
 // fresh workspace and returns a freshly allocated side slice.
-func bisectHeap(g *graph.Graph, opts Options) (int, []bool) {
-	opts.defaults()
+func bisectHeap(g *graph.Graph, r *rand.Rand) (int, []bool) {
+	if r == nil {
+		r = rand.New(rand.NewSource(1))
+	}
 	n := g.NumNodes()
 	if n < 2 {
 		return 0, make([]bool, n)
@@ -170,7 +172,7 @@ func bisectHeap(g *graph.Graph, opts Options) (int, []bool) {
 	cur := l0
 	for cur.numNodes() > coarsestSize {
 		next := ws.levelAt(depth + 1)
-		ws.coarsen(cur, next, opts.Rand)
+		ws.coarsen(cur, next, r)
 		if next.numNodes() >= cur.numNodes() {
 			break
 		}
@@ -178,15 +180,15 @@ func bisectHeap(g *graph.Graph, opts Options) (int, []bool) {
 		cur = next
 	}
 	cur.side = growBool(cur.side, cur.numNodes())
-	ws.initialBisection(cur, cur.side, &opts)
-	ws.refineHeap(cur, cur.side, &opts)
+	ws.initialBisection(cur, cur.side, r)
+	ws.refineHeap(cur, cur.side, balance, refinements)
 	for i := depth - 1; i >= 0; i-- {
 		lv := ws.levels[i]
 		lv.side = growBool(lv.side, lv.numNodes())
 		for v := range lv.side {
 			lv.side[v] = ws.levels[i+1].side[lv.cmap[v]]
 		}
-		ws.refineHeap(lv, lv.side, &opts)
+		ws.refineHeap(lv, lv.side, balance, refinements)
 	}
 	return cutOf(l0, l0.side), slices.Clone(l0.side)
 }
@@ -219,16 +221,15 @@ func randomLevel(r *rand.Rand, n int, p float64) (*level, []bool) {
 
 // checkRefineMatchesHeap refines one random level with both queues and
 // fails unless the side arrays agree exactly.
-func checkRefineMatchesHeap(t *testing.T, seed int64, n int, p, balance float64, refinements int) {
+func checkRefineMatchesHeap(t *testing.T, seed int64, n int, p, balance float64, passes int) {
 	t.Helper()
 	l, side := randomLevel(rand.New(rand.NewSource(seed)), n, p)
-	opts := Options{Balance: balance, Refinements: refinements}
 	got, want := slices.Clone(side), slices.Clone(side)
-	NewWorkspace().refine(l, got, &opts)
-	NewWorkspace().refineHeap(l, want, &opts)
+	NewWorkspace().refine(l, got, balance, passes)
+	NewWorkspace().refineHeap(l, want, balance, passes)
 	if !slices.Equal(got, want) {
-		t.Fatalf("seed %d n %d p %.3f balance %.3f refinements %d: bucket sides %v, heap sides %v",
-			seed, n, p, balance, refinements, got, want)
+		t.Fatalf("seed %d n %d p %.3f balance %.3f passes %d: bucket sides %v, heap sides %v",
+			seed, n, p, balance, passes, got, want)
 	}
 }
 

@@ -14,7 +14,7 @@
 //     level, moving nodes in (gain descending, node id ascending) order
 //     off a gain-bucket queue.
 //
-// All internal iteration orders are deterministic, so a fixed Options.Rand
+// All internal iteration orders are deterministic, so a fixed Rand
 // reproduces the same partition.
 //
 // The solver is allocation-free in steady state: every phase runs on a
@@ -114,48 +114,34 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Options tunes the bisection.
-type Options struct {
-	// Balance is the maximum allowed share of total node weight on the
+// The bisection's fixed parameters.
+const (
+	// balance is the maximum allowed share of total node weight on the
 	// heavier side; the paper's "approximately n/2" corresponds to ~0.55.
-	Balance float64
-	// Seeds is the number of region-growing starts tried on the coarsest
+	balance = 0.55
+	// seeds is the number of region-growing starts tried on the coarsest
 	// graph.
-	Seeds int
-	// Refinements is the number of FM passes per uncoarsening level.
-	Refinements int
-	// Rand drives tie-breaking; nil uses a fixed seed.
-	Rand *rand.Rand
-}
-
-func (o *Options) defaults() {
-	if o.Balance == 0 {
-		o.Balance = 0.55
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 4
-	}
-	if o.Refinements == 0 {
-		o.Refinements = 4
-	}
-	if o.Rand == nil {
-		o.Rand = rand.New(rand.NewSource(1))
-	}
-}
+	seeds = 4
+	// refinements is the number of FM passes per uncoarsening level.
+	refinements = 4
+)
 
 // CutSizeWith computes a balanced bipartition of g on ws's recycled
 // buffers and returns its cut size: the number of edges crossing the
 // partition. Graphs with fewer than two nodes have cut 0. It performs no
-// per-call allocation once the workspace is warm.
-func CutSizeWith(ws *Workspace, g *graph.Graph, opts Options) int {
-	c, _ := bisect(ws, g, opts)
+// per-call allocation once the workspace is warm. r drives tie-breaking;
+// nil uses a fixed seed.
+func CutSizeWith(ws *Workspace, g *graph.Graph, r *rand.Rand) int {
+	c, _ := bisect(ws, g, r)
 	return c
 }
 
 // bisect runs the three phases; the returned side aliases workspace storage
 // and is valid until the next call.
-func bisect(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
-	opts.defaults()
+func bisect(ws *Workspace, g *graph.Graph, r *rand.Rand) (int, []bool) {
+	if r == nil {
+		r = rand.New(rand.NewSource(1))
+	}
 	n := g.NumNodes()
 	if n < 2 {
 		l0 := ws.level0()
@@ -172,7 +158,7 @@ func bisect(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
 	cur := l0
 	for cur.numNodes() > coarsestSize {
 		next := ws.levelAt(depth + 1)
-		ws.coarsen(cur, next, opts.Rand)
+		ws.coarsen(cur, next, r)
 		if next.numNodes() >= cur.numNodes() {
 			break // no progress
 		}
@@ -180,15 +166,15 @@ func bisect(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
 		cur = next
 	}
 	cur.side = growBool(cur.side, cur.numNodes())
-	ws.initialBisection(cur, cur.side, &opts)
-	ws.refine(cur, cur.side, &opts)
+	ws.initialBisection(cur, cur.side, r)
+	ws.refine(cur, cur.side, balance, refinements)
 	for i := depth - 1; i >= 0; i-- {
 		lv := ws.levels[i]
 		lv.side = growBool(lv.side, lv.numNodes())
 		for v := range lv.side {
 			lv.side[v] = ws.levels[i+1].side[lv.cmap[v]]
 		}
-		ws.refine(lv, lv.side, &opts)
+		ws.refine(lv, lv.side, balance, refinements)
 	}
 	return cutOf(l0, l0.side), l0.side
 }
@@ -202,7 +188,7 @@ func (ws *Workspace) levelAt(i int) *level {
 	return ws.levels[i]
 }
 
-// permInto refills ws.perm with opts.Rand.Perm(n) using the exact
+// permInto refills ws.perm with r.Perm(n) using the exact
 // math/rand.Perm recurrence, so the RNG stream (and therefore every
 // downstream tie-break) is bit-identical to the historical Perm call while
 // reusing one buffer.
@@ -339,13 +325,13 @@ func (ws *Workspace) contract(fine, coarse *level, nc int) {
 
 // initialBisection grows a region by BFS from several random seeds and
 // writes the assignment with the smallest cut into best.
-func (ws *Workspace) initialBisection(l *level, best []bool, opts *Options) {
+func (ws *Workspace) initialBisection(l *level, best []bool, r *rand.Rand) {
 	n := l.numNodes()
 	total := l.totalNodeW()
 	ws.cand = growBool(ws.cand, n)
 	bestCut := -1
-	for s := 0; s < opts.Seeds; s++ {
-		seed := int32(opts.Rand.Intn(n))
+	for s := 0; s < seeds; s++ {
+		seed := int32(r.Intn(n))
 		ws.visit.Begin(n)
 		cand := ws.cand
 		for i := range cand {
@@ -378,22 +364,23 @@ func (ws *Workspace) initialBisection(l *level, best []bool, opts *Options) {
 	}
 }
 
-// refine runs Fiduccia–Mattheyses passes: each pass tentatively moves every
-// node once in best-gain-first order (negative gains included, balance
-// respected), then rolls back to the prefix of moves with the smallest cut.
-// A node the balance check rejects leaves the queue until a neighbour's
-// move changes its gain.
-func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
+// refine runs up to passes Fiduccia–Mattheyses passes: each pass
+// tentatively moves every node once in best-gain-first order (negative
+// gains included, no side above the balance share of the node weight), then
+// rolls back to the prefix of moves with the smallest cut. A node the
+// balance check rejects leaves the queue until a neighbour's move changes
+// its gain.
+func (ws *Workspace) refine(l *level, side []bool, balance float64, passes int) {
 	n := l.numNodes()
 	total := l.totalNodeW()
-	maxSide := int(opts.Balance * float64(total))
+	maxSide := int(balance * float64(total))
 	if maxSide*2 < total {
 		maxSide = (total + 1) / 2
 	}
 	ws.gain = growInt(ws.gain, n)
 	ws.moved = growBool(ws.moved, n)
 	gain, moved, q := ws.gain, ws.moved, &ws.moves
-	for pass := 0; pass < opts.Refinements; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		weightTrue := 0
 		for v := 0; v < n; v++ {
 			if side[v] {

@@ -7,7 +7,6 @@ import (
 	"topocmp/internal/ball"
 	"topocmp/internal/gen/canonical"
 	"topocmp/internal/metrics"
-	"topocmp/internal/partition"
 )
 
 // TestResilienceRaceShort drives the pooled partition workspaces from a
@@ -19,8 +18,8 @@ func TestResilienceRaceShort(t *testing.T) {
 	cfg := func() ball.Config {
 		return ball.Config{MaxSources: 8, MaxBallSize: 200, Rand: rand.New(rand.NewSource(5))}
 	}
-	seq := metrics.ResilienceWith(ball.NewEngine(g, 1), cfg(), partition.Options{}, 7)
-	par := metrics.ResilienceWith(ball.NewEngine(g, 4), cfg(), partition.Options{}, 7)
+	seq := metrics.ResilienceWith(ball.NewEngine(g, 1), cfg(), 7)
+	par := metrics.ResilienceWith(ball.NewEngine(g, 4), cfg(), 7)
 	if len(seq.Points) == 0 {
 		t.Fatal("empty resilience series")
 	}

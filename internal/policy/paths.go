@@ -2,6 +2,7 @@ package policy
 
 import (
 	"slices"
+	"sort"
 
 	"topocmp/internal/graph"
 )
@@ -9,17 +10,22 @@ import (
 // PathTree holds one shortest policy path from a source to every reachable
 // node, as a parent structure over the valley-free product space. BGP-style
 // deterministic tie-breaking (lowest neighbor id, then lowest state) makes
-// the selected paths stable across runs.
+// the selected paths stable across runs. Its BFS is the package's one
+// traversal of the product space: the tree keeps the graph, the arcs'
+// relationship bytes and the visit order, so policy balls (Ball) and path
+// counts (CountsInto) are read from it without another traversal.
 type PathTree struct {
+	g      *graph.Graph
+	rel    []Relationship // rel[i] is the relationship CSR arc i crosses
 	src    int32
 	dist   []int32 // product distances
 	parent []int32 // product parent state, -1 at roots
 	best   []int32 // best (minimal-distance, tie-break lowest) arrival state per node, -1 unreachable
-	queue  []int32 // BFS frontier, recycled by PathsInto
+	order  []int32 // product states in BFS visit order, nondecreasing distance
 }
 
 // PathsInto computes a policy path tree from src over the annotated graph,
-// recycling t's product-space scratch (dist, parent, best, queue); t == nil
+// recycling t's product-space scratch (dist, parent, best, order); t == nil
 // allocates a fresh tree. Sweeps that run hundreds of single-source trees
 // over one graph (traceroute, BGP collection, policy expansion) pass the
 // previous tree back in and allocate nothing after the first source. The
@@ -36,7 +42,10 @@ func (o *RouterOverlay) PathsInto(t *PathTree, src int32) *PathTree {
 }
 
 // buildPathTree fills t with the path tree from src over a graph whose arc
-// i crosses relationship rel[i].
+// i crosses relationship rel[i]. A recycled tree is reset through its
+// previous BFS order, the only states that left their rest values
+// (Unreached distance, no parent, no best state), so a sweep of trees
+// costs what the trees reach rather than the product space.
 func buildPathTree(t *PathTree, g *graph.Graph, rel []Relationship, src int32) *PathTree {
 	n := g.NumNodes()
 	if t == nil || cap(t.dist) < n*numStates {
@@ -45,24 +54,30 @@ func buildPathTree(t *PathTree, g *graph.Graph, rel []Relationship, src int32) *
 			parent: make([]int32, n*numStates),
 			best:   make([]int32, n),
 		}
+		for i := range t.dist {
+			t.dist[i], t.parent[i] = graph.Unreached, -1
+		}
+		for i := range t.best {
+			t.best[i] = -1
+		}
 	}
-	t.src = src
+	// Reset at the previous lengths before reslicing: a tree last built
+	// on a larger graph holds states beyond this one's range, which must
+	// be at rest when a later build grows back.
+	for _, st := range t.order {
+		t.dist[st], t.parent[st] = graph.Unreached, -1
+		t.best[st/numStates] = -1
+	}
+	t.g, t.rel, t.src = g, rel, src
 	t.dist = t.dist[:n*numStates]
 	t.parent = t.parent[:n*numStates]
 	t.best = t.best[:n]
-	for i := range t.dist {
-		t.dist[i] = graph.Unreached
-		t.parent[i] = -1
-	}
-	for i := range t.best {
-		t.best[i] = -1
-	}
 	start := src*numStates + stateUp
-	t.dist[start] = 0
-	queue := append(t.queue[:0], start)
+	t.dist[start], t.best[src] = 0, start
+	order := append(t.order[:0], start)
 	off, adj := g.CSR()
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
+	for head := 0; head < len(order); head++ {
+		cur := order[head]
 		u, s := cur/numStates, int(cur%numStates)
 		du := t.dist[cur]
 		for i := off[u]; i < off[u+1]; i++ {
@@ -74,21 +89,18 @@ func buildPathTree(t *PathTree, g *graph.Graph, rel []Relationship, src int32) *
 			if t.dist[next] == graph.Unreached {
 				t.dist[next] = du + 1
 				t.parent[next] = cur
-				queue = append(queue, next)
+				order = append(order, next)
+				// States arrive in nondecreasing distance, so a node's
+				// best state is its first, or a lower state at the same
+				// distance.
+				v := adj[i]
+				if b := t.best[v]; b < 0 || (t.dist[b] == du+1 && next < b) {
+					t.best[v] = next
+				}
 			}
 		}
 	}
-	t.queue = queue
-	for v := int32(0); v < int32(n); v++ {
-		bestD := graph.Unreached
-		for s := int32(0); s < numStates; s++ {
-			st := v*numStates + s
-			if t.dist[st] < bestD {
-				bestD = t.dist[st]
-				t.best[v] = st
-			}
-		}
-	}
+	t.order = order
 	return t
 }
 
@@ -98,6 +110,85 @@ func (t *PathTree) Dist(dst int32) int32 {
 		return graph.Unreached
 	}
 	return t.dist[t.best[dst]]
+}
+
+// CountsInto returns the tree's product distances and, in sigma's storage,
+// the number of shortest valley-free paths from the source to every product
+// state, both indexed node*NumStates+state (0 at unreached states). One
+// pass over the BFS order adds each state's count to its successors one hop
+// farther, arc by arc: the additions a counting BFS makes, in the same
+// sequence, so the counts come out bit for bit as that BFS's. The
+// distances are the tree's own row; do not modify them.
+func (t *PathTree) CountsInto(sigma []float64) ([]int32, []float64) {
+	if cap(sigma) < len(t.dist) {
+		sigma = make([]float64, len(t.dist))
+	} else {
+		sigma = sigma[:len(t.dist)]
+		clear(sigma)
+	}
+	sigma[t.order[0]] = 1
+	off, adj := t.g.CSR()
+	for _, cur := range t.order {
+		u, s := cur/numStates, int(cur%numStates)
+		next, c := t.dist[cur]+1, sigma[cur]
+		for i := off[u]; i < off[u+1]; i++ {
+			ns := transition(s, t.rel[i])
+			if ns < 0 {
+				continue
+			}
+			if st := adj[i]*numStates + int32(ns); t.dist[st] == next {
+				sigma[st] += c
+			}
+		}
+	}
+	return t.dist, sigma
+}
+
+// Ball grows the policy-induced ball of radius h around the tree's source
+// (Appendix E): member nodes have policy distance at most h, in ascending
+// id order, and member edges are exactly the edges lying on some shortest
+// policy path from the source to a member (including intermediate edges
+// whose endpoints are reached sub-optimally on that path, as in the
+// paper's Appendix E example), each once. It marks the target product
+// states (optimal arrivals at members), then walks the shortest-path DAG
+// backwards, in reverse BFS order so successors are final before their
+// predecessors. Only the part of the order within distance h is read:
+// farther states are neither targets nor on a path to one.
+func (t *PathTree) Ball(h int) Ball {
+	b := Ball{Center: t.src, Radius: h}
+	within := t.order[:sort.Search(len(t.order), func(i int) bool { return int(t.dist[t.order[i]]) > h })]
+	marked := make([]bool, len(t.dist))
+	for _, st := range within {
+		v := st / numStates
+		if t.best[v] == st {
+			b.Nodes = append(b.Nodes, v)
+		}
+		marked[st] = t.dist[st] == t.dist[t.best[v]]
+	}
+	slices.Sort(b.Nodes)
+	seen := map[uint64]bool{}
+	off, adj := t.g.CSR()
+	for i := len(within) - 1; i >= 0; i-- {
+		cur := within[i]
+		u, s := cur/numStates, int(cur%numStates)
+		du := t.dist[cur]
+		for arc := off[u]; arc < off[u+1]; arc++ {
+			ns := transition(s, t.rel[arc])
+			if ns < 0 {
+				continue
+			}
+			v := adj[arc]
+			if next := v*numStates + int32(ns); t.dist[next] == du+1 && marked[next] {
+				marked[cur] = true
+				e := graph.Edge{U: min(u, v), V: max(u, v)}
+				if k := key(e.U, e.V); !seen[k] {
+					seen[k] = true
+					b.Edges = append(b.Edges, e)
+				}
+			}
+		}
+	}
+	return b
 }
 
 // Path returns the node sequence of the selected policy path from the

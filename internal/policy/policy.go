@@ -139,25 +139,14 @@ func transition(state int, rel Relationship) int {
 	}
 }
 
-// Dist computes policy (valley-free shortest path) distances from src via
-// BFS over the (node × state) product graph. Unreachable nodes get
+// Dist computes policy (valley-free shortest path) distances from src: the
+// per-node distances of one path tree. Unreachable nodes get
 // graph.Unreached.
-func (a *Annotated) Dist(src int32) []int32 { return productDist(a.G, a.rel, src) }
-
-// productDist is Dist over a graph whose arc i crosses relationship rel[i]:
-// each node's least distance over its product states.
-func productDist(g *graph.Graph, rel []Relationship, src int32) []int32 {
-	pd, _ := productBFS(g, rel, src)
-	n := g.NumNodes()
-	out := make([]int32, n)
-	for v := 0; v < n; v++ {
-		best := graph.Unreached
-		for s := 0; s < numStates; s++ {
-			if d := pd[v*numStates+s]; d < best {
-				best = d
-			}
-		}
-		out[v] = best
+func (a *Annotated) Dist(src int32) []int32 {
+	t := a.PathsInto(nil, src)
+	out := make([]int32, len(t.best))
+	for v := range out {
+		out[v] = t.Dist(int32(v))
 	}
 	return out
 }
@@ -173,98 +162,6 @@ func (a *Annotated) Transition(u, v int32, state int) int {
 	return transition(state, a.Rel(u, v))
 }
 
-// ProductCountsInto computes, over the (node × state) product space, the
-// policy BFS distances, the number of distinct shortest product paths
-// sigma, and the BFS visit order; indices are node*NumStates+state. It
-// fills caller-owned buffers, for sweeps that run one product traversal
-// per source: dist and sigma are reset through the previous call's order
-// (every touched state appears there), so a reused buffer behaves exactly
-// like a fresh one without the per-source allocation. Pass nil slices (or
-// slices from a previous call on a same-sized graph) and keep all three
-// returned slices together for the next call.
-func (a *Annotated) ProductCountsInto(dist []int32, sigma []float64,
-	order []int32, src int32) ([]int32, []float64, []int32) {
-
-	n := a.G.NumNodes()
-	sz := n * int(numStates)
-	if cap(dist) < sz || cap(sigma) < sz {
-		dist = make([]int32, sz)
-		sigma = make([]float64, sz)
-		for i := range dist {
-			dist[i] = graph.Unreached
-		}
-	} else {
-		// Reset at the incoming length before reslicing: a previous traversal
-		// on a larger graph may have touched states beyond sz, and they must
-		// read Unreached/0 if a later call grows back.
-		for _, st := range order {
-			dist[st] = graph.Unreached
-			sigma[st] = 0
-		}
-		dist = dist[:sz]
-		sigma = sigma[:sz]
-	}
-	order = order[:0]
-	start := src*numStates + stateUp
-	dist[start] = 0
-	sigma[start] = 1
-	order = append(order, start)
-	goff, gadj := a.G.CSR()
-	for head := 0; head < len(order); head++ {
-		cur := order[head]
-		u, s := cur/numStates, int(cur%numStates)
-		du := dist[cur]
-		for i := goff[u]; i < goff[u+1]; i++ {
-			ns := transition(s, a.rel[i])
-			if ns < 0 {
-				continue
-			}
-			nxt := gadj[i]*numStates + int32(ns)
-			if dist[nxt] == graph.Unreached {
-				dist[nxt] = du + 1
-				order = append(order, nxt)
-			}
-			if dist[nxt] == du+1 {
-				sigma[nxt] += sigma[cur]
-			}
-		}
-	}
-	return dist, sigma, order
-}
-
-// productBFS returns distances over the product state space of a graph
-// whose arc i crosses relationship rel[i], indexed node*numStates+state,
-// plus the BFS visit order of product states.
-func productBFS(g *graph.Graph, rel []Relationship, src int32) ([]int32, []int32) {
-	n := g.NumNodes()
-	dist := make([]int32, n*numStates)
-	for i := range dist {
-		dist[i] = graph.Unreached
-	}
-	order := make([]int32, 0, n)
-	start := src*numStates + stateUp
-	dist[start] = 0
-	order = append(order, start)
-	off, adj := g.CSR()
-	for head := 0; head < len(order); head++ {
-		cur := order[head]
-		u, s := cur/numStates, int(cur%numStates)
-		du := dist[cur]
-		for i := off[u]; i < off[u+1]; i++ {
-			ns := transition(s, rel[i])
-			if ns < 0 {
-				continue
-			}
-			nxt := adj[i]*numStates + int32(ns)
-			if dist[nxt] == graph.Unreached {
-				dist[nxt] = du + 1
-				order = append(order, nxt)
-			}
-		}
-	}
-	return dist, order
-}
-
 // Ball is a policy-induced ball (Appendix E): the nodes whose policy path
 // from the center is at most h hops, and the links lying on those
 // policy-compliant shortest paths.
@@ -275,85 +172,9 @@ type Ball struct {
 	Edges  []graph.Edge
 }
 
-// PolicyBall grows the policy-induced ball of radius h around src: member
-// nodes have policy distance at most h, and member edges are exactly the
-// edges lying on some shortest policy path from src to a member (including
-// intermediate edges whose endpoints are reached sub-optimally on that
-// path, as in the paper's Appendix E example).
-func (a *Annotated) PolicyBall(src int32, h int) Ball { return productBall(a.G, a.rel, src, h) }
-
-// productBall grows a policy ball over a graph whose arc i crosses
-// relationship rel[i]: it marks target product states (optimal arrivals at
-// members), then walks the shortest-path DAG backwards (decreasing
-// distance) collecting every edge on a shortest path to a target.
-func productBall(g *graph.Graph, rel []Relationship, src int32, h int) Ball {
-	pd, order := productBFS(g, rel, src)
-	n := g.NumNodes()
-	minDist := func(v int32) int32 {
-		best := graph.Unreached
-		for s := int32(0); s < numStates; s++ {
-			if d := pd[v*numStates+s]; d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	b := Ball{Center: src, Radius: h}
-	for v := int32(0); v < int32(n); v++ {
-		if int(minDist(v)) <= h {
-			b.Nodes = append(b.Nodes, v)
-		}
-	}
-	marked := make([]bool, n*numStates)
-	for _, v := range b.Nodes {
-		md := minDist(v)
-		for s := int32(0); s < numStates; s++ {
-			if pd[v*numStates+s] == md {
-				marked[v*numStates+s] = true
-			}
-		}
-	}
-	// order holds product states in nondecreasing distance; sweep it in
-	// reverse so successors are finalized before predecessors.
-	seen := map[uint64]bool{}
-	off, adj := g.CSR()
-	for i := len(order) - 1; i >= 0; i-- {
-		cur := order[i]
-		u, s := cur/numStates, int(cur%numStates)
-		du := pd[cur]
-		for arc := off[u]; arc < off[u+1]; arc++ {
-			ns := transition(s, rel[arc])
-			if ns < 0 {
-				continue
-			}
-			v := adj[arc]
-			nxt := v*numStates + int32(ns)
-			if pd[nxt] == du+1 && marked[nxt] {
-				marked[cur] = true
-				k := key(minInt32(u, v), maxInt32(u, v))
-				if !seen[k] {
-					seen[k] = true
-					b.Edges = append(b.Edges, graph.Edge{U: minInt32(u, v), V: maxInt32(u, v)})
-				}
-			}
-		}
-	}
-	return b
-}
-
-func minInt32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
+// PolicyBall grows the policy-induced ball of radius h around src; see
+// PathTree.Ball.
+func (a *Annotated) PolicyBall(src int32, h int) Ball { return a.PathsInto(nil, src).Ball(h) }
 
 // Subgraph converts a policy ball into a graph (node i = Nodes[i]).
 func (b Ball) Subgraph() *graph.Graph {
@@ -361,7 +182,7 @@ func (b Ball) Subgraph() *graph.Graph {
 	for i, v := range b.Nodes {
 		idx[v] = int32(i)
 	}
-	// productBall emits each edge once, so the edges stream as they are.
+	// PathTree.Ball emits each edge once, so the edges stream as they are.
 	gb := graph.NewStreamBuilder(len(b.Nodes))
 	for _, e := range b.Edges {
 		iu, okU := idx[e.U]

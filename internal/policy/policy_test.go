@@ -360,7 +360,7 @@ func TestRouterPolicyBall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := o.PolicyBall(0, 2)
+	b := o.PathsInto(nil, 0).Ball(2)
 	if len(b.Nodes) != 3 || len(b.Edges) != 2 {
 		t.Fatalf("ball = %d nodes %d edges, want 3/2", len(b.Nodes), len(b.Edges))
 	}

@@ -46,6 +46,3 @@ func NewRouterOverlay(rl *graph.Graph, asOf []int32, as *Annotated) (*RouterOver
 	}
 	return &RouterOverlay{RL: rl, ASOf: asOf, AS: as, rel: rel}, nil
 }
-
-// PolicyBall grows the policy-induced router-level ball of radius h.
-func (o *RouterOverlay) PolicyBall(src int32, h int) Ball { return productBall(o.RL, o.rel, src, h) }

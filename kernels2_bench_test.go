@@ -56,9 +56,8 @@ func BenchmarkWideMSBFS(b *testing.B) {
 	})
 }
 
-// BenchmarkBrandes accumulates betweenness from 64 sources the scalar way
-// (per-source BFSCounts plus the dependency sweep, the historical
-// topBetweenness hot loop) versus one bit-parallel Brandes batch.
+// BenchmarkBrandes accumulates betweenness from 64 sources in one
+// bit-parallel Brandes batch, the distortion election's one route.
 func BenchmarkBrandes(b *testing.B) {
 	for _, net := range msbfsBenchNets() {
 		g := net.Graph
@@ -73,30 +72,7 @@ func BenchmarkBrandes(b *testing.B) {
 			sources[i] = int32(perm[i])
 		}
 		bc := make([]float64, n)
-		delta := make([]float64, n)
-		s := graph.NewBFSScratch()
 		br := graph.NewBrandesScratch()
-		b.Run("scalar/"+net.Name, func(b *testing.B) {
-			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
-				clear(bc)
-				for _, src := range sources {
-					order := s.Counts(g, src)
-					dist, sigma := s.Rows()
-					clear(delta)
-					for i := len(order) - 1; i >= 0; i-- {
-						w := order[i]
-						for _, v := range g.Neighbors(w) {
-							if dist[v] == dist[w]-1 {
-								delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-							}
-						}
-						if w != src {
-							bc[w] += delta[w]
-						}
-					}
-				}
-			})
-		})
 		b.Run("batched/"+net.Name, func(b *testing.B) {
 			benchOnGraph(b, "BENCH_kernels2.json", g, net.Name, nsrc, func() {
 				clear(bc)

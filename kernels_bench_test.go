@@ -43,7 +43,7 @@ func BenchmarkKernelResilience(b *testing.B) {
 	b.Run("mesh", func(b *testing.B) {
 		g := canonical.Mesh(30, 30)
 		benchKernel(b, func() {
-			metrics.ResilienceWith(ball.NewEngine(g, 1), kernelCfg(), partition.Options{}, 1)
+			metrics.ResilienceWith(ball.NewEngine(g, 1), kernelCfg(), 1)
 		})
 	})
 	quick := experiments.QuickConfig(1)
@@ -55,7 +55,7 @@ func BenchmarkKernelResilience(b *testing.B) {
 					MaxSources:  quick.Suite.Sources,
 					MaxBallSize: quick.Suite.MaxBallSize,
 					Rand:        rand.New(rand.NewSource(quick.Suite.Seed + 1)),
-				}, partition.Options{}, quick.Suite.Seed+100)
+				}, quick.Suite.Seed+100)
 			})
 		})
 	}
@@ -67,14 +67,14 @@ func BenchmarkKernelCutSize(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.Run("fresh", func(b *testing.B) {
 		benchKernel(b, func() {
-			partition.CutSizeWith(partition.NewWorkspace(), g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+			partition.CutSizeWith(partition.NewWorkspace(), g, rand.New(rand.NewSource(1)))
 		})
 	})
 	b.Run("workspace", func(b *testing.B) {
 		ws := partition.NewWorkspace()
-		partition.CutSizeWith(ws, g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+		partition.CutSizeWith(ws, g, rand.New(rand.NewSource(1)))
 		benchKernel(b, func() {
-			partition.CutSizeWith(ws, g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+			partition.CutSizeWith(ws, g, rand.New(rand.NewSource(1)))
 		})
 	})
 }

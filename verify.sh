@@ -11,9 +11,10 @@
 #         against scalar BFS, ball sizes against closed forms, the ball
 #         engine's one-ball-per-bucket radius selection against the
 #         eligible radii, bit-parallel Brandes against the scalar
-#         accumulation, link values over
+#         accumulation, plain and policy link values over
 #         unordered pairs against brute-force enumeration and the ordered
-#         cover, and the coarsening, induced-subgraph,
+#         cover, the valley-free path tree against the product BFSes it
+#         replaced, and the coarsening, induced-subgraph,
 #         vertex-cover/clustering, provider-pick and traceroute-walk
 #         references for 5s each
 #   tier 2: go test -race -p 1 <concurrent packages> (ROADMAP.md tier-2)
@@ -108,6 +109,22 @@ echo "== fuzz: link values over unordered pairs against brute force =="
 # TraversalSetSizes against the brute count, and P = 1 and 3 against
 # each other.
 go test -run '^$' -fuzz '^FuzzLinkValuesMatchesBrute$' -fuzztime 5s ./internal/hierarchy
+
+echo "== fuzz: policy link values over unordered pairs against brute force =="
+# Raw-byte annotated graphs of up to 20 nodes, one relationship byte per
+# edge, full or sampled pair universes: every pair's shortest valley-free
+# paths, enumerated one by one, cross each edge as often as its mirror's;
+# the policy half stream against the enumeration's pairs with u < t,
+# PolicyLinkValues against the ordered cover over the mirrored stream (bit
+# for bit), and P = 1 and 3 against each other.
+go test -run '^$' -fuzz '^FuzzPolicyLinkValuesMatchesBrute$' -fuzztime 5s ./internal/hierarchy
+
+echo "== fuzz: valley-free path tree against the product BFSes it replaced =="
+# Raw-byte annotated graphs of up to 20 ASes and router overlays over
+# them: the tree's distances, its path counts (bit for bit) and its ball
+# at every radius against the distance BFS, the counting BFS and the
+# per-ball BFS kept in internal/policy/product_test.go.
+go test -run '^$' -fuzz '^FuzzPathTreeMatchesReference$' -fuzztime 5s ./internal/policy
 
 echo "== fuzz: per-ball kernels against their historical references =="
 # The transposed coarse contraction against stamp-merge-then-sort, the

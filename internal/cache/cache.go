@@ -40,8 +40,9 @@ import (
 // Version 3: plain link values are swept over unordered pairs, which moves
 // some values in their last bits. Version 4: ball-size curves evaluate
 // one ball per center and size bucket instead of every radius. Version 5:
-// entries start with a CRC-32C of their gob body.
-const SchemaVersion = 5
+// entries start with a CRC-32C of their gob body. Version 6: each center
+// of the policy ball curves cuts its balls with its own seeded RNG.
+const SchemaVersion = 6
 
 // crcTable is the Castagnoli polynomial's table for the entry checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -333,7 +333,9 @@ func policyCum(pt *policy.PathTree, numNodes int32, cum []int32) []int32 {
 // decreases... although its qualitative behavior remains unchanged").
 // Like the engine's curves, each center evaluates one ball per size bucket
 // (ball.BucketRadii), chosen from the sizes of one path tree, and every
-// ball is read from that tree: one product BFS per center.
+// ball is read from that tree: one product BFS per center. Center i cuts
+// its balls with an RNG seeded Seed+100+i, as the engine's resilience
+// curves do, so a ball's cut does not depend on the balls cut before it.
 func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series) {
 	g := n.Graph
 	cfg := ball.Config{
@@ -349,10 +351,10 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 	var pt *policy.PathTree
 	var cum []int32
 	var resRaw, distRaw []stats.Point
-	rng := rand.New(rand.NewSource(opts.Seed + 100))
-	for _, src := range centers {
+	for i, src := range centers {
 		pt = paths(pt, src)
 		cum = policyCum(pt, int32(g.NumNodes()), cum)
+		rng := rand.New(rand.NewSource(opts.Seed + 100 + int64(i)))
 		for _, h := range ball.BucketRadii(cum, 3, opts.MaxBallSize) {
 			sub := pt.Ball(h).Subgraph()
 			cut := partition.CutSizeWith(k.Part, sub, rng)

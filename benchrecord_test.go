@@ -26,9 +26,13 @@ var updateBench = flag.Bool("update", false, "merge this run's benchmark rows in
 var benchFileMu sync.Mutex
 
 // opCost runs fn b.N times with the timer and the allocation counters
-// around the loop alone, and returns the cost of one call.
+// around the loop alone, and returns the cost of one call. One untimed call
+// comes first, so first-call costs (pooled scratch growing to the graph,
+// lazily built tables) stay out of the row, and a -benchtime 1x smoke times
+// the same warm call the committed rows average over many iterations.
 func opCost(b *testing.B, fn func()) (seconds, allocs, bytes float64) {
 	b.Helper()
+	fn()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

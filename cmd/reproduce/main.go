@@ -67,10 +67,10 @@ func main() {
 		"or a preset (\"full-rl\" = the real RL map's 170k nodes, \"1m\" = million-node generators); "+
 		"empty = per-mode default")
 	full := flag.Bool("full", false, "larger run: networks at 0.45x the paper's sizes "+
-		"(8.0-8.6 s at 1.37-2.03 GB peak RSS with -j 2 on a 2-core host, 2026-10-18)")
+		"(7.7-7.8 s at 0.68-1.02 GB peak RSS with -j 2 on a 2-core host, 2026-10-19)")
 	quick := flag.Bool("quick", false, "CI-scale run: networks at 0.12x the paper's sizes "+
-		"(3.2-3.3 s at 0.56-0.61 GB peak RSS with -j 1, 2.3 s at 0.62-0.68 GB "+
-		"with -j 2, on a 2-core host, 2026-10-18)")
+		"(3.0 s at 0.35-0.46 GB peak RSS with -j 1, 2.1-2.2 s at 0.44-0.49 GB "+
+		"with -j 2, on a 2-core host, 2026-10-19)")
 	workers := flag.Int("j", 0, "pipeline worker budget (0 = all cores, 1 = sequential)")
 	cacheDir := flag.String("cache", "", "result cache directory (empty = no caching)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")

@@ -23,10 +23,6 @@ type Pool[T any] struct {
 	pool   sync.Pool
 	gets   *obs.Counter
 	allocs *obs.Counter
-
-	mu   sync.Mutex
-	kept []T
-	keep int
 }
 
 // NewPool returns a pool that builds fresh workspaces with fresh.
@@ -46,41 +42,14 @@ func (p *Pool[T]) Instrument(gets, allocs *obs.Counter) {
 	p.gets, p.allocs = gets, allocs
 }
 
-// Keep retains up to n returned workspaces on a strong free list consulted
-// before the GC-clearable sync.Pool. sync.Pool drops its contents within two
-// collections, which is right for small scratch but pathological for
-// workspaces holding hundreds of megabytes: every few calls the buffers are
-// freed, reallocated, and page-faulted back in, and the kernel time dwarfs
-// the work they serve. Kept workspaces live until the pool itself is
-// unreachable, so reserve Keep for a small n on the heavyweight families.
-func (p *Pool[T]) Keep(n int) {
-	p.mu.Lock()
-	p.keep = n
-	p.mu.Unlock()
-}
-
 // Get leases a workspace. The caller owns it exclusively until Put.
 func (p *Pool[T]) Get() T {
 	p.gets.Add(1)
-	p.mu.Lock()
-	if len(p.kept) > 0 {
-		x := p.kept[len(p.kept)-1]
-		p.kept = p.kept[:len(p.kept)-1]
-		p.mu.Unlock()
-		return x
-	}
-	p.mu.Unlock()
 	return p.pool.Get().(T)
 }
 
-// Put returns a leased workspace to the pool.
+// Put returns a leased workspace to the pool, which the collector may empty
+// at any cycle.
 func (p *Pool[T]) Put(x T) {
-	p.mu.Lock()
-	if len(p.kept) < p.keep {
-		p.kept = append(p.kept, x)
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
 	p.pool.Put(x)
 }

@@ -42,7 +42,9 @@ import (
 // one ball per center and size bucket instead of every radius. Version 5:
 // entries start with a CRC-32C of their gob body. Version 6: each center
 // of the policy ball curves cuts its balls with its own seeded RNG.
-const SchemaVersion = 6
+// Version 7: balanced bisection caps the weight of a coarse node, which
+// moves resilience curves.
+const SchemaVersion = 7
 
 // crcTable is the Castagnoli polynomial's table for the entry checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -24,8 +24,8 @@ type Config struct {
 
 // QuickConfig returns a configuration sized for CI-style runs: networks at
 // 0.12x the paper's sizes. It matches all 20 of the paper's checks. A cold
-// `reproduce -quick` on a 2-core host (2026-10-18, three runs each) took
-// 3.2-3.3 s at 0.56-0.61 GB peak RSS with -j 1, and 2.3 s at 0.62-0.68 GB
+// `reproduce -quick` on a 2-core host (2026-10-19, three runs each) took
+// 3.0 s at 0.35-0.46 GB peak RSS with -j 1, and 2.1-2.2 s at 0.44-0.49 GB
 // with -j 2.
 func QuickConfig(seed int64) Config {
 	return Config{
@@ -39,8 +39,9 @@ func QuickConfig(seed int64) Config {
 
 // FullConfig returns the largest preset: networks at 0.45x the paper's
 // sizes (scale 1.0 is the paper's own; -scale 1.0 selects it). It matches
-// all 20 checks. A cold `reproduce -full -j 2` on a 2-core host
-// (2026-10-18, three runs) took 8.0-8.6 s at 1.37-2.03 GB peak RSS.
+// all 20 checks at seed 1 and 19 at seed 2, where Tiers' resilience reads
+// Low. A cold `reproduce -full -j 2` on a 2-core host (2026-10-19, three
+// runs) took 7.7-7.8 s at 0.68-1.02 GB peak RSS.
 func FullConfig(seed int64) Config {
 	return Config{
 		Set: core.PaperSetOptions{Seed: seed, Scale: 0.45},

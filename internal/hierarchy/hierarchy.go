@@ -141,14 +141,20 @@ func (r *Result) DegreeCorrelationDegrees(deg []int) float64 {
 	return stats.Pearson(vals, mins)
 }
 
-// pairEntry is one (source, target) pair crossing an edge with the fraction
-// of its shortest paths that do so. The sweeps emit each unordered pair
-// once, as u < t.
-type pairEntry struct {
-	edge uint32
-	u, t int32
-	w    float64
+// streamEntry is one pair's crossing of an edge, with the fraction of the
+// pair's shortest paths that cross it. The pair is an index into its
+// stream's pair table, which holds each swept pair (u, t) once, so an entry
+// takes 16 bytes instead of the 24 that spelling out both endpoints would.
+// A stream's write index is an int32 and every swept pair emits at least
+// one entry, so a pair index always fits in uint32.
+type streamEntry struct {
+	edge, pair uint32
+	w          float64
 }
+
+// streamPair is one swept pair (u, t) of a stream's pair table. The sweeps
+// emit each unordered pair once, as u < t.
+type streamPair struct{ u, t int32 }
 
 // coverEntry is one pair entry inside a single edge's group: the edge id is
 // implicit in the grouping, so the cover passes stream 16-byte elements
@@ -168,7 +174,7 @@ const coverBucketShift = 5
 // emission fast path tests the cursor against the chunk mask).
 const bucketChunk = 1024
 
-// blockShift sizes the edgeStream blocks: 64 chunks, 1.5 MB of entries.
+// blockShift sizes the edgeStream blocks: 64 chunks, 1 MB of entries.
 const (
 	blockShift = 16
 	blockLen   = 1 << blockShift
@@ -184,7 +190,8 @@ const (
 //
 // Chunks are numbered in the order they open and live in fixed-size blocks,
 // blockLen/bucketChunk to a block, so growth appends a block and never
-// copies the entries already written. The blocks persist across resets.
+// copies the entries already written. Once the cover has read them, the
+// sweep's release frees all but retainedBlocks of them (free).
 //
 // cur is each bucket's next write index: chunk number × bucketChunk plus
 // the offset inside the chunk, so entry c lives at blocks[c>>blockShift]
@@ -196,7 +203,8 @@ type edgeStream struct {
 	tails  []int32 // per bucket: tail chunk
 	cur    []int32 // per bucket: next write index
 	next   []int32 // per chunk: successor, -1 at the tail
-	blocks []*[blockLen]pairEntry
+	blocks []*[blockLen]streamEntry
+	pairs  []streamPair // the swept pairs, in emission order
 }
 
 func (es *edgeStream) reset(numEdges int) {
@@ -209,17 +217,45 @@ func (es *edgeStream) reset(numEdges int) {
 		es.tails[i] = -1
 		es.cur[i] = 0
 	}
-	// Reserve the sentinel chunk (its contents are never read).
+	// Reserve the sentinel chunk (its contents are never read); the first
+	// grow allocates a block when none is retained.
 	es.next = append(es.next[:0], -1)
-	if len(es.blocks) == 0 {
-		es.blocks = append(es.blocks, new([blockLen]pairEntry))
+	es.pairs = es.pairs[:0]
+}
+
+// retainedBlocks is how many entry blocks (1 MB each) a stream keeps
+// through free, for the next sweep that leases its scratch from the pool.
+// Zeroing fresh blocks made a pass over the quick-scale RL, AS and PLRG at
+// 384 sources 4–16% slower than one on reused blocks; 16 blocks, a whole
+// AS or PLRG pass, remove that, and fewer do not (EXPERIMENTS.md). The
+// pool's collector-owned store bounds how long they stay.
+const retainedBlocks = 16
+
+// free drops every entry block past the retained ones, once the cover has
+// read them, and the pair table when it holds more pairs than the retained
+// blocks hold entries (every pair owns at least one entry, so a pass that
+// fits the retained blocks keeps its table). Reused storage is left dirty:
+// cur and the pair count bound every read.
+func (es *edgeStream) free() {
+	keep := min(len(es.blocks), retainedBlocks)
+	clear(es.blocks[keep:])
+	es.blocks = es.blocks[:keep]
+	if cap(es.pairs) > retainedBlocks*blockLen {
+		es.pairs = nil
 	}
+}
+
+// addPair appends the pair (u, t) to the pair table and returns its index,
+// the pair field of the entries the sweep then emits for it.
+func (es *edgeStream) addPair(u, t int32) uint32 {
+	es.pairs = append(es.pairs, streamPair{u, t})
+	return uint32(len(es.pairs) - 1)
 }
 
 // add appends p to its bucket: the emission of the policy sweeps, whose
 // per-entry cost is dominated by the product-space walk. The plain sweep
 // open-codes the same fast path.
-func (es *edgeStream) add(p pairEntry) {
+func (es *edgeStream) add(p streamEntry) {
 	b := p.edge >> coverBucketShift
 	if c := es.cur[b]; c&(bucketChunk-1) != 0 {
 		es.blocks[c>>blockShift][c&blockMask] = p
@@ -229,14 +265,13 @@ func (es *edgeStream) add(p pairEntry) {
 	es.grow(b, p)
 }
 
-// grow opens a new tail chunk for bucket b and writes p as its first entry;
-// reused blocks are left dirty (cur bounds every read).
-func (es *edgeStream) grow(b uint32, p pairEntry) {
+// grow opens a new tail chunk for bucket b and writes p as its first entry.
+func (es *edgeStream) grow(b uint32, p streamEntry) {
 	ni := int32(len(es.next))
 	es.next = append(es.next, -1)
 	base := ni * bucketChunk
 	if int(base>>blockShift) == len(es.blocks) {
-		es.blocks = append(es.blocks, new([blockLen]pairEntry))
+		es.blocks = append(es.blocks, new([blockLen]streamEntry))
 	}
 	es.blocks[base>>blockShift][base&blockMask] = p
 	if ti := es.tails[b]; ti >= 0 {
@@ -261,9 +296,16 @@ func (es *edgeStream) size(b int) int {
 	return n
 }
 
+// segment is one chunk of a bucket's entries, with the pair table of the
+// stream they came from.
+type segment struct {
+	entries []streamEntry
+	pairs   []streamPair
+}
+
 // segments appends bucket b's entries to segs as chunk slices, in emission
 // order.
-func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
+func (es *edgeStream) segments(b int, segs []segment) []segment {
 	for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
 		base := ci * bucketChunk
 		n := int32(bucketChunk)
@@ -271,7 +313,7 @@ func (es *edgeStream) segments(b int, segs [][]pairEntry) [][]pairEntry {
 			n = es.cur[b] - base
 		}
 		off := base & blockMask
-		segs = append(segs, es.blocks[base>>blockShift][off:off+n])
+		segs = append(segs, segment{es.blocks[base>>blockShift][off : off+n], es.pairs})
 	}
 	return segs
 }
@@ -305,8 +347,8 @@ type sweepScratch struct {
 	predAdj  []int32 // fixed length per source (beginPreds); predN is the fill cursor
 	predEdge []uint32
 	predN    int32
-	// stream is the worker's entry store. It persists its arena across
-	// leases and must not return to the pool until the cover has read it.
+	// stream is the worker's entry store, freed down to its retained
+	// blocks once the cover has read it.
 	stream *edgeStream
 	// The policy sweeps' product-space path tree and path-count row, both
 	// recycled from source to source (PathsInto and CountsInto refill them
@@ -318,13 +360,6 @@ type sweepScratch struct {
 var sweepPool = ball.NewPool(func() *sweepScratch {
 	return &sweepScratch{bfs: graph.NewBFSScratch(), stream: &edgeStream{}}
 })
-
-// The sweep workspaces hold the entry streams — hundreds of megabytes on
-// the bigger networks — so a few survive collections instead of being
-// refaulted in every suite run.
-func init() {
-	sweepPool.Keep(2)
-}
 
 // grownZero returns b with length at least n; freshly grown storage is
 // zeroed by make, and surviving storage is zero by the reset invariant.
@@ -374,8 +409,10 @@ func blockCuts(n, workers int, before func(k int) int64) []int {
 // worker w precedes every source of worker w+1, and each worker visits its
 // sources in ascending order into its own stream. The streams come back in
 // worker order, which is the canonical (u, t) order coverValuesStream
-// relies on; release returns their scratches to the pool once they have
-// been read.
+// relies on. Once the cover has read them, release frees their entry
+// blocks down to the retained ones and returns their scratches to the
+// pool, so the entries, the largest thing a run holds, do not outlive
+// their pass.
 // The graph is immutable and every worker owns its leased scratch, so the
 // workers share nothing but read-only inputs. A worker's panic stops the
 // others at their next source and is re-raised here; the scratches are
@@ -406,6 +443,7 @@ func sweep(opts *Options, sources []int32, numEdges int,
 	grp.Wait()
 	return streams, func() {
 		for _, ws := range wss {
+			ws.stream.free()
 			sweepPool.Put(ws)
 		}
 	}
@@ -523,10 +561,10 @@ func (fs *fastSweep) buildPreds(b int32, ws *sweepScratch) {
 
 // sweepTargetStream walks target t's shortest-path ancestor DAG from source
 // u over the lazy predecessor lists, computing per-edge path fractions (g
-// values) and emitting one pair entry per DAG arc straight into its edge's
-// bucket of es. gval/touched/buckets are reused across targets (gval zeroed
-// via touched). Pred lists preserve adjacency order, so the per-pair entry
-// order is fixed by the graph alone.
+// values) and emitting one entry per DAG arc straight into its edge's
+// bucket of es, once the pair is in es's pair table. gval/touched/buckets
+// are reused across targets (gval zeroed via touched). Pred lists preserve
+// adjacency order, so the per-pair entry order is fixed by the graph alone.
 //
 // When the pair has a unique shortest path (sigma[t] == 1), the ancestor
 // DAG is a single chain — every node on it also has path count 1, hence
@@ -537,6 +575,7 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 	es *edgeStream) {
 
 	sigma := fs.sigma
+	pair := es.addPair(u, t)
 	// The stream emission fast path is open-coded (the grow call pushes a
 	// method past the inliner's budget). cur never moves during a sweep;
 	// blocks is reloaded after any grow, which may append a block.
@@ -551,10 +590,10 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 			e := fs.predEdge[lo]
 			bkt := e >> coverBucketShift
 			if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-				blocks[c>>blockShift][c&blockMask] = pairEntry{edge: e, u: u, t: t, w: 1}
+				blocks[c>>blockShift][c&blockMask] = streamEntry{edge: e, pair: pair, w: 1}
 				cur[bkt] = c + 1
 			} else {
-				es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: 1})
+				es.grow(bkt, streamEntry{edge: e, pair: pair, w: 1})
 				blocks = es.blocks
 			}
 			b = fs.predAdj[lo]
@@ -585,10 +624,10 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 				e := fs.predEdge[i]
 				bkt := e >> coverBucketShift
 				if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-					blocks[c>>blockShift][c&blockMask] = pairEntry{edge: e, u: u, t: t, w: frac}
+					blocks[c>>blockShift][c&blockMask] = streamEntry{edge: e, pair: pair, w: frac}
 					cur[bkt] = c + 1
 				} else {
-					es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: frac})
+					es.grow(bkt, streamEntry{edge: e, pair: pair, w: frac})
 					blocks = es.blocks
 				}
 				if ws.gval[a] == 0 {
@@ -674,14 +713,17 @@ func coverValuesStream(numEdges, numNodes int, streams []*edgeStream, opts *Opti
 // blocks ascend with worker index, so that walk is (u, t)-ascending too; a
 // stable counting sort by edge then lands every group in the canonical
 // (edge, u, t) order the order-dependent primal-dual needs, with no global
-// sort. Only one bucket's entries are ever copied.
+// sort. The scatter spells out each entry's pair from its stream's pair
+// table, so every group holds the same entries in the same order as if the
+// streams stored the pairs themselves. Only one bucket's entries are ever
+// copied.
 func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, values []float64) {
 	ws := coverPool.Get()
 	defer coverPool.Put(ws)
 	ws.ensure(numNodes)
 	const be = 1 << coverBucketShift
 	var cnt [be + 1]int32
-	var segs [][]pairEntry
+	var segs []segment
 	for b := lo; b < hi; b++ {
 		segs = segs[:0]
 		for _, es := range streams {
@@ -694,9 +736,9 @@ func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, values []float64)
 		cnt = [be + 1]int32{}
 		total := 0
 		for _, seg := range segs {
-			total += len(seg)
-			for i := range seg {
-				cnt[seg[i].edge-first+1]++
+			total += len(seg.entries)
+			for i := range seg.entries {
+				cnt[seg.entries[i].edge-first+1]++
 			}
 		}
 		for i := 0; i < be; i++ {
@@ -705,10 +747,12 @@ func coverBuckets(lo, hi, numNodes int, streams []*edgeStream, values []float64)
 		sorted := growPairs(ws.sorted, total)
 		ws.sorted = sorted
 		for _, seg := range segs {
-			for i := range seg {
-				p := &seg[i]
+			pairs := seg.pairs
+			for i := range seg.entries {
+				p := &seg.entries[i]
 				c := p.edge - first
-				sorted[cnt[c]] = coverEntry{u: p.u, t: p.t, w: p.w}
+				pr := pairs[p.pair]
+				sorted[cnt[c]] = coverEntry{u: pr.u, t: pr.t, w: p.w}
 				cnt[c]++
 			}
 		}

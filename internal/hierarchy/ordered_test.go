@@ -78,14 +78,27 @@ func edgeCoverOrdered(pairs []coverEntry, ws *coverScratch) float64 {
 	return ws.cover(pairs, nodes)
 }
 
-// streamEntries collects every entry of the streams, in stream order.
+// pairEntry is one (source, target) pair crossing an edge with the fraction
+// of its shortest paths that do so: a stream entry with its pair spelled
+// out, the record the tests compare and sort.
+type pairEntry struct {
+	edge uint32
+	u, t int32
+	w    float64
+}
+
+// streamEntries collects every entry of the streams, in stream order, each
+// pair read from its stream's pair table.
 func streamEntries(streams []*edgeStream) []pairEntry {
 	var out []pairEntry
-	var segs [][]pairEntry
+	var segs []segment
 	for _, es := range streams {
 		for b := range es.heads {
 			for _, seg := range es.segments(b, segs[:0]) {
-				out = append(out, seg...)
+				for _, p := range seg.entries {
+					pr := seg.pairs[p.pair]
+					out = append(out, pairEntry{edge: p.edge, u: pr.u, t: pr.t, w: p.w})
+				}
 			}
 		}
 	}

@@ -105,7 +105,7 @@ func (pp *policyPreds) build(st int32, ws *sweepScratch) {
 // source's memoized lists (policyPreds.build). The per-edge aggregation
 // runs on the leased scratch's dense accumulators (localW, reset through
 // localE) instead of a per-target map, and each touched edge's aggregate
-// becomes one entry of es.
+// becomes one entry of es, once the pair is in es's pair table.
 func sweepPolicyTarget(pp *policyPreds, u, t int32, pdist int, ws *sweepScratch, es *edgeStream) {
 	dist, sigma := pp.dist, pp.sigma
 	ns := policy.NumStates
@@ -164,8 +164,9 @@ func sweepPolicyTarget(pp *policyPreds, u, t int32, pdist int, ws *sweepScratch,
 	for _, st := range ws.touched {
 		ws.gval[st] = 0
 	}
+	pair := es.addPair(u, t)
 	for _, e := range ws.localE {
-		es.add(pairEntry{edge: e, u: u, t: t, w: ws.localW[e]})
+		es.add(streamEntry{edge: e, pair: pair, w: ws.localW[e]})
 		ws.localW[e] = 0
 	}
 }

@@ -27,13 +27,13 @@ func TraversalSetSizes(g *graph.Graph, opts Options) []int {
 	streams, release := sweepPlain(g, &opts, sources, inQ)
 	defer release()
 	counts := make([]int, g.NumEdges())
-	var segs [][]pairEntry
+	var segs []segment
 	for _, es := range streams {
 		for b := range es.heads {
 			segs = es.segments(b, segs[:0])
 			for _, seg := range segs {
-				for i := range seg {
-					counts[seg[i].edge] += 2
+				for _, p := range seg.entries {
+					counts[p.edge] += 2
 				}
 			}
 		}

@@ -64,8 +64,8 @@ func TestResilienceSeriesGolden(t *testing.T) {
 	sameSeries(t, "resilience", s, []stats.Point{
 		{X: 2, Y: 1}, {X: 3, Y: 1}, {X: 4, Y: 2}, {X: 6, Y: 3}, {X: 7.5, Y: 3},
 		{X: 17, Y: 8.5}, {X: 24, Y: 11}, {X: 39, Y: 7}, {X: 42, Y: 6.5},
-		{X: 74, Y: 9.5}, {X: 109.5, Y: 21.5}, {X: 153.5, Y: 21.5},
-		{X: 227, Y: 27.5}, {X: 314.8333333333333, Y: 51.666666666666664}, {X: 383.5, Y: 57.5},
+		{X: 74, Y: 6.5}, {X: 109.5, Y: 19}, {X: 153.5, Y: 21.5},
+		{X: 227, Y: 30.5}, {X: 314.8333333333333, Y: 33}, {X: 383.5, Y: 33},
 	})
 }
 

@@ -50,8 +50,8 @@ func (ws *Workspace) contractSorted(fine, coarse *level, nc int) {
 }
 
 // checkCoarsenMatchesSorted coarsens one level with the transposed
-// contraction, then re-contracts the same matching with the sorted
-// reference, and fails unless the two coarse levels agree and cmap is
+// contraction, under the weight cap a bisection of the level's total weight
+// uses, then re-contracts the same matching with the sorted reference, and fails unless the two coarse levels agree and cmap is
 // untouched. The transposed build writes into buffers full of stale
 // entries, as a recycled workspace level holds them.
 func checkCoarsenMatchesSorted(t *testing.T, fine *level, seed int64) {
@@ -63,7 +63,7 @@ func checkCoarsenMatchesSorted(t *testing.T, fine *level, seed int64) {
 	}
 	ws := NewWorkspace()
 	got := &level{adj: stale}
-	ws.coarsen(fine, got, rand.New(rand.NewSource(seed)))
+	ws.coarsen(fine, got, maxNodeWeight(fine.totalNodeW()), rand.New(rand.NewSource(seed)))
 	cmap := slices.Clone(fine.cmap)
 	want := &level{}
 	nc := got.numNodes()
@@ -102,10 +102,11 @@ func TestCoarsenMatchesSortedMultilevel(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		n := 65 + r.Intn(536)
 		fine, _ := randomLevel(r, n, (1+15*r.Float64())/float64(n))
+		maxW := maxNodeWeight(fine.totalNodeW())
 		for depth := 0; fine.numNodes() > 1 && depth < 12; depth++ {
 			checkCoarsenMatchesSorted(t, fine, int64(i*100+depth))
 			next := &level{}
-			NewWorkspace().coarsen(fine, next, rand.New(rand.NewSource(int64(i*100+depth))))
+			NewWorkspace().coarsen(fine, next, maxW, rand.New(rand.NewSource(int64(i*100+depth))))
 			if next.numNodes() >= fine.numNodes() {
 				break
 			}

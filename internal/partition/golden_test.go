@@ -28,8 +28,8 @@ func TestCutSizeGolden(t *testing.T) {
 		{"mesh20", CutSizeWith(NewWorkspace(), mesh, rand.New(rand.NewSource(11))), 20},
 		{"tree3x6", CutSizeWith(NewWorkspace(), tree, rand.New(rand.NewSource(12))), 5},
 		{"random300", CutSizeWith(NewWorkspace(), random, rand.New(rand.NewSource(13))), 355},
-		{"plrg600", CutSizeWith(NewWorkspace(), p, rand.New(rand.NewSource(14))), 54},
-		{"plrg600-defaults", CutSizeWith(NewWorkspace(), p, nil), 36},
+		{"plrg600", CutSizeWith(NewWorkspace(), p, rand.New(rand.NewSource(14))), 35},
+		{"plrg600-defaults", CutSizeWith(NewWorkspace(), p, nil), 44},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

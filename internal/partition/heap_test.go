@@ -164,15 +164,15 @@ func bisectHeap(g *graph.Graph, r *rand.Rand) (int, []bool) {
 	if n < 2 {
 		return 0, make([]bool, n)
 	}
-	const coarsestSize = 48
 	ws := NewWorkspace()
 	l0 := ws.level0()
 	l0.fromGraph(g)
+	maxW := maxNodeWeight(n)
 	depth := 0
 	cur := l0
 	for cur.numNodes() > coarsestSize {
 		next := ws.levelAt(depth + 1)
-		ws.coarsen(cur, next, r)
+		ws.coarsen(cur, next, maxW, r)
 		if next.numNodes() >= cur.numNodes() {
 			break
 		}

@@ -6,7 +6,8 @@
 //
 // The pipeline is the classic three phases:
 //
-//  1. Coarsening by heavy-edge matching until the graph is small.
+//  1. Coarsening by heavy-edge matching until the graph is small, no
+//     coarse node heavier than ⌈1.5·n/48⌉ for a graph of n nodes.
 //  2. Initial bisection of the coarsest graph by greedy BFS region growing
 //     from several seeds, keeping the best cut.
 //  3. Uncoarsening with Fiduccia–Mattheyses refinement (hill climbing plus
@@ -124,7 +125,20 @@ const (
 	seeds = 4
 	// refinements is the number of FM passes per uncoarsening level.
 	refinements = 4
+	// coarsestSize is the node count at which coarsening stops.
+	coarsestSize = 48
 )
+
+// maxNodeWeight caps the weight of a coarse node in a bisection of n nodes
+// at ⌈1.5·n/coarsestSize⌉, Karypis–Kumar's maxvwgt. Without it heavy-edge
+// matching lets a hub absorb its leaves level after level, until one coarse
+// node holds most of the weight and no initial bisection of the coarsest
+// graph can be balanced. With it every coarsest node weighs at most about
+// 1/32 of the total, so region growing stops below 0.5 + 1/32 of the
+// weight, inside the balance share that refinement then keeps.
+func maxNodeWeight(n int) int32 {
+	return int32((3*n + 2*coarsestSize - 1) / (2 * coarsestSize))
+}
 
 // CutSizeWith computes a balanced bipartition of g on ws's recycled
 // buffers and returns its cut size: the number of edges crossing the
@@ -151,14 +165,14 @@ func bisect(ws *Workspace, g *graph.Graph, r *rand.Rand) (int, []bool) {
 		}
 		return 0, l0.side
 	}
-	const coarsestSize = 48
 	l0 := ws.level0()
 	l0.fromGraph(g)
+	maxW := maxNodeWeight(n)
 	depth := 0
 	cur := l0
 	for cur.numNodes() > coarsestSize {
 		next := ws.levelAt(depth + 1)
-		ws.coarsen(cur, next, r)
+		ws.coarsen(cur, next, maxW, r)
 		if next.numNodes() >= cur.numNodes() {
 			break // no progress
 		}
@@ -207,8 +221,9 @@ func (ws *Workspace) permInto(r *rand.Rand, n int) []int {
 
 // coarsen performs heavy-edge matching on fine (visit nodes in random
 // order, match each unmatched node with its unmatched neighbor of heaviest
-// edge weight, smallest id on ties) and contracts the matching into coarse.
-func (ws *Workspace) coarsen(fine, coarse *level, r *rand.Rand) {
+// edge weight, smallest id on ties, skipping neighbors whose merged weight
+// would exceed maxW) and contracts the matching into coarse.
+func (ws *Workspace) coarsen(fine, coarse *level, maxW int32, r *rand.Rand) {
 	n := fine.numNodes()
 	ws.match = growInt32(ws.match, n)
 	match := ws.match
@@ -221,8 +236,9 @@ func (ws *Workspace) coarsen(fine, coarse *level, r *rand.Rand) {
 			continue
 		}
 		bestV, bestW := int32(-1), int32(-1)
+		room := maxW - fine.nodeW[u]
 		for _, e := range fine.edgesOf(u) {
-			if match[e.to] == -1 && e.to != u && e.w > bestW {
+			if match[e.to] == -1 && e.to != u && e.w > bestW && fine.nodeW[e.to] <= room {
 				bestV, bestW = e.to, e.w
 			}
 		}

@@ -151,6 +151,78 @@ func FuzzCompleteBisection(f *testing.F) {
 	})
 }
 
+// edgeBytes encodes an edge list as FuzzBisectBalanced reads it: two
+// little-endian uint16 endpoints per edge.
+func edgeBytes(edges [][2]int) []byte {
+	var out []byte
+	for _, e := range edges {
+		out = append(out, byte(e[0]), byte(e[0]>>8), byte(e[1]), byte(e[1]>>8))
+	}
+	return out
+}
+
+// FuzzBisectBalanced checks the bisection's two promises on raw-byte
+// graphs of 2–300 nodes, isolated nodes, self-loops and repeats included:
+// each side holds at most max(⌊0.55·n⌋, ⌈n/2⌉) nodes, computed as refine
+// computes it, and the returned cut is the cut of the returned sides. The
+// seed corpus holds the shapes that broke the first promise before coarse
+// nodes had a weight cap: stars, hubs with many leaves, and sparse graphs
+// with many isolated nodes, where heavy-edge matching let one hub absorb
+// most of the graph.
+func FuzzBisectBalanced(f *testing.F) {
+	star := func(n, hubs int) []byte {
+		var edges [][2]int
+		for v := hubs; v < n; v++ {
+			edges = append(edges, [2]int{v % hubs, v})
+		}
+		for h := 1; h < hubs; h++ {
+			edges = append(edges, [2]int{0, h})
+		}
+		return edgeBytes(edges)
+	}
+	// The first argument is the node count less 2.
+	f.Add(uint16(298), int64(1), star(300, 1))
+	f.Add(uint16(198), int64(2), star(200, 2))
+	f.Add(uint16(248), int64(3), star(250, 5))
+	f.Add(uint16(298), int64(4), star(120, 3)) // 180 isolated nodes
+	r := rand.New(rand.NewSource(5))
+	var sparse [][2]int
+	for i := 0; i < 60; i++ {
+		sparse = append(sparse, [2]int{r.Intn(10), r.Intn(300)})
+	}
+	f.Add(uint16(298), int64(5), edgeBytes(sparse))
+	f.Add(uint16(62), int64(6), []byte{0, 0, 1, 0, 1, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, nRaw uint16, seed int64, data []byte) {
+		n := 2 + int(nRaw)%299
+		b := graph.NewStreamBuilder(n)
+		for i := 0; i+3 < len(data); i += 4 {
+			u := int(data[i]) | int(data[i+1])<<8
+			v := int(data[i+2]) | int(data[i+3])<<8
+			b.AddEdge(int32(u%n), int32(v%n))
+		}
+		g := b.Graph()
+		maxSide := int(0.55 * float64(n))
+		if maxSide*2 < n {
+			maxSide = (n + 1) / 2
+		}
+		cut, side := BisectWith(NewWorkspace(), g, rand.New(rand.NewSource(seed)))
+		heavy := 0
+		for _, s := range side {
+			if s {
+				heavy++
+			}
+		}
+		heavy = max(heavy, n-heavy)
+		if heavy > maxSide {
+			t.Fatalf("n=%d, %d edges, seed %d: heavier side %d nodes, balance allows %d",
+				n, g.NumEdges(), seed, heavy, maxSide)
+		}
+		if want := trueCut(g, side); cut != want {
+			t.Fatalf("n=%d, %d edges, seed %d: reported cut %d, sides cut %d", n, g.NumEdges(), seed, cut, want)
+		}
+	})
+}
+
 // Property: the reported cut always equals the actual crossing-edge count
 // and the partition is balanced.
 func TestCutConsistencyProperty(t *testing.T) {

@@ -52,10 +52,6 @@ func BenchmarkLinkValues(b *testing.B) {
 					Parallelism: 1,
 				})
 			}
-			// One untimed pass first grows the pooled entry streams to the
-			// graph's size, so the row times a warm pass, as every suite
-			// run after the first is.
-			pass()
 			benchOnGraph(b, "BENCH_linkvalue.json", g, n.Name, numSources, pass)
 		})
 	}

@@ -5,7 +5,8 @@
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   bench module: go vet + go test inside bench/ (its own module)
 #   fuzz: FuzzRefineMatchesHeap for 10s; Complete(n) bisection against
-#         its closed form, damaged cache entries against the stored value,
+#         its closed form, the balance and reported cut of bisections of
+#         raw-byte graphs, damaged cache entries against the stored value,
 #         the streamed edge builder against a sorted edge set, the MSBFS
 #         level sweep (per-level rule, all top-down, all bottom-up)
 #         against scalar BFS, ball sizes against closed forms, the ball
@@ -68,6 +69,12 @@ echo "== fuzz: Complete(n) bisection against its closed form =="
 # Complete(n), n in [2, 300], at fuzzed seeds: the cut must be a·(n−a),
 # a = max(floor(0.55·n), ceil(n/2)) the heavier side the balance allows.
 go test -run '^$' -fuzz '^FuzzCompleteBisection$' -fuzztime 5s ./internal/partition
+
+echo "== fuzz: bisection stays balanced and reports the cut of its sides =="
+# Raw-byte graphs of 2-300 nodes, stars, hubs with many leaves and isolated
+# nodes in the seed corpus: each side holds at most max(floor(0.55·n),
+# ceil(n/2)) nodes, and the returned cut is the cut of the returned sides.
+go test -run '^$' -fuzz '^FuzzBisectBalanced$' -fuzztime 5s ./internal/partition
 
 echo "== fuzz: damaged cache entries never decode to another value =="
 # A stored payload truncated or with one bit flipped: Get returns the

@@ -11,8 +11,7 @@
 // The positional arguments are files holding standard `go test -bench`
 // output (stdin when none are given). -baseline is a comma-separated list
 // of baseline files or globs; each file is a JSON array of objects carrying
-// at least "name" plus "seconds_per_op" (per-op benchmarks) or "seconds"
-// (single-shot scale benchmarks), and optionally "allocs_per_op".
+// at least "name" and "seconds_per_op", and optionally "allocs_per_op".
 //
 // Matching is by benchmark name with the trailing -GOMAXPROCS suffix
 // stripped, so "BenchmarkKernelCutSize/fresh-8" compares against the
@@ -152,25 +151,16 @@ func loadBaselines(globs string) (map[string]baseline, error) {
 		var entries []struct {
 			Name         string   `json:"name"`
 			SecondsPerOp *float64 `json:"seconds_per_op"`
-			Seconds      *float64 `json:"seconds"`
 			AllocsPerOp  *float64 `json:"allocs_per_op"`
 		}
 		if err := json.Unmarshal(data, &entries); err != nil {
 			return nil, fmt.Errorf("%s: %v", path, err)
 		}
 		for _, e := range entries {
-			if e.Name == "" {
-				continue
-			}
-			b := baseline{Allocs: -1}
-			switch {
-			case e.SecondsPerOp != nil:
-				b.Seconds = *e.SecondsPerOp
-			case e.Seconds != nil:
-				b.Seconds = *e.Seconds
-			default:
+			if e.Name == "" || e.SecondsPerOp == nil {
 				continue // no timing — nothing to compare
 			}
+			b := baseline{Seconds: *e.SecondsPerOp, Allocs: -1}
 			if e.AllocsPerOp != nil {
 				b.Allocs = *e.AllocsPerOp
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,14 +59,16 @@ func TestStripProcSuffix(t *testing.T) {
 	}
 }
 
-func TestLoadBaselinesBothTimingFields(t *testing.T) {
+// TestLoadBaselines reads the one timing field, seconds_per_op, with or
+// without allocs_per_op, and skips rows without a name or a timing.
+func TestLoadBaselines(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_x.json")
 	data := `[
 		{"name": "BenchmarkA", "seconds_per_op": 0.002, "allocs_per_op": 141},
-		{"name": "BenchmarkB/sub", "seconds": 0.5},
+		{"name": "BenchmarkB/sub", "seconds_per_op": 0.5, "peak_heap_bytes": 12345},
 		{"name": "BenchmarkNoTiming", "peak_heap_bytes": 12345},
-		{"name": "", "seconds": 1}
+		{"name": "", "seconds_per_op": 1}
 	]`
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
@@ -147,6 +150,27 @@ func TestCompareAgainstCommittedBaselines(t *testing.T) {
 	}
 	if len(base) == 0 {
 		t.Fatal("no committed baseline entries")
+	}
+	// Every committed row carries seconds_per_op, so none is skipped as
+	// untimed and left out of the sentinel.
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var named []struct{ Name string }
+		if err := json.Unmarshal(data, &named); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rows += len(named)
+	}
+	if len(base) != rows {
+		t.Errorf("loaded %d timed baselines from %d committed rows", len(base), rows)
 	}
 	fresh := map[string]benchResult{}
 	for name, b := range base {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"topocmp/internal/bgp"
+	"topocmp/internal/graph"
 	"topocmp/internal/internetsim"
 	"topocmp/internal/policy"
 )
@@ -42,9 +43,10 @@ func main() {
 
 	// A policy-induced ball around a stub AS (Appendix E).
 	center := int32(as.Graph.NumNodes() - 1)
+	bfs := graph.NewBFSScratch()
 	for h := 1; h <= 4; h++ {
 		b := as.Annotated.PolicyBall(center, h)
-		plain := as.Graph.Ball(center, h)
+		plain := bfs.Ball(as.Graph, center, h)
 		fmt.Printf("ball around stub AS %d, radius %d: policy %d nodes / %d links, plain %d nodes\n",
 			center, h, len(b.Nodes), len(b.Edges), len(plain))
 	}

@@ -2,6 +2,7 @@ package ball
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topocmp/internal/gen/canonical"
@@ -50,6 +51,38 @@ func Visit(g *graph.Graph, cfg Config, fn func(b Ball)) {
 // Subgraph extracts the induced subgraph of a ball.
 func Subgraph(g *graph.Graph, b Ball) *graph.Graph {
 	return g.Subgraph(b.Nodes)
+}
+
+// scalarProfile is the full-profile route the engine's Profiles and ball
+// subgraphs replaced, kept as their reference: one BFS of the center's
+// whole component. order holds the component in BFS order and cum[h] the
+// ball size at radius h, so order[:cum[h]] is the ball of radius h.
+func scalarProfile(g *graph.Graph, center int32) (order, cum []int32) {
+	s := graph.NewBFSScratch()
+	order = slices.Clone(s.BFS(g, center))
+	ecc := int(s.Dist(order[len(order)-1]))
+	cum = make([]int32, ecc+1)
+	for _, v := range order {
+		cum[s.Dist(v)]++
+	}
+	for h := 1; h <= ecc; h++ {
+		cum[h] += cum[h-1]
+	}
+	return order, cum
+}
+
+// sameCSR reports whether a and b hold the same nodes with the same
+// neighbor rows.
+func sameCSR(a, b *graph.Graph) bool {
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for v := int32(0); v < int32(a.NumNodes()); v++ {
+		if !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestVisitPathBallSizes(t *testing.T) {

@@ -57,8 +57,8 @@ func FuzzBallBucketSelection(f *testing.F) {
 
 		e := NewEngine(g, 1)
 		c := cfg()
-		for _, center := range Centers(g, &c) {
-			p := e.Profile(center)
+		for _, p := range e.Profiles(Centers(g, &c)) {
+			center := p.Center
 			eligible := map[int][]int{} // bucket -> eligible radii, increasing
 			for h := 1; h <= p.Eccentricity(); h++ {
 				sz := p.Size(h)

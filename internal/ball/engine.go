@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,15 +13,16 @@ import (
 	"topocmp/internal/stats"
 )
 
-// Engine grows balls for one graph over a reusable worker pool. It keeps
-// per-worker BFS and subgraph scratch (epoch-stamped arrays and reused
-// queues, so steady-state ball growth is allocation-free) and a shared
-// ball-profile cache, so every metric that grows balls from the same center
-// shares one BFS pass per (graph, center) instead of recomputing it.
-// Distance-only metrics take the batched path instead: CumProfiles sweeps
-// up to graph.MSBFSMaxWidth centers per CSR pass through the bit-parallel
-// MSBFS kernel into a coherent cum-only side cache. The engine is the only
-// ball walk: every ball metric grows its balls here, a one-shot caller on a
+// Engine grows balls for one graph over a reusable worker pool. It keeps one
+// Profile per center, shared by every metric and every concurrent stage
+// that asks for the center: the ball size at every radius, which Profiles
+// computes through the bit-parallel MSBFS kernel, up to
+// graph.MSBFSMaxWidth centers per CSR pass, and the induced subgraphs of
+// the balls the curves evaluate, which BallPointsKernels builds from one
+// bounded BFS per center and caches per (center, radius). Per-worker BFS
+// and subgraph scratch (epoch-stamped arrays and reused queues) keeps
+// steady-state ball growth allocation-free. The engine is the only ball
+// walk: every ball metric grows its balls here, a one-shot caller on a
 // throwaway engine of width 1.
 //
 // Determinism contract: results are assembled in center order and every
@@ -38,14 +38,13 @@ type Engine struct {
 	msbfs   *Pool[*graph.MSBFSScratch]
 
 	mu       sync.Mutex
-	profiles map[int32]*profileEntry
-	cums     map[int32]*cumEntry
+	profiles map[int32]*Profile
 
 	// Resolved metric handles (nil until Instrument): each event on the
 	// ball hot path costs at most one atomic add, and nothing at all when
 	// uninstrumented beyond a nil check. Pool traffic (gets/allocs per
 	// scratch family) is carried by the Pool leases themselves.
-	mProfiles       *obs.Counter // balls grown (one BFS pass each)
+	mProfiles       *obs.Counter // bounded BFS passes run to build ball subgraphs
 	mBFSVisits      *obs.Counter // nodes visited across those passes
 	mSubgraphs      *obs.Counter // induced ball subgraphs materialized
 	mMSBFSBatches   *obs.Counter // bit-parallel distance batches run
@@ -91,31 +90,13 @@ type workerScratch struct {
 	sub *graph.SubgraphScratch
 }
 
-type profileEntry struct {
-	once sync.Once
-	p    *Profile
-	// pub is p republished for opportunistic readers (the cum-profile path
-	// peeks at completed full profiles without entering the once).
-	pub atomic.Pointer[Profile]
-}
-
-// cumEntry is one center's cum-only profile. Unlike profileEntry's
-// sync.Once, completion is a closed channel: batched computation fills many
-// entries per kernel run, and late arrivals wait on exactly the entries
-// another call claimed.
-type cumEntry struct {
-	done chan struct{}
-	c    *CumProfile
-}
-
 // NewEngine returns an engine for g with the given worker-pool width;
 // parallelism <= 0 uses runtime.NumCPU, 1 runs strictly sequentially.
 func NewEngine(g *graph.Graph, parallelism int) *Engine {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	e := &Engine{g: g, parallel: parallelism,
-		profiles: map[int32]*profileEntry{}, cums: map[int32]*cumEntry{}}
+	e := &Engine{g: g, parallel: parallelism, profiles: map[int32]*Profile{}}
 	e.scratch = NewPool(func() *workerScratch {
 		return &workerScratch{bfs: graph.NewBFSScratch(), sub: graph.NewSubgraphScratch()}
 	})
@@ -128,9 +109,10 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 }
 
 // Instrument resolves the engine's counters from the registry (under the
-// ball.* namespace: profiles, bfs_visits, subgraphs; scratch_gets/
-// scratch_allocs, kernel_gets/kernel_allocs, msbfs_gets/msbfs_allocs for
-// the leased-workspace pools — reuse is gets minus allocs; msbfs_batches/
+// ball.* namespace: profiles and bfs_visits for the bounded BFS passes that
+// build ball subgraphs, subgraphs; scratch_gets/scratch_allocs,
+// kernel_gets/kernel_allocs, msbfs_gets/msbfs_allocs for the
+// leased-workspace pools — reuse is gets minus allocs; msbfs_batches/
 // msbfs_sources/msbfs_width for the bit-parallel distance kernel's traffic,
 // and brandes_batches for distortion's center elections). Call it before
 // the first ball grows; a nil registry leaves the engine uninstrumented.
@@ -150,7 +132,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.mBrandesBatches = reg.Counter("ball.brandes_batches")
 }
 
-// SetProgress attaches a live progress stage: every Profiles/CumProfiles
+// SetProgress attaches a live progress stage: every Profiles
 // request adds its center count to the stage's work total and one done
 // unit per center completed, so the stage's fraction tracks the suite's
 // ball traffic in flight. Cache hits count as completed work too — each
@@ -162,15 +144,15 @@ func (e *Engine) SetProgress(st *obs.ProgressStage) { e.prog = st }
 // Graph returns the graph the engine grows balls on.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// Profile is one center's cached ball profile: everything a single BFS pass
-// reveals about the balls around the center.
+// Profile is the engine's record of one center: the ball size at every
+// radius and the induced subgraphs of the balls built around it so far.
 type Profile struct {
 	Center int32
-	// Order holds the center's component in BFS order, so Order[:Cum[h]]
-	// is the ball of radius h. Shared storage — do not modify.
-	Order []int32
 	// Cum[h] is the ball size at radius h; len(Cum) == eccentricity+1.
+	// Shared storage — do not modify.
 	Cum []int32
+
+	done chan struct{} // closed once Cum is filled, or with Cum nil when given up
 
 	mu   sync.Mutex
 	subs []*subEntry // ball subgraphs by radius, built at most once each
@@ -192,137 +174,49 @@ func (p *Profile) Size(h int) int {
 	return int(p.Cum[h])
 }
 
-// BallAt returns the members of ball(Center, h) in BFS order. The slice
-// shares the profile's storage and must not be modified.
-func (p *Profile) BallAt(h int) []int32 { return p.Order[:p.Size(h)] }
-
-// Profile returns the center's ball profile, computing and caching it on
-// first use. Safe for concurrent use; duplicate work is suppressed.
-func (e *Engine) Profile(center int32) *Profile {
-	e.mu.Lock()
-	ent := e.profiles[center]
-	if ent == nil {
-		ent = &profileEntry{}
-		e.profiles[center] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		ws := e.scratch.Get()
-		order := ws.bfs.BFS(e.g, center)
-		ent.p = &Profile{Center: center, Order: slices.Clone(order), Cum: cumSizes(ws.bfs, order)}
-		e.scratch.Put(ws)
-		ent.pub.Store(ent.p)
-		e.mProfiles.Add(1)
-		e.mBFSVisits.Add(int64(len(ent.p.Order)))
-	})
-	return ent.p
-}
-
-// cumSizes turns a finished BFS (order and s's distances) into cumulative
-// ball sizes per radius: cum[h] = |ball(center, h)|.
-func cumSizes(s *graph.BFSScratch, order []int32) []int32 {
-	ecc := int(s.Dist(order[len(order)-1]))
-	cum := make([]int32, ecc+1)
-	for _, v := range order {
-		cum[s.Dist(v)]++
-	}
-	for h := 1; h <= ecc; h++ {
-		cum[h] += cum[h-1]
-	}
-	return cum
-}
-
-// Profiles returns the centers' profiles in center order, fanning the
-// missing ones out over the worker pool.
+// Profiles returns the centers' profiles in center order. The misses run
+// through the bit-parallel MSBFS kernel in multi-word batches of up to
+// graph.MSBFSMaxWidth sources (one CSR sweep per level, level counts only,
+// no distance matrix), fanned over the worker pool. Level counts are
+// integers, so the batch width is invisible in the results.
+//
+// The first call that misses a center claims its profile; a concurrent call
+// that finds it claimed waits for it. A panic in the kernel reaches the
+// caller after the other workers stop. The profiles this call claimed but
+// did not fill leave the cache first, so a concurrent call waiting on them
+// computes them itself.
 func (e *Engine) Profiles(centers []int32) []*Profile {
 	out := make([]*Profile, len(centers))
-	e.prog.AddTotal(int64(len(centers)))
-	e.forEach(len(centers), func(i int) {
-		out[i] = e.Profile(centers[i])
-		e.prog.Add(1)
-	})
-	return out
-}
-
-// CumProfile is the order-free slice of a ball profile: the cumulative ball
-// sizes per radius, without the Order membership a full Profile carries.
-// Ball-size counts are order-independent, so a CumProfile derived from the
-// bit-parallel kernel is identical to the Cum of a scalar full profile.
-type CumProfile struct {
-	Center int32
-	// Cum[h] is the ball size at radius h; len(Cum) == eccentricity+1.
-	// Shared storage — do not modify.
-	Cum []int32
-}
-
-// Eccentricity returns the center's hop radius within its component.
-func (c *CumProfile) Eccentricity() int { return len(c.Cum) - 1 }
-
-// Size returns |ball(Center, h)|, saturating beyond the eccentricity.
-func (c *CumProfile) Size(h int) int {
-	if h >= len(c.Cum) {
-		h = len(c.Cum) - 1
-	}
-	return int(c.Cum[h])
-}
-
-// CumProfiles returns the centers' cum-only profiles in center order. The
-// misses run through the bit-parallel MSBFS kernel in multi-word batches of
-// up to graph.MSBFSMaxWidth sources (one CSR sweep per batch, counts-only —
-// no distance matrix), fanned over the worker pool — the one route of
-// distance-only metrics (expansion, eccentricity, path lengths) that never
-// materialize ball membership. Level counts are integers, so the batch
-// width is invisible in the results.
-//
-// Cache coherence with full profiles: a completed full profile satisfies a
-// cum request directly (its Cum is shared, no kernel pass runs), while cum
-// entries live in a side cache that Profile never consults — so a cum entry
-// can never downgrade or preempt a cached full profile, and a later
-// Profile(center) still computes (and caches) the full ordered pass.
-//
-// A panic in the kernel reaches the caller after the other workers stop.
-// The entries this call claimed but did not fill leave the cache first, so
-// a concurrent call waiting on them computes them itself.
-func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
-	out := make([]*CumProfile, len(centers))
-	ents := make([]*cumEntry, len(centers))
-	var mine, theirs []int // indices this call computes vs. waits on
+	var mine []*Profile // claimed by this call, in first-claim order
+	var theirs []int    // indices of profiles claimed before this call reached them
 	e.mu.Lock()
 	for i, c := range centers {
-		if pe := e.profiles[c]; pe != nil {
-			if p := pe.pub.Load(); p != nil {
-				out[i] = &CumProfile{Center: c, Cum: p.Cum}
-				continue
-			}
-		}
-		ent := e.cums[c]
-		if ent == nil {
-			ent = &cumEntry{done: make(chan struct{})}
-			e.cums[c] = ent
-			mine = append(mine, i)
+		p := e.profiles[c]
+		if p == nil {
+			p = &Profile{Center: c, done: make(chan struct{})}
+			e.profiles[c] = p
+			mine = append(mine, p)
 		} else {
 			theirs = append(theirs, i)
 		}
-		ents[i] = ent
+		out[i] = p
 	}
 	e.mu.Unlock()
-	// Work units for the live progress fraction: satisfied-from-cache
-	// centers complete instantly; "mine" completes as the kernels run.
+	// Work units for the live progress fraction: centers claimed elsewhere
+	// complete instantly; "mine" completes as the kernels run.
 	e.prog.AddTotal(int64(len(centers)))
 	e.prog.Add(int64(len(centers) - len(mine)))
 	if len(mine) > 0 {
-		e.fillCums(centers, mine, ents)
+		e.fill(mine)
 	}
-	for _, i := range mine {
-		out[i] = ents[i].c
-	}
-	// Entries claimed by a concurrent call: their owner always completes
-	// its batches before waiting on anyone else, so this cannot cycle. An
-	// entry that comes back empty was given up by an owner that panicked.
+	// Profiles claimed by a concurrent call (or earlier in this one): their
+	// owner always completes its batches before waiting on anyone else, so
+	// this cannot cycle. A profile that comes back empty was given up by an
+	// owner that panicked.
 	var lost []int
 	for _, i := range theirs {
-		<-ents[i].done
-		if out[i] = ents[i].c; out[i] == nil {
+		<-out[i].done
+		if out[i].Cum == nil {
 			lost = append(lost, i)
 		}
 	}
@@ -331,40 +225,35 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		for j, i := range lost {
 			again[j] = centers[i]
 		}
-		for j, c := range e.CumProfiles(again) {
-			out[lost[j]] = c
+		for j, p := range e.Profiles(again) {
+			out[lost[j]] = p
 		}
 	}
 	return out
 }
 
-// fillCums computes the claimed entries ents[i], i in mine, and closes
-// each as it fills it. If the kernel panics, the entries it did not fill
-// are deleted from the cache and closed empty as the panic unwinds.
-func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
+// fill computes the claimed profiles' sizes and closes each as it fills
+// it. If the kernel panics, the profiles it did not fill are deleted from
+// the cache and closed empty as the panic unwinds.
+func (e *Engine) fill(claimed []*Profile) {
 	filled := false
 	defer func() {
 		if !filled {
-			e.abandonCums(centers, mine, ents)
+			e.abandon(claimed)
 		}
 	}()
-	width := batchWidth(len(mine), e.parallel)
+	width := batchWidth(len(claimed), e.parallel)
 	e.mMSBFSWidth.Set(int64(width))
-	batches := (len(mine) + width - 1) / width
+	batches := (len(claimed) + width - 1) / width
 	e.forEach(batches, func(b int) {
-		lo := b * width
-		hi := lo + width
-		if hi > len(mine) {
-			hi = len(mine)
-		}
-		batch := mine[lo:hi]
+		batch := claimed[b*width : min((b+1)*width, len(claimed))]
 		sources := make([]int32, len(batch))
-		for j, idx := range batch {
-			sources[j] = centers[idx]
+		for j, p := range batch {
+			sources[j] = p.Center
 		}
 		ms := e.msbfs.Get()
 		ms.RunLevels(e.g, sources)
-		for j, idx := range batch {
+		for j, p := range batch {
 			levels := ms.LevelCounts(j)
 			cum := make([]int32, len(levels))
 			run := int32(0)
@@ -372,9 +261,8 @@ func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
 				run += cnt
 				cum[h] = run
 			}
-			ent := ents[idx]
-			ent.c = &CumProfile{Center: sources[j], Cum: cum}
-			close(ent.done)
+			p.Cum = cum
+			close(p.done)
 		}
 		e.msbfs.Put(ms)
 		e.mMSBFSBatches.Add(1)
@@ -384,17 +272,17 @@ func (e *Engine) fillCums(centers []int32, mine []int, ents []*cumEntry) {
 	filled = true
 }
 
-// abandonCums deletes the claimed entries that were not filled from the
-// cum cache and closes them empty. Every worker has stopped by then.
-func (e *Engine) abandonCums(centers []int32, mine []int, ents []*cumEntry) {
+// abandon deletes the claimed profiles that were not filled from the cache
+// and closes them empty. Every worker has stopped by then.
+func (e *Engine) abandon(claimed []*Profile) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, i := range mine {
+	for _, p := range claimed {
 		select {
-		case <-ents[i].done:
+		case <-p.done:
 		default:
-			delete(e.cums, centers[i])
-			close(ents[i].done)
+			delete(e.profiles, p.Center)
+			close(p.done)
 		}
 	}
 }
@@ -418,25 +306,47 @@ func batchWidth(pending, parallel int) int {
 	return words * graph.MSBFSWordBits
 }
 
-// BallSubgraph returns the induced subgraph of ball(p.Center, h), built at
-// most once per (center, radius) and shared by every metric that asks.
-func (e *Engine) BallSubgraph(p *Profile, h int) *graph.Graph {
-	if h > p.Eccentricity() {
-		h = p.Eccentricity()
+// ballSubgraphs returns the induced subgraphs of ball(p.Center, h) for the
+// given increasing radii, each built at most once per (center, radius) and
+// shared by every metric that asks. The missing ones come from one BFS
+// bounded at the largest missing radius: a bounded BFS visits nodes in the
+// order a full one does, so its first Cum[h] nodes are the ball of radius h.
+func (e *Engine) ballSubgraphs(p *Profile, radii []int) []*graph.Graph {
+	if len(radii) == 0 {
+		return nil
 	}
+	ents := make([]*subEntry, len(radii))
 	p.mu.Lock()
-	for len(p.subs) <= h {
+	for len(p.subs) <= radii[len(radii)-1] {
 		p.subs = append(p.subs, &subEntry{})
 	}
-	ent := p.subs[h]
+	for i, h := range radii {
+		ents[i] = p.subs[h]
+	}
 	p.mu.Unlock()
-	ent.once.Do(func() {
-		ws := e.scratch.Get()
-		ent.g = ws.sub.Induced(e.g, p.BallAt(h))
+	// Largest radius first, so the first build that runs bounds the BFS
+	// at the largest missing radius and the smaller ones read its prefix.
+	subs := make([]*graph.Graph, len(radii))
+	var ws *workerScratch
+	var order []int32
+	for i := len(radii) - 1; i >= 0; i-- {
+		h := radii[i]
+		ents[i].once.Do(func() {
+			if ws == nil {
+				ws = e.scratch.Get()
+				order = ws.bfs.Ball(e.g, p.Center, h)
+				e.mProfiles.Add(1)
+				e.mBFSVisits.Add(int64(len(order)))
+			}
+			ents[i].g = ws.sub.Induced(e.g, order[:p.Cum[h]])
+			e.mSubgraphs.Add(1)
+		})
+		subs[i] = ents[i].g
+	}
+	if ws != nil {
 		e.scratch.Put(ws)
-		e.mSubgraphs.Add(1)
-	})
-	return ent.g
+	}
+	return subs
 }
 
 // forEach runs work(i) for i in [0, n) over the worker pool. With a pool of
@@ -524,8 +434,9 @@ func (e *Engine) BallPoints(cfg Config, seed int64, perBall func(sub *graph.Grap
 // afterwards, so consecutive balls (and consecutive centers on the same
 // worker) reuse the same workspaces. Kernel contents carry no state between
 // balls that affects results, preserving the bit-identical-at-every-
-// parallelism contract. The selection reads only the profile's sizes, so
-// curves that share centers and size limits share their ball subgraphs.
+// parallelism contract. The selection reads only the profile's sizes, and
+// subgraphs are cached per (center, radius), so curves that share centers
+// share the balls they both select.
 func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *graph.Graph, radius int, rng *rand.Rand, k *Kernels) (y float64, ok bool)) []stats.Point {
 	cfg.defaults()
 	centers := Centers(e.g, &cfg)
@@ -536,11 +447,11 @@ func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *gra
 		rng := rand.New(rand.NewSource(seed + int64(i)))
 		k := e.kernels.Get()
 		defer e.kernels.Put(k)
+		radii := BucketRadii(p.Cum, cfg.MinBallSize, cfg.MaxBallSize)
 		var pts []stats.Point
-		for _, h := range BucketRadii(p.Cum, cfg.MinBallSize, cfg.MaxBallSize) {
-			sub := e.BallSubgraph(p, h)
-			if y, ok := perBall(sub, h, rng, k); ok {
-				pts = append(pts, stats.Point{X: float64(p.Size(h)), Y: y})
+		for j, sub := range e.ballSubgraphs(p, radii) {
+			if y, ok := perBall(sub, radii[j], rng, k); ok {
+				pts = append(pts, stats.Point{X: float64(p.Size(radii[j])), Y: y})
 			}
 		}
 		perCenter[i] = pts

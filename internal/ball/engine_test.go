@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -25,12 +26,15 @@ func engineTestGraph() *graph.Graph {
 
 func TestProfileMatchesBFS(t *testing.T) {
 	g := engineTestGraph()
-	e := NewEngine(g, 1)
-	for src := int32(0); src < 30; src++ {
-		p := e.Profile(src)
+	centers := make([]int32, 30)
+	for i := range centers {
+		centers[i] = int32(i)
+	}
+	for i, p := range NewEngine(g, 1).Profiles(centers) {
+		src := centers[i]
 		dist, order := g.BFS(src)
-		if p.Center != src || len(p.Order) != len(order) {
-			t.Fatalf("src %d: profile covers %d nodes, want %d", src, len(p.Order), len(order))
+		if p.Center != src {
+			t.Fatalf("profile %d is of center %d, want %d", i, p.Center, src)
 		}
 		ecc := int(dist[order[len(order)-1]])
 		if p.Eccentricity() != ecc {
@@ -50,34 +54,50 @@ func TestProfileMatchesBFS(t *testing.T) {
 	}
 }
 
+// TestProfileCacheSharesOneBFS: each center's sizes come from one kernel
+// pass, shared by later calls, by overlapping center sets and by a center
+// repeated within one call.
 func TestProfileCacheSharesOneBFS(t *testing.T) {
 	g := engineTestGraph()
 	e := NewEngine(g, 1)
-	p1 := e.Profile(5)
-	p2 := e.Profile(5)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	p1 := e.Profiles([]int32{5})[0]
+	p2 := e.Profiles([]int32{5})[0]
 	if p1 != p2 {
 		t.Fatal("same center computed twice: profile cache missed")
 	}
-	// Parallel Profiles over overlapping center sets must reuse entries.
-	profs := e.Profiles([]int32{3, 5, 7})
-	if profs[1] != p1 {
+	profs := e.Profiles([]int32{3, 5, 7, 3})
+	if profs[1] != p1 || profs[3] != profs[0] {
 		t.Fatal("Profiles did not reuse the cached profile")
+	}
+	if n := reg.Snapshot().Counters["ball.msbfs_sources"]; n != 3 {
+		t.Fatalf("kernel swept %d sources, want 3: centers 5, 3 and 7 once each", n)
 	}
 }
 
+// TestBallSubgraphMatchesSubgraph: the subgraphs built from one bounded BFS
+// equal the subgraphs induced by the reference's full BFS order prefixes,
+// at every radius, and a second request reads the cache.
 func TestBallSubgraphMatchesSubgraph(t *testing.T) {
 	g := engineTestGraph()
 	e := NewEngine(g, 1)
-	p := e.Profile(0)
-	for h := 1; h <= p.Eccentricity(); h++ {
-		got := e.BallSubgraph(p, h)
-		want := g.Subgraph(p.BallAt(h))
-		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+	p := e.Profiles([]int32{0})[0]
+	order, _ := scalarProfile(g, 0)
+	radii := make([]int, p.Eccentricity())
+	for i := range radii {
+		radii[i] = i + 1
+	}
+	subs := e.ballSubgraphs(p, radii)
+	for i, h := range radii {
+		if want := g.Subgraph(order[:p.Size(h)]); !sameCSR(subs[i], want) {
 			t.Fatalf("h=%d: got %d nodes/%d edges, want %d/%d", h,
-				got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+				subs[i].NumNodes(), subs[i].NumEdges(), want.NumNodes(), want.NumEdges())
 		}
-		if e.BallSubgraph(p, h) != got {
-			t.Fatalf("h=%d: ball subgraph not cached", h)
+	}
+	for i, sub := range e.ballSubgraphs(p, radii[1:3]) {
+		if sub != subs[i+1] {
+			t.Fatalf("h=%d: ball subgraph not cached", radii[i+1])
 		}
 	}
 }
@@ -126,64 +146,66 @@ func TestVisitMatchesProfiles(t *testing.T) {
 		t.Fatal("no balls visited")
 	}
 	for k, sz := range sizes {
-		if got := e.Profile(k.center).Size(k.radius); got != sz {
+		if got := e.Profiles([]int32{k.center})[0].Size(k.radius); got != sz {
 			t.Fatalf("ball (%d, %d): Visit saw %d nodes, profile says %d",
 				k.center, k.radius, sz, got)
 		}
 	}
 }
 
-// TestEngineInstrumentation: an instrumented engine reports balls grown,
-// BFS visits and subgraph builds through the registry, counting cached
-// reuse exactly once.
+// TestEngineInstrumentation: an instrumented engine reports kernel passes,
+// bounded BFS passes, their visits and subgraph builds through the
+// registry, counting cached reuse exactly once.
 func TestEngineInstrumentation(t *testing.T) {
 	g := engineTestGraph()
 	e := NewEngine(g, 1)
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 
-	p := e.Profile(5)
-	e.Profile(5) // cached: no second BFS
-	e.BallSubgraph(p, 1)
-	e.BallSubgraph(p, 1) // cached: no second build
+	p := e.Profiles([]int32{5})[0]
+	e.Profiles([]int32{5})          // cached: no second kernel pass
+	e.ballSubgraphs(p, []int{1, 2}) // one BFS bounded at radius 2
+	e.ballSubgraphs(p, []int{1, 2}) // cached: no second BFS or build
 
 	snap := reg.Snapshot()
-	if snap.Counters["ball.profiles"] != 1 {
-		t.Errorf("profiles = %d, want 1", snap.Counters["ball.profiles"])
-	}
-	if snap.Counters["ball.bfs_visits"] != int64(len(p.Order)) {
-		t.Errorf("bfs_visits = %d, want %d", snap.Counters["ball.bfs_visits"], len(p.Order))
-	}
-	if snap.Counters["ball.subgraphs"] != 1 {
-		t.Errorf("subgraphs = %d, want 1", snap.Counters["ball.subgraphs"])
+	for name, want := range map[string]int64{
+		"ball.msbfs_batches": 1, "ball.msbfs_sources": 1,
+		"ball.profiles": 1, "ball.bfs_visits": int64(p.Size(2)), "ball.subgraphs": 2,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	gets, allocs := snap.Counters["ball.scratch_gets"], snap.Counters["ball.scratch_allocs"]
-	if gets != 2 || allocs < 1 || allocs > gets {
-		t.Errorf("scratch gets=%d allocs=%d", gets, allocs)
+	if gets != 1 || allocs != 1 {
+		t.Errorf("scratch gets=%d allocs=%d, want 1/1", gets, allocs)
 	}
 
 	// An uninstrumented engine takes the same calls as pure no-ops.
 	plain := NewEngine(g, 1)
-	plain.BallSubgraph(plain.Profile(5), 1)
+	plain.ballSubgraphs(plain.Profiles([]int32{5})[0], []int{1})
 }
 
-// checkClosedForm compares a width-1 engine's CumProfiles and Profile sizes
-// at every center in centers, radii 0 through one past the eccentricity,
-// against want(center, h). CumProfiles runs first, so the bit-parallel
-// batches compute its rows rather than reading cached full profiles.
+// checkClosedForm compares a width-1 engine's profile sizes at every center
+// in centers, radii 0 through one past the eccentricity, and the node count
+// of its ball subgraph at every radius up to the eccentricity, against
+// want(center, h).
 func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32, want func(c int32, h int) int) {
 	t.Helper()
 	e := NewEngine(g, 1)
-	cums := e.CumProfiles(centers)
-	for i, c := range centers {
-		p := e.Profile(c)
+	for _, p := range e.Profiles(centers) {
+		var radii []int
 		for h := 0; h <= p.Eccentricity()+1; h++ {
-			w := want(c, h)
-			if got := p.Size(h); got != w {
-				t.Fatalf("%s center %d: Profile size at h=%d is %d, closed form %d", name, c, h, got, w)
+			if got, w := p.Size(h), want(p.Center, h); got != w {
+				t.Fatalf("%s center %d: profile size at h=%d is %d, closed form %d", name, p.Center, h, got, w)
 			}
-			if got := cums[i].Size(h); got != w {
-				t.Fatalf("%s center %d: CumProfiles size at h=%d is %d, closed form %d", name, c, h, got, w)
+			if h <= p.Eccentricity() {
+				radii = append(radii, h)
+			}
+		}
+		for i, sub := range e.ballSubgraphs(p, radii) {
+			if got, w := sub.NumNodes(), want(p.Center, radii[i]); got != w {
+				t.Fatalf("%s center %d: ball subgraph at h=%d holds %d nodes, closed form %d", name, p.Center, radii[i], got, w)
 			}
 		}
 	}
@@ -235,10 +257,95 @@ func FuzzBallSizesClosedForm(f *testing.F) {
 	})
 }
 
-// TestCumProfilesMatchProfiles checks the batched rows against Profile.Cum
-// at every center of three long graphs: a complete ternary tree with a
-// 40-node chain hung off one leaf (diameter 52), a 30x30 mesh and
-// Linear(500).
+// FuzzProfilesMatchBFS checks the engine against the scalar full-profile
+// route on raw-byte graphs of up to 64 nodes, isolated nodes and several
+// components included. Profiles of 1–80 centers, repeats included, hold
+// the reference BFS level counts at widths 1 and 3. Every ball subgraph
+// that BallPointsKernels hands its callback, at fuzzed size limits (Max 0:
+// no cap), equals CSR for CSR the subgraph induced by the reference's full
+// BFS order prefix at that radius; at width 1 the callbacks arrive in
+// (center, radius) order, and the points at widths 1 and 3 are equal.
+func FuzzProfilesMatchBFS(f *testing.F) {
+	f.Add(uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
+	f.Add(uint8(40), uint8(79), uint8(2), uint8(20), uint8(9), []byte{0, 1, 1, 2, 2, 0, 4, 5, 5, 6, 6, 7, 9, 10, 10, 11, 11, 12, 12, 13})
+	f.Fuzz(func(t *testing.T, nRaw, centersRaw, minRaw, maxRaw, srcRaw uint8, data []byte) {
+		n := 1 + int(nRaw)%64
+		b := graph.NewStreamBuilder(n)
+		for i := 0; i+1 < len(data); i += 2 {
+			b.AddEdge(int32(data[i])%int32(n), int32(data[i+1])%int32(n))
+		}
+		g := b.Graph()
+		orders := make([][]int32, n)
+		cums := make([][]int32, n)
+		for v := range orders {
+			orders[v], cums[v] = scalarProfile(g, int32(v))
+		}
+
+		centers := make([]int32, 1+int(centersRaw)%80)
+		for i := range centers {
+			centers[i] = int32(i % n)
+			if len(data) > 0 {
+				centers[i] = int32(int(data[i%len(data)])+i) % int32(n)
+			}
+		}
+		for _, width := range []int{1, 3} {
+			for i, p := range NewEngine(g, width).Profiles(centers) {
+				if p.Center != centers[i] || !slices.Equal(p.Cum, cums[centers[i]]) {
+					t.Fatalf("width %d: profile %d of center %d has sizes %v, scalar %v",
+						width, i, p.Center, p.Cum, cums[centers[i]])
+				}
+			}
+		}
+
+		minSize, maxSize := int(minRaw)%10, int(maxRaw)%(n+5)
+		cfg := func() Config {
+			return Config{MaxSources: int(srcRaw) % (n + 1), MinBallSize: minSize,
+				MaxBallSize: maxSize, Rand: rand.New(rand.NewSource(int64(srcRaw)))}
+		}
+		type ballKey struct {
+			center int32
+			radius int
+		}
+		var balls []ballKey // (center, radius) in the order width 1 visits them
+		c := cfg()
+		for _, center := range Centers(g, &c) {
+			for _, h := range BucketRadii(cums[center], minSize, maxSize) {
+				balls = append(balls, ballKey{center, h})
+			}
+		}
+		var next atomic.Int64
+		run := func(width int) []stats.Point {
+			return NewEngine(g, width).BallPointsKernels(cfg(), int64(srcRaw),
+				func(sub *graph.Graph, radius int, rng *rand.Rand, _ *Kernels) (float64, bool) {
+					if width == 1 {
+						k := int(next.Add(1)) - 1
+						if k >= len(balls) {
+							t.Fatalf("ball %d at radius %d beyond the %d selected", k, radius, len(balls))
+						}
+						bk := balls[k]
+						want := g.Subgraph(orders[bk.center][:cums[bk.center][bk.radius]])
+						if radius != bk.radius || !sameCSR(sub, want) {
+							t.Fatalf("ball %d: radius %d with %d nodes, want center %d radius %d with %d nodes",
+								k, radius, sub.NumNodes(), bk.center, bk.radius, want.NumNodes())
+						}
+					}
+					return fingerprintY(sub, rng), true
+				})
+		}
+		pts := run(1)
+		if int(next.Load()) != len(balls) {
+			t.Fatalf("width 1 evaluated %d balls, want %d", next.Load(), len(balls))
+		}
+		if par := run(3); !reflect.DeepEqual(pts, par) {
+			t.Fatalf("width 3 points %v differ from width 1 %v", par, pts)
+		}
+	})
+}
+
+// TestCumProfilesMatchProfiles checks the batched sizes against the
+// scalar reference's level counts at every center of three long graphs: a
+// complete ternary tree with a 40-node chain hung off one leaf (diameter
+// 52), a 30x30 mesh and Linear(500).
 func TestCumProfilesMatchProfiles(t *testing.T) {
 	tree := canonical.Tree(3, 6)
 	n := tree.NumNodes()
@@ -258,11 +365,10 @@ func TestCumProfilesMatchProfiles(t *testing.T) {
 		for i := range centers {
 			centers[i] = int32(i)
 		}
-		cums := NewEngine(tc.g, 1).CumProfiles(centers)
-		ref := NewEngine(tc.g, 1)
+		profs := NewEngine(tc.g, 1).Profiles(centers)
 		for i, c := range centers {
-			if want := ref.Profile(c).Cum; !reflect.DeepEqual(cums[i].Cum, want) {
-				t.Fatalf("%s center %d: batched rows %v, profile %v", tc.name, c, cums[i].Cum, want)
+			if _, want := scalarProfile(tc.g, c); !reflect.DeepEqual(profs[i].Cum, want) {
+				t.Fatalf("%s center %d: batched sizes %v, scalar %v", tc.name, c, profs[i].Cum, want)
 			}
 		}
 	}
@@ -301,9 +407,9 @@ func TestForEachReraisesWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestCumProfilesPanicReleasesClaims: when the kernel panics, CumProfiles
-// re-raises it with no claimed entry left open in the cache, and a call
-// that was waiting on an abandoned entry computes it itself.
+// TestCumProfilesPanicReleasesClaims: when the kernel panics, Profiles
+// re-raises it with no claimed profile left open in the cache, and a call
+// that was waiting on an abandoned profile computes it itself.
 func TestCumProfilesPanicReleasesClaims(t *testing.T) {
 	g := engineTestGraph()
 	n := int32(g.NumNodes())
@@ -319,37 +425,37 @@ func TestCumProfilesPanicReleasesClaims(t *testing.T) {
 				t.Fatal("an out-of-range center did not panic")
 			}
 		}()
-		e.CumProfiles(centers)
+		e.Profiles(centers)
 	}()
-	for c, ent := range e.cums {
+	for c, p := range e.profiles {
 		select {
-		case <-ent.done:
-			if ent.c == nil {
-				t.Fatalf("center %d: closed entry left in the cache without a profile", c)
+		case <-p.done:
+			if p.Cum == nil {
+				t.Fatalf("center %d: closed profile left in the cache without sizes", c)
 			}
 		default:
-			t.Fatalf("center %d: claimed entry left open after the panic", c)
+			t.Fatalf("center %d: claimed profile left open after the panic", c)
 		}
 	}
 
-	// A waiter on an entry whose owner gives it up computes it afresh. The
-	// progress stage shows when the waiter has found the entry claimed: it
+	// A waiter on a profile whose owner gives it up computes it afresh. The
+	// progress stage shows when the waiter has found the profile claimed: it
 	// adds its one center to the total, and the retry adds it once more.
 	prog := obs.NewProgress()
-	e.SetProgress(prog.Register("cum"))
+	e.SetProgress(prog.Register("profiles"))
 	units := func() int64 { return prog.Snapshot().Stages[0].TotalUnits }
-	ent := &cumEntry{done: make(chan struct{})}
+	claimed := &Profile{Center: n - 1, done: make(chan struct{})}
 	e.mu.Lock()
-	e.cums[n-1] = ent
+	e.profiles[n-1] = claimed
 	e.mu.Unlock()
-	got := make(chan *CumProfile)
-	go func() { got <- e.CumProfiles([]int32{n - 1})[0] }()
+	got := make(chan *Profile)
+	go func() { got <- e.Profiles([]int32{n - 1})[0] }()
 	for units() == 0 {
 		runtime.Gosched()
 	}
-	e.abandonCums([]int32{n - 1}, []int{0}, []*cumEntry{ent})
-	if c := <-got; c == nil || !reflect.DeepEqual(c.Cum, NewEngine(g, 1).Profile(n-1).Cum) {
-		t.Fatalf("waiter on an abandoned entry got %v", c)
+	e.abandon([]*Profile{claimed})
+	if _, want := scalarProfile(g, n-1); !reflect.DeepEqual((<-got).Cum, want) {
+		t.Fatal("waiter on an abandoned profile did not compute its sizes")
 	}
 	if u := units(); u != 2 {
 		t.Fatalf("progress total %d, want 2: the waiter did not retry", u)

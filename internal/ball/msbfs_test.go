@@ -6,151 +6,113 @@ import (
 	"sync"
 	"testing"
 
+	"topocmp/internal/graph"
 	"topocmp/internal/obs"
+	"topocmp/internal/stats"
 )
 
 // TestCumProfilesMatchFullProfiles: the batched kernel path must produce
-// exactly the Cum rows of the scalar full-profile path, at every batch
-// width (the 70-center set spans two kernel batches).
+// exactly the level counts of the scalar full-profile reference, in center
+// order, with the accessors reading them.
 func TestCumProfilesMatchFullProfiles(t *testing.T) {
 	g := engineTestGraph()
 	centers := make([]int32, 70)
 	for i := range centers {
 		centers[i] = int32(i * 5)
 	}
-	cums := NewEngine(g, 1).CumProfiles(centers)
-	full := NewEngine(g, 1).Profiles(centers)
-	for i, c := range centers {
-		if cums[i].Center != c {
-			t.Fatalf("center %d: got %d", c, cums[i].Center)
+	for i, p := range NewEngine(g, 1).Profiles(centers) {
+		c := centers[i]
+		if p.Center != c {
+			t.Fatalf("center %d: got %d", c, p.Center)
 		}
-		if !reflect.DeepEqual(cums[i].Cum, full[i].Cum) {
-			t.Fatalf("center %d: cum rows differ: %v vs %v", c, cums[i].Cum, full[i].Cum)
+		_, want := scalarProfile(g, c)
+		if !reflect.DeepEqual(p.Cum, want) {
+			t.Fatalf("center %d: sizes differ: %v vs %v", c, p.Cum, want)
 		}
-		if cums[i].Eccentricity() != full[i].Eccentricity() ||
-			cums[i].Size(2) != full[i].Size(2) {
+		if p.Eccentricity() != len(want)-1 || p.Size(2) != int(want[min(2, len(want)-1)]) {
 			t.Fatalf("center %d: accessor mismatch", c)
 		}
 	}
 }
 
-// TestCumProfileCacheCoherence pins the coherence rule between the two
-// caches: a completed full profile satisfies cum requests without a kernel
-// pass, and a cum entry never downgrades or preempts a full profile.
-func TestCumProfileCacheCoherence(t *testing.T) {
-	g := engineTestGraph()
-	e := NewEngine(g, 1)
-	reg := obs.NewRegistry()
-	e.Instrument(reg)
-
-	// Full first: the cum request reads the full profile's Cum storage and
-	// runs no kernel batch.
-	p := e.Profile(5)
-	c := e.CumProfiles([]int32{5})[0]
-	if &c.Cum[0] != &p.Cum[0] {
-		t.Fatal("cum request did not share the cached full profile's Cum")
-	}
-	if n := reg.Snapshot().Counters["ball.msbfs_batches"]; n != 0 {
-		t.Fatalf("full-profile hit ran %d kernel batches, want 0", n)
-	}
-
-	// Cum first: a kernel batch runs, and a later Profile call still
-	// computes (and caches) the full ordered pass.
-	c7 := e.CumProfiles([]int32{7})[0]
-	snap := reg.Snapshot()
-	if snap.Counters["ball.msbfs_batches"] != 1 || snap.Counters["ball.msbfs_sources"] != 1 {
-		t.Fatalf("cum miss: batches=%d sources=%d, want 1/1",
-			snap.Counters["ball.msbfs_batches"], snap.Counters["ball.msbfs_sources"])
-	}
-	p7 := e.Profile(7)
-	if len(p7.Order) == 0 || !reflect.DeepEqual(p7.Cum, c7.Cum) {
-		t.Fatal("full profile after cum entry is missing Order or disagrees on Cum")
-	}
-	if e.Profile(7) != p7 {
-		t.Fatal("cum entry displaced the cached full profile")
-	}
-	// Once the full profile exists it satisfies further cum requests.
-	if got := e.CumProfiles([]int32{7})[0]; &got.Cum[0] != &p7.Cum[0] {
-		t.Fatal("cum request after full profile did not read the full cache")
-	}
-	if n := reg.Snapshot().Counters["ball.msbfs_batches"]; n != 1 {
-		t.Fatalf("cum request after full profile ran a kernel batch (total %d)", n)
-	}
-
-	// Repeated cum requests hit the cum cache, not the kernel.
-	e.CumProfiles([]int32{9, 11})
-	before := reg.Snapshot().Counters["ball.msbfs_batches"]
-	e.CumProfiles([]int32{9, 11})
-	if n := reg.Snapshot().Counters["ball.msbfs_batches"]; n != before {
-		t.Fatalf("warm cum request ran a kernel batch (%d -> %d)", before, n)
-	}
+// fingerprintY is a ball curve's Y that reads the ball subgraph's
+// fingerprint and one draw of the per-center RNG, so a wrong member set or
+// an RNG stream out of order shows in the points.
+func fingerprintY(sub *graph.Graph, rng *rand.Rand) float64 {
+	return float64(sub.Fingerprint()>>24)*4 + float64(rng.Intn(3))
 }
 
-// TestMSBFSRaceShort exercises the batched distance path on a P=4 engine
-// under the race detector: concurrent CumProfiles calls over overlapping
-// center sets, racing Profile calls on some of the same centers. Every
-// result must be bit-identical to the sequential P=1 engine.
+// raceCurve is a ball curve of fingerprintY points.
+func raceCurve(e *Engine, maxSources int, seed int64) []stats.Point {
+	cfg := Config{MaxSources: maxSources, MinBallSize: 2, MaxBallSize: 200,
+		Rand: rand.New(rand.NewSource(seed))}
+	return e.BallPoints(cfg, seed, func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
+		return fingerprintY(sub, rng), true
+	})
+}
+
+// TestMSBFSRaceShort races the engine's two per-center paths on a P=4
+// engine under the race detector: Profiles calls over overlapping random
+// center sets against BallPointsKernels curves whose centers overlap them
+// and each other, so the calls claim and wait on the same profiles and
+// build and read the same ball subgraphs. Every profile must equal the
+// scalar reference, and every curve the same curve on a sequential P=1
+// engine.
 func TestMSBFSRaceShort(t *testing.T) {
 	g := engineTestGraph()
 	n := g.NumNodes()
-	want := make(map[int32][]int32, n)
-	ref := NewEngine(g, 1)
-	for v := int32(0); v < int32(n); v++ {
-		want[v] = ref.Profile(v).Cum
+	want := make([][]int32, n)
+	for v := range want {
+		_, want[v] = scalarProfile(g, int32(v))
+	}
+	const seeds = 3
+	curves := make([][]stats.Point, seeds)
+	for s := range curves {
+		curves[s] = raceCurve(NewEngine(g, 1), 48, int64(s))
 	}
 
 	e := NewEngine(g, 4)
 	r := rand.New(rand.NewSource(55))
-	sets := make([][]int32, 8)
-	for i := range sets {
-		sets[i] = make([]int32, 96) // spans two kernel batches, overlaps heavily
-		for j := range sets[i] {
-			sets[i][j] = int32(r.Intn(n))
-		}
-	}
 	var wg sync.WaitGroup
-	for i := range sets {
-		wg.Add(1)
-		go func(centers []int32) {
+	for i := 0; i < 8; i++ {
+		centers := make([]int32, 96) // overlaps heavily, repeats included
+		for j := range centers {
+			centers[j] = int32(r.Intn(n))
+		}
+		wg.Add(2)
+		go func() {
 			defer wg.Done()
-			got := e.CumProfiles(centers)
-			for j, c := range centers {
-				if !reflect.DeepEqual(got[j].Cum, want[c]) {
-					t.Errorf("center %d: concurrent cum differs from sequential", c)
+			for j, p := range e.Profiles(centers) {
+				if !reflect.DeepEqual(p.Cum, want[centers[j]]) {
+					t.Errorf("center %d: concurrent profile differs from the scalar reference", centers[j])
 					return
 				}
 			}
-		}(sets[i])
-		wg.Add(1)
+		}()
 		go func(seed int64) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for k := 0; k < 24; k++ {
-				c := int32(r.Intn(n))
-				p := e.Profile(c)
-				if !reflect.DeepEqual(p.Cum, want[c]) {
-					t.Errorf("center %d: concurrent full profile differs", c)
-					return
-				}
+			if got := raceCurve(e, 48, seed); !reflect.DeepEqual(got, curves[seed]) {
+				t.Errorf("seed %d: concurrent curve differs from sequential", seed)
 			}
-		}(int64(i))
+		}(int64(i % seeds))
 	}
 	wg.Wait()
 }
 
 // TestWideMSBFSRaceShort is the tier-2 race target for the multi-word
-// kernel: a P=4 engine batching a center set large enough that batchWidth
-// picks strips wider than one 64-bit word, raced against scalar Profile
-// calls on overlapping centers. Results must be bit-identical to the
-// sequential engine.
+// kernel: on a P=4 engine, Profiles calls over every node, large enough
+// that batchWidth picks strips wider than one 64-bit word, race curves
+// over every node that wait on those profiles and build ball subgraphs
+// from them. Every profile must equal the scalar reference and every curve
+// the sequential engine's.
 func TestWideMSBFSRaceShort(t *testing.T) {
 	g := engineTestGraph()
 	n := g.NumNodes()
-	want := make(map[int32][]int32, n)
-	ref := NewEngine(g, 1)
-	for v := int32(0); v < int32(n); v++ {
-		want[v] = ref.Profile(v).Cum
+	want := make([][]int32, n)
+	for v := range want {
+		_, want[v] = scalarProfile(g, int32(v))
 	}
+	curve := raceCurve(NewEngine(g, 1), 0, 9)
 
 	e := NewEngine(g, 4)
 	reg := obs.NewRegistry()
@@ -161,32 +123,26 @@ func TestWideMSBFSRaceShort(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for rep := 0; rep < 2; rep++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got := e.CumProfiles(centers)
-			for j, c := range centers {
-				if !reflect.DeepEqual(got[j].Cum, want[c]) {
-					t.Errorf("center %d: wide cum differs from sequential", c)
+			for j, p := range e.Profiles(centers) {
+				if !reflect.DeepEqual(p.Cum, want[centers[j]]) {
+					t.Errorf("center %d: wide profile differs from the scalar reference", centers[j])
 					return
 				}
 			}
 		}()
-		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for k := 0; k < 16; k++ {
-				c := int32(r.Intn(n))
-				p := e.Profile(c)
-				if !reflect.DeepEqual(p.Cum, want[c]) {
-					t.Errorf("center %d: racing full profile differs", c)
-					return
-				}
+			if got := raceCurve(e, 0, 9); !reflect.DeepEqual(got, curve) {
+				t.Error("racing curve differs from sequential")
 			}
-		}(int64(rep))
+		}()
 	}
 	wg.Wait()
+	// Every call asks for every node, so the first to take the lock claims
+	// all of them and picks the strip width.
 	if w := reg.Gauge("ball.msbfs_width").Value(); w <= 64 {
 		t.Fatalf("expected a multi-word batch width, recorded %d", w)
 	}

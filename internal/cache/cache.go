@@ -43,8 +43,10 @@ import (
 // entries start with a CRC-32C of their gob body. Version 6: each center
 // of the policy ball curves cuts its balls with its own seeded RNG.
 // Version 7: balanced bisection caps the weight of a coarse node, which
-// moves resilience curves.
-const SchemaVersion = 7
+// moves resilience curves. Version 8: suite entries embed core.Curves, which
+// gob encodes as one nested field, so a version 7 entry would decode with
+// empty curves and no error.
+const SchemaVersion = 8
 
 // crcTable is the Castagnoli polynomial's table for the entry checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -122,7 +122,13 @@ func (o SuiteOptions) CacheKey() string {
 // SuiteResult holds every metric curve for one network.
 type SuiteResult struct {
 	Network *Network
+	Curves
+}
 
+// Curves is every result the suite computes on one network. The result
+// cache and the serving layer store it whole beside the network's summary
+// (experiments.SuiteEntry), so a new metric is one field here.
+type Curves struct {
 	Expansion  stats.Series
 	Resilience stats.Series
 	Distortion stats.Series

@@ -26,8 +26,6 @@ import (
 
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
-	"topocmp/internal/hierarchy"
-	"topocmp/internal/stats"
 )
 
 // Stats counts the expensive pipeline operations performed by this runner,
@@ -249,9 +247,11 @@ func (r *Runner) summaryOf(name string) *NetworkSummary {
 // SuiteEntry is the gob image of one network's suite result plus its
 // summary. core.SuiteResult itself is not encodable — Network carries the
 // graph and policy structures, which have unexported fields — so the entry
-// holds only the series and rebuilds a stub Network (name and category are
-// all the table builders read) on restore. gob round-trips float64 bits
-// exactly, so a restored result renders byte-identically to a fresh one.
+// holds only the result's core.Curves and rebuilds a stub Network (name and
+// category are all the table builders read) on restore. gob round-trips
+// float64 bits exactly, so a restored result renders byte-identically to a
+// fresh one, and encoding/json promotes the embedded fields in place, so a
+// /v1/suite body lists them after Summary.
 // Exported because the serving layer stores and restores the same wire type
 // under the same SuiteKey — gob matches fields structurally, so entries
 // written by either side decode on the other.
@@ -259,77 +259,22 @@ type SuiteEntry struct {
 	Name     string
 	Category core.Category
 	Summary  NetworkSummary
-
-	Expansion  stats.Series
-	Resilience stats.Series
-	Distortion stats.Series
-
-	Eigenvalues    stats.Series
-	Eccentricity   stats.Series
-	VertexCover    stats.Series
-	Biconnectivity stats.Series
-	Attack         stats.Series
-	Error          stats.Series
-	Clustering     stats.Series
-
-	WholeGraphClustering float64
-	LinkValues           *hierarchy.Result
-
-	PolicyExpansion  stats.Series
-	PolicyResilience stats.Series
-	PolicyDistortion stats.Series
-	PolicyLinkValues *hierarchy.Result
+	core.Curves
 }
 
 // MakeSuiteEntry flattens a computed suite result and its summary into the
 // cacheable entry form.
 func MakeSuiteEntry(res *core.SuiteResult, sum *NetworkSummary) *SuiteEntry {
-	return &SuiteEntry{
-		Name:                 res.Network.Name,
-		Category:             res.Network.Category,
-		Summary:              *sum,
-		Expansion:            res.Expansion,
-		Resilience:           res.Resilience,
-		Distortion:           res.Distortion,
-		Eigenvalues:          res.Eigenvalues,
-		Eccentricity:         res.Eccentricity,
-		VertexCover:          res.VertexCover,
-		Biconnectivity:       res.Biconnectivity,
-		Attack:               res.Attack,
-		Error:                res.Error,
-		Clustering:           res.Clustering,
-		WholeGraphClustering: res.WholeGraphClustering,
-		LinkValues:           res.LinkValues,
-		PolicyExpansion:      res.PolicyExpansion,
-		PolicyResilience:     res.PolicyResilience,
-		PolicyDistortion:     res.PolicyDistortion,
-		PolicyLinkValues:     res.PolicyLinkValues,
-	}
+	return &SuiteEntry{Name: res.Network.Name, Category: res.Network.Category,
+		Summary: *sum, Curves: res.Curves}
 }
 
 // Restore rebuilds the in-memory suite result (with a stub Network) and the
 // network summary from the entry.
 func (e *SuiteEntry) Restore() (*core.SuiteResult, *NetworkSummary) {
 	sum := e.Summary
-	return &core.SuiteResult{
-		Network:              &core.Network{Name: e.Name, Category: e.Category},
-		Expansion:            e.Expansion,
-		Resilience:           e.Resilience,
-		Distortion:           e.Distortion,
-		Eigenvalues:          e.Eigenvalues,
-		Eccentricity:         e.Eccentricity,
-		VertexCover:          e.VertexCover,
-		Biconnectivity:       e.Biconnectivity,
-		Attack:               e.Attack,
-		Error:                e.Error,
-		Clustering:           e.Clustering,
-		WholeGraphClustering: e.WholeGraphClustering,
-		LinkValues:           e.LinkValues,
-		PolicyExpansion:      e.PolicyExpansion,
-		PolicyResilience:     e.PolicyResilience,
-		PolicyDistortion:     e.PolicyDistortion,
-		PolicyLinkValues:     e.PolicyLinkValues,
-	}, &sum
+	return &core.SuiteResult{Network: &core.Network{Name: e.Name, Category: e.Category},
+		Curves: e.Curves}, &sum
 }
 
 // cachedArtifact memoizes a derived artifact (variant panel, parameter

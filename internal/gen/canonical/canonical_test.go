@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"topocmp/internal/graph"
 )
 
 func TestTreePaperInstance(t *testing.T) {
@@ -167,8 +169,9 @@ func TestTreeVsMeshExpansion(t *testing.T) {
 	tree := Tree(3, 6) // 1093 nodes
 	mesh := Mesh(33, 33)
 	h := 4
-	treeBall := len(tree.Ball(0, h))
-	meshBall := len(mesh.Ball(int32(16*33+16), h))
+	s := graph.NewBFSScratch()
+	treeBall := len(s.Ball(tree, 0, h))
+	meshBall := len(s.Ball(mesh, int32(16*33+16), h))
 	if treeBall <= meshBall {
 		t.Fatalf("tree ball %d should exceed mesh ball %d", treeBall, meshBall)
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"topocmp/internal/graph"
 )
 
 func TestPaperInstance(t *testing.T) {
@@ -94,7 +96,7 @@ func TestSlowExpansionVsRandom(t *testing.T) {
 	}
 	g := MustGenerate(rand.New(rand.NewSource(5)), p)
 	// Ball around a WAN node after 5 hops.
-	ball := len(g.Ball(0, 5))
+	ball := len(graph.NewBFSScratch().Ball(g, 0, 5))
 	if frac := float64(ball) / float64(g.NumNodes()); frac > 0.8 {
 		t.Fatalf("tiers ball covers %.2f of graph in 5 hops; too random-like", frac)
 	}

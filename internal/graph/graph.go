@@ -173,18 +173,6 @@ func (g *Graph) BFSCounts(src int32) (dist []int32, sigma []float64, order []int
 	return dist, sigma, order
 }
 
-// Ball returns the nodes within h hops of src (including src), in BFS order.
-// The traversal runs on pooled epoch-stamped scratch; only the returned
-// slice is allocated.
-func (g *Graph) Ball(src int32, h int) []int32 {
-	s := bfsScratchPool.Get().(*BFSScratch)
-	ball := s.Ball(g, src, h)
-	out := make([]int32, len(ball))
-	copy(out, ball)
-	bfsScratchPool.Put(s)
-	return out
-}
-
 // Components labels each node with a component id and returns the labels and
 // the size of each component.
 func (g *Graph) Components() (label []int32, sizes []int) {
@@ -229,9 +217,13 @@ func (g *Graph) IsConnected() bool {
 
 // LargestComponent returns the induced subgraph of the largest connected
 // component plus the mapping orig[newID] = oldID. Ties break toward the
-// component with the smallest minimum node id.
+// component with the smallest minimum node id. A graph with no nodes has no
+// component: the result is the empty graph and an empty mapping.
 func (g *Graph) LargestComponent() (*Graph, []int32) {
 	label, sizes := g.Components()
+	if len(sizes) == 0 {
+		return g.Subgraph(nil), []int32{}
+	}
 	best := 0
 	for i, s := range sizes {
 		if s > sizes[best] {

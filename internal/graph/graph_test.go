@@ -133,12 +133,13 @@ func TestBFSCountsCycle(t *testing.T) {
 
 func TestBallSizes(t *testing.T) {
 	g := pathGraph(10)
+	s := NewBFSScratch()
 	for h, want := range map[int]int{0: 1, 1: 2, 2: 3, 9: 10, 15: 10} {
-		if got := len(g.Ball(0, h)); got != want {
+		if got := len(s.Ball(g, 0, h)); got != want {
 			t.Fatalf("Ball(0,%d) size = %d, want %d", h, got, want)
 		}
 	}
-	mid := g.Ball(5, 2)
+	mid := s.Ball(g, 5, 2)
 	if len(mid) != 5 {
 		t.Fatalf("Ball(5,2) size = %d, want 5", len(mid))
 	}
@@ -183,6 +184,16 @@ func TestComponents(t *testing.T) {
 	}
 	if !lc.IsConnected() {
 		t.Fatal("largest component should be connected")
+	}
+}
+
+// TestLargestComponentEmpty: a graph with no nodes has no component, and
+// its largest component is the empty graph with an empty mapping.
+func TestLargestComponentEmpty(t *testing.T) {
+	lc, orig := NewStreamBuilder(0).Graph().LargestComponent()
+	if lc.NumNodes() != 0 || lc.NumEdges() != 0 || len(orig) != 0 {
+		t.Fatalf("largest component of the empty graph: %d nodes, %d edges, mapping %v",
+			lc.NumNodes(), lc.NumEdges(), orig)
 	}
 }
 
@@ -394,7 +405,7 @@ func TestBallCoversComponentProperty(t *testing.T) {
 			return true
 		}
 		ecc := eccentricity(g, 0)
-		ball := g.Ball(0, ecc)
+		ball := NewBFSScratch().Ball(g, 0, ecc)
 		return len(ball) == sizes[label[0]]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -95,18 +95,18 @@ func TestMSBFSBatchWidthPanics(t *testing.T) {
 	}
 }
 
-// TestBallScratchMatchesBFS pins the scratch-backed Graph.Ball (and the
-// BFSScratch.Ball primitive beneath it) to the distances of a full BFS.
+// TestBallScratchMatchesBFS pins BFSScratch.Ball to the distances and the
+// visit order of a full BFS: the ball of radius h is the full order's
+// prefix of the nodes within h hops.
 func TestBallScratchMatchesBFS(t *testing.T) {
 	g := msbfsTestGraph(11, 200, 500)
 	s := NewBFSScratch()
 	for _, src := range []int32{0, 3, 77, 199} {
-		dist, _ := g.BFS(src)
+		dist, order := g.BFS(src)
 		for h := 0; h <= 6; h++ {
-			want := []int32{}
+			ball := s.Ball(g, src, h)
 			prev := int32(-1)
-			for _, v := range g.Ball(src, h) {
-				want = append(want, v)
+			for _, v := range ball {
 				if dist[v] > int32(h) {
 					t.Fatalf("src %d h %d: node %d at distance %d in ball", src, h, v, dist[v])
 				}
@@ -121,16 +121,12 @@ func TestBallScratchMatchesBFS(t *testing.T) {
 					inBall++
 				}
 			}
-			if len(want) != inBall {
-				t.Fatalf("src %d h %d: ball has %d nodes, want %d", src, h, len(want), inBall)
+			if len(ball) != inBall {
+				t.Fatalf("src %d h %d: ball has %d nodes, want %d", src, h, len(ball), inBall)
 			}
-			scratch := s.Ball(g, src, h)
-			if len(scratch) != len(want) {
-				t.Fatalf("src %d h %d: scratch ball %d nodes, Graph.Ball %d", src, h, len(scratch), len(want))
-			}
-			for i := range scratch {
-				if scratch[i] != want[i] {
-					t.Fatalf("src %d h %d: scratch ball diverges at %d", src, h, i)
+			for i := range ball {
+				if ball[i] != order[i] {
+					t.Fatalf("src %d h %d: ball diverges from the full BFS order at %d", src, h, i)
 				}
 			}
 		}

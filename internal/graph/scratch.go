@@ -1,14 +1,5 @@
 package graph
 
-import "sync"
-
-// bfsScratchPool backs the Graph convenience traversals (Ball,
-// Eccentricity) so their steady-state cost is the traversal itself, not
-// fresh dist/order arrays per call. Hot loops should still hold their own
-// scratch (or batch through MSBFSScratch); the pool only serves the
-// one-shot entry points.
-var bfsScratchPool = sync.Pool{New: func() any { return NewBFSScratch() }}
-
 // BFSScratch holds reusable buffers for repeated breadth-first traversals so
 // steady-state BFS is allocation-free. Visited-ness is epoch-stamped: each
 // traversal bumps an epoch counter instead of clearing the arrays, so

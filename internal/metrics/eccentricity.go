@@ -12,10 +12,9 @@ import (
 // normalized by the mean eccentricity, binned at binWidth (the paper uses
 // ~0.1), with Y the fraction of sampled nodes per bin. maxSamples bounds
 // the number of sampled nodes (0 = all nodes) and rng drives the sampling.
-// Eccentricities only need distances, so sampling runs through the
-// engine's bit-parallel distance kernel and its cum-profile cache: when rng
-// matches the expansion metric's center sampling the two metrics share one
-// batched kernel pass.
+// Eccentricities only need ball sizes, which the engine's profiles hold:
+// when rng matches the expansion metric's center sampling the two metrics
+// share one batched kernel pass.
 func EccentricityDistributionWith(e *ball.Engine, maxSamples int, binWidth float64, rng *rand.Rand) stats.Series {
 	out := stats.Series{Name: "eccentricity"}
 	g := e.Graph()
@@ -28,7 +27,7 @@ func EccentricityDistributionWith(e *ball.Engine, maxSamples int, binWidth float
 	}
 	cfg := ball.Config{MaxSources: maxSamples, Rand: rng}
 	centers := ball.Centers(g, &cfg)
-	profiles := e.CumProfiles(centers)
+	profiles := e.Profiles(centers)
 	sum := 0.0
 	for _, p := range profiles {
 		sum += float64(p.Eccentricity())

@@ -15,11 +15,11 @@ import (
 // of the graph's nodes that fall within a ball of radius h, averaged over
 // (sampled) centers. This is the reachability-style metric of Phillips et
 // al. normalized by graph size so that differently sized graphs are
-// comparable (§3.2.1). Expansion only needs ball sizes, so the per-center
-// passes run through the engine's bit-parallel distance kernel and land in
-// its cum profile cache, where metrics sampling the same centers reuse
-// them. Cached full profiles satisfy the request directly; the series is
-// byte-identical to the scalar per-center path.
+// comparable (§3.2.1). Expansion only needs ball sizes, which the engine's
+// profiles hold: the per-center passes run through its bit-parallel
+// distance kernel, and metrics sampling the same centers reuse them. Level
+// counts are exact integers, so the series is byte-identical to a scalar
+// per-center BFS.
 func ExpansionWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	g := e.Graph()
 	n := g.NumNodes()
@@ -28,7 +28,7 @@ func ExpansionWith(e *ball.Engine, cfg ball.Config) stats.Series {
 		return out
 	}
 	centers := ball.Centers(g, &cfg)
-	profiles := e.CumProfiles(centers)
+	profiles := e.Profiles(centers)
 	maxEcc := 0
 	for _, p := range profiles {
 		if ecc := p.Eccentricity(); ecc > maxEcc {

@@ -9,6 +9,7 @@ import (
 	"topocmp/internal/gen/canonical"
 	"topocmp/internal/gen/plrg"
 	"topocmp/internal/graph"
+	"topocmp/internal/stats"
 )
 
 func defaultCfg(sources int) ball.Config {
@@ -331,6 +332,25 @@ func TestAttackToleranceHeavyTailPeaks(t *testing.T) {
 	}
 	if att.Points[0].Y != err.Points[0].Y {
 		t.Fatalf("f=0 baselines differ: %v vs %v", att.Points[0].Y, err.Points[0].Y)
+	}
+}
+
+// TestToleranceRemovesEveryNode: at fraction 1 the removal curves delete
+// every node, so the largest component is empty and the curve ends at
+// (1, 0), what AveragePathLength returns below two nodes.
+func TestToleranceRemovesEveryNode(t *testing.T) {
+	g := canonical.Mesh(6, 6)
+	fracs := []float64{0, 1}
+	for _, s := range []stats.Series{
+		AttackTolerance(g, fracs, 8),
+		ErrorTolerance(g, fracs, 8, rand.New(rand.NewSource(8))),
+	} {
+		if s.Len() != 2 || s.Points[0].Y <= 0 {
+			t.Fatalf("%s: points %v, want a positive path length at f=0", s.Name, s.Points)
+		}
+		if last := s.Points[1]; last.X != 1 || last.Y != 0 {
+			t.Fatalf("%s: curve ends at (%v, %v), want (1, 0)", s.Name, last.X, last.Y)
+		}
 	}
 }
 

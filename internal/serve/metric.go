@@ -2,11 +2,11 @@
 // network, run on that (set, network) pair's long-lived ball engine.
 //
 // Why sharing the engine cannot change results: a metric reads per-center
-// cum profiles from the engine's cache. A CumProfile is the per-radius
-// ball-size vector — integer level counts, independent of which request,
-// batch or route computed them (the engine's contract, pinned by its golden
-// tests) — and the metric assembles them in its own deterministic center
-// order. So every response is byte-identical to a fresh server's answer to
+// profiles from the engine's cache. A ball.Profile's sizes are the
+// per-radius ball-size vector — integer level counts, independent of which
+// request or batch computed them (the engine's contract, pinned by its
+// tests against the scalar BFS) — and the metric assembles them in its own
+// deterministic center order. So every response is byte-identical to a fresh server's answer to
 // that request alone; the warm cache only decides how much kernel work the
 // server spends to get there.
 package serve
@@ -26,7 +26,7 @@ import (
 )
 
 // engine returns the shared engine for (set, name), creating it on first
-// use at the server's full worker width. Its profile caches persist across
+// use at the server's full worker width. Its profile cache persists across
 // requests, so repeat queries against a warm graph skip kernel work
 // entirely.
 func (s *Server) engine(set core.PaperSetOptions, name string) *ball.Engine {

@@ -11,10 +11,10 @@
 //     satisfies daemon requests without computing anything.
 //
 //   - Shared ball engines. Distance-metric requests against the same graph
-//     run on one long-lived ball engine (see metric.go), whose cum-profile
-//     cache keeps every center's level counts across requests. Level counts
-//     are order-independent integers, so a response that reads another
-//     request's counts is byte-identical to a fresh server's.
+//     run on one long-lived ball engine (see metric.go), whose profile
+//     cache keeps every center's ball sizes across requests. Ball sizes are
+//     order-independent integers, so a response that reads another
+//     request's sizes is byte-identical to a fresh server's.
 //
 //   - Bounded admission. At most MaxInFlight computations run at once
 //     (excess requests that cannot dedup or hit the cache are shed with

@@ -20,6 +20,7 @@ import (
 	"topocmp/internal/experiments"
 	"topocmp/internal/gen/canonical"
 	"topocmp/internal/graph"
+	"topocmp/internal/stats"
 )
 
 // quickSuite is a suite configuration small enough that a Tree request
@@ -508,6 +509,33 @@ func TestServeBadToleranceFractions(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+}
+
+// TestServeToleranceRemovesEveryNode: fraction 1 passes validation, and
+// Figure 9's removal curves then delete every node. The suite answers 200,
+// with both curves ending at (1, 0).
+func TestServeToleranceRemovesEveryNode(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Workers: 1}).Handler())
+	defer ts.Close()
+	suite := quickSuite()
+	suite.ToleranceFractions = []float64{0, 1}
+	body, err := json.Marshal(SuiteRequest{Network: "Tree", Set: quickSet(), Suite: suite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, out := postJSON(t, ts.URL+"/v1/suite", body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", code, out)
+	}
+	var ent experiments.SuiteEntry
+	if err := json.Unmarshal(out, &ent); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []stats.Series{ent.Attack, ent.Error} {
+		if n := s.Len(); n != 2 || s.Points[n-1].X != 1 || s.Points[n-1].Y != 0 {
+			t.Fatalf("%s curve %v, want it to end at (1, 0)", s.Name, s.Points)
+		}
 	}
 }
 

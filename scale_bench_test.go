@@ -23,7 +23,7 @@ type scaleBenchRow struct {
 	Nodes         int     `json:"nodes"`
 	EdgeAdds      int     `json:"edge_adds"`
 	DistinctEdges int     `json:"distinct_edges"`
-	Seconds       float64 `json:"seconds"`
+	SecondsPerOp  float64 `json:"seconds_per_op"`
 	// PeakHeapBytes is the high-water heap over the build, measured with the
 	// collector paused so allocation churn — the map path's dominant cost —
 	// is counted deterministically instead of depending on GC timing.
@@ -121,7 +121,7 @@ func BenchmarkScaleBuild(b *testing.B) {
 			b.StopTimer()
 			recordBench(b, "BENCH_scale.json", scaleBenchRow{
 				Name: b.Name(), Mode: "map", Nodes: n, EdgeAdds: len(adds),
-				DistinctEdges: c.edges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
+				DistinctEdges: c.edges(), SecondsPerOp: b.Elapsed().Seconds() / float64(i+1),
 				PeakHeapBytes: peak, CSRBytes: c.bytes(), BuildOverheadBytes: peak - c.bytes(),
 			})
 		}
@@ -137,7 +137,7 @@ func BenchmarkScaleBuild(b *testing.B) {
 			b.StopTimer()
 			recordBench(b, "BENCH_scale.json", scaleBenchRow{
 				Name: b.Name(), Mode: "streamed", Nodes: n, EdgeAdds: len(adds),
-				DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
+				DistinctEdges: g.NumEdges(), SecondsPerOp: b.Elapsed().Seconds() / float64(i+1),
 				PeakHeapBytes: peak, CSRBytes: csrBytes(g), BuildOverheadBytes: peak - csrBytes(g),
 			})
 		}
@@ -165,7 +165,7 @@ func BenchmarkScaleTrajectory(b *testing.B) {
 				rss, _ := obs.ReadRSS()
 				recordBench(b, "BENCH_scale.json", scaleBenchRow{
 					Name: b.Name(), Mode: "streamed", Nodes: n, EdgeAdds: len(adds),
-					DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
+					DistinctEdges: g.NumEdges(), SecondsPerOp: b.Elapsed().Seconds() / float64(i+1),
 					PeakHeapBytes: peak, CSRBytes: csrBytes(g), BuildOverheadBytes: peak - csrBytes(g),
 					RSSBytes: rss,
 				})
@@ -201,7 +201,7 @@ func BenchmarkScaleFullRL(b *testing.B) {
 		}
 		recordBench(b, "BENCH_scale.json", scaleBenchRow{
 			Name: b.Name(), Mode: "pipeline", Nodes: g.NumNodes(), EdgeAdds: g.NumEdges(),
-			DistinctEdges: g.NumEdges(), Seconds: b.Elapsed().Seconds() / float64(i+1),
+			DistinctEdges: g.NumEdges(), SecondsPerOp: b.Elapsed().Seconds() / float64(i+1),
 			PeakHeapBytes: peak, RSSBytes: rss, MeanStdErr: meanSE,
 		})
 	}

@@ -11,7 +11,8 @@
 #         level sweep (per-level rule, all top-down, all bottom-up)
 #         against scalar BFS, ball sizes against closed forms, the ball
 #         engine's one-ball-per-bucket radius selection against the
-#         eligible radii, bit-parallel Brandes against the scalar
+#         eligible radii, the engine's profiles and ball subgraphs against
+#         the scalar full-component BFS, bit-parallel Brandes against the scalar
 #         accumulation, plain and policy link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, the valley-free path tree against the product BFSes it
@@ -26,9 +27,9 @@
 #   bench sentinel: benchdiff against the committed baselines
 #
 # Tier 2 runs the packages with real concurrency under the race
-# detector: the ball engine's shared caches and batched distance path
-# (ball.TestMSBFSRaceShort, ball.TestWideMSBFSRaceShort for multi-word
-# strips), the suite fan-out, the pipeline's DAG scheduler, the result
+# detector: the ball engine's shared profile cache, batched distance path
+# and subgraph builds (ball.TestMSBFSRaceShort, ball.TestWideMSBFSRaceShort
+# for multi-word strips), the suite fan-out, the pipeline's DAG scheduler, the result
 # store, the observability layer's concurrent span/counter attachment
 # and background time-series sampler (obs.TestConcurrentSpansAndCounters,
 # obs.TestSamplerRaceShort), the pooled per-worker cut kernels
@@ -92,14 +93,19 @@ echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =
 # Raw-byte graphs of up to 64 nodes, two batches of 1-256 sources per
 # scratch: RunLevels against Graph.BFS with each level's direction picked
 # by the rule, all top-down and all bottom-up. Then width-1 engine ball sizes
-# on Mesh, Tree and Linear at fuzzed sizes, from the batched rows and the
-# scalar profiles, against their closed forms. Then the radii the engine's ball
+# and ball subgraph node counts on Mesh, Tree and Linear at fuzzed sizes
+# against their closed forms. Then the radii the engine's ball
 # curves evaluate on random small graphs at random size limits: one per
 # size bucket the eligible radii reach, nearest the bucket's log midpoint,
-# the same at parallelism 1 and 4.
+# the same at parallelism 1 and 4. Then the engine against the scalar
+# full-component BFS kept in internal/ball/ball_test.go, on raw-byte graphs
+# of up to 64 nodes: profile sizes of 1-80 centers with repeats, and every
+# ball subgraph a curve receives against the subgraph induced by the BFS
+# order prefix, at widths 1 and 3.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
 go test -run '^$' -fuzz '^FuzzBallBucketSelection$' -fuzztime 5s ./internal/ball
+go test -run '^$' -fuzz '^FuzzProfilesMatchBFS$' -fuzztime 5s ./internal/ball
 
 echo "== fuzz: bit-parallel Brandes against the scalar accumulation =="
 # Raw-byte graphs of up to 64 nodes, disconnected ones included, 1-64

@@ -477,7 +477,7 @@ func BenchmarkBallEngine(b *testing.B) {
 		return ball.Config{MaxSources: 10, MaxBallSize: 1200,
 			Rand: rand.New(rand.NewSource(1))}
 	}
-	count := func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+	count := func(sub *graph.Graph, _ int, _ *rand.Rand, _ *ball.Kernels) (float64, bool) {
 		return float64(sub.NumNodes()), true
 	}
 	b.Run("engine-cold", func(b *testing.B) {
@@ -485,19 +485,19 @@ func BenchmarkBallEngine(b *testing.B) {
 		balls := 0
 		for i := 0; i < b.N; i++ {
 			e := ball.NewEngine(g, 1)
-			pts := e.BallPoints(cfg(), 1, count)
+			pts := e.BallPointsKernels(cfg(), 1, count)
 			balls = len(pts)
 		}
 		b.ReportMetric(float64(balls), "balls")
 	})
 	b.Run("engine-warm", func(b *testing.B) {
 		e := ball.NewEngine(g, 1)
-		e.BallPoints(cfg(), 1, count) // warm the caches
+		e.BallPointsKernels(cfg(), 1, count) // warm the caches
 		b.ReportAllocs()
 		b.ResetTimer()
 		balls := 0
 		for i := 0; i < b.N; i++ {
-			pts := e.BallPoints(cfg(), 1, count)
+			pts := e.BallPointsKernels(cfg(), 1, count)
 			balls = len(pts)
 		}
 		b.ReportMetric(float64(balls), "balls")

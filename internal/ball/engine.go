@@ -10,20 +10,25 @@ import (
 	"topocmp/internal/graph"
 	"topocmp/internal/obs"
 	"topocmp/internal/partition"
+	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
 
 // Engine grows balls for one graph over a reusable worker pool. It keeps one
 // Profile per center, shared by every metric and every concurrent stage
-// that asks for the center: the ball size at every radius, which Profiles
-// computes through the bit-parallel MSBFS kernel, up to
-// graph.MSBFSMaxWidth centers per CSR pass, and the induced subgraphs of
-// the balls the curves evaluate, which BallPointsKernels builds from one
-// bounded BFS per center and caches per (center, radius). Per-worker BFS
-// and subgraph scratch (epoch-stamped arrays and reused queues) keeps
-// steady-state ball growth allocation-free. The engine is the only ball
-// walk: every ball metric grows its balls here, a one-shot caller on a
-// throwaway engine of width 1.
+// that asks for the center: the ball size at every radius, and the induced
+// subgraphs of the balls the curves evaluate, built at most once per
+// (center, radius). A plain engine (NewEngine) grows shortest-path balls:
+// Profiles computes the sizes through the bit-parallel MSBFS kernel, up to
+// graph.MSBFSMaxWidth centers per CSR pass, and BallPointsKernels builds a
+// center's subgraphs from one BFS bounded at the largest missing radius. A
+// policy engine (NewPolicyEngine) grows the policy-induced balls of
+// Appendix E: Profiles counts one valley-free path tree per center, and a
+// center's subgraphs come from one more. Each unit of work (a Profiles
+// batch, a curve's center) leases one Kernels bundle, which holds all the
+// scratch it uses, so steady-state ball growth is allocation-free. The
+// engine is the only ball walk: every ball metric grows its balls here, a
+// one-shot caller on a throwaway engine of width 1.
 //
 // Determinism contract: results are assembled in center order and every
 // per-center RNG is derived from seed+centerIndex, so the output is
@@ -32,20 +37,21 @@ import (
 type Engine struct {
 	g        *graph.Graph
 	parallel int // worker-pool width, fixed by NewEngine
+	// paths builds a center's valley-free path tree on a policy engine,
+	// recycling the tree it is passed; nil on a plain engine.
+	paths func(*policy.PathTree, int32) *policy.PathTree
 
-	scratch *Pool[*workerScratch]
 	kernels *Pool[*Kernels]
-	msbfs   *Pool[*graph.MSBFSScratch]
 
 	mu       sync.Mutex
 	profiles map[int32]*Profile
 
 	// Resolved metric handles (nil until Instrument): each event on the
 	// ball hot path costs at most one atomic add, and nothing at all when
-	// uninstrumented beyond a nil check. Pool traffic (gets/allocs per
-	// scratch family) is carried by the Pool leases themselves.
-	mProfiles       *obs.Counter // bounded BFS passes run to build ball subgraphs
-	mBFSVisits      *obs.Counter // nodes visited across those passes
+	// uninstrumented beyond a nil check. Lease traffic is carried by the
+	// kernel pool itself.
+	mProfiles       *obs.Counter // traversals run to build ball subgraphs
+	mBFSVisits      *obs.Counter // nodes visited across the plain engine's bounded BFSes
 	mSubgraphs      *obs.Counter // induced ball subgraphs materialized
 	mMSBFSBatches   *obs.Counter // bit-parallel distance batches run
 	mMSBFSSources   *obs.Counter // sources swept across those batches
@@ -58,18 +64,24 @@ type Engine struct {
 	prog *obs.ProgressStage
 }
 
-// Kernels bundles one worker's reusable solver scratch: a multilevel-
-// partition workspace, a BFS scratch and the bit-parallel Brandes strips.
-// The engine pools one bundle per worker and hands it to BallPointsKernels
-// callbacks, so the expensive per-ball kernels (resilience's balanced
-// bisection, distortion's betweenness election) run allocation-free in
-// steady state. Kernel state never influences results — workspace-backed
-// solvers are bit-identical to fresh ones — so pooling is invisible to the
-// determinism contract.
+// Kernels bundles the reusable scratch of one unit of engine work: the
+// MSBFS strips behind Profiles, the BFS and induced-subgraph scratch or the
+// path tree behind ball subgraphs, and the solvers the per-ball metrics use
+// (a multilevel-partition workspace, the BFS scratch once the subgraphs are
+// built, the bit-parallel Brandes strips). The engine leases one bundle per
+// unit of work and hands it to BallPointsKernels callbacks, so the
+// expensive per-ball kernels (resilience's balanced bisection, distortion's
+// betweenness election) run allocation-free in steady state. Kernel state
+// never influences results — workspace-backed solvers are bit-identical to
+// fresh ones — so leasing is invisible to the determinism contract.
 type Kernels struct {
 	Part    *partition.Workspace
 	BFS     *graph.BFSScratch
 	Brandes *graph.BrandesScratch
+
+	sub   graph.SubgraphScratch
+	msbfs graph.MSBFSScratch
+	tree  *policy.PathTree
 
 	eng *Engine // counter backref; nil for bundles built outside an engine
 }
@@ -84,12 +96,6 @@ func (k *Kernels) CountBrandes(batches int64) {
 	k.eng.mBrandesBatches.Add(batches)
 }
 
-// workerScratch bundles one worker's reusable traversal buffers.
-type workerScratch struct {
-	bfs *graph.BFSScratch
-	sub *graph.SubgraphScratch
-}
-
 // NewEngine returns an engine for g with the given worker-pool width;
 // parallelism <= 0 uses runtime.NumCPU, 1 runs strictly sequentially.
 func NewEngine(g *graph.Graph, parallelism int) *Engine {
@@ -97,25 +103,36 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 		parallelism = runtime.NumCPU()
 	}
 	e := &Engine{g: g, parallel: parallelism, profiles: map[int32]*Profile{}}
-	e.scratch = NewPool(func() *workerScratch {
-		return &workerScratch{bfs: graph.NewBFSScratch(), sub: graph.NewSubgraphScratch()}
-	})
 	e.kernels = NewPool(func() *Kernels {
 		return &Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
 			Brandes: graph.NewBrandesScratch(), eng: e}
 	})
-	e.msbfs = NewPool(graph.NewMSBFSScratch)
+	return e
+}
+
+// NewPolicyEngine returns an engine for g whose balls are policy-induced
+// (Appendix E): a member has policy distance at most h from the center,
+// and a member edge lies on a shortest valley-free path from the center to
+// a member (policy.PathTree.Ball). paths builds a center's path tree over
+// g, recycling the tree it is passed (policy.Annotated.PathsInto or
+// policy.RouterOverlay.PathsInto). A center's profile counts its tree's
+// policy distances, and its ball subgraphs are read from one more tree, so
+// every metric on the engine sees policy balls where a plain engine's sees
+// shortest-path ones.
+func NewPolicyEngine(g *graph.Graph, paths func(*policy.PathTree, int32) *policy.PathTree, parallelism int) *Engine {
+	e := NewEngine(g, parallelism)
+	e.paths = paths
 	return e
 }
 
 // Instrument resolves the engine's counters from the registry (under the
-// ball.* namespace: profiles and bfs_visits for the bounded BFS passes that
-// build ball subgraphs, subgraphs; scratch_gets/scratch_allocs,
-// kernel_gets/kernel_allocs, msbfs_gets/msbfs_allocs for the
-// leased-workspace pools — reuse is gets minus allocs; msbfs_batches/
-// msbfs_sources/msbfs_width for the bit-parallel distance kernel's traffic,
-// and brandes_batches for distortion's center elections). Call it before
-// the first ball grows; a nil registry leaves the engine uninstrumented.
+// ball.* namespace: profiles for the traversals that build ball subgraphs,
+// bfs_visits for the nodes a plain engine's bounded BFSes visit, subgraphs;
+// kernel_gets/kernel_allocs for the Kernels leases — reuse is gets minus
+// allocs; msbfs_batches/msbfs_sources/msbfs_width for the bit-parallel
+// distance kernel's traffic, and brandes_batches for distortion's center
+// elections). Call it before the first ball grows; a nil registry leaves
+// the engine uninstrumented.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -123,9 +140,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.mProfiles = reg.Counter("ball.profiles")
 	e.mBFSVisits = reg.Counter("ball.bfs_visits")
 	e.mSubgraphs = reg.Counter("ball.subgraphs")
-	e.scratch.Instrument(reg.Counter("ball.scratch_gets"), reg.Counter("ball.scratch_allocs"))
 	e.kernels.Instrument(reg.Counter("ball.kernel_gets"), reg.Counter("ball.kernel_allocs"))
-	e.msbfs.Instrument(reg.Counter("ball.msbfs_gets"), reg.Counter("ball.msbfs_allocs"))
 	e.mMSBFSBatches = reg.Counter("ball.msbfs_batches")
 	e.mMSBFSSources = reg.Counter("ball.msbfs_sources")
 	e.mMSBFSWidth = reg.Gauge("ball.msbfs_width")
@@ -174,11 +189,13 @@ func (p *Profile) Size(h int) int {
 	return int(p.Cum[h])
 }
 
-// Profiles returns the centers' profiles in center order. The misses run
-// through the bit-parallel MSBFS kernel in multi-word batches of up to
-// graph.MSBFSMaxWidth sources (one CSR sweep per level, level counts only,
-// no distance matrix), fanned over the worker pool. Level counts are
-// integers, so the batch width is invisible in the results.
+// Profiles returns the centers' profiles in center order. On a plain
+// engine the misses run through the bit-parallel MSBFS kernel in
+// multi-word batches of up to graph.MSBFSMaxWidth sources (one CSR sweep
+// per level, level counts only, no distance matrix); on a policy engine
+// each miss builds one path tree. Either way the work fans over the worker
+// pool, and the sizes are integer counts, so the batching is invisible in
+// the results.
 //
 // The first call that misses a center claims its profile; a concurrent call
 // that finds it claimed waits for it. A panic in the kernel reaches the
@@ -242,34 +259,68 @@ func (e *Engine) fill(claimed []*Profile) {
 			e.abandon(claimed)
 		}
 	}()
-	width := batchWidth(len(claimed), e.parallel)
-	e.mMSBFSWidth.Set(int64(width))
+	width := 1 // one path tree per center
+	if e.paths == nil {
+		width = batchWidth(len(claimed), e.parallel)
+		e.mMSBFSWidth.Set(int64(width))
+	}
 	batches := (len(claimed) + width - 1) / width
 	e.forEach(batches, func(b int) {
 		batch := claimed[b*width : min((b+1)*width, len(claimed))]
-		sources := make([]int32, len(batch))
-		for j, p := range batch {
-			sources[j] = p.Center
-		}
-		ms := e.msbfs.Get()
-		ms.RunLevels(e.g, sources)
-		for j, p := range batch {
-			levels := ms.LevelCounts(j)
-			cum := make([]int32, len(levels))
-			run := int32(0)
-			for h, cnt := range levels {
-				run += cnt
-				cum[h] = run
+		k := e.kernels.Get()
+		if e.paths != nil {
+			for _, p := range batch {
+				k.tree = e.paths(k.tree, p.Center)
+				p.Cum = treeCum(k.tree, e.g.NumNodes())
+				close(p.done)
 			}
-			p.Cum = cum
-			close(p.done)
+		} else {
+			sources := make([]int32, len(batch))
+			for j, p := range batch {
+				sources[j] = p.Center
+			}
+			k.msbfs.RunLevels(e.g, sources)
+			for j, p := range batch {
+				p.Cum = cumulative(k.msbfs.LevelCounts(j))
+				close(p.done)
+			}
+			e.mMSBFSBatches.Add(1)
+			e.mMSBFSSources.Add(int64(len(batch)))
 		}
-		e.msbfs.Put(ms)
-		e.mMSBFSBatches.Add(1)
-		e.mMSBFSSources.Add(int64(len(batch)))
+		e.kernels.Put(k)
 		e.prog.Add(int64(len(batch)))
 	})
 	filled = true
+}
+
+// cumulative returns the running sums of per-level node counts: the ball
+// size at every radius.
+func cumulative(levels []int32) []int32 {
+	cum := make([]int32, len(levels))
+	run := int32(0)
+	for h, cnt := range levels {
+		run += cnt
+		cum[h] = run
+	}
+	return cum
+}
+
+// treeCum returns the ball size at every radius around a path tree's
+// source: the count of nodes at policy distance h or less, up to the
+// source's policy eccentricity.
+func treeCum(t *policy.PathTree, n int) []int32 {
+	var levels []int32
+	for v := int32(0); v < int32(n); v++ {
+		d := t.Dist(v)
+		if d == graph.Unreached {
+			continue
+		}
+		for int(d) >= len(levels) {
+			levels = append(levels, 0)
+		}
+		levels[d]++
+	}
+	return cumulative(levels)
 }
 
 // abandon deletes the claimed profiles that were not filled from the cache
@@ -308,10 +359,10 @@ func batchWidth(pending, parallel int) int {
 
 // ballSubgraphs returns the induced subgraphs of ball(p.Center, h) for the
 // given increasing radii, each built at most once per (center, radius) and
-// shared by every metric that asks. The missing ones come from one BFS
-// bounded at the largest missing radius: a bounded BFS visits nodes in the
-// order a full one does, so its first Cum[h] nodes are the ball of radius h.
-func (e *Engine) ballSubgraphs(p *Profile, radii []int) []*graph.Graph {
+// shared by every metric that asks, on k, the bundle its caller holds. The
+// missing ones come from one traversal (grow) that reaches the largest
+// missing radius.
+func (e *Engine) ballSubgraphs(p *Profile, radii []int, k *Kernels) []*graph.Graph {
 	if len(radii) == 0 {
 		return nil
 	}
@@ -324,29 +375,39 @@ func (e *Engine) ballSubgraphs(p *Profile, radii []int) []*graph.Graph {
 		ents[i] = p.subs[h]
 	}
 	p.mu.Unlock()
-	// Largest radius first, so the first build that runs bounds the BFS
-	// at the largest missing radius and the smaller ones read its prefix.
+	// Largest radius first, so the first build that runs bounds the
+	// traversal at the largest missing radius and the smaller ones reuse it.
 	subs := make([]*graph.Graph, len(radii))
-	var ws *workerScratch
-	var order []int32
+	var build func(h int) *graph.Graph
 	for i := len(radii) - 1; i >= 0; i-- {
 		h := radii[i]
 		ents[i].once.Do(func() {
-			if ws == nil {
-				ws = e.scratch.Get()
-				order = ws.bfs.Ball(e.g, p.Center, h)
-				e.mProfiles.Add(1)
-				e.mBFSVisits.Add(int64(len(order)))
+			if build == nil {
+				build = e.grow(p, h, k)
 			}
-			ents[i].g = ws.sub.Induced(e.g, order[:p.Cum[h]])
+			ents[i].g = build(h)
 			e.mSubgraphs.Add(1)
 		})
 		subs[i] = ents[i].g
 	}
-	if ws != nil {
-		e.scratch.Put(ws)
-	}
 	return subs
+}
+
+// grow runs one traversal from p's center on k that reaches radius hmax and
+// returns the builder of the ball subgraphs of radius at most hmax, valid
+// until k's next traversal. A policy engine builds the center's path tree
+// and reads each ball from it. A plain engine runs a BFS bounded at hmax,
+// which visits nodes in the order a full one does, so its first Cum[h]
+// nodes are the ball of radius h.
+func (e *Engine) grow(p *Profile, hmax int, k *Kernels) func(h int) *graph.Graph {
+	e.mProfiles.Add(1)
+	if e.paths != nil {
+		k.tree = e.paths(k.tree, p.Center)
+		return func(h int) *graph.Graph { return k.tree.Ball(h).Subgraph() }
+	}
+	order := k.BFS.Ball(e.g, p.Center, hmax)
+	e.mBFSVisits.Add(int64(len(order)))
+	return func(h int) *graph.Graph { return k.sub.Induced(e.g, order[:p.Cum[h]]) }
 }
 
 // forEach runs work(i) for i in [0, n) over the worker pool. With a pool of
@@ -412,29 +473,19 @@ func BucketRadii(cum []int32, minSize, maxSize int) []int {
 	return radii
 }
 
-// BallPoints evaluates perBall around the sampled centers, fanning centers
-// out over the worker pool, at the radii BucketRadii selects from each
-// center's cached profile: one ball per center and size bucket, with X the
-// ball size and Y from perBall on the ball's induced subgraph, assembled in
-// deterministic (center, radius) order. A ball for which perBall reports
-// !ok adds no point. perBall runs on worker goroutines and receives a
-// per-center RNG seeded seed+centerIndex; it must not retain sub, which is
-// shared through the engine's subgraph cache.
-func (e *Engine) BallPoints(cfg Config, seed int64, perBall func(sub *graph.Graph, rng *rand.Rand) (y float64, ok bool)) []stats.Point {
-	return e.BallPointsKernels(cfg, seed,
-		func(sub *graph.Graph, _ int, rng *rand.Rand, _ *Kernels) (float64, bool) {
-			return perBall(sub, rng)
-		})
-}
-
-// BallPointsKernels is BallPoints for kernel-backed metrics: perBall
-// additionally receives the ball's radius and a pooled per-worker Kernels
-// bundle whose solvers it may use freely for the duration of the call. The
-// bundle is checked out once per center and returned to the pool
-// afterwards, so consecutive balls (and consecutive centers on the same
-// worker) reuse the same workspaces. Kernel contents carry no state between
-// balls that affects results, preserving the bit-identical-at-every-
-// parallelism contract. The selection reads only the profile's sizes, and
+// BallPointsKernels evaluates perBall around the sampled centers, fanning
+// centers out over the worker pool, at the radii BucketRadii selects from
+// each center's cached profile: one ball per center and size bucket, with X
+// the ball size and Y from perBall on the ball's induced subgraph,
+// assembled in deterministic (center, radius) order. A ball for which
+// perBall reports !ok adds no point. perBall runs on worker goroutines and
+// receives the ball's radius, a per-center RNG seeded seed+centerIndex and
+// the worker's leased Kernels bundle, whose solvers it may use freely for
+// the duration of the call; it must not retain sub, which is shared
+// through the engine's subgraph cache. The bundle is leased once per center
+// and builds the center's ball subgraphs before the first call, so
+// consecutive balls (and consecutive centers on the same worker) reuse the
+// same workspaces. The selection reads only the profile's sizes, and
 // subgraphs are cached per (center, radius), so curves that share centers
 // share the balls they both select.
 func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *graph.Graph, radius int, rng *rand.Rand, k *Kernels) (y float64, ok bool)) []stats.Point {
@@ -446,14 +497,14 @@ func (e *Engine) BallPointsKernels(cfg Config, seed int64, perBall func(sub *gra
 		p := profs[i]
 		rng := rand.New(rand.NewSource(seed + int64(i)))
 		k := e.kernels.Get()
-		defer e.kernels.Put(k)
 		radii := BucketRadii(p.Cum, cfg.MinBallSize, cfg.MaxBallSize)
 		var pts []stats.Point
-		for j, sub := range e.ballSubgraphs(p, radii) {
+		for j, sub := range e.ballSubgraphs(p, radii, k) {
 			if y, ok := perBall(sub, radii[j], rng, k); ok {
 				pts = append(pts, stats.Point{X: float64(p.Size(radii[j])), Y: y})
 			}
 		}
+		e.kernels.Put(k)
 		perCenter[i] = pts
 	})
 	total := 0

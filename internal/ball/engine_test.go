@@ -88,27 +88,28 @@ func TestBallSubgraphMatchesSubgraph(t *testing.T) {
 	for i := range radii {
 		radii[i] = i + 1
 	}
-	subs := e.ballSubgraphs(p, radii)
+	k := e.kernels.Get()
+	subs := e.ballSubgraphs(p, radii, k)
 	for i, h := range radii {
 		if want := g.Subgraph(order[:p.Size(h)]); !sameCSR(subs[i], want) {
 			t.Fatalf("h=%d: got %d nodes/%d edges, want %d/%d", h,
 				subs[i].NumNodes(), subs[i].NumEdges(), want.NumNodes(), want.NumEdges())
 		}
 	}
-	for i, sub := range e.ballSubgraphs(p, radii[1:3]) {
+	for i, sub := range e.ballSubgraphs(p, radii[1:3], k) {
 		if sub != subs[i+1] {
 			t.Fatalf("h=%d: ball subgraph not cached", radii[i+1])
 		}
 	}
 }
 
-// ballPointsAt runs one deterministic-but-RNG-consuming BallPoints pass at
-// the given parallelism.
+// ballPointsAt runs one deterministic-but-RNG-consuming BallPointsKernels
+// pass at the given parallelism.
 func ballPointsAt(g *graph.Graph, parallelism int) []stats.Point {
 	e := NewEngine(g, parallelism)
 	cfg := Config{MaxSources: 24, MaxBallSize: 300, MinBallSize: 2,
 		Rand: rand.New(rand.NewSource(1))}
-	return e.BallPoints(cfg, 77, func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
+	return e.BallPointsKernels(cfg, 77, func(sub *graph.Graph, _ int, rng *rand.Rand, _ *Kernels) (float64, bool) {
 		// Consume the per-center RNG so scheduling bugs would show up.
 		return float64(sub.NumEdges()) + float64(rng.Intn(3)), true
 	})
@@ -155,7 +156,9 @@ func TestVisitMatchesProfiles(t *testing.T) {
 
 // TestEngineInstrumentation: an instrumented engine reports kernel passes,
 // bounded BFS passes, their visits and subgraph builds through the
-// registry, counting cached reuse exactly once.
+// registry, counting cached reuse exactly once, and counts every lease of
+// its one kernel pool: the kernel pass leases one bundle, and one lease
+// then serves both subgraph requests.
 func TestEngineInstrumentation(t *testing.T) {
 	g := engineTestGraph()
 	e := NewEngine(g, 1)
@@ -163,27 +166,36 @@ func TestEngineInstrumentation(t *testing.T) {
 	e.Instrument(reg)
 
 	p := e.Profiles([]int32{5})[0]
-	e.Profiles([]int32{5})          // cached: no second kernel pass
-	e.ballSubgraphs(p, []int{1, 2}) // one BFS bounded at radius 2
-	e.ballSubgraphs(p, []int{1, 2}) // cached: no second BFS or build
+	e.Profiles([]int32{5}) // cached: no second kernel pass
+	k := e.kernels.Get()
+	e.ballSubgraphs(p, []int{1, 2}, k) // one BFS bounded at radius 2
+	e.ballSubgraphs(p, []int{1, 2}, k) // cached: no second BFS or build
+	e.kernels.Put(k)
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{
 		"ball.msbfs_batches": 1, "ball.msbfs_sources": 1,
 		"ball.profiles": 1, "ball.bfs_visits": int64(p.Size(2)), "ball.subgraphs": 2,
+		"ball.kernel_gets": 2,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	gets, allocs := snap.Counters["ball.scratch_gets"], snap.Counters["ball.scratch_allocs"]
-	if gets != 1 || allocs != 1 {
-		t.Errorf("scratch gets=%d allocs=%d, want 1/1", gets, allocs)
+	// The pool may hand the kernel pass's bundle back to the lease or
+	// build another (sync.Pool keeps no promise), never more than one each.
+	if allocs := snap.Counters["ball.kernel_allocs"]; allocs < 1 || allocs > 2 {
+		t.Errorf("kernel allocs = %d, want 1 or 2", allocs)
+	}
+	for _, gone := range []string{"ball.scratch_gets", "ball.scratch_allocs", "ball.msbfs_gets", "ball.msbfs_allocs"} {
+		if _, ok := snap.Counters[gone]; ok {
+			t.Errorf("%s registered: the engine leases from one pool", gone)
+		}
 	}
 
 	// An uninstrumented engine takes the same calls as pure no-ops.
 	plain := NewEngine(g, 1)
-	plain.ballSubgraphs(plain.Profiles([]int32{5})[0], []int{1})
+	plain.ballSubgraphs(plain.Profiles([]int32{5})[0], []int{1}, plain.kernels.Get())
 }
 
 // checkClosedForm compares a width-1 engine's profile sizes at every center
@@ -203,7 +215,7 @@ func checkClosedForm(t *testing.T, name string, g *graph.Graph, centers []int32,
 				radii = append(radii, h)
 			}
 		}
-		for i, sub := range e.ballSubgraphs(p, radii) {
+		for i, sub := range e.ballSubgraphs(p, radii, e.kernels.Get()) {
 			if got, w := sub.NumNodes(), want(p.Center, radii[i]); got != w {
 				t.Fatalf("%s center %d: ball subgraph at h=%d holds %d nodes, closed form %d", name, p.Center, radii[i], got, w)
 			}

@@ -46,7 +46,7 @@ func fingerprintY(sub *graph.Graph, rng *rand.Rand) float64 {
 func raceCurve(e *Engine, maxSources int, seed int64) []stats.Point {
 	cfg := Config{MaxSources: maxSources, MinBallSize: 2, MaxBallSize: 200,
 		Rand: rand.New(rand.NewSource(seed))}
-	return e.BallPoints(cfg, seed, func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
+	return e.BallPointsKernels(cfg, seed, func(sub *graph.Graph, _ int, rng *rand.Rand, _ *Kernels) (float64, bool) {
 		return fingerprintY(sub, rng), true
 	})
 }

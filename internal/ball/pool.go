@@ -7,13 +7,13 @@ import (
 )
 
 // Pool is the unified leased-workspace primitive behind every scratch family
-// in the repository: BFS/subgraph traversal scratch, the per-ball kernel
-// bundles, bit-parallel MSBFS and Brandes strips, and the metric-local
-// workspaces (distortion's tree scratch, hierarchy's cover arrays). It wraps
-// sync.Pool with the lease discipline those families share — check out, use
-// exclusively, put back — and makes the traffic observable: gets counts
-// checkouts, allocs counts the checkouts that had to build a fresh
-// workspace, so reuse is always gets minus allocs.
+// in the repository: the ball engine's per-worker Kernels bundles and the
+// metric-local workspaces (distortion's tree scratch, clustering's marks,
+// the vertex cover's and hierarchy's cover arrays, the link-value sweeps'
+// scratch). It wraps sync.Pool with the lease discipline those families
+// share — check out, use exclusively, put back — and makes the traffic
+// observable: gets counts checkouts, allocs counts the checkouts that had to
+// build a fresh workspace, so reuse is always gets minus allocs.
 //
 // Workspace contents never influence results: a leased workspace behaves
 // bit-identically to a fresh one (epoch-stamped arrays, fully rewritten

@@ -45,8 +45,9 @@ import (
 // Version 7: balanced bisection caps the weight of a coarse node, which
 // moves resilience curves. Version 8: suite entries embed core.Curves, which
 // gob encodes as one nested field, so a version 7 entry would decode with
-// empty curves and no error.
-const SchemaVersion = 8
+// empty curves and no error. Version 9: the policy expansion carries
+// per-point standard errors, as the plain expansion does.
+const SchemaVersion = 9
 
 // crcTable is the Castagnoli polynomial's table for the entry checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -195,7 +195,7 @@ func TestPaperSetOptionsValidate(t *testing.T) {
 
 func TestSuiteOptionsValidate(t *testing.T) {
 	for _, o := range []SuiteOptions{
-		{}, quickOpts(), {Sources: 1, MaxBallSize: 1, EigenRank: 1, LinkSources: 1, SampleBudget: 1},
+		{}, quickOpts(), {Sources: 1, MaxBallSize: 1, EigenRank: 1, LinkSources: 1, SampleBudget: 1}, {EigenRank: 200},
 		{ToleranceFractions: []float64{0, 0.5, 1}},
 	} {
 		if err := o.Validate(); err != nil {
@@ -203,7 +203,7 @@ func TestSuiteOptionsValidate(t *testing.T) {
 		}
 	}
 	for _, o := range []SuiteOptions{
-		{Sources: -1}, {MaxBallSize: -1}, {EigenRank: -2}, {LinkSources: -1}, {SampleBudget: -1},
+		{Sources: -1}, {MaxBallSize: -1}, {EigenRank: -2}, {EigenRank: 201}, {LinkSources: -1}, {SampleBudget: -1},
 		{ToleranceFractions: []float64{1.5}}, {ToleranceFractions: []float64{0, -0.1}},
 		{ToleranceFractions: []float64{math.NaN()}},
 	} {

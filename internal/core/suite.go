@@ -6,11 +6,9 @@ import (
 	"math/rand"
 
 	"topocmp/internal/ball"
-	"topocmp/internal/graph"
 	"topocmp/internal/hierarchy"
 	"topocmp/internal/metrics"
 	"topocmp/internal/obs"
-	"topocmp/internal/partition"
 	"topocmp/internal/policy"
 	"topocmp/internal/stats"
 )
@@ -23,19 +21,19 @@ type SuiteOptions struct {
 	EigenRank   int   // eigenvalues computed (default 40)
 	LinkSources int   // pair sources for link values (default 384)
 	Seed        int64 // base RNG seed (default 1)
-	// Parallelism is the worker-pool width of the ball engine and the
-	// link-value sweeps: 0 uses runtime.NumCPU, 1 runs the legacy
-	// sequential path. Results are bit-identical at every width.
+	// Parallelism is the worker-pool width of the ball engines and the
+	// link-value sweeps: 0 uses runtime.NumCPU, 1 runs the stages one after
+	// another on one goroutine. Results are bit-identical at every width.
 	Parallelism int
 	// SampleBudget, when positive, is an explicit per-metric sampling
 	// budget: the number of ball centers / BFS sources the sampled
-	// estimators (expansion, eccentricity, attack/error path lengths) may
-	// spend, overriding the legacy defaults derived from Sources
+	// estimators (plain and policy expansion, eccentricity, attack/error
+	// path lengths) may spend, overriding the counts derived from Sources
 	// (expansion and eccentricity use 4*Sources, the tolerance curves
 	// 2*Sources). Every sampled series carries a per-point standard error
 	// either way; a budget at or above the node count turns the estimators
-	// into full enumerations with zero-width bounds. Zero keeps the legacy
-	// derivation, which is what the default experiment scales run.
+	// into full enumerations with zero-width bounds. Zero keeps the
+	// Sources-derived counts, which the experiment presets run.
 	SampleBudget int
 	// SkipHierarchy disables the link-value computation (the costliest
 	// stage) when only Figure 2 style metrics are needed.
@@ -77,12 +75,20 @@ func (o *SuiteOptions) defaults() {
 	}
 }
 
+// maxEigenRank bounds EigenRank. Lanczos runs min(3k+16, n) fully
+// reorthogonalized steps, so one spectrum's cost grows faster than k²: on
+// the 5,747-node quick RL on a 2-core host, k = 200 took 3.4 s, k = 400
+// 15 s and k = 2000 231 s, and a running stage cannot be canceled. The
+// presets use 20 to 60.
+const maxEigenRank = 200
+
 // Validate rejects options no suite can run: a tolerance fraction outside
 // [0, 1] asks Figure 9's removal curves to delete more nodes than the graph
-// has, or fewer than none, and a negative count or size silently means
+// has, or fewer than none; a negative count or size silently means
 // something else (every node a center, no ball cap, every link-source
 // pair, an empty spectrum, no budget) under a cache key of its own, so
-// identical work would miss dedup and the cache. The daemon answers such a
+// identical work would miss dedup and the cache; and an eigen rank above
+// maxEigenRank would hold a worker for minutes. The daemon answers such a
 // request with 400 before admission.
 func (o SuiteOptions) Validate() error {
 	for _, f := range []struct {
@@ -95,6 +101,9 @@ func (o SuiteOptions) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("%s %d: want 0 (default) or positive", f.name, f.v)
 		}
+	}
+	if o.EigenRank > maxEigenRank {
+		return fmt.Errorf("eigen rank %d: want at most %d", o.EigenRank, maxEigenRank)
 	}
 	for _, f := range o.ToleranceFractions {
 		if !(f >= 0 && f <= 1) {
@@ -155,13 +164,14 @@ type Curves struct {
 	PolicyLinkValues *hierarchy.Result
 }
 
-// RunSuite computes the full metric suite on a network. All ball growth
-// runs through one shared ball.Engine per network, so metrics that sample
-// the same centers share one BFS pass and one induced subgraph per (center,
-// radius); per-center work fans out over the engine's worker pool. Every
-// metric and every center seeds its own RNG, so results are bit-identical
-// at every Parallelism, including the sequential width of 1 (where the
-// metric stages also run inline instead of concurrently).
+// RunSuite computes the full metric suite on a network. Ball growth runs
+// through one shared ball.Engine per network, and on annotated networks
+// through a second one for policy-induced balls, so metrics that sample
+// the same centers share one traversal and one induced subgraph per
+// (center, radius); per-center work fans out over the engines' worker
+// pools. Every metric and every center seeds its own RNG, so results are
+// bit-identical at every Parallelism, including the sequential width of 1
+// (where the metric stages also run inline instead of concurrently).
 func RunSuite(n *Network, opts SuiteOptions) *SuiteResult {
 	res, _ := RunSuiteCtx(context.Background(), n, opts)
 	return res
@@ -182,7 +192,7 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 	eng.SetProgress(opts.Progress)
 
 	// Sampling budgets for the estimator metrics: the explicit SampleBudget
-	// when set, otherwise the legacy Sources-derived counts.
+	// when set, otherwise the Sources-derived counts.
 	srcBudget := 4 * opts.Sources
 	pathBudget := 2 * opts.Sources
 	if opts.SampleBudget > 0 {
@@ -281,16 +291,34 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 		}
 	}
 	if n.Policy != nil || n.Overlay != nil {
+		// The AS(Policy)/RL(Policy) curves of Figure 2(d-f) grow
+		// policy-induced balls (Appendix E) on an engine of their own, each
+		// over the centers of its plain counterpart (a fresh Rand with the
+		// same seed). Policy balls contain only the links on
+		// policy-compliant shortest paths, which is what lowers the
+		// measured resilience ("the resilience of the RL and AS graphs
+		// decreases... although its qualitative behavior remains
+		// unchanged"). Both curves skip balls below 3 nodes.
+		peng := ball.NewPolicyEngine(g, n.policyRouting(), opts.Parallelism)
+		peng.Instrument(opts.Metrics)
+		peng.SetProgress(opts.Progress)
+		policyCfg := func() ball.Config {
+			cfg := curveCfg()
+			cfg.MinBallSize = 3
+			return cfg
+		}
 		stage("policy_expansion", func() {
-			// Fresh Rand with the same seed so the policy variant samples
-			// the same ball centers as the plain expansion.
-			res.PolicyExpansion = policyExpansion(n, ball.Config{
+			res.PolicyExpansion = metrics.ExpansionWith(peng, ball.Config{
 				MaxSources: srcBudget,
 				Rand:       rand.New(rand.NewSource(opts.Seed)),
 			})
+			res.PolicyExpansion.Name = "expansion(policy)"
 		})
 		stage("policy_ball_curves", func() {
-			res.PolicyResilience, res.PolicyDistortion = policyBallCurves(n, opts)
+			res.PolicyResilience = metrics.ResilienceWith(peng, policyCfg(), opts.Seed+100)
+			res.PolicyResilience.Name = "resilience(policy)"
+			res.PolicyDistortion = metrics.DistortionWith(peng, policyCfg(), 3)
+			res.PolicyDistortion.Name = "distortion(policy)"
 		})
 	}
 	stages.Wait()
@@ -308,103 +336,4 @@ func (n *Network) policyRouting() func(*policy.PathTree, int32) *policy.PathTree
 		return n.Overlay.PathsInto
 	}
 	return n.Policy.PathsInto
-}
-
-// policyCum fills cum with the policy ball sizes around a finished path
-// tree's source: cum[h] = |{v : policy distance <= h}|, up to the source's
-// policy eccentricity. One product BFS per center (PathsInto) yields every
-// radius's size.
-func policyCum(pt *policy.PathTree, numNodes int32, cum []int32) []int32 {
-	cum = cum[:0]
-	for v := int32(0); v < numNodes; v++ {
-		d := pt.Dist(v)
-		if d == graph.Unreached {
-			continue
-		}
-		for int(d) >= len(cum) {
-			cum = append(cum, 0)
-		}
-		cum[d]++
-	}
-	for h := 1; h < len(cum); h++ {
-		cum[h] += cum[h-1]
-	}
-	return cum
-}
-
-// policyBallCurves computes resilience and distortion over policy-induced
-// balls, the AS(Policy)/RL(Policy) curves of Figure 2(e,f). Policy balls
-// contain only the links on policy-compliant shortest paths, which is what
-// lowers the measured resilience ("the resilience of the RL and AS graphs
-// decreases... although its qualitative behavior remains unchanged").
-// Like the engine's curves, each center evaluates one ball per size bucket
-// (ball.BucketRadii), chosen from the sizes of one path tree, and every
-// ball is read from that tree: one product BFS per center. Center i cuts
-// its balls with an RNG seeded Seed+100+i, as the engine's resilience
-// curves do, so a ball's cut does not depend on the balls cut before it.
-func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series) {
-	g := n.Graph
-	cfg := ball.Config{
-		MaxSources: opts.Sources,
-		Rand:       rand.New(rand.NewSource(opts.Seed + 1)),
-	}
-	centers := ball.Centers(g, &cfg)
-	paths := n.policyRouting()
-	// One kernel bundle serves the whole sequential sweep: the partition
-	// workspace for the cuts, the Brandes strips for the distortion
-	// election. Workspace-backed kernels are bit-identical to fresh ones.
-	k := &ball.Kernels{Part: partition.NewWorkspace(), Brandes: graph.NewBrandesScratch()}
-	var pt *policy.PathTree
-	var cum []int32
-	var resRaw, distRaw []stats.Point
-	for i, src := range centers {
-		pt = paths(pt, src)
-		cum = policyCum(pt, int32(g.NumNodes()), cum)
-		rng := rand.New(rand.NewSource(opts.Seed + 100 + int64(i)))
-		for _, h := range ball.BucketRadii(cum, 3, opts.MaxBallSize) {
-			sub := pt.Ball(h).Subgraph()
-			cut := partition.CutSizeWith(k.Part, sub, rng)
-			resRaw = append(resRaw, stats.Point{X: float64(sub.NumNodes()), Y: float64(cut)})
-			if d := metrics.SubgraphDistortionKernels(sub, 3, k); d > 0 {
-				distRaw = append(distRaw, stats.Point{X: float64(sub.NumNodes()), Y: d})
-			}
-		}
-	}
-	res := stats.Bucketize(resRaw, stats.BucketRatio)
-	res.Name = "resilience(policy)"
-	dist := stats.Bucketize(distRaw, stats.BucketRatio)
-	dist.Name = "distortion(policy)"
-	return res, dist
-}
-
-// policyExpansion computes E(h) over policy-induced balls (the AS(Policy)
-// curves of Figure 2(d)).
-func policyExpansion(n *Network, cfg ball.Config) stats.Series {
-	g := n.Graph
-	total := float64(g.NumNodes())
-	centers := ball.Centers(g, &cfg)
-	paths := n.policyRouting()
-	// Per-center cumulative reach profiles, saturated to the global
-	// maximum eccentricity afterwards. One product-space tree serves every
-	// center: PathsInto recycles the dist/parent/best arrays, and the
-	// tree's per-node Dist is the same min-over-states the standalone Dist
-	// sweep computes.
-	var profiles [][]int32
-	var pt *policy.PathTree
-	maxH := 0
-	for _, src := range centers {
-		pt = paths(pt, src)
-		cum := policyCum(pt, int32(g.NumNodes()), nil)
-		profiles = append(profiles, cum)
-		maxH = max(maxH, len(cum)-1)
-	}
-	s := stats.Series{Name: "expansion(policy)"}
-	for h := 0; h <= maxH; h++ {
-		sum := 0.0
-		for _, cum := range profiles {
-			sum += float64(cum[min(h, len(cum)-1)])
-		}
-		s.Add(float64(h), sum/float64(len(profiles))/total)
-	}
-	return s
 }

@@ -75,7 +75,7 @@ func FuzzInducedMatchesSorted(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, density, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 1+int(nRaw)%64, float64(density)/255)
-		s := NewSubgraphScratch()
+		s := &SubgraphScratch{}
 		for i := uint8(0); i < 3; i++ {
 			checkInducedMatchesSorted(t, s, g, inducedNodes(r, g, shape+i))
 		}

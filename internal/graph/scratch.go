@@ -125,14 +125,12 @@ func (s *BFSScratch) Rows() (dist []int32, sigma []float64) {
 
 // SubgraphScratch builds induced subgraphs repeatedly without the per-call
 // hash maps of Graph.Subgraph. Like BFSScratch it is epoch-stamped and not
-// safe for concurrent use.
+// safe for concurrent use. The zero value is ready to use; buffers grow on
+// first use.
 type SubgraphScratch struct {
 	live Stamp
 	idx  []int32 // local id of stamped nodes
 }
-
-// NewSubgraphScratch returns an empty scratch; buffers grow on first use.
-func NewSubgraphScratch() *SubgraphScratch { return &SubgraphScratch{} }
 
 func (s *SubgraphScratch) begin(n int) {
 	if s.live.Begin(n) {

@@ -106,7 +106,7 @@ func naiveInduced(g *Graph, nodes []int32) *Graph {
 func TestSubgraphScratchMatchesSubgraph(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randomTestGraph(r, 250, 900)
-	s := NewSubgraphScratch()
+	s := &SubgraphScratch{}
 	for trial := 0; trial < 30; trial++ {
 		k := 1 + r.Intn(g.NumNodes())
 		perm := r.Perm(g.NumNodes())

@@ -76,7 +76,7 @@ func BiconnectivityCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2
 	}
-	raw := e.BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+	raw := e.BallPointsKernels(cfg, 0, func(sub *graph.Graph, _ int, _ *rand.Rand, _ *ball.Kernels) (float64, bool) {
 		return float64(BiconnectedComponents(sub)), true
 	})
 	s := stats.Bucketize(raw, stats.BucketRatio)

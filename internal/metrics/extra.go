@@ -23,10 +23,11 @@ func BallPathLengthCurve(g *graph.Graph, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3
 	}
-	raw := ball.NewEngine(g, 1).BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
-		apl, _ := AveragePathLength(sub, min(sub.NumNodes(), 24))
-		return apl, true
-	})
+	raw := ball.NewEngine(g, 1).BallPointsKernels(cfg, 0,
+		func(sub *graph.Graph, _ int, _ *rand.Rand, _ *ball.Kernels) (float64, bool) {
+			apl, _ := AveragePathLength(sub, min(sub.NumNodes(), 24))
+			return apl, true
+		})
 	s := stats.Bucketize(raw, stats.BucketRatio)
 	s.Name = "ballpathlength"
 	return s

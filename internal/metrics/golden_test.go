@@ -98,8 +98,8 @@ func TestResilienceWorkspaceMatchesFresh(t *testing.T) {
 		}
 	}
 	const seed = 1
-	freshRaw := ball.NewEngine(g, 1).BallPoints(cfg(), seed,
-		func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
+	freshRaw := ball.NewEngine(g, 1).BallPointsKernels(cfg(), seed,
+		func(sub *graph.Graph, _ int, rng *rand.Rand, _ *ball.Kernels) (float64, bool) {
 			return float64(partition.CutSizeWith(partition.NewWorkspace(), sub, rng)), true
 		})
 	fresh := stats.Bucketize(freshRaw, stats.BucketRatio)

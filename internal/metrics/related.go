@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"topocmp/internal/ball"
 	"topocmp/internal/graph"
 	"topocmp/internal/stats"
 )
@@ -45,7 +46,9 @@ func SmallWorldness(g *graph.Graph, pathSamples int) SmallWorld {
 // HopPlot returns the Faloutsos et al. hop-plot: the number of node pairs
 // within h hops (including self-pairs), as a function of h, averaged over
 // sampled sources and extrapolated to the full graph. The paper notes its
-// expansion metric is a normalized relative of this.
+// expansion metric is a normalized relative of this. The sources' reach
+// comes from the profiles of a width-1 engine; pair counts are integer
+// sums, so the source order cannot change them.
 func HopPlot(g *graph.Graph, maxSources int, r *rand.Rand) stats.Series {
 	if r == nil {
 		r = rand.New(rand.NewSource(31))
@@ -55,53 +58,19 @@ func HopPlot(g *graph.Graph, maxSources int, r *rand.Rand) stats.Series {
 	if n == 0 {
 		return out
 	}
-	sources := n
-	if maxSources > 0 && maxSources < n {
-		sources = maxSources
-	}
-	perm := r.Perm(n)
-	// Per-source cumulative reach profiles, saturated to the global
-	// maximum eccentricity. The sources sweep through the bit-parallel
-	// MSBFS kernel 64 at a time; the cum profiles are integer counts, so
-	// the series matches the scalar per-source BFS exactly.
-	var profiles [][]float64
+	centers := ball.Centers(g, &ball.Config{MaxSources: maxSources, Rand: r})
+	profiles := ball.NewEngine(g, 1).Profiles(centers)
 	maxEcc := 0
-	ms := graph.NewMSBFSScratch()
-	for lo := 0; lo < sources; lo += graph.MSBFSWidth {
-		hi := lo + graph.MSBFSWidth
-		if hi > sources {
-			hi = sources
-		}
-		batch := make([]int32, hi-lo)
-		for i := range batch {
-			batch[i] = int32(perm[lo+i])
-		}
-		ms.RunLevels(g, batch)
-		for i := range batch {
-			levels := ms.LevelCounts(i)
-			cum := make([]float64, len(levels))
-			run := 0.0
-			for h, cnt := range levels {
-				run += float64(cnt)
-				cum[h] = run
-			}
-			profiles = append(profiles, cum)
-			if ecc := len(levels) - 1; ecc > maxEcc {
-				maxEcc = ecc
-			}
-		}
+	for _, p := range profiles {
+		maxEcc = max(maxEcc, p.Eccentricity())
 	}
-	scale := float64(n) / float64(sources)
+	scale := float64(n) / float64(len(profiles))
 	for h := 0; h <= maxEcc; h++ {
-		sum := 0.0
-		for _, cum := range profiles {
-			if h < len(cum) {
-				sum += cum[h]
-			} else {
-				sum += cum[len(cum)-1]
-			}
+		pairs := 0
+		for _, p := range profiles {
+			pairs += p.Size(h)
 		}
-		out.Add(float64(h), sum*scale)
+		out.Add(float64(h), float64(pairs)*scale)
 	}
 	return out
 }

@@ -43,15 +43,22 @@ type Manifest struct {
 	Metrics            Snapshot      `json:"metrics"`
 }
 
-// Write renders the manifest as indented JSON at path, atomically
-// (temp file + rename), so a concurrent reader never sees a torn file.
+// Write renders the manifest as indented JSON at path, atomically (see
+// writeJSON).
 func (m *Manifest) Write(path string) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	return writeJSON(path, m)
+}
+
+// writeJSON renders v as indented JSON plus a newline at path, atomically:
+// it writes a temp file in path's directory and renames it over path, so a
+// concurrent reader never sees a torn file.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -163,23 +160,5 @@ func (s *Sampler) WriteFile(path string) error {
 	if s == nil {
 		return nil
 	}
-	ts := TimeSeries{IntervalMs: s.interval.Milliseconds(), Samples: s.Samples()}
-	data, err := json.MarshalIndent(ts, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".timeseries-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeJSON(path, TimeSeries{IntervalMs: s.interval.Milliseconds(), Samples: s.Samples()})
 }

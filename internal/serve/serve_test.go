@@ -492,6 +492,7 @@ func TestServeBadToleranceFractions(t *testing.T) {
 		`{"Network":"Mesh","Suite":{"Sources":2,"MaxBallSize":-1,"EigenRank":5,"SkipHierarchy":true}}`,
 		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"LinkSources":-1,"SkipHierarchy":true}}`,
 		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":-1,"SkipHierarchy":true}}`,
+		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":201,"SkipHierarchy":true}}`,
 		`{"Network":"Mesh","Suite":{"Sources":2,"EigenRank":5,"SampleBudget":-1,"SkipHierarchy":true}}`,
 	} {
 		code, _, out := postJSON(t, ts.URL+"/v1/suite", []byte(body))
@@ -572,7 +573,7 @@ func TestServeWorkerPanic(t *testing.T) {
 	var panicked atomic.Bool
 	compute := func(ctx context.Context, _ int) (any, error) {
 		cfg := ball.Config{MaxSources: 8, Rand: rand.New(rand.NewSource(1))}
-		pts := ball.NewEngine(g, 2).BallPoints(cfg, 1, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+		pts := ball.NewEngine(g, 2).BallPointsKernels(cfg, 1, func(sub *graph.Graph, _ int, _ *rand.Rand, _ *ball.Kernels) (float64, bool) {
 			if panicked.CompareAndSwap(false, true) {
 				panic("per-ball kernel failed")
 			}

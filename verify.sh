@@ -12,7 +12,9 @@
 #         against scalar BFS, ball sizes against closed forms, the ball
 #         engine's one-ball-per-bucket radius selection against the
 #         eligible radii, the engine's profiles and ball subgraphs against
-#         the scalar full-component BFS, bit-parallel Brandes against the scalar
+#         the scalar full-component BFS, the policy engine's profiles and
+#         ball subgraphs against fresh valley-free path trees,
+#         bit-parallel Brandes against the scalar
 #         accumulation, plain and policy link values over
 #         unordered pairs against brute-force enumeration and the ordered
 #         cover, the valley-free path tree against the product BFSes it
@@ -29,7 +31,8 @@
 # Tier 2 runs the packages with real concurrency under the race
 # detector: the ball engine's shared profile cache, batched distance path
 # and subgraph builds (ball.TestMSBFSRaceShort, ball.TestWideMSBFSRaceShort
-# for multi-word strips), the suite fan-out, the pipeline's DAG scheduler, the result
+# for multi-word strips, ball.TestPolicyEngineRaceShort for policy balls),
+# the suite fan-out, the pipeline's DAG scheduler, the result
 # store, the observability layer's concurrent span/counter attachment
 # and background time-series sampler (obs.TestConcurrentSpansAndCounters,
 # obs.TestSamplerRaceShort), the pooled per-worker cut kernels
@@ -101,11 +104,15 @@ echo "== fuzz: bit-parallel BFS and ball sizes against scalar and closed forms =
 # full-component BFS kept in internal/ball/ball_test.go, on raw-byte graphs
 # of up to 64 nodes: profile sizes of 1-80 centers with repeats, and every
 # ball subgraph a curve receives against the subgraph induced by the BFS
-# order prefix, at widths 1 and 3.
+# order prefix, at widths 1 and 3. Then the policy engine against fresh
+# path trees, on raw-byte annotated graphs of up to 40 nodes: profile
+# sizes against the trees' policy distance counts, and every ball subgraph
+# a curve receives against the tree's policy ball, at widths 1 and 3.
 go test -run '^$' -fuzz '^FuzzMSBFSMatchesBFS$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzBallSizesClosedForm$' -fuzztime 5s ./internal/ball
 go test -run '^$' -fuzz '^FuzzBallBucketSelection$' -fuzztime 5s ./internal/ball
 go test -run '^$' -fuzz '^FuzzProfilesMatchBFS$' -fuzztime 5s ./internal/ball
+go test -run '^$' -fuzz '^FuzzPolicyProfilesMatchPathTree$' -fuzztime 5s ./internal/ball
 
 echo "== fuzz: bit-parallel Brandes against the scalar accumulation =="
 # Raw-byte graphs of up to 64 nodes, disconnected ones included, 1-64

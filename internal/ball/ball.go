@@ -44,10 +44,20 @@ func Centers(g *graph.Graph, cfg *Config) []int32 {
 		}
 		return all
 	}
-	perm := cfg.Rand.Perm(n)
-	out := make([]int32, cfg.MaxSources)
-	for i := range out {
-		out[i] = int32(perm[i])
+	// The first k entries of cfg.Rand.Perm(n), from the same Intn draws,
+	// so the RNG ends where Perm leaves it, without Perm's n-entry slice: a
+	// slot below k only ever receives i, or a copy of a lower slot while
+	// i < k.
+	k := cfg.MaxSources
+	out := make([]int32, k)
+	for i := 0; i < n; i++ {
+		j := cfg.Rand.Intn(i + 1)
+		if i < k {
+			out[i] = out[j]
+		}
+		if j < k {
+			out[j] = int32(i)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

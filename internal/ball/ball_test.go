@@ -138,6 +138,38 @@ func TestCentersSampling(t *testing.T) {
 	}
 }
 
+// centersPerm is the Centers sampling Centers replaced: the first k entries
+// of cfg.Rand.Perm(n), sorted.
+func centersPerm(n, k int, r *rand.Rand) []int32 {
+	out := make([]int32, k)
+	for i, p := range r.Perm(n)[:k] {
+		out[i] = int32(p)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestCentersMatchPerm: over random node counts, sample sizes and seeds,
+// Centers draws the centers of the Perm-based sampling and leaves the RNG
+// where it does, so the next draw matches too.
+func TestCentersMatchPerm(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + r.Intn(300)
+		k := 1 + r.Intn(n-1) // Centers returns every node at k >= n
+		seed := r.Int63()
+		cfg := Config{MaxSources: k, Rand: rand.New(rand.NewSource(seed))}
+		got := Centers(graph.NewStreamBuilder(n).Graph(), &cfg)
+		ref := rand.New(rand.NewSource(seed))
+		if want := centersPerm(n, k, ref); !slices.Equal(got, want) {
+			t.Fatalf("n %d k %d seed %d: centers %v, want %v", n, k, seed, got, want)
+		}
+		if a, b := cfg.Rand.Int63(), ref.Int63(); a != b {
+			t.Fatalf("n %d k %d seed %d: next draw %d, want %d", n, k, seed, a, b)
+		}
+	}
+}
+
 func TestBallNodesAreWithinRadius(t *testing.T) {
 	g := canonical.Mesh(8, 8)
 	Visit(g, Config{MaxSources: 5}, func(b Ball) {

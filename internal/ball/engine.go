@@ -40,6 +40,8 @@ type Engine struct {
 	// paths builds a center's valley-free path tree on a policy engine,
 	// recycling the tree it is passed; nil on a plain engine.
 	paths func(*policy.PathTree, int32) *policy.PathTree
+	// levels returns the graph's level graph, built on first call.
+	levels func() *graph.LevelGraph
 
 	kernels *Pool[*Kernels]
 
@@ -102,7 +104,8 @@ func NewEngine(g *graph.Graph, parallelism int) *Engine {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	e := &Engine{g: g, parallel: parallelism, profiles: map[int32]*Profile{}}
+	e := &Engine{g: g, parallel: parallelism, profiles: map[int32]*Profile{},
+		levels: sync.OnceValue(func() *graph.LevelGraph { return graph.NewLevelGraph(g) })}
 	e.kernels = NewPool(func() *Kernels {
 		return &Kernels{Part: partition.NewWorkspace(), BFS: graph.NewBFSScratch(),
 			Brandes: graph.NewBrandesScratch(), eng: e}
@@ -195,7 +198,9 @@ func (p *Profile) Size(h int) int {
 // per level, level counts only, no distance matrix); on a policy engine
 // each miss builds one path tree. Either way the work fans over the worker
 // pool, and the sizes are integer counts, so the batching is invisible in
-// the results.
+// the results. A plain engine's first miss builds the graph's
+// graph.LevelGraph, the leaf-folded copy the kernel sweeps, and keeps it
+// for the engine's life; a policy engine never builds one.
 //
 // The first call that misses a center claims its profile; a concurrent call
 // that finds it claimed waits for it. A panic in the kernel reaches the
@@ -260,7 +265,9 @@ func (e *Engine) fill(claimed []*Profile) {
 		}
 	}()
 	width := 1 // one path tree per center
+	var lg *graph.LevelGraph
 	if e.paths == nil {
+		lg = e.levels()
 		width = batchWidth(len(claimed), e.parallel)
 		e.mMSBFSWidth.Set(int64(width))
 	}
@@ -279,7 +286,7 @@ func (e *Engine) fill(claimed []*Profile) {
 			for j, p := range batch {
 				sources[j] = p.Center
 			}
-			k.msbfs.RunLevels(e.g, sources)
+			k.msbfs.RunLevels(lg, sources)
 			for j, p := range batch {
 				p.Cum = cumulative(k.msbfs.LevelCounts(j))
 				close(p.done)

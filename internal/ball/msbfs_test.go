@@ -51,6 +51,52 @@ func raceCurve(e *Engine, maxSources int, seed int64) []stats.Point {
 	})
 }
 
+// leafyTestGraph is a 400-node random graph in which over a quarter of the
+// nodes are pendant leaves: about 37% of the ids, drawn at random, each
+// hang off a random node of a random core of the rest.
+func leafyTestGraph(t *testing.T) *graph.Graph {
+	r := rand.New(rand.NewSource(43))
+	n := 400
+	var core, leaves []int32
+	for v := int32(0); v < int32(n); v++ {
+		if r.Intn(8) < 3 {
+			leaves = append(leaves, v)
+		} else {
+			core = append(core, v)
+		}
+	}
+	b := graph.NewStreamBuilder(n)
+	for i := 0; i < 3*len(core); i++ {
+		b.AddEdge(core[r.Intn(len(core))], core[r.Intn(len(core))])
+	}
+	for _, v := range leaves {
+		b.AddEdge(v, core[r.Intn(len(core))])
+	}
+	g := b.Graph()
+	pendant := 0
+	for v := int32(0); v < int32(n); v++ {
+		if g.Degree(v) == 1 && g.Degree(g.Neighbors(v)[0]) >= 2 {
+			pendant++
+		}
+	}
+	if 4*pendant < n {
+		t.Fatalf("%d of %d nodes are pendant leaves, want a quarter", pendant, n)
+	}
+	return g
+}
+
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// raceGraphs are the graphs the race targets run on: the engine's test
+// graph and a leafy one, whose level graph folds over a quarter of the
+// nodes and is built lazily by the racing calls.
+func raceGraphs(t *testing.T) []namedGraph {
+	return []namedGraph{{"random", engineTestGraph()}, {"leafy", leafyTestGraph(t)}}
+}
+
 // TestMSBFSRaceShort races the engine's two per-center paths on a P=4
 // engine under the race detector: Profiles calls over overlapping random
 // center sets against BallPointsKernels curves whose centers overlap them
@@ -59,7 +105,12 @@ func raceCurve(e *Engine, maxSources int, seed int64) []stats.Point {
 // scalar reference, and every curve the same curve on a sequential P=1
 // engine.
 func TestMSBFSRaceShort(t *testing.T) {
-	g := engineTestGraph()
+	for _, tc := range raceGraphs(t) {
+		t.Run(tc.name, func(t *testing.T) { msbfsRace(t, tc.g) })
+	}
+}
+
+func msbfsRace(t *testing.T, g *graph.Graph) {
 	n := g.NumNodes()
 	want := make([][]int32, n)
 	for v := range want {
@@ -106,7 +157,12 @@ func TestMSBFSRaceShort(t *testing.T) {
 // from them. Every profile must equal the scalar reference and every curve
 // the sequential engine's.
 func TestWideMSBFSRaceShort(t *testing.T) {
-	g := engineTestGraph()
+	for _, tc := range raceGraphs(t) {
+		t.Run(tc.name, func(t *testing.T) { wideMSBFSRace(t, tc.g) })
+	}
+}
+
+func wideMSBFSRace(t *testing.T, g *graph.Graph) {
 	n := g.NumNodes()
 	want := make([][]int32, n)
 	for v := range want {

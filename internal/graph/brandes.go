@@ -23,25 +23,29 @@ const BrandesWidth = MSBFSWordBits
 // sweep reloads prev per level from the recorded level events.
 //
 // Ordering contract: within every level, nodes are processed in increasing
-// id, and each dependency term is evaluated as sigma[a]/sigma[v]*(1+delta[v])
-// exactly as the scalar accumulation writes it. For any one (node, source)
-// slot the contributing terms arrive level by level in adjacency order, so
-// sigma values are exact integers in float64 matching any scalar order
-// bit-for-bit; delta sums are added in the canonical (level desc, id asc,
-// adjacency, bit asc) order, which can differ from a scalar per-source run
-// in the last float ulps — consumers rank by betweenness, and
-// internal/metrics' tests pin the elected roots to a scalar reference.
+// id (the level's nodes are marked in a one-bit-per-node strip and read off
+// it word by word, so no level is sorted), and each dependency term is
+// evaluated as sigma[a]/sigma[v]*(1+delta[v]) exactly as the scalar
+// accumulation writes it. For any one (node, source) slot the contributing
+// terms arrive level by level in adjacency order, so sigma values are
+// exact integers in float64 matching any scalar order bit-for-bit; delta
+// sums are added in the canonical (level desc, id asc, adjacency, bit asc)
+// order, which can differ from a scalar per-source run in the last float
+// ulps — consumers rank by betweenness, and internal/metrics' tests pin the
+// elected roots to a scalar reference.
 //
-// A run clears the four mask strips and the n×B sigma/delta rows it uses,
-// so nothing one run leaves behind, even one cut short by a panic, reaches
-// the next. The sources are checked before any strip changes. A scratch is
-// single-owner, and its buffers are valid only until the next Accumulate.
+// A run clears the four mask strips, the level strip and the n×B
+// sigma/delta rows it uses, so nothing one run leaves behind, even one cut
+// short by a panic, reaches the next. The sources are checked before any
+// strip changes. A scratch is single-owner, and its buffers are valid only
+// until the next Accumulate.
 type BrandesScratch struct {
 	seen     []uint64  // bit i set ⇔ sources[i] has reached v
 	next     []uint64  // frontier bits accumulated for the level being built
 	prev     []uint64  // bits of v at the level below the one in flight
 	curm     []uint64  // bits of v at the level in flight (swapped into prev)
 	cur, nxt []int32   // active node lists for the level sweep
+	level    []uint64  // bit v%64 of word v/64 set ⇔ v joins the level being built
 	sigma    []float64 // node-major rows: sigma[v*B+i], valid where seen
 	delta    []float64
 	levOff   []int32  // event ranges per level: events[levOff[h]:levOff[h+1]]
@@ -62,11 +66,13 @@ func (b *BrandesScratch) begin(n, width int) {
 		b.curm = make([]uint64, n)
 		b.cur = make([]int32, 0, n)
 		b.nxt = make([]int32, 0, n)
+		b.level = make([]uint64, (n+63)/64)
 	} else {
 		clear(b.seen[:n])
 		clear(b.next[:n])
 		clear(b.prev[:n])
 		clear(b.curm[:n])
+		clear(b.level[:(n+63)/64])
 	}
 	if need := n * width; len(b.sigma) < need {
 		b.sigma = make([]float64, need)
@@ -122,8 +128,11 @@ func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
 	// Forward sweep: shared frontier expansion, then per-level sigma
 	// accumulation in canonical (id asc, adjacency, bit asc) order. A
 	// neighbor a is a predecessor of v for exactly the bits of prev[a].
+	// The level's nodes are marked in the level strip, whose words lo..hi
+	// they touch, and read off it in ascending id, clearing it as it goes.
 	for len(b.cur) > 0 {
 		b.nxt = b.nxt[:0]
+		lo, hi := len(b.level), -1
 		for _, u := range b.cur {
 			fu := b.prev[u]
 			for _, v := range g.Neighbors(u) {
@@ -132,27 +141,33 @@ func (b *BrandesScratch) Accumulate(g *Graph, sources []int32, bc []float64) {
 					continue
 				}
 				if b.next[v] == 0 {
-					b.nxt = append(b.nxt, v)
+					w := int(v / 64)
+					b.level[w] |= 1 << uint(v%64)
+					lo, hi = min(lo, w), max(hi, w)
 				}
 				b.next[v] |= add
 			}
 		}
-		slices.Sort(b.nxt)
-		for _, v := range b.nxt {
-			fresh := b.next[v]
-			b.next[v] = 0
-			b.seen[v] |= fresh
-			b.curm[v] = fresh
-			b.levNode = append(b.levNode, v)
-			b.levMask = append(b.levMask, fresh)
-			row := int(v) * B
-			for _, a := range g.Neighbors(v) {
-				arow := int(a) * B
-				for m := b.prev[a] & fresh; m != 0; m &= m - 1 {
-					i := bits.TrailingZeros64(m)
-					b.sigma[row+i] += b.sigma[arow+i]
+		for w := lo; w <= hi; w++ {
+			for set := b.level[w]; set != 0; set &= set - 1 {
+				v := int32(w*64 + bits.TrailingZeros64(set))
+				fresh := b.next[v]
+				b.next[v] = 0
+				b.seen[v] |= fresh
+				b.curm[v] = fresh
+				b.nxt = append(b.nxt, v)
+				b.levNode = append(b.levNode, v)
+				b.levMask = append(b.levMask, fresh)
+				row := int(v) * B
+				for _, a := range g.Neighbors(v) {
+					arow := int(a) * B
+					for m := b.prev[a] & fresh; m != 0; m &= m - 1 {
+						i := bits.TrailingZeros64(m)
+						b.sigma[row+i] += b.sigma[arow+i]
+					}
 				}
 			}
+			b.level[w] = 0
 		}
 		b.levOff = append(b.levOff, int32(len(b.levNode)))
 		// Retire the finished level's masks and promote the fresh ones.

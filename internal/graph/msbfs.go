@@ -39,11 +39,18 @@ const MSBFSMaxWidth = MSBFSWordBits * MSBFSMaxWords
 // missing there. pullLevel picks the direction per level from the
 // frontier's edges and the edges of the nodes some source has not reached.
 //
-// A run clears the seen strips it uses, O(n) words; the frontier and next
-// strips are all zero again when a run returns. The sources are checked
-// before any strip changes, so no run stops part way. A scratch is not safe
-// for concurrent use (give each worker its own), and LevelCounts reads
-// buffers owned by the scratch that are valid only until the next run.
+// A run sweeps a LevelGraph, the graph with its pendant leaves folded into
+// their anchors: a sweep that consumes a frontier node adds the node's
+// leaf count, times its frontier bits, to the level it builds, and a leaf
+// source runs from its anchor, its row shifted by one level afterwards.
+// The counts are those of the graph itself.
+//
+// A run clears the seen strips it uses, O(n) words of the folded graph;
+// the frontier and next strips are all zero again when a run returns. The
+// sources are checked before any strip changes, so no run stops part way.
+// A scratch is not safe for concurrent use (give each worker its own), and
+// LevelCounts reads buffers owned by the scratch that are valid only until
+// the next run.
 type MSBFSScratch struct {
 	words    int                   // words per node strip: 1, or MSBFSMaxWords past 64 sources
 	full     [MSBFSMaxWords]uint64 // the seen strip of a node every source has reached
@@ -57,6 +64,7 @@ type MSBFSScratch struct {
 	planes [MSBFSMaxWords][32]uint64
 	top    int
 	counts [][]int32 // counts[i][h] = nodes at distance exactly h from sources[i]
+	src    []int32   // the sources' nodes in the folded graph
 }
 
 // msbfsRoute names how a run picks each level's direction. Both directions
@@ -124,28 +132,53 @@ func (s *MSBFSScratch) begin(n, nsrc int) {
 	s.open = s.open[:0]
 }
 
-// RunLevels traverses g from all sources at once (1 to MSBFSMaxWidth of
-// them, each a node of g; it panics otherwise). Afterwards LevelCounts(i)
-// describes sources[i]'s traversal until the next run. The counts are
-// exactly those of a scalar BFS per source.
-func (s *MSBFSScratch) RunLevels(g *Graph, sources []int32) {
-	s.run(g, sources, msbfsPerLevel)
+// RunLevels traverses the graph lg was built from, from all sources at
+// once (1 to MSBFSMaxWidth of them, each a node of that graph; it panics
+// otherwise). Afterwards LevelCounts(i) describes sources[i]'s traversal
+// until the next run. The counts are exactly those of a scalar BFS per
+// source on the graph.
+func (s *MSBFSScratch) RunLevels(lg *LevelGraph, sources []int32) {
+	s.run(lg, sources, msbfsPerLevel)
 }
 
 // run is RunLevels on the given route.
-func (s *MSBFSScratch) run(g *Graph, sources []int32, route msbfsRoute) {
-	n := g.NumNodes()
+func (s *MSBFSScratch) run(lg *LevelGraph, sources []int32, route msbfsRoute) {
 	if len(sources) == 0 || len(sources) > MSBFSMaxWidth {
 		panic(fmt.Sprintf("graph: MSBFS batch of %d sources, want 1..%d", len(sources), MSBFSMaxWidth))
 	}
 	for _, src := range sources {
-		if src < 0 || int(src) >= n {
-			panic(fmt.Sprintf("graph: MSBFS source %d outside [0, %d)", src, n))
+		if src < 0 || int(src) >= len(lg.id) {
+			panic(fmt.Sprintf("graph: MSBFS source %d outside [0, %d)", src, len(lg.id)))
 		}
 	}
-	s.begin(n, len(sources))
-	W := s.words
+	s.src = s.src[:0]
+	for _, src := range sources {
+		v := lg.id[src]
+		if v < 0 {
+			v = ^v // a leaf runs from its anchor
+		}
+		s.src = append(s.src, v)
+	}
+	s.sweep(lg, route)
+	// A leaf's distances are its anchor's plus one, except its own (0) and
+	// the anchor's (1): the anchor's row c becomes [1, 1, c[1]-1, c[2], ...].
 	for i, src := range sources {
+		if lg.id[src] < 0 {
+			row := append(s.counts[i], 0)
+			copy(row[2:], row[1:])
+			row[1], row[2] = 1, row[2]-1
+			s.counts[i] = row
+		}
+	}
+}
+
+// sweep runs the level sweeps of s.src over the folded graph.
+func (s *MSBFSScratch) sweep(lg *LevelGraph, route msbfsRoute) {
+	g := &lg.c
+	n := g.NumNodes()
+	s.begin(n, len(s.src))
+	W := s.words
+	for i, src := range s.src {
 		word, bit := i/MSBFSWordBits, uint64(1)<<uint(i%MSBFSWordBits)
 		base := int(src) * W
 		if isZero(s.frontier[base : base+W]) {
@@ -196,9 +229,9 @@ func (s *MSBFSScratch) run(g *Graph, sources []int32, route msbfsRoute) {
 				opened = true
 			}
 			if W == 1 {
-				frontierEdges, reached = s.pullOne(g)
+				frontierEdges, reached = s.pullOne(lg)
 			} else {
-				frontierEdges, reached = s.pullFour(g)
+				frontierEdges, reached = s.pullFour(lg)
 			}
 			per = 1
 		} else {
@@ -206,9 +239,9 @@ func (s *MSBFSScratch) run(g *Graph, sources []int32, route msbfsRoute) {
 			// next frontier's are estimated in proportion to its nodes,
 			// frontierEdges·len(nxt)/len(cur).
 			if W == 1 {
-				frontierEdges, reached = s.pushOne(g)
+				frontierEdges, reached = s.pushOne(lg)
 			} else {
-				frontierEdges, reached = s.pushFour(g)
+				frontierEdges, reached = s.pushFour(lg)
 			}
 			frontierEdges *= len(s.nxt)
 			per = len(s.cur)
@@ -255,18 +288,23 @@ func (s *MSBFSScratch) reachedByAll(v int32) bool {
 // frontier is nonzero exactly at cur's nodes; seen already holds every bit
 // that reached a node, the current level's included. Each sweep fills next
 // and the nxt list, folds the new bits into seen and into the level's
-// counts, clears the frontier strips it consumed, and returns a frontier
-// edge count and the edges of the nodes that every source has now reached.
-// The caller swaps frontier and next.
+// counts, adds the leaves of the frontier nodes it consumed to those counts
+// and clears their strips, and returns a frontier edge count and the edges
+// of the nodes that every source has now reached. The caller swaps
+// frontier and next.
 
 // pushOne is the single-word top-down sweep. It returns the current
 // frontier's edges besides the reached ones.
-func (s *MSBFSScratch) pushOne(g *Graph) (curEdges, reachedEdges int) {
+func (s *MSBFSScratch) pushOne(lg *LevelGraph) (curEdges, reachedEdges int) {
+	g := &lg.c
 	full := s.full[0]
 	var ones, twos uint64
 	for _, u := range s.cur {
 		fu := s.frontier[u]
 		s.frontier[u] = 0
+		if c := lg.leaves[u]; c != 0 {
+			ones, twos = s.leavesOne(ones, twos, fu, c)
+		}
 		nb := g.Neighbors(u)
 		curEdges += len(nb)
 		for _, v := range nb {
@@ -291,10 +329,14 @@ func (s *MSBFSScratch) pushOne(g *Graph) (curEdges, reachedEdges int) {
 }
 
 // pushFour is the top-down sweep over four-word strips.
-func (s *MSBFSScratch) pushFour(g *Graph) (curEdges, reachedEdges int) {
+func (s *MSBFSScratch) pushFour(lg *LevelGraph) (curEdges, reachedEdges int) {
+	g := &lg.c
 	f := s.full
 	for _, u := range s.cur {
 		fu := (*[MSBFSMaxWords]uint64)(s.frontier[int(u)*MSBFSMaxWords:])
+		if c := lg.leaves[u]; c != 0 {
+			s.leavesFour(fu, c)
+		}
 		f0, f1, f2, f3 := fu[0], fu[1], fu[2], fu[3]
 		*fu = [MSBFSMaxWords]uint64{}
 		nb := g.Neighbors(u)
@@ -328,7 +370,8 @@ func (s *MSBFSScratch) pushFour(g *Graph) (curEdges, reachedEdges int) {
 // every node all sources have reached, and stops a node's scan once its
 // neighbours' frontier bits cover every source still missing there. It
 // returns the new frontier's edges besides the reached ones.
-func (s *MSBFSScratch) pullOne(g *Graph) (frontierEdges, reachedEdges int) {
+func (s *MSBFSScratch) pullOne(lg *LevelGraph) (frontierEdges, reachedEdges int) {
+	g := &lg.c
 	full := s.full[0]
 	var ones, twos uint64
 	open := s.open[:0]
@@ -359,16 +402,20 @@ func (s *MSBFSScratch) pullOne(g *Graph) (frontierEdges, reachedEdges int) {
 			reachedEdges += len(nb)
 		}
 	}
-	s.keepOne(ones, twos)
-	s.open = open
 	for _, u := range s.cur {
+		if c := lg.leaves[u]; c != 0 {
+			ones, twos = s.leavesOne(ones, twos, s.frontier[u], c)
+		}
 		s.frontier[u] = 0
 	}
+	s.keepOne(ones, twos)
+	s.open = open
 	return frontierEdges, reachedEdges
 }
 
 // pullFour is the bottom-up sweep over four-word strips.
-func (s *MSBFSScratch) pullFour(g *Graph) (frontierEdges, reachedEdges int) {
+func (s *MSBFSScratch) pullFour(lg *LevelGraph) (frontierEdges, reachedEdges int) {
+	g := &lg.c
 	f := s.full
 	open := s.open[:0]
 	for _, v := range s.open {
@@ -406,7 +453,11 @@ func (s *MSBFSScratch) pullFour(g *Graph) (frontierEdges, reachedEdges int) {
 	}
 	s.open = open
 	for _, u := range s.cur {
-		*(*[MSBFSMaxWords]uint64)(s.frontier[int(u)*MSBFSMaxWords:]) = [MSBFSMaxWords]uint64{}
+		fu := (*[MSBFSMaxWords]uint64)(s.frontier[int(u)*MSBFSMaxWords:])
+		if c := lg.leaves[u]; c != 0 {
+			s.leavesFour(fu, c)
+		}
+		*fu = [MSBFSMaxWords]uint64{}
 	}
 	return frontierEdges, reachedEdges
 }
@@ -430,6 +481,41 @@ func (s *MSBFSScratch) countOne(ones, twos, x uint64) (uint64, uint64) {
 		s.carry(0, 2, c2)
 	}
 	return ones ^ x, twos ^ c
+}
+
+// leavesOne adds c copies of x, c > 0, to a one-word level's counts whose
+// two low planes are ones and twos: bit k of c adds x at plane k.
+func (s *MSBFSScratch) leavesOne(ones, twos, x uint64, c int32) (uint64, uint64) {
+	if c&1 != 0 {
+		ones, twos = s.countOne(ones, twos, x)
+	}
+	if c&2 != 0 {
+		if c2 := twos & x; c2 != 0 {
+			s.carry(0, 2, c2)
+		}
+		twos ^= x
+	}
+	for k := 2; c>>k != 0; k++ {
+		if c>>k&1 != 0 {
+			s.carry(0, k, x)
+		}
+	}
+	return ones, twos
+}
+
+// leavesFour adds c copies of the strip fu, c > 0, to a four-word level's
+// counts: bit k of c adds each word at plane k.
+func (s *MSBFSScratch) leavesFour(fu *[MSBFSMaxWords]uint64, c int32) {
+	for k := 0; c != 0; k, c = k+1, c>>1 {
+		if c&1 == 0 {
+			continue
+		}
+		for w, x := range fu {
+			if x != 0 {
+				s.carry(w, k, x)
+			}
+		}
+	}
 }
 
 // keepOne stores a one-word sweep's two low planes.

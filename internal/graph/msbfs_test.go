@@ -17,13 +17,14 @@ func msbfsTestGraph(seed int64, n, edges int) *Graph {
 	return b.Graph()
 }
 
-// checkBatchMatchesScalar verifies RunLevels against a scalar BFS per
-// source, three times on one scratch: with each level's direction picked by
-// the rule, all top-down and all bottom-up. It checks every level-count
-// row, whose length is the eccentricity plus one and whose sum is the
-// reach count.
+// checkBatchMatchesScalar verifies RunLevels on g's level graph against a
+// scalar BFS per source on g itself, three times on one scratch: with each
+// level's direction picked by the rule, all top-down and all bottom-up. It
+// checks every level-count row, whose length is the eccentricity plus one
+// and whose sum is the reach count.
 func checkBatchMatchesScalar(t *testing.T, g *Graph, s *MSBFSScratch, sources []int32) {
 	t.Helper()
+	lg := NewLevelGraph(g)
 	want := make([][]int32, len(sources))
 	for i, src := range sources {
 		dist, order := g.BFS(src)
@@ -34,9 +35,9 @@ func checkBatchMatchesScalar(t *testing.T, g *Graph, s *MSBFSScratch, sources []
 	}
 	for _, route := range []struct {
 		name string
-		run  func(*Graph, []int32)
+		run  func(*LevelGraph, []int32)
 	}{{"rule", s.RunLevels}, {"top-down", s.RunLevelsTopDown}, {"bottom-up", s.RunLevelsBottomUp}} {
-		route.run(g, sources)
+		route.run(lg, sources)
 		for i, src := range sources {
 			if lc := s.LevelCounts(i); !slices.Equal(lc, want[i]) {
 				t.Fatalf("%s: source %d (%d): level counts %v, want %v", route.name, i, src, lc, want[i])
@@ -81,6 +82,7 @@ func TestMSBFSDuplicateSources(t *testing.T) {
 // still runs the next batch correctly.
 func TestMSBFSBatchWidthPanics(t *testing.T) {
 	g := msbfsTestGraph(4, 80, 160)
+	lg := NewLevelGraph(g)
 	s := NewMSBFSScratch()
 	for _, sources := range [][]int32{nil, make([]int32, MSBFSMaxWidth+1), {3, 80}, {-1, 2}} {
 		func() {
@@ -89,9 +91,41 @@ func TestMSBFSBatchWidthPanics(t *testing.T) {
 					t.Fatalf("RunLevels with sources %v did not panic", sources)
 				}
 			}()
-			s.RunLevels(g, sources)
+			s.RunLevels(lg, sources)
 		}()
 		checkBatchMatchesScalar(t, g, s, []int32{3, 2, 79})
+	}
+}
+
+// TestLevelGraphFold pins the fold on small graphs: which nodes fold into
+// which anchor, the kept nodes' BFS numbering, and the copy's edges.
+func TestLevelGraphFold(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		edges  []Edge
+		id     []int32 // per node: its number, or ^ its anchor's number
+		leaves []int32
+		adj    [][]int32 // the copy's rows
+	}{
+		{"star", 4, []Edge{{0, 1}, {0, 2}, {0, 3}}, []int32{0, ^0, ^0, ^0}, []int32{3}, [][]int32{{}}},
+		{"path3", 3, []Edge{{0, 1}, {1, 2}}, []int32{^0, 0, ^0}, []int32{2}, [][]int32{{}}},
+		{"pair+isolated", 4, []Edge{{1, 2}}, []int32{0, 1, 2, 3}, []int32{0, 0, 0, 0}, [][]int32{{}, {2}, {1}, {}}},
+		// Numbering starts at node 1, the lowest kept id; 0 and 5 fold; 2
+		// and 6 are reached from 3, the first of 1's neighbours.
+		{"hanging leaves", 7, []Edge{{1, 3}, {1, 4}, {3, 4}, {0, 4}, {2, 3}, {2, 6}, {6, 3}, {5, 6}},
+			[]int32{^2, 0, 3, 1, 2, ^4, 4}, []int32{0, 0, 1, 0, 1},
+			[][]int32{{1, 2}, {0, 2, 3, 4}, {0, 1}, {1, 4}, {1, 3}}},
+	} {
+		lg := NewLevelGraph(FromEdges(tc.n, tc.edges))
+		if !slices.Equal(lg.id, tc.id) || !slices.Equal(lg.leaves, tc.leaves) {
+			t.Fatalf("%s: ids %v leaves %v, want %v %v", tc.name, lg.id, lg.leaves, tc.id, tc.leaves)
+		}
+		for v, want := range tc.adj {
+			if got := lg.c.Neighbors(int32(v)); !slices.Equal(got, want) {
+				t.Fatalf("%s: row %d = %v, want %v", tc.name, v, got, want)
+			}
+		}
 	}
 }
 
@@ -134,16 +168,33 @@ func TestBallScratchMatchesBFS(t *testing.T) {
 }
 
 // FuzzMSBFSMatchesBFS reads a graph of up to 64 nodes from raw bytes, two
-// per edge (self-loops and repeats included), and runs two batches of 1 to
-// 256 sources, duplicates allowed, through one reused scratch. Each batch
-// checks RunLevels against Graph.BFS with the per-level direction rule,
-// all top-down and all bottom-up. The seeds include a disconnected graph
-// with isolated nodes and a batch of 256 copies of one source.
+// per edge (self-loops and repeats included), builds its level graph and
+// runs two batches of 1 to 256 sources, duplicates allowed, through one
+// reused scratch. Each batch checks RunLevels against Graph.BFS on the
+// graph itself with the per-level direction rule, all top-down and all
+// bottom-up. Source i is byte i (mod the data's length) plus i, mod n. The
+// seeds include a disconnected graph with isolated nodes, a batch of 256
+// copies of one source, and graphs whose leaves fold: a star with its hub
+// and a leaf among the sources, a three-node path whose two ends fold into
+// the middle, a two-node component beside isolated nodes where nothing
+// folds, a binary tree, 256 copies of one leaf, and leaves beside their
+// anchors.
 func FuzzMSBFSMatchesBFS(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(255), []byte{0, 1, 1, 2, 2, 3, 3, 0})
 	f.Add(uint8(0), uint8(63), uint8(64), []byte{})
 	f.Add(uint8(11), uint8(5), uint8(200), []byte{0, 1, 1, 2, 2, 0, 4, 5, 5, 6, 6, 7, 9, 10})
-	f.Add(uint8(7), uint8(255), uint8(255), []byte{0, 7, 6, 5, 4, 3, 2, 1}) // 256 copies of node 0
+	f.Add(uint8(7), uint8(255), uint8(255), []byte{0, 7, 6, 5, 4, 3, 2, 1})   // 256 copies of node 0
+	f.Add(uint8(5), uint8(1), uint8(9), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // star: hub 0, leaf 2
+	f.Add(uint8(2), uint8(3), uint8(0), []byte{0, 1, 1, 2})                   // path: both ends
+	f.Add(uint8(4), uint8(4), uint8(6), []byte{0, 1})                         // pair, isolated 2-4
+	f.Add(uint8(14), uint8(63), uint8(200), []byte{0, 1, 0, 2, 1, 3, 1, 4, 2, 5, 2, 6,
+		3, 7, 3, 8, 4, 9, 4, 10, 5, 11, 5, 12, 6, 13, 6, 14}) // binary tree
+	oneLeaf := make([]byte, 256) // path 0-3-1-2, every source the leaf 0
+	for i := range oneLeaf {
+		oneLeaf[i] = byte((4 - i%4) % 4)
+	}
+	f.Add(uint8(3), uint8(255), uint8(0), append(oneLeaf, 3, 1))
+	f.Add(uint8(3), uint8(3), uint8(2), []byte{0, 1, 1, 2, 2, 3}) // leaves 0, 3 beside anchors 1, 2
 	f.Fuzz(func(t *testing.T, nRaw, w1, w2 uint8, data []byte) {
 		n := 1 + int(nRaw)%64
 		b := NewStreamBuilder(n)

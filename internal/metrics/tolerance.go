@@ -67,13 +67,14 @@ func removalCurve(g *graph.Graph, order []int32, fractions []float64, pathSample
 // AveragePathLength estimates the mean pairwise shortest-path length of a
 // connected graph from up to maxSources source nodes (0 = all): total
 // distance over total pairs, not the mean of per-source means. The sources
-// sweep through the bit-parallel MSBFS kernel, 64 per CSR pass, and the
-// per-source sums come off its level counts; every partial sum is an exact
-// integer in float64, so the result is identical to a scalar per-source
-// BFS. stderr bounds the estimate: the finite-population-corrected standard
-// error of the per-source mean path lengths, treating the sampled sources
-// as a draw without replacement from the n nodes, exactly zero when every
-// node serves as a source.
+// sweep through the bit-parallel MSBFS kernel, 64 per CSR pass of the
+// graph's level graph (built once per call), and the per-source sums come
+// off its level counts; every partial sum is an exact integer in float64,
+// so the result is identical to a scalar per-source BFS. stderr bounds the
+// estimate: the finite-population-corrected standard error of the
+// per-source mean path lengths, treating the sampled sources as a draw
+// without replacement from the n nodes, exactly zero when every node
+// serves as a source.
 func AveragePathLength(g *graph.Graph, maxSources int) (apl, stderr float64) {
 	n := g.NumNodes()
 	if n < 2 {
@@ -85,6 +86,7 @@ func AveragePathLength(g *graph.Graph, maxSources int) (apl, stderr float64) {
 	}
 	r := rand.New(rand.NewSource(int64(n)))
 	perm := r.Perm(n)
+	lg := graph.NewLevelGraph(g)
 	ms := graph.NewMSBFSScratch()
 	totalDist, totalPairs := 0.0, 0.0
 	perSource := make([]float64, 0, sources)
@@ -97,7 +99,7 @@ func AveragePathLength(g *graph.Graph, maxSources int) (apl, stderr float64) {
 		for i := range batch {
 			batch[i] = int32(perm[lo+i])
 		}
-		ms.RunLevels(g, batch)
+		ms.RunLevels(lg, batch)
 		for i := range batch {
 			srcDist, srcPairs := 0.0, -1.0 // the source itself is not a pair
 			for h, cnt := range ms.LevelCounts(i) {
